@@ -7,9 +7,6 @@ from .conditional import (
     PseudoSample,
     Sample,
     WeightVector,
-    cond_cdf,
-    cond_quantile,
-    empirical_copula,
     weighted_copula_trajectory,
     nw_weights,
     pseudo_observations,

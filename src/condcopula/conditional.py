@@ -1,9 +1,10 @@
 """Kernel-weighted conditional distribution machinery.
 
-Nadaraya-Watson weights, conditional CDF/quantile estimators, conditional
-probability transforms of the raw sample (pseudo-observations), empirical
-partial copulas, and the transformed plug-in conditional copula estimator
-that serves both as baseline and as trajectory source for the FPCA stage.
+Nadaraya-Watson weights, conditional probability transforms of the raw
+sample (pseudo-observations), and one copula-lattice kernel: unweighted it is
+the empirical partial copula, kernel-weighted it is the transformed plug-in
+conditional copula estimator that serves both as baseline and as trajectory
+source for the FPCA stage.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ __all__ = [
     "WeightVector",
     "PseudoSample",
     "nw_weights",
-    "cond_cdf",
-    "cond_quantile",
     "pseudo_observations",
-    "empirical_copula",
     "empirical_copula_grid",
-    "partial_copula_known_margins",
     "weighted_copula_trajectory",
     "weighted_copula_surfaces",
     "rule_of_thumb_bandwidth",
@@ -143,30 +140,6 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> WeightVector:
     return WeightVector(w=kv / total, degenerate=False)
 
 
-def _weighted_ecdf(y: float, values: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * (values <= y)))
-
-
-def cond_cdf(y: float, j: int, w: WeightVector, s: Sample) -> float:
-    """Weighted conditional marginal CDF at y for margin j."""
-    weights = w.require_valid("in cond_cdf")
-    return _weighted_ecdf(y, s.margin(j), weights)
-
-
-def cond_quantile(u: float, j: int, w: WeightVector, s: Sample) -> float:
-    """Generalized inverse inf{y : F(y) >= u} of the weighted marginal CDF."""
-    weights = w.require_valid("in cond_quantile")
-    if not (0.0 < u <= 1.0):
-        raise ValueError("quantile level must be in (0, 1]")
-    values = s.margin(j)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    # rounding slack so u == attained mass exactly still selects that atom
-    idx = int(np.searchsorted(cum, u - 1e-12, side="left"))
-    idx = min(idx, values.size - 1)
-    return float(values[order][idx])
-
-
 def _weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
     """Row i holds the NW weights w_l(X_i); raises naming the first bad row."""
     z = (xs[:, None] - xs[None, :]) / k.bandwidth
@@ -237,99 +210,65 @@ def pseudo_observations(
     )
 
 
-def _rank_1based(values: np.ndarray) -> np.ndarray:
-    """Stable 1-based ranks; ties broken by original order."""
+def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``values`` and each value's position in it."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.arange(1, values.size + 1)
-    return ranks
+    position = np.empty(values.size, dtype=np.int64)
+    position[order] = np.arange(values.size)
+    return order, position
 
 
-def _level_to_rank(u: float, n: int) -> int:
-    """Rank threshold so eps_i <= Finv(u) iff rank_i <= threshold."""
-    if u <= 0.0:
-        return 0
-    return min(int(np.ceil(u * n - 1e-12)), n)
+def _lattice_cdf(a_idx, b_idx, L: int, mass=1.0) -> np.ndarray:
+    """Joint CDF on an L x L lattice from each pair's first lattice index.
 
-
-def empirical_copula(p: PseudoSample, u: float, v: float) -> float:
-    """Rank-based empirical copula of the pseudo-sample at (u, v).
-
-    Composes the joint ECDF of the pseudo-pairs with the generalized inverses
-    of their marginal ECDFs; for tie-free pseudo-samples this reduces to
-    counting pairs whose marginal ranks are both below the level thresholds.
+    Pair i starts counting at lattice node (a_idx[i], b_idx[i]); index L means
+    it never counts. ``mass`` is the pair's weight (scalar or per pair).
     """
-    n = p.n
-    r1 = _rank_1based(p.eps1)
-    r2 = _rank_1based(p.eps2)
-    t1 = _level_to_rank(u, n)
-    t2 = _level_to_rank(v, n)
-    return float(np.mean((r1 <= t1) & (r2 <= t2)))
+    cells = np.zeros((L + 1, L + 1))
+    np.add.at(cells, (a_idx, b_idx), mass)
+    return cells[:L, :L].cumsum(axis=0).cumsum(axis=1)
+
+
+def _lattice_copula(
+    eps1: np.ndarray,
+    eps2: np.ndarray,
+    levels: np.ndarray,
+    w: np.ndarray | None = None,
+    sort_index: tuple | None = None,
+) -> np.ndarray:
+    """Copula of the pseudo-pairs on the ``levels`` x ``levels`` lattice.
+
+    The joint ECDF of the pairs, weighted by ``w`` when given, composed with
+    the generalized inverses of its own margins. Without weights this is the
+    rank-based empirical copula, counted in integers and divided by n at the
+    end. ``sort_index`` holds ``_sort_index`` of each margin, so callers that
+    evaluate many weight vectors sort once.
+    """
+    n = eps1.size
+    if sort_index is None:
+        sort_index = (_sort_index(eps1), _sort_index(eps2))
+    idx = []
+    for order, position in sort_index:
+        if w is None:
+            # last sorted position at or below each level; -1 counts nothing
+            last = np.minimum(np.ceil(levels * n - 1e-12), n).astype(np.int64) - 1
+        else:
+            # sorted position of the weighted quantile for each level
+            cum = np.cumsum(w[order])
+            last = np.minimum(np.searchsorted(cum, levels - 1e-12, side="left"), n - 1)
+        idx.append(np.searchsorted(last, position, side="left"))
+    if w is None:
+        return _lattice_cdf(*idx, levels.size) / n
+    return _lattice_cdf(*idx, levels.size, w)
 
 
 def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
-    """Rank-based empirical copula evaluated at all grid nodes at once."""
-    n = p.n
-    G = grid.G
-    r1 = _rank_1based(p.eps1)
-    r2 = _rank_1based(p.eps2)
-    thresholds = np.ceil(grid.nodes * n - 1e-12).astype(np.int64)
-    thresholds = np.minimum(thresholds, n)
-    # bucket (a, b) = first grid level at which the pair starts counting
-    a_idx = np.searchsorted(thresholds, r1, side="left")
-    b_idx = np.searchsorted(thresholds, r2, side="left")
-    counts = np.zeros((G + 1, G + 1))
-    np.add.at(counts, (a_idx, b_idx), 1.0)
-    surface = counts[:G, :G].cumsum(axis=0).cumsum(axis=1) / n
-    return GridFunction(grid=grid, values=surface)
+    """Rank-based empirical copula of the pseudo-sample at all grid nodes.
 
-
-def partial_copula_known_margins(eps1, eps2, u: float, v: float) -> float:
-    """Empirical joint CDF of exact conditional probability transforms.
-
-    ``eps1``/``eps2`` are the true transforms from a simulation truth record
-    (known-margins mode); the estimator is their plain bivariate ECDF.
+    Composes the joint ECDF of the pseudo-pairs with the generalized inverses
+    of their marginal ECDFs (ties broken by sample order).
     """
-    eps1 = np.asarray(eps1, dtype=float)
-    eps2 = np.asarray(eps2, dtype=float)
-    return float(np.mean((eps1 <= u) & (eps2 <= v)))
-
-
-def _weighted_copula_surface(
-    eps1: np.ndarray,
-    eps2: np.ndarray,
-    w: np.ndarray,
-    grid: Grid2D,
-    order1: np.ndarray | None = None,
-    order2: np.ndarray | None = None,
-) -> np.ndarray:
-    """Weighted analogue of the rank-based empirical copula on the grid.
-
-    Joint weighted ECDF of the pseudo-pairs composed with the generalized
-    inverses of its weighted margins, evaluated at all grid nodes.
-    """
-    n = eps1.size
-    G = grid.G
-    if order1 is None:
-        order1 = np.argsort(eps1, kind="stable")
-    if order2 is None:
-        order2 = np.argsort(eps2, kind="stable")
-    cum1 = np.cumsum(w[order1])
-    cum2 = np.cumsum(w[order2])
-    # sorted position of the weighted quantile for each grid level
-    pos1 = np.searchsorted(cum1, grid.nodes - 1e-12, side="left")
-    pos2 = np.searchsorted(cum2, grid.nodes - 1e-12, side="left")
-    pos1 = np.minimum(pos1, n - 1)
-    pos2 = np.minimum(pos2, n - 1)
-    sortpos1 = np.empty(n, dtype=np.int64)
-    sortpos1[order1] = np.arange(n)
-    sortpos2 = np.empty(n, dtype=np.int64)
-    sortpos2[order2] = np.arange(n)
-    a_idx = np.searchsorted(pos1, sortpos1, side="left")
-    b_idx = np.searchsorted(pos2, sortpos2, side="left")
-    mass = np.zeros((G + 1, G + 1))
-    np.add.at(mass, (a_idx, b_idx), w)
-    return mass[:G, :G].cumsum(axis=0).cumsum(axis=1)
+    return GridFunction(grid=grid, values=_lattice_copula(p.eps1, p.eps2, grid.nodes))
 
 
 def weighted_copula_trajectory(
@@ -351,9 +290,7 @@ def weighted_copula_trajectory(
     """
     if pseudo is None:
         pseudo = pseudo_observations(s, k1, k2)
-    w = nw_weights(x, s.x, k).require_valid(f"at x={x:g}")
-    values = _weighted_copula_surface(pseudo.eps1, pseudo.eps2, w, grid)
-    return GridFunction(grid=grid, values=np.clip(values, 0.0, 1.0))
+    return GridFunction(grid=grid, values=weighted_copula_surfaces([x], s, k, grid, pseudo)[0])
 
 
 def weighted_copula_surfaces(
@@ -370,18 +307,12 @@ def weighted_copula_surfaces(
     O(n + G^2) after one O(n log n) sort.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
-    order1 = np.argsort(pseudo.eps1, kind="stable")
-    order2 = np.argsort(pseudo.eps2, kind="stable")
+    sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
         w = nw_weights(x, s.x, k).require_valid(f"at x={x:g}")
-        out[i] = np.clip(
-            _weighted_copula_surface(
-                pseudo.eps1, pseudo.eps2, w, grid, order1, order2
-            ),
-            0.0,
-            1.0,
-        )
+        surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
+        out[i] = np.clip(surface, 0.0, 1.0)
     return out
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "fit_pipeline",
     "estimate_conditional_copula",
     "frechet_project",
-    "bilinear_eval",
 ]
 
 
@@ -64,8 +63,7 @@ class PipelineConfig:
     g1: float | None = None
     g2: float | None = None
     h_alpha: float | None = None
-    K: int | None = None  # None -> select by `selection`
-    selection: str = "cvp"
+    K: int | None = None  # None -> smallest K whose CVP reaches cvp_threshold
     cvp_threshold: float = 0.9
     centering: str = "partial"
     project: bool = True
@@ -76,9 +74,7 @@ class PipelineConfig:
             raise ValueError("grid_size must be >= 1")
         if self.centering not in ("partial", "ensemble"):
             raise ValueError("centering must be 'partial' or 'ensemble'")
-        if self.K is None and self.selection == "cvp" and not (
-            0.0 < self.cvp_threshold <= 1.0
-        ):
+        if self.K is None and not (0.0 < self.cvp_threshold <= 1.0):
             raise ValueError("automatic K needs a CVP threshold in (0, 1]")
 
 
@@ -166,7 +162,7 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     if cfg.K is not None:
         K = select_K(eigen, "fixed", cfg.K)
     else:
-        K = select_K(eigen, cfg.selection, cfg.cvp_threshold)
+        K = select_K(eigen, "cvp", cfg.cvp_threshold)
     K = min(K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
     score_matrix = None
     regressor = None
@@ -245,28 +241,3 @@ def frechet_project(f: GridFunction) -> GridFunction:
     lower = np.maximum(U + V - 1.0, 0.0)
     upper = np.minimum(U, V)
     return GridFunction(grid=f.grid, values=np.clip(f.values, lower, upper))
-
-
-def bilinear_eval(f: GridFunction, u: float, v: float) -> float:
-    """Off-node evaluation by bilinear interpolation (clamped at the border)."""
-    nodes = f.grid.nodes
-    G = f.grid.G
-
-    def locate(t: float):
-        if t <= nodes[0]:
-            return 0, 0, 0.0
-        if t >= nodes[-1]:
-            return G - 1, G - 1, 0.0
-        j = int(np.searchsorted(nodes, t) - 1)
-        frac = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
-        return j, j + 1, frac
-
-    a0, a1, fa = locate(u)
-    b0, b1, fb = locate(v)
-    vals = f.values
-    return float(
-        (1 - fa) * (1 - fb) * vals[a0, b0]
-        + (1 - fa) * fb * vals[a0, b1]
-        + fa * (1 - fb) * vals[a1, b0]
-        + fa * fb * vals[a1, b1]
-    )

@@ -10,7 +10,6 @@ the exact unit-sphere identity used by the verification harness.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -92,26 +91,6 @@ class CovarianceField:
         vals = 0.5 * (vals + vals.T)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def write_csv(self, path_or_buf) -> None:
-        """Export as ``u,v,u2,v2,gamma`` rows over all node pairs."""
-        nodes = self.grid.nodes
-        G = self.grid.G
-        buf = io.StringIO()
-        buf.write("u,v,u2,v2,gamma\n")
-        for p in range(G * G):
-            up, vp = nodes[p // G], nodes[p % G]
-            for q in range(G * G):
-                buf.write(
-                    f"{up:.17g},{vp:.17g},{nodes[q // G]:.17g},"
-                    f"{nodes[q % G]:.17g},{self.values[p, q]:.17g}\n"
-                )
-        text = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -229,9 +208,8 @@ def select_K(es: EigenSystem, method: str = "cvp", threshold: float = 0.9) -> in
     """Pick the number of retained components.
 
     cvp: smallest K whose cumulative variance fraction reaches ``threshold``;
-    scree: rank just before the largest relative eigenvalue drop; fixed:
-    ``threshold`` is the K itself. An all-zero spectrum returns 0 (degenerate;
-    callers fall back to the mean surface alone).
+    fixed: ``threshold`` is the K itself. An all-zero spectrum returns 0
+    (degenerate; callers fall back to the mean surface alone).
     """
     lam = es.eigenvalues
     if method == "fixed":
@@ -247,15 +225,6 @@ def select_K(es: EigenSystem, method: str = "cvp", threshold: float = 0.9) -> in
             raise ValueError("CVP threshold must be in (0, 1]")
         frac = np.cumsum(positive) / positive.sum()
         return int(np.searchsorted(frac, threshold - 1e-12) + 1)
-    if method == "scree":
-        if positive.size == 1:
-            return 1
-        gaps = np.diff(positive)
-        if np.any(np.abs(positive[1:]) < _GAP_TOL):
-            # drop to numerical zero dominates
-            return int(np.argmax(np.abs(positive[1:]) < _GAP_TOL) + 1)
-        ratios = positive[:-1] / positive[1:]
-        return int(np.argmax(ratios) + 1)
     raise ValueError(f"unknown selection method {method!r}")
 
 

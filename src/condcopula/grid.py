@@ -19,7 +19,6 @@ __all__ = [
     "make_grid",
     "inner_product",
     "l2_norm",
-    "l2_distance",
     "sup_distance",
     "write_grid_function_csv",
     "read_grid_function_csv",
@@ -82,10 +81,6 @@ def make_grid(G: int) -> Grid2D:
     return Grid2D(G=G, nodes=nodes, cell_weight=1.0 / G**2)
 
 
-def grid_function(grid: Grid2D, values: np.ndarray) -> GridFunction:
-    return GridFunction(grid=grid, values=np.asarray(values, dtype=float))
-
-
 def constant(grid: Grid2D, c: float) -> GridFunction:
     return GridFunction(grid=grid, values=np.full((grid.G, grid.G), float(c)))
 
@@ -111,12 +106,6 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(max(inner_product(f, f), 0.0)))
-
-
-def l2_distance(f: GridFunction, g: GridFunction) -> float:
-    _check_same_grid(f, g)
-    diff = f.values - g.values
-    return float(np.sqrt(f.grid.cell_weight * np.sum(diff * diff)))
 
 
 def sup_distance(f: GridFunction, g: GridFunction) -> float:

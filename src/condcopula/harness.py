@@ -5,26 +5,43 @@ into a desk-scale pass/fail check: uniform consistency along an n-ladder,
 the Brownian-bridge covariance of the empirical partial copula, first-order
 eigenfunction perturbation residuals, pseudo-margin uniformity plus the
 rank-vs-known-margins gap, and a benchmark table against the plug-in
-baseline. Replications own isolated RNG substreams and reports are reduced
-in replication-index order, so results do not depend on worker count.
+baseline. Replications own isolated RNG substreams and run serially, in
+index order, in one shared ladder runner that also owns the failure list and
+the report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import __version__
-from .conditional import KernelSpec, weighted_copula_trajectory
-from .errors import DegenerateSpectrumError
-from .estimator import PipelineConfig, estimate_conditional_copula
-from .fpca import covariance_field, eigendecompose, tkn_projection, unit_sphere_identity
+from .conditional import (
+    KernelSpec,
+    _lattice_cdf,
+    _lattice_copula,
+    _sort_index,
+    weighted_copula_surfaces,
+)
+from .errors import DegenerateSpectrumError, DegenerateWeightsError
+from .estimator import (
+    PipelineConfig,
+    estimate_conditional_copula,
+    evaluate_fit,
+    fit_pipeline,
+)
+from .fpca import (
+    CovarianceField,
+    EigenSystem,
+    covariance_field,
+    eigendecompose,
+    tkn_projection,
+    unit_sphere_identity,
+)
 from .grid import GridFunction, l2_norm, make_grid, sup_distance
 from .simulate import (
     ConditionalModel,
@@ -48,21 +65,6 @@ __all__ = [
 ]
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CONDCOPULA_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items, workers: int):
-    """Apply fn over items, preserving order regardless of worker count."""
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def rep_seed(base: int, step: int, rep: int) -> int:
     """Deterministic substream label for (ladder step, replication)."""
     return (int(base) * 1_000_003 + step * 10_007 + rep) & 0x7FFFFFFF
@@ -81,7 +83,6 @@ class ExperimentConfig:
     eval_points: tuple = ()
     tolerances: dict = field(default_factory=dict)
     grid_size: int = 21
-    workers: int | None = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -93,16 +94,11 @@ class ExperimentConfig:
         object.__setattr__(self, "eval_points", tuple(self.eval_points))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("workers")
-        return d
+        return asdict(self)
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def effective_workers(self) -> int:
-        return self.workers if self.workers is not None else default_workers()
 
 
 @dataclass
@@ -123,7 +119,7 @@ class ExperimentReport:
 
     def to_json(self, path=None) -> str:
         # runtime is deliberately left out: a seeded report must be
-        # byte-identical across runs and worker counts
+        # byte-identical across runs
         payload = {
             "experiment": self.experiment,
             "version": self.version,
@@ -222,7 +218,65 @@ def build_kl_model(spec: dict, grid_size: int) -> SyntheticKLModel:
 
 
 def _median(vals) -> float:
-    return float(np.median(np.asarray(vals, dtype=float)))
+    """Median of the finite values; failed replications hold NaN."""
+    vals = np.asarray(vals, dtype=float)
+    return float(np.median(vals[np.isfinite(vals)]))
+
+
+def _decreasing(vals) -> bool:
+    return all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def _run_ladder(cfg: ExperimentConfig, names, one_rep, judge, ladder=None) -> ExperimentReport:
+    """Run every replication of every ladder step and build the report.
+
+    ``one_rep(n, seed)`` returns one value per entry of ``names``. Steps and
+    replications run serially, in index order, each on its own ``rep_seed``
+    substream. A replication that fails numerically is listed in the report's
+    failures and holds NaN values; any other exception propagates.
+    ``judge(raw)`` turns ``raw[name][n]``, the values in replication order,
+    into the report's metrics and checks, and pops from ``raw`` whatever it
+    reduces without reporting. Every verdict also requires that no
+    replication failed.
+    """
+    t0 = time.perf_counter()
+    ladder = cfg.n_ladder if ladder is None else ladder
+    raw = {name: {} for name in names}
+    failures = []
+    for step, n in enumerate(ladder):
+        rows = []
+        for rep in range(cfg.replications):
+            try:
+                rows.append(one_rep(n, rep_seed(cfg.seed, step, rep)))
+            except (DegenerateWeightsError, DegenerateSpectrumError) as exc:
+                failures.append({"n": n, "rep": rep, "error": str(exc)})
+                rows.append((np.nan,) * len(names))
+        for name, column in zip(names, zip(*rows)):
+            raw[name][n] = list(column)
+    metrics, checks = judge(raw)
+    checks["no failed replications"] = not failures
+    return ExperimentReport(
+        experiment=cfg.experiment,
+        config=cfg.to_dict(),
+        config_hash=cfg.digest(),
+        seeds=[rep_seed(cfg.seed, step, 0) for step in range(len(ladder))],
+        metrics=metrics,
+        passed=all(checks.values()),
+        checks=checks,
+        runtime_s=time.perf_counter() - t0,
+        failures=failures,
+        raw=raw,
+    )
+
+
+def _estimation_target(cfg: ExperimentConfig):
+    """Model, evaluation point, true surface and estimator config of a run."""
+    model = build_conditional_model(cfg.model)
+    x_eval = cfg.eval_points[0] if cfg.eval_points else 0.5
+    true_surf = true_conditional_copula(model, x_eval, make_grid(cfg.grid_size))
+    # verification targets the raw linear estimator; projection only if asked
+    est_cfg = PipelineConfig(grid_size=cfg.grid_size, **{"project": False, **cfg.estimator})
+    return model, x_eval, true_surf, est_cfg
 
 
 def consistency_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -231,59 +285,28 @@ def consistency_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Passes when the medians are strictly decreasing and the final median is
     below the calibrated bound.
     """
-    t0 = time.perf_counter()
-    model = build_conditional_model(cfg.model)
-    grid = make_grid(cfg.grid_size)
-    x_eval = cfg.eval_points[0] if cfg.eval_points else 0.5
-    true_surf = true_conditional_copula(model, x_eval, grid)
-    # verification targets the raw linear estimator; projection only if asked
-    est_cfg = PipelineConfig(grid_size=cfg.grid_size, **{"project": False, **cfg.estimator})
-    failures = []
+    model, x_eval, true_surf, est_cfg = _estimation_target(cfg)
 
-    def one(args):
-        step, rep, n = args
-        seed = rep_seed(cfg.seed, step, rep)
-        try:
-            sample, _ = sample_conditional(model, n, seed)
-            est = estimate_conditional_copula(x_eval, sample, est_cfg)
-            return sup_distance(est.surface, true_surf)
-        except (DegenerateSpectrumError, RuntimeError, ValueError) as exc:
-            failures.append({"n": n, "rep": rep, "error": str(exc)})
-            return np.nan
+    def one_rep(n, seed):
+        sample, _ = sample_conditional(model, n, seed)
+        est = estimate_conditional_copula(x_eval, sample, est_cfg)
+        return (sup_distance(est.surface, true_surf),)
 
-    raw = {}
-    medians = {}
-    for step, n in enumerate(cfg.n_ladder):
-        vals = _map_ordered(
-            one,
-            [(step, r, n) for r in range(cfg.replications)],
-            cfg.effective_workers(),
-        )
-        raw[n] = vals
-        medians[n] = _median([v for v in vals if np.isfinite(v)])
+    def judge(raw):
+        medians = {str(n): _median(raw["sup_error"][n]) for n in cfg.n_ladder}
+        meds = list(medians.values())
+        bound = cfg.tolerances.get("final_median", 0.08)
+        checks = {
+            "medians strictly decreasing": _decreasing(meds),
+            f"final median <= {bound}": meds[-1] <= bound,
+        }
+        return {"median_sup_error": medians}, checks
 
-    failures.sort(key=lambda f: (f["n"], f["rep"]))
-    meds = [medians[n] for n in cfg.n_ladder]
-    bound = cfg.tolerances.get("final_median", 0.08)
-    checks = {
-        "medians strictly decreasing": all(b < a for a, b in zip(meds, meds[1:])),
-        f"final median <= {bound}": meds[-1] <= bound,
-    }
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, s, 0) for s in range(len(cfg.n_ladder))],
-        metrics={"median_sup_error": {str(n): medians[n] for n in cfg.n_ladder}},
-        passed=all(checks.values()),
-        checks=checks,
-        runtime_s=time.perf_counter() - t0,
-        failures=failures,
-        raw={"sup_error": raw},
-    )
+    return _run_ladder(cfg, ("sup_error",), one_rep, judge)
 
 
 def _joint_ecdf(e1: np.ndarray, e2: np.ndarray, u: float, v: float) -> float:
+    """Known-margins partial copula: plain joint ECDF of exact transforms."""
     return float(np.mean((e1 <= u) & (e2 <= v)))
 
 
@@ -295,13 +318,11 @@ def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     covariance of sqrt(n) (ECDF - truth) against
     C(u ^ u', v ^ v') - C(u, v) C(u', v').
     """
-    t0 = time.perf_counter()
     model = build_conditional_model(cfg.model)
     if model.link.form != "constant":
         raise ValueError("bridge covariance check needs a constant tau link")
     cop = model.copula_at(0.0)
     n = cfg.n_ladder[-1]
-    R = cfg.replications
     pairs = cfg.eval_points or (((0.5, 0.5), (0.5, 0.5)),)
     tol_spec = cfg.tolerances.get("covariance", 0.02)
     tols = (
@@ -313,42 +334,36 @@ def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("one covariance tolerance per point pair required")
 
     points = sorted({tuple(p) for pair in pairs for p in pair})
+    idx = {p: i for i, p in enumerate(points)}
 
-    def one(rep):
-        _, truth = sample_conditional(model, n, rep_seed(cfg.seed, 0, rep))
-        return [
+    def one_rep(n, seed):
+        _, truth = sample_conditional(model, n, seed)
+        return ([
             np.sqrt(n) * (_joint_ecdf(truth.eps1, truth.eps2, u, v)
                           - float(copula_cdf(cop, u, v)))
             for (u, v) in points
-        ]
+        ],)
 
-    vals = np.array(_map_ordered(one, range(R), cfg.effective_workers()))
-    idx = {p: i for i, p in enumerate(points)}
+    def judge(raw):
+        # the process values only feed the covariances
+        vals = np.array(raw.pop("process")[n])
+        checks = {}
+        metrics = {}
+        for pair, tol in zip(pairs, tols):
+            (u, v), (u2, v2) = (tuple(pair[0]), tuple(pair[1]))
+            target = float(
+                copula_cdf(cop, min(u, u2), min(v, v2))
+                - copula_cdf(cop, u, v) * copula_cdf(cop, u2, v2)
+            )
+            a = vals[:, idx[(u, v)]]
+            b = vals[:, idx[(u2, v2)]]
+            emp = float(np.mean(a * b) - np.mean(a) * np.mean(b))
+            label = f"cov(({u},{v}),({u2},{v2}))"
+            metrics[label] = {"empirical": emp, "target": target}
+            checks[f"{label} within {tol}"] = abs(emp - target) <= tol
+        return metrics, checks
 
-    checks = {}
-    metrics = {}
-    for pair, tol in zip(pairs, tols):
-        (u, v), (u2, v2) = (tuple(pair[0]), tuple(pair[1]))
-        target = float(
-            copula_cdf(cop, min(u, u2), min(v, v2))
-            - copula_cdf(cop, u, v) * copula_cdf(cop, u2, v2)
-        )
-        a = vals[:, idx[(u, v)]]
-        b = vals[:, idx[(u2, v2)]]
-        emp = float(np.mean(a * b) - np.mean(a) * np.mean(b))
-        label = f"cov(({u},{v}),({u2},{v2}))"
-        metrics[label] = {"empirical": emp, "target": target}
-        checks[f"{label} within {tol}"] = abs(emp - target) <= tol
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, 0, 0)],
-        metrics=metrics,
-        passed=all(checks.values()),
-        checks=checks,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return _run_ladder(cfg, ("process",), one_rep, judge, ladder=(n,))
 
 
 def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -361,18 +376,13 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     unit-sphere identity and the distributional stability of
     || sqrt(n)(mean_hat - mean) ||_2 across the ladder.
     """
-    t0 = time.perf_counter()
     model = build_kl_model(cfg.model, cfg.grid_size)
     grid = model.grid
     true_gamma = model.true_gamma_field()
-    phi1 = model.phi(1)
     k_check = int(cfg.tolerances.get("component", 1))
 
     # eigensystem of the truth, for the perturbation formula
-    from .fpca import CovarianceField, EigenSystem
-
-    true_field = CovarianceField(grid=grid, values=true_gamma)
-    true_es = eigendecompose(true_field)
+    true_es = eigendecompose(CovarianceField(grid=grid, values=true_gamma))
     keep = int(np.count_nonzero(true_es.eigenvalues > 1e-9))
     true_es = EigenSystem(
         grid=grid,
@@ -381,9 +391,8 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         sign_flips=true_es.sign_flips[:keep],
     )
 
-    def one(args):
-        step, rep, n = args
-        ens, _ = synthetic_kl_sample(model, n, rep_seed(cfg.seed, step, rep))
+    def one_rep(n, seed):
+        ens, _ = synthetic_kl_sample(model, n, seed)
         field = covariance_field(ens, model.mean)
         es = eigendecompose(field)
         phi_hat = es.phi(k_check)
@@ -402,80 +411,41 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             grid=grid,
             values=np.sqrt(n) * (ens.surfaces.mean(axis=0) - model.mean.values),
         )
-        return l2_norm(resid), abs(lhs - rhs), l2_norm(mean_dev)
+        return l2_norm(resid), l2_norm(mean_dev), abs(lhs - rhs)
 
-    raw_resid, raw_ident, raw_clt = {}, {}, {}
-    for step, n in enumerate(cfg.n_ladder):
-        out = _map_ordered(
-            one,
-            [(step, r, n) for r in range(cfg.replications)],
-            cfg.effective_workers(),
+    def judge(raw):
+        med_resid = [_median(raw["residual"][n]) for n in cfg.n_ladder]
+        med_clt = [_median(raw["clt_norm"][n]) for n in cfg.n_ladder]
+        # the identity gaps are reported through their maximum
+        max_ident = max(max(v) for v in raw.pop("identity").values())
+        factor = cfg.tolerances.get("residual_factor", 2.0)
+        ident_tol = cfg.tolerances.get("identity", 1e-10)
+        clt_band = cfg.tolerances.get("clt_band", 0.2)
+        clt_stable = all(
+            abs(b - a) <= clt_band * a for a, b in zip(med_clt, med_clt[1:])
         )
-        raw_resid[n] = [o[0] for o in out]
-        raw_ident[n] = [o[1] for o in out]
-        raw_clt[n] = [o[2] for o in out]
-
-    med_resid = [_median(raw_resid[n]) for n in cfg.n_ladder]
-    med_clt = [_median(raw_clt[n]) for n in cfg.n_ladder]
-    factor = cfg.tolerances.get("residual_factor", 2.0)
-    ident_tol = cfg.tolerances.get("identity", 1e-10)
-    clt_band = cfg.tolerances.get("clt_band", 0.2)
-    max_ident = max(max(v) for v in raw_ident.values())
-    clt_stable = all(
-        abs(b - a) <= clt_band * a for a, b in zip(med_clt, med_clt[1:])
-    )
-    checks = {
-        "residual medians decreasing": all(
-            b < a for a, b in zip(med_resid, med_resid[1:])
-        ),
-        f"end-to-end residual factor >= {factor}": med_resid[0]
-        >= factor * med_resid[-1],
-        f"unit-sphere identity <= {ident_tol:g}": max_ident <= ident_tol,
-        f"mean-CLT norm stable within {clt_band:.0%}": clt_stable,
-    }
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, s, 0) for s in range(len(cfg.n_ladder))],
-        metrics={
+        checks = {
+            "residual medians decreasing": _decreasing(med_resid),
+            f"end-to-end residual factor >= {factor}": med_resid[0]
+            >= factor * med_resid[-1],
+            f"unit-sphere identity <= {ident_tol:g}": max_ident <= ident_tol,
+            f"mean-CLT norm stable within {clt_band:.0%}": clt_stable,
+        }
+        metrics = {
             "median_residual": {str(n): m for n, m in zip(cfg.n_ladder, med_resid)},
             "median_clt_norm": {str(n): m for n, m in zip(cfg.n_ladder, med_clt)},
             "max_identity_gap": max_ident,
-        },
-        passed=all(checks.values()),
-        checks=checks,
-        runtime_s=time.perf_counter() - t0,
-        raw={"residual": raw_resid, "clt_norm": raw_clt},
-    )
+        }
+        return metrics, checks
 
-
-def _rank_copula_on_lattice(e1, e2, levels) -> np.ndarray:
-    """Rank-based empirical copula of (e1, e2) at a levels x levels lattice."""
-    n = e1.size
-    order1 = np.argsort(e1, kind="stable")
-    order2 = np.argsort(e2, kind="stable")
-    r1 = np.empty(n, dtype=np.int64)
-    r1[order1] = np.arange(1, n + 1)
-    r2 = np.empty(n, dtype=np.int64)
-    r2[order2] = np.arange(1, n + 1)
-    thresholds = np.minimum(np.ceil(levels * n - 1e-12), n).astype(np.int64)
-    a_idx = np.searchsorted(thresholds, r1, side="left")
-    b_idx = np.searchsorted(thresholds, r2, side="left")
-    L = levels.size
-    counts = np.zeros((L + 1, L + 1))
-    np.add.at(counts, (a_idx, b_idx), 1.0)
-    return counts[:L, :L].cumsum(axis=0).cumsum(axis=1) / n
+    return _run_ladder(cfg, ("residual", "clt_norm", "identity"), one_rep, judge)
 
 
 def _joint_ecdf_on_lattice(e1, e2, levels) -> np.ndarray:
-    n = e1.size
+    """Joint ECDF of the pairs on the levels x levels lattice."""
     a_idx = np.searchsorted(levels, e1, side="left")
     b_idx = np.searchsorted(levels, e2, side="left")
-    L = levels.size
-    counts = np.zeros((L + 1, L + 1))
-    np.add.at(counts, (a_idx, b_idx), 1.0)
-    return counts[:L, :L].cumsum(axis=0).cumsum(axis=1) / n
+    return _lattice_cdf(a_idx, b_idx, levels.size) / e1.size
 
 
 def ks_uniform_statistic(vals: np.ndarray) -> float:
@@ -497,76 +467,59 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     additional metric without an assertion; it fluctuates at the n^(-1/2)
     scale of the margins.
     """
-    t0 = time.perf_counter()
     model = build_conditional_model(cfg.model)
     levels = np.linspace(0.0, 1.0, 101)
-    R = cfg.replications
     crit_factor = cfg.tolerances.get("ks_critical", 1.63)
     pass_frac = cfg.tolerances.get("ks_pass_fraction", 0.95)
 
-    def one(args):
-        step, rep, n = args
-        _, truth = sample_conditional(model, n, rep_seed(cfg.seed, step, rep))
-        ks = max(
-            ks_uniform_statistic(truth.eps1), ks_uniform_statistic(truth.eps2)
-        )
-        rank_surface = _rank_copula_on_lattice(truth.eps1, truth.eps2, levels)
+    def one_rep(n, seed):
+        _, truth = sample_conditional(model, n, seed)
+        e1, e2 = truth.eps1, truth.eps2
+        ks = max(ks_uniform_statistic(e1), ks_uniform_statistic(e2))
+        sort_index = (_sort_index(e1), _sort_index(e2))
+        rank_surface = _lattice_copula(e1, e2, levels, sort_index=sort_index)
         # normalized ranks of the same sample; the rank-based estimator can
         # move each margin threshold by at most one atom relative to their
         # ECDF, hence the 2/n bound
-        n_obs = truth.eps1.size
-        r1 = np.empty(n_obs)
-        r1[np.argsort(truth.eps1, kind="stable")] = np.arange(1, n_obs + 1)
-        r2 = np.empty(n_obs)
-        r2[np.argsort(truth.eps2, kind="stable")] = np.arange(1, n_obs + 1)
-        rank_ecdf = _joint_ecdf_on_lattice(r1 / n_obs, r2 / n_obs, levels)
+        r1, r2 = ((position + 1) / e1.size for _, position in sort_index)
+        rank_ecdf = _joint_ecdf_on_lattice(r1, r2, levels)
         gap = float(np.max(np.abs(rank_surface - rank_ecdf)))
         # distance to the exact-margins ECDF, reported but not asserted
         # (it carries the O(n^-1/2) margin fluctuation)
-        ecdf_surface = _joint_ecdf_on_lattice(truth.eps1, truth.eps2, levels)
+        ecdf_surface = _joint_ecdf_on_lattice(e1, e2, levels)
         ecdf_gap = float(np.max(np.abs(rank_surface - ecdf_surface)))
         return ks, gap, ecdf_gap
 
-    raw_ks, raw_gap, raw_ecdf_gap = {}, {}, {}
-    for step, n in enumerate(cfg.n_ladder):
-        out = _map_ordered(
-            one, [(step, r, n) for r in range(R)], cfg.effective_workers()
-        )
-        raw_ks[n] = [o[0] for o in out]
-        raw_gap[n] = [o[1] for o in out]
-        raw_ecdf_gap[n] = [o[2] for o in out]
+    def judge(raw):
+        checks = {}
+        metrics = {
+            "ks_pass_fraction": {},
+            "max_gap_times_n": {},
+            "median_exact_ecdf_gap": {},
+        }
+        for n in cfg.n_ladder:
+            crit = crit_factor / np.sqrt(n)
+            frac = float(np.mean(np.asarray(raw["ks"][n]) < crit))
+            metrics["ks_pass_fraction"][str(n)] = frac
+            if n == cfg.n_ladder[-1]:
+                # the asymptotic critical value is only trusted at the largest
+                # n; smaller ladder steps are reported without a verdict
+                checks[f"KS below {crit:.4f} in >= {pass_frac:.0%} at n={n}"] = (
+                    frac >= pass_frac
+                )
+            worst = max(raw["gap"][n])
+            metrics["max_gap_times_n"][str(n)] = worst * n
+            metrics["median_exact_ecdf_gap"][str(n)] = _median(raw["exact_ecdf_gap"][n])
+            checks[f"gap <= 2/n at n={n}"] = worst <= 2.0 / n + 1e-12
+        return metrics, checks
 
-    checks = {}
-    metrics = {
-        "ks_pass_fraction": {},
-        "max_gap_times_n": {},
-        "median_exact_ecdf_gap": {},
-    }
-    for n in cfg.n_ladder:
-        crit = crit_factor / np.sqrt(n)
-        frac = float(np.mean(np.asarray(raw_ks[n]) < crit))
-        metrics["ks_pass_fraction"][str(n)] = frac
-        if n == cfg.n_ladder[-1]:
-            # the asymptotic critical value is only trusted at the largest n;
-            # smaller ladder steps are reported without a verdict
-            checks[f"KS below {crit:.4f} in >= {pass_frac:.0%} at n={n}"] = (
-                frac >= pass_frac
-            )
-        worst = max(raw_gap[n])
-        metrics["max_gap_times_n"][str(n)] = worst * n
-        metrics["median_exact_ecdf_gap"][str(n)] = _median(raw_ecdf_gap[n])
-        checks[f"gap <= 2/n at n={n}"] = worst <= 2.0 / n + 1e-12
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, s, 0) for s in range(len(cfg.n_ladder))],
-        metrics=metrics,
-        passed=all(checks.values()),
-        checks=checks,
-        runtime_s=time.perf_counter() - t0,
-        raw={"ks": raw_ks, "gap": raw_gap, "exact_ecdf_gap": raw_ecdf_gap},
-    )
+    return _run_ladder(cfg, ("ks", "gap", "exact_ecdf_gap"), one_rep, judge)
+
+
+def _grid_errors(values: np.ndarray, truth: GridFunction) -> tuple:
+    """Sup and L2 distances of a surface from the truth."""
+    diff = GridFunction(grid=truth.grid, values=values - truth.values)
+    return float(np.max(np.abs(diff.values))), l2_norm(diff)
 
 
 def benchmark_vs_baseline(cfg: ExperimentConfig) -> ExperimentReport:
@@ -575,77 +528,36 @@ def benchmark_vs_baseline(cfg: ExperimentConfig) -> ExperimentReport:
     Reports per-n median sup and L2 (MISE-style) grid errors for both
     estimators at the evaluation point; passes when both error columns
     decrease monotonically in median along the ladder. No superiority claim.
+    The baseline reuses the fit's pseudo-observations and bandwidth h.
     """
-    t0 = time.perf_counter()
-    model = build_conditional_model(cfg.model)
-    grid = make_grid(cfg.grid_size)
-    x_eval = cfg.eval_points[0] if cfg.eval_points else 0.5
-    true_surf = true_conditional_copula(model, x_eval, grid)
-    est_cfg = PipelineConfig(grid_size=cfg.grid_size, **{"project": False, **cfg.estimator})
-    failures = []
+    model, x_eval, true_surf, est_cfg = _estimation_target(cfg)
 
-    def one(args):
-        step, rep, n = args
-        seed = rep_seed(cfg.seed, step, rep)
-        try:
-            sample, _ = sample_conditional(model, n, seed)
-            est = estimate_conditional_copula(x_eval, sample, est_cfg)
-            h = est.diagnostics["bandwidths"]["h"]
-            fam = est_cfg.kernel_family
-            k = KernelSpec(family=fam, bandwidth=h)
-            g1 = KernelSpec(family=fam, bandwidth=est.diagnostics["bandwidths"]["g1"])
-            g2 = KernelSpec(family=fam, bandwidth=est.diagnostics["bandwidths"]["g2"])
-            base = weighted_copula_trajectory(x_eval, sample, k, g1, g2, grid)
-            err = lambda f: (  # noqa: E731
-                sup_distance(f, true_surf),
-                l2_norm(GridFunction(grid=grid, values=f.values - true_surf.values)),
-            )
-            return (*err(est.surface), *err(base))
-        except (DegenerateSpectrumError, RuntimeError, ValueError) as exc:
-            failures.append({"n": n, "rep": rep, "error": str(exc)})
-            return (np.nan,) * 4
+    def one_rep(n, seed):
+        sample, _ = sample_conditional(model, n, seed)
+        fit = fit_pipeline(sample, est_cfg)
+        est = evaluate_fit(fit, x_eval)
+        k = KernelSpec(family=est_cfg.kernel_family, bandwidth=fit.bandwidths["h"])
+        base = weighted_copula_surfaces([x_eval], sample, k, fit.grid, fit.pseudo)[0]
+        return (*_grid_errors(est.surface.values, true_surf), *_grid_errors(base, true_surf))
 
-    table = {}
-    raw = {"kl_sup": {}, "kl_l2": {}, "base_sup": {}, "base_l2": {}}
-    for step, n in enumerate(cfg.n_ladder):
-        out = np.array(
-            _map_ordered(
-                one,
-                [(step, r, n) for r in range(cfg.replications)],
-                cfg.effective_workers(),
-            )
-        )
-        ok = np.isfinite(out).all(axis=1)
-        raw["kl_sup"][n] = list(out[:, 0])
-        raw["kl_l2"][n] = list(out[:, 1])
-        raw["base_sup"][n] = list(out[:, 2])
-        raw["base_l2"][n] = list(out[:, 3])
-        table[str(n)] = {
-            "kl_sup": _median(out[ok, 0]),
-            "kl_l2": _median(out[ok, 1]),
-            "baseline_sup": _median(out[ok, 2]),
-            "baseline_l2": _median(out[ok, 3]),
+    def judge(raw):
+        table = {
+            str(n): {
+                "kl_sup": _median(raw["kl_sup"][n]),
+                "kl_l2": _median(raw["kl_l2"][n]),
+                "baseline_sup": _median(raw["base_sup"][n]),
+                "baseline_l2": _median(raw["base_l2"][n]),
+            }
+            for n in cfg.n_ladder
         }
-    failures.sort(key=lambda f: (f["n"], f["rep"]))
-    kl_meds = [table[str(n)]["kl_sup"] for n in cfg.n_ladder]
-    base_meds = [table[str(n)]["baseline_sup"] for n in cfg.n_ladder]
-    checks = {
-        "KL estimator median errors decreasing": all(
-            b < a for a, b in zip(kl_meds, kl_meds[1:])
-        ),
-        "baseline median errors decreasing": all(
-            b < a for a, b in zip(base_meds, base_meds[1:])
-        ),
-    }
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, s, 0) for s in range(len(cfg.n_ladder))],
-        metrics={"error_table": table},
-        passed=all(checks.values()),
-        checks=checks,
-        runtime_s=time.perf_counter() - t0,
-        failures=failures,
-        raw=raw,
-    )
+        checks = {
+            "KL estimator median errors decreasing": _decreasing(
+                [row["kl_sup"] for row in table.values()]
+            ),
+            "baseline median errors decreasing": _decreasing(
+                [row["baseline_sup"] for row in table.values()]
+            ),
+        }
+        return {"error_table": table}, checks
+
+    return _run_ladder(cfg, ("kl_sup", "kl_l2", "base_sup", "base_l2"), one_rep, judge)

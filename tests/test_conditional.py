@@ -9,13 +9,11 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    cond_cdf,
-    cond_quantile,
-    empirical_copula,
+    _lattice_copula,
     empirical_copula_grid,
+    weighted_copula_surfaces,
     weighted_copula_trajectory,
     nw_weights,
-    partial_copula_known_margins,
     pseudo_observations,
     read_sample_csv,
     rule_of_thumb_bandwidth,
@@ -23,6 +21,8 @@ from condcopula.conditional import (
 )
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import make_grid, sup_distance
+from condcopula.harness import _joint_ecdf
+from oracles import cond_cdf, cond_quantile, empirical_copula, weighted_copula
 from condcopula.simulate import (
     ConditionalModel,
     TauLink,
@@ -172,6 +172,22 @@ def test_pseudo_leave_one_out_differs():
     )
 
 
+@pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
+def test_pseudo_matches_pointwise_cond_cdf(family):
+    rng = np.random.default_rng(5)
+    # rounded responses put ties in both margins
+    s = Sample(y1=np.round(rng.normal(size=40), 1), y2=np.round(rng.normal(size=40), 1),
+               x=rng.random(40))
+    k1 = KernelSpec(family=family, bandwidth=0.3)
+    k2 = KernelSpec(family=family, bandwidth=0.5)
+    p = pseudo_observations(s, k1, k2)
+    for i in range(s.n):
+        assert p.eps1[i] == pytest.approx(
+            cond_cdf(s.y1[i], 1, nw_weights(s.x[i], s.x, k1), s), abs=1e-12)
+        assert p.eps2[i] == pytest.approx(
+            cond_cdf(s.y2[i], 2, nw_weights(s.x[i], s.x, k2), s), abs=1e-12)
+
+
 def test_pseudo_degenerate_row_named():
     s = Sample(
         y1=np.array([0.0, 1.0, 2.0]),
@@ -243,8 +259,53 @@ def test_empirical_copula_grid_two_increasing():
 def test_partial_copula_known_margins_counts():
     e1 = np.array([0.3])
     e2 = np.array([0.7])
-    assert partial_copula_known_margins(e1, e2, 0.5, 0.5) == 0.0
-    assert partial_copula_known_margins(e1, e2, 0.5, 0.8) == 1.0
+    assert _joint_ecdf(e1, e2, 0.5, 0.5) == 0.0
+    assert _joint_ecdf(e1, e2, 0.5, 0.8) == 1.0
+
+
+def tied_pseudo_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    # one decimal forces ties in both margins
+    return PseudoSample(eps1=np.round(rng.random(n), 1), eps2=np.round(rng.random(n), 1))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (23, 2), (60, 3)])
+def test_lattice_kernel_matches_pointwise_rank_copula(n, seed):
+    # the lattice that starts at level 0 is the one the rank-gap check uses
+    p = tied_pseudo_sample(n, seed)
+    for levels in (np.linspace(0.0, 1.0, 11), make_grid(7).nodes):
+        lattice = _lattice_copula(p.eps1, p.eps2, levels)
+        want = [[empirical_copula(p, u, v) for v in levels] for u in levels]
+        assert np.array_equal(lattice, want)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (23, 2), (60, 3)])
+def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
+    p = tied_pseudo_sample(n, seed)
+    xs = np.random.default_rng(seed).random(n)
+    nodes = make_grid(7).nodes
+    uniform = np.full(n, 1.0 / n)
+    nw = nw_weights(0.5, xs, KernelSpec(bandwidth=0.4)).w
+    for w in (uniform, nw):
+        lattice = _lattice_copula(p.eps1, p.eps2, nodes, w)
+        for a, u in enumerate(nodes):
+            for b, v in enumerate(nodes):
+                assert lattice[a, b] == pytest.approx(weighted_copula(p, w, u, v), abs=1e-12)
+    # uniform weights give the rank-based copula up to rounding
+    assert np.allclose(_lattice_copula(p.eps1, p.eps2, nodes, uniform),
+                       _lattice_copula(p.eps1, p.eps2, nodes), rtol=0, atol=1e-12)
+
+
+def test_trajectory_is_one_surface_of_the_stack():
+    rng = np.random.default_rng(13)
+    s = Sample(y1=rng.normal(size=50), y2=rng.normal(size=50), x=rng.random(50))
+    k = KernelSpec(bandwidth=0.3)
+    grid = make_grid(9)
+    pseudo = pseudo_observations(s, k, k)
+    stack = weighted_copula_surfaces(s.x[:5], s, k, grid, pseudo)
+    for i in range(5):
+        f = weighted_copula_trajectory(s.x[i], s, k, k, k, grid)
+        assert np.array_equal(f.values, stack[i])
 
 
 # -------------------------------------------------------------- trajectories

@@ -7,7 +7,6 @@ from condcopula.conditional import KernelSpec
 from condcopula.errors import DegenerateWeightsError
 from condcopula.estimator import (
     PipelineConfig,
-    bilinear_eval,
     estimate_conditional_copula,
     evaluate_fit,
     fit_pipeline,
@@ -200,22 +199,3 @@ def test_projection_idempotent_and_improving():
     assert np.array_equal(once.values, twice.values)
     truth = from_callable(g, lambda u, v: u * v)
     assert sup_distance(once, truth) <= sup_distance(f, truth) + 1e-15
-
-
-# ------------------------------------------------------------ interpolation
-
-
-def test_bilinear_eval_at_nodes_and_between():
-    g = make_grid(5)
-    f = from_callable(g, lambda u, v: u + 2 * v)
-    assert bilinear_eval(f, g.nodes[1], g.nodes[3]) == pytest.approx(
-        g.nodes[1] + 2 * g.nodes[3]
-    )
-    mid_u = 0.5 * (g.nodes[1] + g.nodes[2])
-    assert bilinear_eval(f, mid_u, g.nodes[0]) == pytest.approx(
-        mid_u + 2 * g.nodes[0]
-    )
-    # outside the node hull: clamped to the border value
-    assert bilinear_eval(f, 0.0, 0.0) == pytest.approx(
-        g.nodes[0] + 2 * g.nodes[0]
-    )

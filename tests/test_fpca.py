@@ -249,10 +249,6 @@ def test_select_k_cvp():
     assert select_K(dummy_eigensystem([1.0]), "cvp", 1.0) == 1
 
 
-def test_select_k_scree():
-    assert select_K(dummy_eigensystem([0.6, 0.3, 0.001]), "scree") == 2
-
-
 def test_select_k_fixed_and_degenerate():
     es = dummy_eigensystem([0.0, 0.0])
     assert select_K(es, "cvp", 0.9) == 0

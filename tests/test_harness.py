@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from condcopula import harness
 from condcopula.harness import (
     ExperimentConfig,
     benchmark_vs_baseline,
@@ -38,10 +39,9 @@ def test_config_validation():
         ExperimentConfig(experiment="x", replications=0)
 
 
-def test_config_digest_ignores_workers():
-    a = small_consistency_cfg(workers=1)
-    b = small_consistency_cfg(workers=8)
-    assert a.digest() == b.digest()
+def test_config_digest_depends_on_seed():
+    a = small_consistency_cfg()
+    assert small_consistency_cfg().digest() == a.digest()
     c = small_consistency_cfg(seed=12)
     assert c.digest() != a.digest()
 
@@ -66,10 +66,26 @@ def test_consistency_report_reproducible():
     assert r1.metrics == r2.metrics
 
 
-def test_worker_count_does_not_change_results():
-    r1 = consistency_experiment(small_consistency_cfg(workers=1))
-    r4 = consistency_experiment(small_consistency_cfg(workers=4))
-    assert r1.to_json() == r4.to_json()
+def test_failed_replications_fail_the_verdict():
+    # a tiny score-regression bandwidth leaves the evaluation point without
+    # kernel mass in most replications; the survivors alone would pass
+    cfg = small_consistency_cfg(estimator={"h_alpha": 0.004}, replications=10,
+                                grid_size=11)
+    report = consistency_experiment(cfg)
+    assert len(report.failures) == 8
+    assert all("degenerate weights" in f["error"] for f in report.failures)
+    assert report.checks["no failed replications"] is False
+    assert report.passed is False
+    assert "failed replications: 8" in report.to_text()
+
+
+def test_non_numerical_error_in_a_replication_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken sampler")
+
+    monkeypatch.setattr(harness, "sample_conditional", broken)
+    with pytest.raises(ValueError, match="broken sampler"):
+        consistency_experiment(small_consistency_cfg())
 
 
 def test_consistency_independence_k0_matches_partial_error():
