@@ -28,8 +28,10 @@ from .fpca import (
     EigenSystem,
     ScoreMatrix,
     TrajectoryEnsemble,
-    covariance_field,
-    eigendecompose,
+    # perfbench/run.py wraps these two where this module looks them up
+    covariance_field,  # noqa: F401
+    eigendecompose,  # noqa: F401
+    ensemble_eigensystem,
     scores,
     select_K,
 )
@@ -102,6 +104,13 @@ class FpcaFit:
             return 0.0
         return float(lam[: self.K].sum() / total)
 
+    def eigengap(self) -> float | None:
+        """lambda_K / lambda_{K+1}; None when K=0 or lambda_{K+1} is zero or absent."""
+        lam = self.eigen.eigenvalues
+        if self.K == 0 or self.K >= lam.size or lam[self.K] == 0.0:
+            return None
+        return float(lam[self.K - 1] / lam[self.K])
+
 
 @dataclass(frozen=True)
 class ConditionalCopulaEstimate:
@@ -120,7 +129,6 @@ class ConditionalCopulaEstimate:
             "K": self.K,
             "projected": self.projected,
             "alpha": [float(a) for a in self.alpha],
-            "grid_csv": str(csv_path),
             **self.diagnostics,
         }
         with open(json_path, "w") as fh:
@@ -157,10 +165,11 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
     ensemble = TrajectoryEnsemble(xs=s.x, surfaces=surfaces, grid=grid)
     center = ensemble.mean_surface() if cfg.centering == "ensemble" else partial
-    field = covariance_field(ensemble, center)
-    eigen = eigendecompose(field)
+    eigen = ensemble_eigensystem(ensemble, center)
     if cfg.K is not None:
-        K = select_K(eigen, "fixed", cfg.K)
+        # the spectrum holds min(n, G^2) components and the rest are zero,
+        # so a larger K is clamped like any K beyond the positive count
+        K = select_K(eigen, "fixed", min(cfg.K, eigen.m))
     else:
         K = select_K(eigen, "cvp", cfg.cvp_threshold)
     K = min(K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
@@ -212,6 +221,7 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         "bandwidths": dict(fit.bandwidths),
         "eigenvalues": [float(v) for v in lam[: max(fit.K, 5)]],
         "cvp_attained": fit.cvp_attained(),
+        "eigengap": fit.eigengap(),
         "degenerate_spectrum": fit.K == 0,
         "kernel_family": cfg.kernel_family,
         "centering": cfg.centering,

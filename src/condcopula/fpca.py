@@ -4,8 +4,11 @@ The covariance function of the trajectory ensemble is discretized as a
 symmetric G^2 x G^2 matrix over node pairs; the covariance operator becomes
 the symmetric eigenproblem (cell_weight * matrix) phi = lambda phi, with
 eigenvector values rescaled so the quadrature norm of each eigenfunction is
-one. Also houses the first-order eigenfunction perturbation projection and
-the exact unit-sphere identity used by the verification harness.
+one. When the ensemble has fewer trajectories than grid nodes, the same
+spectrum comes from the smaller n x n Gram matrix of the centered
+trajectories (the method of snapshots, Sirovich 1987). Also houses the
+first-order eigenfunction perturbation projection and the exact unit-sphere
+identity used by the verification harness.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "ScoreMatrix",
     "covariance_field",
     "eigendecompose",
+    "ensemble_eigensystem",
     "scores",
     "select_K",
     "tkn_projection",
@@ -143,6 +147,15 @@ class ScoreMatrix:
         return self.xi.shape[1]
 
 
+def _centered(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
+    """(n, G^2) trajectories minus ``mean``."""
+    if e.grid != mean.grid:
+        raise ValueError("ensemble and mean live on different grids")
+    if e.n < 2:
+        raise ValueError("covariance needs at least 2 trajectories")
+    return e.flat() - mean.flat()[None, :]
+
+
 def covariance_field(e: TrajectoryEnsemble, mean: GridFunction) -> CovarianceField:
     """Empirical covariance of the ensemble around ``mean``.
 
@@ -150,31 +163,28 @@ def covariance_field(e: TrajectoryEnsemble, mean: GridFunction) -> CovarianceFie
     symmetric positive semidefinite (sum of outer products), whatever center
     is passed.
     """
-    if e.grid != mean.grid:
-        raise ValueError("ensemble and mean live on different grids")
-    if e.n < 2:
-        raise ValueError("covariance needs at least 2 trajectories")
-    centered = e.flat() - mean.flat()[None, :]
+    centered = _centered(e, mean)
     vals = centered.T @ centered / e.n
     return CovarianceField(grid=e.grid, values=vals)
 
 
-def eigendecompose(c: CovarianceField, truncate_below: float = 1e-12) -> EigenSystem:
-    """Solve the discretized covariance eigenproblem.
+def _eigensystem(
+    grid: Grid2D, evals: np.ndarray, phis: np.ndarray, truncate_below: float
+) -> EigenSystem:
+    """Order, clip and sign-normalise an unordered eigenpair set.
 
-    The operator acts by quadrature, so the symmetric matrix that is actually
-    decomposed is cell_weight * field; eigenvector entries are rescaled by
-    1/sqrt(cell_weight) to restore quadrature orthonormality. Eigenvalues
-    below ``truncate_below`` are clipped to zero.
+    ``phis`` holds one quadrature-normalised eigenfunction per column,
+    (G^2, m). Eigenvalues come out nonincreasing, those below
+    ``truncate_below`` clipped to zero. Each eigenfunction's sign makes its
+    integral positive; when the integral vanishes, its first entry of
+    magnitude above 1e-8 is positive.
     """
-    delta = c.grid.cell_weight
-    evals, evecs = np.linalg.eigh(delta * c.values)
     order = np.argsort(evals, kind="stable")[::-1]
     evals = evals[order]
-    evecs = evecs[:, order]
     evals[evals < truncate_below] = 0.0
-    m = c.grid.G ** 2
-    phis = (evecs / np.sqrt(delta)).T.reshape(m, c.grid.G, c.grid.G)
+    m = evals.size
+    phis = phis[:, order].T.reshape(m, grid.G, grid.G)
+    delta = grid.cell_weight
     flips = np.ones(m)
     for k in range(m):
         integral = delta * phis[k].sum()
@@ -187,8 +197,49 @@ def eigendecompose(c: CovarianceField, truncate_below: float = 1e-12) -> EigenSy
                 flips[k] = -1.0
         phis[k] *= flips[k]
     return EigenSystem(
-        grid=c.grid, eigenvalues=evals, eigenfunctions=phis, sign_flips=flips
+        grid=grid, eigenvalues=evals, eigenfunctions=phis, sign_flips=flips
     )
+
+
+def eigendecompose(c: CovarianceField, truncate_below: float = 1e-12) -> EigenSystem:
+    """Solve the discretized covariance eigenproblem.
+
+    The operator acts by quadrature, so the symmetric matrix that is actually
+    decomposed is cell_weight * field; eigenvector entries are rescaled by
+    1/sqrt(cell_weight) to restore quadrature orthonormality. Eigenvalues
+    below ``truncate_below`` are clipped to zero.
+    """
+    delta = c.grid.cell_weight
+    evals, evecs = np.linalg.eigh(delta * c.values)
+    return _eigensystem(c.grid, evals, evecs / np.sqrt(delta), truncate_below)
+
+
+def ensemble_eigensystem(
+    e: TrajectoryEnsemble, center: GridFunction, truncate_below: float = 1e-12
+) -> EigenSystem:
+    """The eigensystem of ``covariance_field(e, center)``, up to rounding.
+
+    With n >= G^2 trajectories this is exactly
+    ``eigendecompose(covariance_field(e, center))``. With fewer, the
+    covariance has rank at most n, so the n x n Gram matrix
+    (cell_weight / n) C C^T of the centered trajectories C is decomposed
+    instead: its eigenvalues are the nonzero ones of the covariance operator,
+    and C^T u, rescaled to unit quadrature norm, is the eigenfunction of
+    eigenvector u. A direction with C^T u = 0 gets eigenvalue 0 and a zero
+    eigenfunction. The system holds min(n, G^2) components; the ones it
+    drops all have eigenvalue zero.
+    """
+    if e.n >= e.grid.G ** 2:
+        return eigendecompose(covariance_field(e, center), truncate_below)
+    centered = _centered(e, center)
+    delta = e.grid.cell_weight
+    evals, u = np.linalg.eigh(delta / e.n * (centered @ centered.T))
+    phis = centered.T @ u
+    norms = np.sqrt(delta * np.einsum("ij,ij->j", phis, phis))
+    live = norms > 0.0
+    phis[:, live] /= norms[live]
+    evals[~live] = 0.0
+    return _eigensystem(e.grid, evals, phis, truncate_below)
 
 
 def scores(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,34 @@ def test_fixed_k_zero_reduces_to_partial_copula():
     assert est.K == 0
     assert np.array_equal(est.surface.values, fit.partial.values)
     assert est.alpha.size == 0
+
+
+def test_fixed_k_above_sample_size_clamps_to_positive_count():
+    # n=50 < K=100 <= G^2=121: the spectrum holds 50 components, and K
+    # clamps to the positive ones as it did when all 121 were kept
+    _, s = clayton_sample(n=50, seed=12)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=11, K=100))
+    assert fit.eigen.m == 50
+    assert fit.K == np.count_nonzero(fit.eigen.eigenvalues > 0.0)
+    assert fit.K > 0
+
+
+def test_constant_ensemble_falls_back_to_partial_copula():
+    # a kernel this wide weights every observation exactly 1.0, so all
+    # trajectories equal the partial copula and the ensemble-centered
+    # spectrum is identically zero
+    _, s = clayton_sample(n=60, seed=13)
+    cfg = PipelineConfig(grid_size=11, kernel_family="gaussian", h=1e12,
+                         centering="ensemble", project=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_pipeline(s, cfg)
+        est = evaluate_fit(fit, 0.5)
+    assert np.all(fit.eigen.eigenvalues == 0.0)
+    assert est.K == 0
+    assert est.diagnostics["degenerate_spectrum"]
+    assert est.diagnostics["eigengap"] is None
+    assert np.array_equal(est.surface.values, fit.partial.values)
 
 
 def test_reconstruction_is_partial_plus_score_expansion():
@@ -132,6 +161,22 @@ def test_diagnostics_payload():
     assert not d["degenerate_spectrum"]
 
 
+def test_eigengap_diagnostic():
+    _, s = clayton_sample(n=150, seed=6)
+    fit = fit_pipeline(s, PipelineConfig())
+    lam = fit.eigen.eigenvalues
+    assert 0 < fit.K < fit.eigen.m and lam[fit.K] > 0.0
+    gap = evaluate_fit(fit, 0.4).diagnostics["eigengap"]
+    assert gap == lam[fit.K - 1] / lam[fit.K]
+    assert gap >= 1.0
+    no_components = fit_pipeline(s, PipelineConfig(K=0))
+    assert evaluate_fit(no_components, 0.4).diagnostics["eigengap"] is None
+    # every positive component kept: lambda_{K+1} is zero or absent
+    all_components = fit_pipeline(s, PipelineConfig(K=fit.eigen.m))
+    assert all_components.K == np.count_nonzero(lam > 0.0)
+    assert evaluate_fit(all_components, 0.4).diagnostics["eigengap"] is None
+
+
 def test_export_round_trip(tmp_path):
     _, s = clayton_sample(n=150, seed=7)
     est = estimate_conditional_copula(0.4, s, PipelineConfig())
@@ -140,6 +185,7 @@ def test_export_round_trip(tmp_path):
     est.export(jpath, cpath)
     meta = json.loads(jpath.read_text())
     assert meta["x"] == 0.4
+    assert "grid_csv" not in meta  # no output path: renaming keeps the bytes
     assert meta["K"] == est.K
     back = read_grid_function_csv(cpath)
     assert np.array_equal(back.values, est.surface.values)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from condcopula.errors import DegenerateSpectrumError
+from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
     CovarianceField,
     EigenSystem,
@@ -9,6 +10,7 @@ from condcopula.fpca import (
     TrajectoryEnsemble,
     covariance_field,
     eigendecompose,
+    ensemble_eigensystem,
     scores,
     select_K,
     tkn_projection,
@@ -22,8 +24,11 @@ from condcopula.grid import (
     make_grid,
 )
 from condcopula.simulate import (
+    ConditionalModel,
     SyntheticKLModel,
+    TauLink,
     cosine_tensor,
+    sample_conditional,
     synthetic_kl_sample,
 )
 
@@ -180,6 +185,48 @@ def test_sign_convention_nonnegative_integral():
         integral = GRID.cell_weight * es.eigenfunctions[k].sum()
         if abs(integral) > 1e-12:
             assert integral > 0
+
+
+# ----------------------------------------------------- ensemble eigensystem
+
+
+@pytest.mark.parametrize("centering", ["partial", "ensemble"])
+@pytest.mark.parametrize("n", [40, 81, 120])  # below, at and above G^2 = 81
+def test_ensemble_eigensystem_matches_covariance_route(n, centering):
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, n, seed=31)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=9, centering=centering))
+    got = ensemble_eigensystem(fit.ensemble, fit.center)
+    want = eigendecompose(covariance_field(fit.ensemble, fit.center))
+    m = got.m
+    assert m == min(n, GRID.G**2)
+    lam = want.eigenvalues
+    assert np.all(np.abs(got.eigenvalues - lam[:m]) <= 1e-12 * lam[0])
+    assert np.all(lam[m:] == 0.0)
+    # both solvers place an eigenfunction only to within about
+    # eps * lambda_1 / gap (Davis-Kahan), so the bound scales with the
+    # inverse relative gap: 1e-10 at a gap of 1e-4 * lambda_1, and components
+    # closer than 1e-6 * lambda_1 to a neighbour are not compared. The
+    # distance is the quadrature L2 norm, in which both are unit vectors;
+    # the sign convention is compared along with the values.
+    gaps = np.abs(np.subtract.outer(lam[:m], lam[:m])) + np.diag(np.full(m, np.inf))
+    rel_gap = gaps.min(axis=1) / lam[0]
+    separated = (rel_gap > 1e-6) & (lam[:m] > 0.0)
+    assert separated.sum() >= m // 2
+    diff = got.phi_flat() - want.phi_flat()[:m]
+    dist = np.sqrt(GRID.cell_weight * np.sum(diff * diff, axis=1))
+    assert np.all(dist[separated] <= 1e-14 / rel_gap[separated])
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_ensemble_eigensystem_of_constant_ensemble_is_zero(n):
+    mean = constant(GRID, 0.3)
+    surf = np.repeat(mean.values[None], n, axis=0)
+    ens = TrajectoryEnsemble(xs=np.zeros(n), surfaces=surf, grid=GRID)
+    es = ensemble_eigensystem(ens, mean)
+    assert es.m == min(n, GRID.G**2)
+    assert np.all(es.eigenvalues == 0.0)
+    assert np.all(np.isfinite(es.eigenfunctions))
 
 
 # ------------------------------------------------------------------- scores

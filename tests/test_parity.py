@@ -28,14 +28,14 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "a4b452962dd97129f0c6fc7610afacd337f13650328983487a7cb51006310856",
+        "c1d4745f1ffc08bbdde1b06ebe20e7ec953701a38364801243d8cbc88cc5e0a1",
     ),
     "consistency-failures": (
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=10, seed=11, eval_points=(0.5,), grid_size=11,
              estimator={"h_alpha": 0.004}),
-        "acdd4cbe2bd06c3169f19acb287e992551010d82595001b485634bcb9824cc03",
+        "5722059b0f5b27805736a8f9131813d535d23bc585c1017b6c37d8d4b5bd8b47",
     ),
     "bridge": (
         bridge_covariance_experiment,
@@ -62,7 +62,7 @@ EXPERIMENTS = {
         benchmark_vs_baseline,
         dict(experiment="benchmark", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=9, eval_points=(0.5,), grid_size=11),
-        "d0c6e29894a47229a0a06fab7ec6372df527b938f15a9d2200d6702a384c4fe6",
+        "d49497c9940ada0eb3d769d2db14fd485d054c3ca9dbf6271d620ad963fab0d3",
     ),
 }
 
@@ -83,9 +83,9 @@ def test_experiment_outputs_pinned(name):
 
 
 @pytest.mark.parametrize("flags, digest", [
-    ([], "40f4b1a5d119111a99a6bd464895b67f21eb199041c1ef5e67c66ba6c23481e6"),
-    (["--no-project"], "959868be812858e5156761518863c1198906d4559514fe0f9d72f33c50aef922"),
-])
+    ([], "8cb868635e6e985850541c9d49ef0edb38537f9c80a2f27313cd41af3c9b36e8"),
+    (["--no-project"], "a8b08e261b30a87f413a481aeebc7c968e2dca118a665bdcec412501d437563f"),
+], ids=["projected", "no-project"])
 def test_estimate_grid_csv_pinned(tmp_path, flags, digest):
     data = tmp_path / "s.csv"
     assert run(["simulate", "--family", "clayton", "--link", "sine:0.4,0.25",
