@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
+_TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,9 @@ def _eigensystem(
     )
 
 
-def eigendecompose(c: CovarianceField, truncate_below: float = 1e-12) -> EigenSystem:
+def eigendecompose(
+    c: CovarianceField, truncate_below: float = _TRUNCATE_BELOW
+) -> EigenSystem:
     """Solve the discretized covariance eigenproblem.
 
     The operator acts by quadrature, so the symmetric matrix that is actually
@@ -214,9 +217,7 @@ def eigendecompose(c: CovarianceField, truncate_below: float = 1e-12) -> EigenSy
     return _eigensystem(c.grid, evals, evecs / np.sqrt(delta), truncate_below)
 
 
-def ensemble_eigensystem(
-    e: TrajectoryEnsemble, center: GridFunction, truncate_below: float = 1e-12
-) -> EigenSystem:
+def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSystem:
     """The eigensystem of ``covariance_field(e, center)``, up to rounding.
 
     With n >= G^2 trajectories this is exactly
@@ -230,7 +231,7 @@ def ensemble_eigensystem(
     drops all have eigenvalue zero.
     """
     if e.n >= e.grid.G ** 2:
-        return eigendecompose(covariance_field(e, center), truncate_below)
+        return eigendecompose(covariance_field(e, center))
     centered = _centered(e, center)
     delta = e.grid.cell_weight
     evals, u = np.linalg.eigh(delta / e.n * (centered @ centered.T))
@@ -239,7 +240,7 @@ def ensemble_eigensystem(
     live = norms > 0.0
     phis[:, live] /= norms[live]
     evals[~live] = 0.0
-    return _eigensystem(e.grid, evals, phis, truncate_below)
+    return _eigensystem(e.grid, evals, phis, _TRUNCATE_BELOW)
 
 
 def scores(
