@@ -6,8 +6,6 @@ from .conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    WeightVector,
-    weighted_copula_trajectory,
     nw_weights,
     pseudo_observations,
 )
@@ -21,7 +19,6 @@ from .estimator import (
 from .fpca import (
     CovarianceField,
     EigenSystem,
-    ScoreMatrix,
     TrajectoryEnsemble,
     covariance_field,
     eigendecompose,

@@ -21,12 +21,10 @@ from .grid import Grid2D, GridFunction
 __all__ = [
     "Sample",
     "KernelSpec",
-    "WeightVector",
     "PseudoSample",
     "nw_weights",
     "pseudo_observations",
     "empirical_copula_grid",
-    "weighted_copula_trajectory",
     "weighted_copula_surfaces",
     "rule_of_thumb_bandwidth",
     "read_sample_csv",
@@ -112,32 +110,22 @@ def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized nonnegative weights; ``degenerate`` if all kernel mass is 0."""
+def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
+    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h).
 
-    w: np.ndarray
-    degenerate: bool
-
-    def require_valid(self, context: str = "") -> np.ndarray:
-        if self.degenerate:
-            msg = "degenerate weights (all kernel values are zero)"
-            if context:
-                msg += f" {context}"
-            raise DegenerateWeightsError(msg + "; enlarge the bandwidth")
-        return self.w
-
-
-def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> WeightVector:
-    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h)."""
+    Raises ``DegenerateWeightsError`` when every kernel value at x is zero.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.size < 1:
         raise ValueError("need at least one covariate value")
     kv = kernel_values(k.family, (x - xs) / k.bandwidth)
     total = kv.sum()
     if total <= 0.0:
-        return WeightVector(w=np.zeros_like(kv), degenerate=True)
-    return WeightVector(w=kv / total, degenerate=False)
+        raise DegenerateWeightsError(
+            f"degenerate weights (all kernel values are zero) at x={x:g}; "
+            "enlarge the bandwidth"
+        )
+    return kv / total
 
 
 def _weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
@@ -162,7 +150,6 @@ class PseudoSample:
 
     eps1: np.ndarray
     eps2: np.ndarray
-    provenance: str = "estimated-margins"
 
     def __post_init__(self):
         e1 = np.asarray(self.eps1, dtype=float)
@@ -171,8 +158,6 @@ class PseudoSample:
             raise ValueError("eps1, eps2 must be 1-d arrays of equal length")
         if np.any(e1 < 0) or np.any(e1 > 1) or np.any(e2 < 0) or np.any(e2 > 1):
             raise ValueError("pseudo-observations must lie in [0, 1]")
-        if self.provenance not in ("estimated-margins", "known-margins"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         e1.setflags(write=False)
         e2.setflags(write=False)
         object.__setattr__(self, "eps1", e1)
@@ -203,11 +188,7 @@ def pseudo_observations(
     ind2 = s.y2[None, :] <= s.y2[:, None]
     eps1 = np.einsum("il,il->i", W1, ind1.astype(float))
     eps2 = np.einsum("il,il->i", W2, ind2.astype(float))
-    return PseudoSample(
-        eps1=np.clip(eps1, 0.0, 1.0),
-        eps2=np.clip(eps2, 0.0, 1.0),
-        provenance="estimated-margins",
-    )
+    return PseudoSample(eps1=np.clip(eps1, 0.0, 1.0), eps2=np.clip(eps2, 0.0, 1.0))
 
 
 def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,28 +252,6 @@ def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
     return GridFunction(grid=grid, values=_lattice_copula(p.eps1, p.eps2, grid.nodes))
 
 
-def weighted_copula_trajectory(
-    x: float,
-    s: Sample,
-    k: KernelSpec,
-    k1: KernelSpec,
-    k2: KernelSpec,
-    grid: Grid2D,
-    pseudo: PseudoSample | None = None,
-) -> GridFunction:
-    """Transformed plug-in conditional copula estimate at covariate value x.
-
-    Margins are removed via the pseudo-observations (bandwidths from
-    ``k1``/``k2``); the conditional joint law is the NW-weighted ECDF of the
-    pseudo-pairs with bandwidth from ``k``, composed with the generalized
-    inverses of its own weighted margins. A precomputed ``pseudo`` sample may
-    be shared across calls at different x.
-    """
-    if pseudo is None:
-        pseudo = pseudo_observations(s, k1, k2)
-    return GridFunction(grid=grid, values=weighted_copula_surfaces([x], s, k, grid, pseudo)[0])
-
-
 def weighted_copula_surfaces(
     xs_eval: np.ndarray,
     s: Sample,
@@ -300,17 +259,20 @@ def weighted_copula_surfaces(
     grid: Grid2D,
     pseudo: PseudoSample,
 ) -> np.ndarray:
-    """Stack of transformed-estimator surfaces, one per evaluation point.
+    """Transformed plug-in conditional copula estimates, one per evaluation point.
 
-    Returns an array of shape (len(xs_eval), G, G). The pseudo-observation
-    sort orders are shared across evaluation points, so the per-point cost is
-    O(n + G^2) after one O(n log n) sort.
+    Surface i is the NW-weighted ECDF of the pseudo-pairs, with weights at
+    ``xs_eval[i]`` and bandwidth from ``k``, composed with the generalized
+    inverses of its own weighted margins. Returns an array of shape
+    (len(xs_eval), G, G). The pseudo-observation sort orders are shared
+    across evaluation points, so the per-point cost is O(n + G^2) after one
+    O(n log n) sort.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
     sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
-        w = nw_weights(x, s.x, k).require_valid(f"at x={x:g}")
+        w = nw_weights(x, s.x, k)
         surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
         out[i] = np.clip(surface, 0.0, 1.0)
     return out

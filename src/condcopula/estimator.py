@@ -10,6 +10,7 @@ Frechet-Hoeffding envelope.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +21,11 @@ from .conditional import (
     Sample,
     empirical_copula_grid,
     weighted_copula_surfaces,
-    nw_weights,
     pseudo_observations,
     rule_of_thumb_bandwidth,
 )
 from .fpca import (
     EigenSystem,
-    ScoreMatrix,
     TrajectoryEnsemble,
     # perfbench/run.py wraps these two where this module looks them up
     covariance_field,  # noqa: F401
@@ -35,7 +34,13 @@ from .fpca import (
     scores,
     select_K,
 )
-from .grid import Grid2D, GridFunction, make_grid, write_grid_function_csv
+from .grid import (
+    Grid2D,
+    GridFunction,
+    from_callable,
+    make_grid,
+    write_grid_function_csv,
+)
 from .regression import ScoreRegressor, eval_alpha
 
 __all__ = [
@@ -78,6 +83,13 @@ class PipelineConfig:
             raise ValueError("centering must be 'partial' or 'ensemble'")
         if self.K is None and not (0.0 < self.cvp_threshold <= 1.0):
             raise ValueError("automatic K needs a CVP threshold in (0, 1]")
+        K = self.K
+        if K is not None and not (isinstance(K, numbers.Integral) and K >= 0):
+            raise ValueError(f"K must be a non-negative integer or None, got {K!r}")
+        for name in ("h", "g1", "g2", "h_alpha"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"bandwidth {name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class FpcaFit:
     center: GridFunction
     eigen: EigenSystem
     K: int
-    score_matrix: ScoreMatrix | None
+    score_matrix: np.ndarray | None
     regressor: ScoreRegressor | None
     bandwidths: dict
 
@@ -205,10 +217,6 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         alpha = np.empty(0)
         values = fit.partial.values.copy()
     else:
-        # weights must exist at x even when alpha ends up ~0
-        nw_weights(x, fit.sample.x, fit.regressor.kernel).require_valid(
-            f"at x={x:g}"
-        )
         alpha = eval_alpha(fit.regressor, x)
         values = fit.partial.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
@@ -247,7 +255,6 @@ def estimate_conditional_copula(
 
 def frechet_project(f: GridFunction) -> GridFunction:
     """Clamp node values into [max(u+v-1, 0), min(u, v)] (idempotent)."""
-    U, V = np.meshgrid(f.grid.nodes, f.grid.nodes, indexing="ij")
-    lower = np.maximum(U + V - 1.0, 0.0)
-    upper = np.minimum(U, V)
+    lower = from_callable(f.grid, lambda u, v: np.maximum(u + v - 1.0, 0.0)).values
+    upper = from_callable(f.grid, np.minimum).values
     return GridFunction(grid=f.grid, values=np.clip(f.values, lower, upper))

@@ -25,7 +25,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "CovarianceField",
     "EigenSystem",
-    "ScoreMatrix",
     "covariance_field",
     "eigendecompose",
     "ensemble_eigensystem",
@@ -46,7 +45,6 @@ class TrajectoryEnsemble:
     xs: np.ndarray
     surfaces: np.ndarray  # shape (n, G, G)
     grid: Grid2D
-    mode: str = "estimated"  # or "oracle"
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -56,8 +54,6 @@ class TrajectoryEnsemble:
             raise ValueError(f"surfaces must have shape (n, {G}, {G})")
         if xs.ndim != 1 or xs.size != surf.shape[0]:
             raise ValueError("xs length must match number of surfaces")
-        if self.mode not in ("estimated", "oracle"):
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
         xs.setflags(write=False)
         surf.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -131,21 +127,6 @@ class EigenSystem:
         if csv_prefix is not None:
             for k in range(1, self.m + 1):
                 write_grid_function_csv(self.phi(k), f"{csv_prefix}_phi{k}.csv")
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Per-trajectory projections onto the leading eigenfunctions, (n, K)."""
-
-    xi: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.xi.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.xi.shape[1]
 
 
 def _centered(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
@@ -245,15 +226,13 @@ def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSy
 
 def scores(
     e: TrajectoryEnsemble, mean: GridFunction, es: EigenSystem, K: int
-) -> ScoreMatrix:
+) -> np.ndarray:
     """Quadrature projections of the centered trajectories, (n, K)."""
     if not (1 <= K <= es.m):
         raise ValueError(f"K={K} out of range 1..{es.m}")
-    if e.grid != mean.grid or e.grid != es.grid:
-        raise ValueError("grid mismatch between ensemble, mean, eigensystem")
-    centered = e.flat() - mean.flat()[None, :]
-    xi = e.grid.cell_weight * centered @ es.phi_flat()[:K].T
-    return ScoreMatrix(xi=xi)
+    if e.grid != es.grid:
+        raise ValueError("ensemble and eigensystem live on different grids")
+    return e.grid.cell_weight * _centered(e, mean) @ es.phi_flat()[:K].T
 
 
 def select_K(es: EigenSystem, method: str = "cvp", threshold: float = 0.9) -> int:

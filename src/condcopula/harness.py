@@ -42,7 +42,7 @@ from .fpca import (
     tkn_projection,
     unit_sphere_identity,
 )
-from .grid import GridFunction, l2_norm, make_grid, sup_distance
+from .grid import GridFunction, from_callable, l2_norm, make_grid, sup_distance
 from .simulate import (
     ConditionalModel,
     MarginSpec,
@@ -198,8 +198,7 @@ def build_kl_model(spec: dict, grid_size: int) -> SyntheticKLModel:
     freqs = tuple(
         tuple(f) for f in spec.get("frequencies", ((1, 1), (2, 1), (1, 2))[: len(lam)])
     )
-    U, V = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    mean = GridFunction(grid=grid, values=U * V)
+    mean = from_callable(grid, lambda u, v: u * v)
     alphas = None
     if spec.get("alphas") is not None:
         alphas = tuple(

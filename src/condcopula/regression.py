@@ -11,23 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import KernelSpec, kernel_values, nw_weights
-from .fpca import ScoreMatrix
+from .conditional import KernelSpec, _weight_matrix, nw_weights
+from .errors import DegenerateWeightsError
 
 __all__ = ["ScoreRegressor", "eval_alpha", "cv_bandwidth"]
 
 
 @dataclass(frozen=True)
 class ScoreRegressor:
-    """Covariate values, score matrix and the x-regression kernel."""
+    """Covariate values, (n, K) score matrix and the x-regression kernel."""
 
     xs: np.ndarray
-    scores: ScoreMatrix
+    scores: np.ndarray
     kernel: KernelSpec
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
-        if xs.ndim != 1 or xs.size != self.scores.n:
+        if xs.ndim != 1 or xs.size != self.scores.shape[0]:
             raise ValueError("xs length must match the score matrix rows")
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -39,13 +39,12 @@ def eval_alpha(r: ScoreRegressor, x: float) -> np.ndarray:
     Returns a length-K array; each entry is a convex combination of the
     corresponding score column.
     """
-    w = nw_weights(x, r.xs, r.kernel).require_valid(f"at x={x:g}")
-    return w @ r.scores.xi
+    return nw_weights(x, r.xs, r.kernel) @ r.scores
 
 
 def cv_bandwidth(
     xs: np.ndarray,
-    scores: ScoreMatrix,
+    scores: np.ndarray,
     kernel_family: str = "epanechnikov",
     candidates=None,
 ) -> float:
@@ -61,17 +60,14 @@ def cv_bandwidth(
     if candidates is None or len(candidates) == 0:
         raise ValueError("empty candidate grid")
     candidates = sorted(float(h) for h in candidates)
-    xi = scores.xi
     best_h, best_err = None, np.inf
     for h in candidates:
-        kv = kernel_values(kernel_family, (xs[:, None] - xs[None, :]) / h)
-        np.fill_diagonal(kv, 0.0)
-        totals = kv.sum(axis=1)
-        if np.any(totals <= 0.0):
+        try:
+            W = _weight_matrix(xs, KernelSpec(kernel_family, h), leave_one_out=True)
+        except DegenerateWeightsError:
             err = np.inf
         else:
-            pred = (kv / totals[:, None]) @ xi
-            err = float(np.sum((xi - pred) ** 2))
+            err = float(np.sum((scores - W @ scores) ** 2))
         if err < best_err - 1e-15:
             best_err, best_h = err, h
     if best_h is None:

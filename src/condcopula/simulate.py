@@ -18,7 +18,7 @@ from scipy import integrate, optimize, stats
 
 from .conditional import Sample
 from .fpca import TrajectoryEnsemble
-from .grid import Grid2D, GridFunction
+from .grid import Grid2D, GridFunction, from_callable
 
 __all__ = [
     "CopulaModel",
@@ -26,7 +26,6 @@ __all__ = [
     "MarginSpec",
     "ConditionalModel",
     "SyntheticKLModel",
-    "KLTruth",
     "TruthRecord",
     "copula_cdf",
     "conditional_v_given_u",
@@ -372,8 +371,7 @@ def sample_conditional(
 def true_conditional_copula(m: ConditionalModel, x: float, grid: Grid2D) -> GridFunction:
     """Closed-form conditional copula surface at covariate value x."""
     cop = m.copula_at(x)
-    U, V = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    return GridFunction(grid=grid, values=copula_cdf(cop, U, V))
+    return from_callable(grid, lambda u, v: copula_cdf(cop, u, v))
 
 
 def cosine_tensor(grid: Grid2D, p: int, q: int) -> GridFunction:
@@ -386,9 +384,8 @@ def cosine_tensor(grid: Grid2D, p: int, q: int) -> GridFunction:
         raise ValueError(f"cosine frequencies must lie in 0..{grid.G - 1}")
     cp = 1.0 if p == 0 else math.sqrt(2.0)
     cq = 1.0 if q == 0 else math.sqrt(2.0)
-    U, V = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    return GridFunction(
-        grid=grid, values=cp * cq * np.cos(p * np.pi * U) * np.cos(q * np.pi * V)
+    return from_callable(
+        grid, lambda u, v: cp * cq * np.cos(p * np.pi * u) * np.cos(q * np.pi * v)
     )
 
 
@@ -460,19 +457,13 @@ class SyntheticKLModel:
         return out
 
 
-@dataclass(frozen=True)
-class KLTruth:
-    """Generation record of a synthetic ensemble."""
-
-    xs: np.ndarray
-    scores: np.ndarray  # (n, K), the realized xi values
-    model: SyntheticKLModel
-
-
 def synthetic_kl_sample(
     m: SyntheticKLModel, n: int, seed: int
-) -> tuple[TrajectoryEnsemble, KLTruth]:
-    """Generate n trajectories mean + sum_k xi_k phi_k directly."""
+) -> tuple[TrajectoryEnsemble, np.ndarray]:
+    """Generate n trajectories mean + sum_k xi_k phi_k directly.
+
+    Returns the ensemble and the realized (n, K) scores xi.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     K = m.K
@@ -486,5 +477,4 @@ def synthetic_kl_sample(
         xi[i] = m.alpha_at(x) + np.asarray(m.noise_sd) * noise
     phis = np.stack([m.phi(k).values for k in range(1, K + 1)])
     surfaces = m.mean.values[None, :, :] + np.einsum("ik,kab->iab", xi, phis)
-    ens = TrajectoryEnsemble(xs=xs, surfaces=surfaces, grid=m.grid, mode="oracle")
-    return ens, KLTruth(xs=xs, scores=xi, model=m)
+    return TrajectoryEnsemble(xs=xs, surfaces=surfaces, grid=m.grid), xi

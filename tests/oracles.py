@@ -7,23 +7,21 @@ lattice kernels in ``condcopula.conditional``.
 
 import numpy as np
 
-from condcopula.conditional import PseudoSample, Sample, WeightVector
+from condcopula.conditional import PseudoSample, Sample
 
 
-def cond_cdf(y: float, j: int, w: WeightVector, s: Sample) -> float:
+def cond_cdf(y: float, j: int, w: np.ndarray, s: Sample) -> float:
     """Weighted conditional marginal CDF at y for margin j."""
-    weights = w.require_valid("in cond_cdf")
-    return float(np.sum(weights * (s.margin(j) <= y)))
+    return float(np.sum(w * (s.margin(j) <= y)))
 
 
-def cond_quantile(u: float, j: int, w: WeightVector, s: Sample) -> float:
+def cond_quantile(u: float, j: int, w: np.ndarray, s: Sample) -> float:
     """Generalized inverse inf{y : F(y) >= u} of the weighted marginal CDF."""
-    weights = w.require_valid("in cond_quantile")
     if not (0.0 < u <= 1.0):
         raise ValueError("quantile level must be in (0, 1]")
     values = s.margin(j)
     order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
+    cum = np.cumsum(w[order])
     # rounding slack so u == attained mass exactly still selects that atom
     idx = int(np.searchsorted(cum, u - 1e-12, side="left"))
     idx = min(idx, values.size - 1)
@@ -69,7 +67,6 @@ def weighted_copula(p: PseudoSample, w: np.ndarray, u: float, v: float) -> float
     r1 = rank_1based(p.eps1)
     r2 = rank_1based(p.eps2)
     ranks = Sample(y1=r1, y2=r2, x=np.zeros(p.n))
-    weights = WeightVector(w=w, degenerate=False)
-    q1 = cond_quantile(u, 1, weights, ranks)
-    q2 = cond_quantile(v, 2, weights, ranks)
+    q1 = cond_quantile(u, 1, w, ranks)
+    q2 = cond_quantile(v, 2, w, ranks)
     return float(np.sum(w * ((r1 <= q1) & (r2 <= q2))))

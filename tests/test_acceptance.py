@@ -75,7 +75,7 @@ def test_criterion_1_exact_identities():
     trace = delta * np.sum(np.diagonal(field.values))
     trace_ok = abs(es.eigenvalues.sum() - trace) <= 1e-8 * max(trace, 1e-30)
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(fit.ensemble, fit.center, es, K=rank).xi
+    xi = scores(fit.ensemble, fit.center, es, K=rank)
     recon = fit.center.flat()[None] + xi @ es.phi_flat()[:rank]
     recon_ok = all(
         l2_norm(GridFunction(grid=grid, values=(fit.ensemble.flat()[i] - recon[i]).reshape(21, 21)))

@@ -12,7 +12,6 @@ from condcopula.conditional import (
     _lattice_copula,
     empirical_copula_grid,
     weighted_copula_surfaces,
-    weighted_copula_trajectory,
     nw_weights,
     pseudo_observations,
     read_sample_csv,
@@ -20,7 +19,7 @@ from condcopula.conditional import (
     write_sample_csv,
 )
 from condcopula.errors import DegenerateWeightsError
-from condcopula.grid import make_grid, sup_distance
+from condcopula.grid import GridFunction, make_grid, sup_distance
 from condcopula.harness import _joint_ecdf
 from oracles import cond_cdf, cond_quantile, empirical_copula, weighted_copula
 from condcopula.simulate import (
@@ -47,22 +46,19 @@ def toy_sample():
 def test_equal_covariates_give_uniform_weights():
     xs = np.full(5, 0.3)
     w = nw_weights(0.3, xs, KernelSpec(bandwidth=0.5))
-    assert not w.degenerate
-    assert np.allclose(w.w, 0.2)
+    assert np.allclose(w, 0.2)
 
 
 def test_single_point_in_window_takes_all_mass():
     xs = np.array([0.5, 5.0, -7.0])
     w = nw_weights(0.5, xs, KernelSpec(bandwidth=0.2))
-    assert np.allclose(w.w, [1.0, 0.0, 0.0])
+    assert np.allclose(w, [1.0, 0.0, 0.0])
 
 
 def test_out_of_window_everywhere_is_degenerate():
     xs = np.array([5.0, 6.0])
-    w = nw_weights(0.0, xs, KernelSpec(bandwidth=0.5))
-    assert w.degenerate
-    with pytest.raises(DegenerateWeightsError, match="bandwidth"):
-        w.require_valid()
+    with pytest.raises(DegenerateWeightsError, match="at x=0;.*bandwidth"):
+        nw_weights(0.0, xs, KernelSpec(bandwidth=0.5))
 
 
 def test_weights_sum_to_one():
@@ -70,8 +66,8 @@ def test_weights_sum_to_one():
     xs = rng.random(40)
     for fam in ("epanechnikov", "gaussian", "uniform"):
         w = nw_weights(0.4, xs, KernelSpec(family=fam, bandwidth=0.2))
-        assert w.w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w.w >= 0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(w >= 0)
 
 
 def test_unknown_kernel_family_rejected():
@@ -147,7 +143,6 @@ def test_pseudo_hand_case():
     s = toy_sample()
     p = pseudo_observations(s, WIDE, WIDE)
     assert np.allclose(p.eps1, [0.5, 1.0])
-    assert p.provenance == "estimated-margins"
 
 
 def test_pseudo_self_inclusion_lower_bound():
@@ -157,7 +152,7 @@ def test_pseudo_self_inclusion_lower_bound():
     p = pseudo_observations(s, k, k)
     # each entry includes its own observation, so it is at least w_ii > 0
     for i in range(s.n):
-        w = nw_weights(s.x[i], s.x, k).w
+        w = nw_weights(s.x[i], s.x, k)
         assert p.eps1[i] >= w[i] - 1e-12
         assert p.eps2[i] >= w[i] - 1e-12
 
@@ -285,7 +280,7 @@ def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
     xs = np.random.default_rng(seed).random(n)
     nodes = make_grid(7).nodes
     uniform = np.full(n, 1.0 / n)
-    nw = nw_weights(0.5, xs, KernelSpec(bandwidth=0.4)).w
+    nw = nw_weights(0.5, xs, KernelSpec(bandwidth=0.4))
     for w in (uniform, nw):
         lattice = _lattice_copula(p.eps1, p.eps2, nodes, w)
         for a, u in enumerate(nodes):
@@ -296,18 +291,6 @@ def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
                        _lattice_copula(p.eps1, p.eps2, nodes), rtol=0, atol=1e-12)
 
 
-def test_trajectory_is_one_surface_of_the_stack():
-    rng = np.random.default_rng(13)
-    s = Sample(y1=rng.normal(size=50), y2=rng.normal(size=50), x=rng.random(50))
-    k = KernelSpec(bandwidth=0.3)
-    grid = make_grid(9)
-    pseudo = pseudo_observations(s, k, k)
-    stack = weighted_copula_surfaces(s.x[:5], s, k, grid, pseudo)
-    for i in range(5):
-        f = weighted_copula_trajectory(s.x[i], s, k, k, k, grid)
-        assert np.array_equal(f.values, stack[i])
-
-
 # -------------------------------------------------------------- trajectories
 
 
@@ -315,8 +298,8 @@ def test_trajectory_values_in_unit_interval_and_monotone():
     rng = np.random.default_rng(12)
     s = Sample(y1=rng.normal(size=80), y2=rng.normal(size=80), x=rng.random(80))
     k = KernelSpec(bandwidth=0.3)
-    f = weighted_copula_trajectory(0.5, s, k, k, k, make_grid(9))
-    v = f.values
+    pseudo = pseudo_observations(s, k, k)
+    v = weighted_copula_surfaces([0.5], s, k, make_grid(9), pseudo)[0]
     assert v.min() >= 0.0 and v.max() <= 1.0
     assert np.all(np.diff(v, axis=0) >= -1e-12)
     assert np.all(np.diff(v, axis=1) >= -1e-12)
@@ -329,8 +312,9 @@ def test_trajectory_single_effective_weight_is_indicator():
         x=np.array([0.0, 50.0, 60.0]),
     )
     k = KernelSpec(bandwidth=1.0)
-    f = weighted_copula_trajectory(0.0, s, k, WIDE, WIDE, make_grid(6))
-    assert set(np.round(f.values.ravel(), 12)) <= {0.0, 1.0}
+    pseudo = pseudo_observations(s, WIDE, WIDE)
+    v = weighted_copula_surfaces([0.0], s, k, make_grid(6), pseudo)[0]
+    assert set(np.round(v.ravel(), 12)) <= {0.0, 1.0}
 
 
 def test_trajectory_recovers_constant_clayton():
@@ -339,7 +323,10 @@ def test_trajectory_recovers_constant_clayton():
     grid = make_grid(21)
     h = rule_of_thumb_bandwidth(s.x)
     k = KernelSpec(bandwidth=h)
-    est = weighted_copula_trajectory(0.5, s, k, k, k, grid)
+    pseudo = pseudo_observations(s, k, k)
+    est = GridFunction(
+        grid=grid, values=weighted_copula_surfaces([0.5], s, k, grid, pseudo)[0]
+    )
     truth = true_conditional_copula(model, 0.5, grid)
     assert sup_distance(est, truth) <= 0.08
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from condcopula import estimator
 from condcopula.conditional import KernelSpec
 from condcopula.errors import DegenerateWeightsError
 from condcopula.estimator import (
@@ -147,7 +148,7 @@ def test_degenerate_weights_at_far_x():
     _, s = clayton_sample(n=100, seed=4)
     cfg = PipelineConfig(h_alpha=0.05)
     fit = fit_pipeline(s, cfg)
-    with pytest.raises(DegenerateWeightsError):
+    with pytest.raises(DegenerateWeightsError, match="at x=50; enlarge the bandwidth"):
         evaluate_fit(fit, 50.0)
 
 
@@ -198,6 +199,22 @@ def test_config_validation():
         PipelineConfig(centering="median")
     with pytest.raises(ValueError, match="CVP"):
         PipelineConfig(cvp_threshold=1.5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"K": -1}, {"K": 1.5}, {"h": -0.1}, {"g1": 0.0}, {"g2": -2.0},
+     {"h_alpha": 0.0}, {"h": float("nan")}],
+)
+def test_bad_config_rejected_before_any_stage_runs(bad, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("pseudo_observations ran before the config check")
+
+    monkeypatch.setattr(estimator, "pseudo_observations", fail)
+    _, s = clayton_sample(n=50)
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        fit_pipeline(s, PipelineConfig(**bad))
 
 
 def test_ensemble_centering_supported():

@@ -6,7 +6,6 @@ from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
     CovarianceField,
     EigenSystem,
-    ScoreMatrix,
     TrajectoryEnsemble,
     covariance_field,
     eigendecompose,
@@ -241,7 +240,7 @@ def test_score_of_mean_trajectory_is_zero():
     ens2 = TrajectoryEnsemble(
         xs=np.append(ens.xs, 0.5), surfaces=surf, grid=GRID
     )
-    xi = scores(ens2, mean, es, K=3).xi
+    xi = scores(ens2, mean, es, K=3)
     assert np.max(np.abs(xi[-1])) <= 1e-10
 
 
@@ -256,7 +255,7 @@ def test_score_of_shifted_trajectory():
         surfaces=np.stack([shifted, mean.values]),
         grid=GRID,
     )
-    xi = scores(ens2, mean, es, K=4).xi
+    xi = scores(ens2, mean, es, K=4)
     assert xi[0, 0] == pytest.approx(2.0, abs=1e-10)
     assert np.max(np.abs(xi[0, 1:])) <= 1e-10
 
@@ -266,7 +265,7 @@ def test_score_columns_mean_zero_under_ensemble_centering():
     ens, _ = synthetic_kl_sample(model, 80, seed=10)
     mean = ens.mean_surface()
     es = eigendecompose(covariance_field(ens, mean))
-    xi = scores(ens, mean, es, K=3).xi
+    xi = scores(ens, mean, es, K=3)
     assert np.max(np.abs(xi.mean(axis=0))) <= 1e-10
 
 
@@ -276,7 +275,7 @@ def test_full_rank_reconstruction():
     mean = ens.mean_surface()
     es = eigendecompose(covariance_field(ens, mean))
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(ens, mean, es, K=rank).xi
+    xi = scores(ens, mean, es, K=rank)
     recon = mean.flat()[None] + xi @ es.phi_flat()[:rank]
     for i in range(ens.n):
         err = l2_norm(
@@ -394,8 +393,3 @@ def test_identity_rejects_non_unit_input():
     double = GridFunction(grid=GRID, values=2.0 * phi.values)
     with pytest.raises(ValueError, match="unit-norm"):
         unit_sphere_identity(double, phi)
-
-
-def test_score_matrix_shape_properties():
-    sm = ScoreMatrix(xi=np.zeros((7, 3)))
-    assert sm.n == 7 and sm.K == 3

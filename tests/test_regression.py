@@ -3,14 +3,13 @@ import pytest
 
 from condcopula.conditional import KernelSpec, kernel_values
 from condcopula.errors import DegenerateWeightsError
-from condcopula.fpca import ScoreMatrix
 from condcopula.regression import ScoreRegressor, cv_bandwidth, eval_alpha
 
 
 def regressor(xs, cols, kernel):
     xs = np.asarray(xs, dtype=float)
     xi = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-    return ScoreRegressor(xs=xs, scores=ScoreMatrix(xi=xi), kernel=kernel)
+    return ScoreRegressor(xs=xs, scores=xi, kernel=kernel)
 
 
 def test_constant_column_is_reproduced():
@@ -77,7 +76,7 @@ def test_cv_matches_brute_force_oracle():
     candidates = [0.05, 0.1, 0.2, 0.4, 0.8]
     oracle = {h: loo_cv_error(xs, xi, "epanechnikov", h) for h in candidates}
     best = min(candidates, key=lambda h: (oracle[h], h))
-    got = cv_bandwidth(xs, ScoreMatrix(xi=xi), "epanechnikov", candidates)
+    got = cv_bandwidth(xs, xi, "epanechnikov", candidates)
     assert got == best
 
 
@@ -91,34 +90,44 @@ def test_cv_linear_scores_seeded_fixture():
     candidates = [0.05, 5.0 * span]
     oracle = {h: loo_cv_error(xs, xi, "epanechnikov", h) for h in candidates}
     best = min(candidates, key=lambda h: (oracle[h], h))
-    got = cv_bandwidth(xs, ScoreMatrix(xi=xi), "epanechnikov", candidates)
+    got = cv_bandwidth(xs, xi, "epanechnikov", candidates)
     assert got == best
+
+
+def test_cv_skips_candidate_that_isolates_an_observation():
+    # h=0.15 leaves the observation at x=1 with no leave-one-out neighbour
+    xs = np.array([0.0, 0.1, 0.2, 1.0])
+    xi = np.array([[0.0], [1.0], [0.5], [2.0]])
+    assert loo_cv_error(xs, xi, "epanechnikov", 0.15) == np.inf
+    assert cv_bandwidth(xs, xi, "epanechnikov", [0.15, 2.0]) == 2.0
+    # with no usable candidate the smallest is returned
+    assert cv_bandwidth(xs, xi, "epanechnikov", [0.15, 0.12]) == 0.12
 
 
 def test_cv_constant_scores_tie_breaks_small():
     xs = np.array([0.0, 0.3, 0.6, 1.0])
     xi = np.full((4, 1), 1.7)
-    got = cv_bandwidth(xs, ScoreMatrix(xi=xi), "epanechnikov", [0.5, 1.0, 2.0])
+    got = cv_bandwidth(xs, xi, "epanechnikov", [0.5, 1.0, 2.0])
     assert got == 0.5
 
 
 def test_cv_single_candidate_returned():
     xs = np.array([0.0, 0.5, 1.0])
     xi = np.array([[0.0], [1.0], [0.0]])
-    assert cv_bandwidth(xs, ScoreMatrix(xi=xi), "epanechnikov", [0.7]) == 0.7
+    assert cv_bandwidth(xs, xi, "epanechnikov", [0.7]) == 0.7
 
 
 def test_cv_requires_three_distinct_xs():
     xi = np.zeros((3, 1))
     with pytest.raises(ValueError, match="3 distinct"):
-        cv_bandwidth(np.array([0.1, 0.1, 0.9]), ScoreMatrix(xi=xi),
+        cv_bandwidth(np.array([0.1, 0.1, 0.9]), xi,
                      "epanechnikov", [0.5])
 
 
 def test_cv_empty_candidates_rejected():
     xi = np.zeros((3, 1))
     with pytest.raises(ValueError, match="candidate"):
-        cv_bandwidth(np.array([0.1, 0.5, 0.9]), ScoreMatrix(xi=xi),
+        cv_bandwidth(np.array([0.1, 0.5, 0.9]), xi,
                      "epanechnikov", [])
 
 
@@ -126,6 +135,6 @@ def test_xs_length_must_match_scores():
     with pytest.raises(ValueError, match="length"):
         ScoreRegressor(
             xs=np.array([0.1, 0.2]),
-            scores=ScoreMatrix(xi=np.zeros((3, 1))),
+            scores=np.zeros((3, 1)),
             kernel=KernelSpec(bandwidth=0.5),
         )

@@ -289,24 +289,24 @@ def kl_model(**kw):
 
 def test_zero_noise_trajectories_equal_mean():
     m = kl_model(eigenvalues=(0.4,), frequencies=((1, 1),), noise_sd=(0.0,))
-    ens, truth = synthetic_kl_sample(m, 5, seed=0)
+    ens, xi = synthetic_kl_sample(m, 5, seed=0)
     assert np.max(np.abs(ens.surfaces - m.mean.values[None])) == 0.0
-    assert np.max(np.abs(truth.scores)) == 0.0
+    assert np.max(np.abs(xi)) == 0.0
 
 
 def test_score_variances_match_eigenvalues():
     m = kl_model()
-    _, truth = synthetic_kl_sample(m, 10000, seed=2)
-    var = truth.scores.var(axis=0, ddof=1)
+    _, xi = synthetic_kl_sample(m, 10000, seed=2)
+    var = xi.var(axis=0, ddof=1)
     for k, lam in enumerate(m.eigenvalues):
         assert abs(var[k] - lam) <= 0.05 * lam
 
 
 def test_exact_reconstruction_from_truth_scores():
     m = kl_model()
-    ens, truth = synthetic_kl_sample(m, 12, seed=3)
+    ens, xi = synthetic_kl_sample(m, 12, seed=3)
     phis = np.stack([m.phi(k).values for k in (1, 2, 3)])
-    recon = m.mean.values[None] + np.einsum("ik,kab->iab", truth.scores, phis)
+    recon = m.mean.values[None] + np.einsum("ik,kab->iab", xi, phis)
     assert np.max(np.abs(recon - ens.surfaces)) <= 1e-12
 
 
@@ -315,10 +315,10 @@ def test_alpha_links_shift_scores():
         alphas=(TauLink(form="sine", a=0.0, b=0.5), None, None),
         noise_sd=(0.0, 0.0, 0.0),
     )
-    ens, truth = synthetic_kl_sample(m, 50, seed=4)
-    expected = 0.5 * np.sin(2 * np.pi * truth.xs)
-    assert np.allclose(truth.scores[:, 0], expected, atol=1e-12)
-    assert np.max(np.abs(truth.scores[:, 1:])) == 0.0
+    ens, xi = synthetic_kl_sample(m, 50, seed=4)
+    expected = 0.5 * np.sin(2 * np.pi * ens.xs)
+    assert np.allclose(xi[:, 0], expected, atol=1e-12)
+    assert np.max(np.abs(xi[:, 1:])) == 0.0
 
 
 def test_kl_model_validation():
