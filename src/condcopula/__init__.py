@@ -17,7 +17,6 @@ from .estimator import (
     frechet_project,
 )
 from .fpca import (
-    CovarianceField,
     EigenSystem,
     TrajectoryEnsemble,
     covariance_field,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate, fpca, benchmark, diagnose. Exit codes:
-0 success, 1 validation error, 2 numerical failure (degenerate weights or
-spectrum) with a message naming the parameter to change.
+0 success, 1 validation error, 2 either a numerical failure (degenerate
+weights or spectrum, with a message naming the parameter to change) or a
+benchmark/diagnose run that completed but failed its verdict.
 """
 
 from __future__ import annotations
@@ -192,19 +193,11 @@ def _cmd_fpca(args) -> int:
     fit = fit_pipeline(sample, cfg)
     out = Path(args.out)
     prefix = str(out.with_suffix(""))
-    m = min(args.components, fit.eigen.m)
-    from .fpca import EigenSystem
-
-    head = EigenSystem(
-        grid=fit.eigen.grid,
-        eigenvalues=fit.eigen.eigenvalues[:m],
-        eigenfunctions=fit.eigen.eigenfunctions[:m],
-        sign_flips=fit.eigen.sign_flips[:m],
-    )
+    head = fit.eigen.head(args.components)
     head.export(out, csv_prefix=prefix)
     lam = fit.eigen.eigenvalues
     total = lam.sum() if lam.sum() > 0 else 1.0
-    for k in range(m):
+    for k in range(head.m):
         print(f"lambda_{k + 1} = {lam[k]:.6g}  (cvp {lam[: k + 1].sum() / total:.3f})")
     print(f"wrote {out} and {prefix}_phi*.csv")
     return 0

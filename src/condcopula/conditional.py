@@ -9,7 +9,6 @@ source for the FPCA stage.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -289,26 +288,17 @@ def rule_of_thumb_bandwidth(xs: np.ndarray, c: float = 1.0) -> float:
     return c * sd * xs.size ** (-0.2)
 
 
-def write_sample_csv(s: Sample, path_or_buf) -> None:
-    buf = io.StringIO()
-    buf.write("y1,y2,x\n")
-    for i in range(s.n):
-        buf.write(f"{s.y1[i]:.17g},{s.y2[i]:.17g},{s.x[i]:.17g}\n")
-    text = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+def write_sample_csv(s: Sample, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("y1,y2,x\n")
+        for i in range(s.n):
+            fh.write(f"{s.y1[i]:.17g},{s.y2[i]:.17g},{s.x[i]:.17g}\n")
 
 
-def read_sample_csv(path_or_buf) -> Sample:
+def read_sample_csv(path) -> Sample:
     """Parse a ``y1,y2,x`` CSV; errors carry the offending line number."""
-    if hasattr(path_or_buf, "read"):
-        lines = path_or_buf.read().splitlines()
-    else:
-        with open(path_or_buf) as fh:
-            lines = fh.read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "y1,y2,x":
         raise ValueError("sample CSV must start with header 'y1,y2,x'")
     y1, y2, x = [], [], []

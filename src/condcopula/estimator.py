@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .grid import (
     make_grid,
     write_grid_function_csv,
 )
-from .regression import ScoreRegressor, eval_alpha
+from .regression import eval_alpha
 
 __all__ = [
     "PipelineConfig",
@@ -105,8 +105,7 @@ class FpcaFit:
     center: GridFunction
     eigen: EigenSystem
     K: int
-    score_matrix: np.ndarray | None
-    regressor: ScoreRegressor | None
+    scores: np.ndarray  # (n, K)
     bandwidths: dict
 
     def cvp_attained(self) -> float:
@@ -178,22 +177,14 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     ensemble = TrajectoryEnsemble(xs=s.x, surfaces=surfaces, grid=grid)
     center = ensemble.mean_surface() if cfg.centering == "ensemble" else partial
     eigen = ensemble_eigensystem(ensemble, center)
+    # the spectrum holds min(n, G^2) components and the rest are zero, so
+    # a fixed K is clamped to the positive count
+    positive = int(np.count_nonzero(eigen.eigenvalues > 0.0))
     if cfg.K is not None:
-        # the spectrum holds min(n, G^2) components and the rest are zero,
-        # so a larger K is clamped like any K beyond the positive count
-        K = select_K(eigen, "fixed", min(cfg.K, eigen.m))
+        K = min(cfg.K, positive)
     else:
-        K = select_K(eigen, "cvp", cfg.cvp_threshold)
-    K = min(K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
-    score_matrix = None
-    regressor = None
-    if K > 0:
-        score_matrix = scores(ensemble, center, eigen, K)
-        regressor = ScoreRegressor(
-            xs=s.x,
-            scores=score_matrix,
-            kernel=KernelSpec(family=fam, bandwidth=bw["h_alpha"]),
-        )
+        K = select_K(eigen, cfg.cvp_threshold)
+    xi = scores(ensemble, center, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,
         config=cfg,
@@ -204,8 +195,7 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
         center=center,
         eigen=eigen,
         K=K,
-        score_matrix=score_matrix,
-        regressor=regressor,
+        scores=xi,
         bandwidths=bw,
     )
 
@@ -217,7 +207,8 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         alpha = np.empty(0)
         values = fit.partial.values.copy()
     else:
-        alpha = eval_alpha(fit.regressor, x)
+        h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
+        alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
         values = fit.partial.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )

@@ -23,7 +23,6 @@ from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
     "TrajectoryEnsemble",
-    "CovarianceField",
     "EigenSystem",
     "covariance_field",
     "eigendecompose",
@@ -73,28 +72,6 @@ class TrajectoryEnsemble:
 
 
 @dataclass(frozen=True)
-class CovarianceField:
-    """Symmetric node-pair matrix of the estimated covariance function."""
-
-    grid: Grid2D
-    values: np.ndarray  # shape (G^2, G^2)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        m = self.grid.G ** 2
-        if vals.shape != (m, m):
-            raise ValueError(f"covariance field must be {m} x {m}")
-        asym = np.max(np.abs(vals - vals.T))
-        if asym > 1e-10:
-            raise ValueError(f"covariance field asymmetric by {asym:.3g}")
-        if np.min(np.diagonal(vals)) < -1e-12:
-            raise ValueError("negative variance on the diagonal")
-        vals = 0.5 * (vals + vals.T)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Ordered eigenvalues and quadrature-orthonormal eigenfunctions."""
 
@@ -113,6 +90,15 @@ class EigenSystem:
 
     def phi_flat(self) -> np.ndarray:
         return self.eigenfunctions.reshape(self.m, -1)
+
+    def head(self, m: int) -> "EigenSystem":
+        """The leading ``m`` components (all of them when ``m >= self.m``)."""
+        return EigenSystem(
+            grid=self.grid,
+            eigenvalues=self.eigenvalues[:m],
+            eigenfunctions=self.eigenfunctions[:m],
+            sign_flips=self.sign_flips[:m],
+        )
 
     def export(self, json_path, csv_prefix=None) -> None:
         """JSON spectrum plus optional per-component grid CSV files."""
@@ -138,16 +124,16 @@ def _centered(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
     return e.flat() - mean.flat()[None, :]
 
 
-def covariance_field(e: TrajectoryEnsemble, mean: GridFunction) -> CovarianceField:
-    """Empirical covariance of the ensemble around ``mean``.
+def covariance_field(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
+    """Empirical covariance of the ensemble around ``mean``, (G^2, G^2).
 
     (1/n) sum_i (C_i(u) - mean(u)) (C_i(v) - mean(v)) over node pairs. Always
     symmetric positive semidefinite (sum of outer products), whatever center
-    is passed.
+    is passed; numpy forms ``C^T C`` with a symmetric kernel, so the matrix
+    equals its transpose exactly.
     """
     centered = _centered(e, mean)
-    vals = centered.T @ centered / e.n
-    return CovarianceField(grid=e.grid, values=vals)
+    return centered.T @ centered / e.n
 
 
 def _eigensystem(
@@ -184,25 +170,36 @@ def _eigensystem(
 
 
 def eigendecompose(
-    c: CovarianceField, truncate_below: float = _TRUNCATE_BELOW
+    grid: Grid2D, field: np.ndarray, truncate_below: float = _TRUNCATE_BELOW
 ) -> EigenSystem:
-    """Solve the discretized covariance eigenproblem.
+    """Solve the discretized eigenproblem of a (G^2, G^2) covariance field.
 
-    The operator acts by quadrature, so the symmetric matrix that is actually
-    decomposed is cell_weight * field; eigenvector entries are rescaled by
-    1/sqrt(cell_weight) to restore quadrature orthonormality. Eigenvalues
-    below ``truncate_below`` are clipped to zero.
+    ``field`` must be symmetric to 1e-10 with no negative diagonal entry;
+    it is symmetrised exactly before ``eigh``, which reads one triangle
+    only. The operator acts by quadrature, so the symmetric matrix that is
+    actually decomposed is cell_weight * field; eigenvector entries are
+    rescaled by 1/sqrt(cell_weight) to restore quadrature orthonormality.
+    Eigenvalues below ``truncate_below`` are clipped to zero.
     """
-    delta = c.grid.cell_weight
-    evals, evecs = np.linalg.eigh(delta * c.values)
-    return _eigensystem(c.grid, evals, evecs / np.sqrt(delta), truncate_below)
+    field = np.asarray(field, dtype=float)
+    m = grid.G ** 2
+    if field.shape != (m, m):
+        raise ValueError(f"covariance field must be {m} x {m}")
+    asym = np.max(np.abs(field - field.T))
+    if asym > 1e-10:
+        raise ValueError(f"covariance field asymmetric by {asym:.3g}")
+    if np.min(np.diagonal(field)) < -1e-12:
+        raise ValueError("negative variance on the diagonal")
+    delta = grid.cell_weight
+    evals, evecs = np.linalg.eigh(delta * (0.5 * (field + field.T)))
+    return _eigensystem(grid, evals, evecs / np.sqrt(delta), truncate_below)
 
 
 def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSystem:
     """The eigensystem of ``covariance_field(e, center)``, up to rounding.
 
     With n >= G^2 trajectories this is exactly
-    ``eigendecompose(covariance_field(e, center))``. With fewer, the
+    ``eigendecompose(e.grid, covariance_field(e, center))``. With fewer, the
     covariance has rank at most n, so the n x n Gram matrix
     (cell_weight / n) C C^T of the centered trajectories C is decomposed
     instead: its eigenvalues are the nonzero ones of the covariance operator,
@@ -212,7 +209,7 @@ def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSy
     drops all have eigenvalue zero.
     """
     if e.n >= e.grid.G ** 2:
-        return eigendecompose(covariance_field(e, center))
+        return eigendecompose(e.grid, covariance_field(e, center))
     centered = _centered(e, center)
     delta = e.grid.cell_weight
     evals, u = np.linalg.eigh(delta / e.n * (centered @ centered.T))
@@ -235,28 +232,20 @@ def scores(
     return e.grid.cell_weight * _centered(e, mean) @ es.phi_flat()[:K].T
 
 
-def select_K(es: EigenSystem, method: str = "cvp", threshold: float = 0.9) -> int:
-    """Pick the number of retained components.
+def select_K(es: EigenSystem, threshold: float = 0.9) -> int:
+    """Smallest K whose cumulative variance fraction reaches ``threshold``.
 
-    cvp: smallest K whose cumulative variance fraction reaches ``threshold``;
-    fixed: ``threshold`` is the K itself. An all-zero spectrum returns 0
-    (degenerate; callers fall back to the mean surface alone).
+    An all-zero spectrum returns 0 (degenerate; callers fall back to the
+    mean surface alone).
     """
     lam = es.eigenvalues
-    if method == "fixed":
-        K = int(threshold)
-        if not (0 <= K <= es.m):
-            raise ValueError(f"fixed K={K} out of range 0..{es.m}")
-        return K
     positive = lam[lam > 0.0]
     if positive.size == 0:
         return 0
-    if method == "cvp":
-        if not (0.0 < threshold <= 1.0):
-            raise ValueError("CVP threshold must be in (0, 1]")
-        frac = np.cumsum(positive) / positive.sum()
-        return int(np.searchsorted(frac, threshold - 1e-12) + 1)
-    raise ValueError(f"unknown selection method {method!r}")
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError("CVP threshold must be in (0, 1]")
+    frac = np.cumsum(positive) / positive.sum()
+    return int(np.searchsorted(frac, threshold - 1e-12) + 1)
 
 
 def _hs_inner(z: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray, delta: float) -> float:

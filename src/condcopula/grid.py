@@ -8,7 +8,6 @@ axis, so every node is strictly interior and the constant quadrature weight
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "l2_norm",
     "sup_distance",
     "write_grid_function_csv",
-    "read_grid_function_csv",
 ]
 
 
@@ -114,45 +112,15 @@ def sup_distance(f: GridFunction, g: GridFunction) -> float:
     return float(np.max(np.abs(f.values - g.values)))
 
 
-def write_grid_function_csv(f: GridFunction, path_or_buf) -> None:
+def write_grid_function_csv(f: GridFunction, path) -> None:
     """Serialize as ``u,v,value`` rows, row-major by (a, b).
 
     Values are rendered with 17 significant digits so a round trip is
     bit-exact for doubles.
     """
-    buf = io.StringIO()
-    buf.write("u,v,value\n")
     nodes = f.grid.nodes
-    for a in range(f.grid.G):
-        for b in range(f.grid.G):
-            buf.write(f"{nodes[a]:.17g},{nodes[b]:.17g},{f.values[a, b]:.17g}\n")
-    text = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
-
-
-def read_grid_function_csv(path_or_buf) -> GridFunction:
-    """Inverse of :func:`write_grid_function_csv`."""
-    if hasattr(path_or_buf, "read"):
-        lines = path_or_buf.read().splitlines()
-    else:
-        with open(path_or_buf) as fh:
-            lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "u,v,value":
-        raise ValueError("grid function CSV must start with header 'u,v,value'")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    m = len(rows)
-    G = round(m**0.5)
-    if G * G != m:
-        raise ValueError(f"grid function CSV has {m} rows, not a perfect square")
-    grid = make_grid(G)
-    values = np.empty((G, G))
-    for idx, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {idx + 2}: expected 3 fields, got {len(parts)}")
-        values[idx // G, idx % G] = float(parts[2])
-    return GridFunction(grid=grid, values=values)
+    with open(path, "w") as fh:
+        fh.write("u,v,value\n")
+        for a in range(f.grid.G):
+            for b in range(f.grid.G):
+                fh.write(f"{nodes[a]:.17g},{nodes[b]:.17g},{f.values[a, b]:.17g}\n")

@@ -35,8 +35,6 @@ from .estimator import (
     fit_pipeline,
 )
 from .fpca import (
-    CovarianceField,
-    EigenSystem,
     covariance_field,
     eigendecompose,
     tkn_projection,
@@ -88,6 +86,8 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         ladder = tuple(int(n) for n in self.n_ladder)
+        if not ladder:
+            raise ValueError("n-ladder must hold at least one sample size")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("n-ladder must be strictly increasing")
         object.__setattr__(self, "n_ladder", ladder)
@@ -381,26 +381,20 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k_check = int(cfg.tolerances.get("component", 1))
 
     # eigensystem of the truth, for the perturbation formula
-    true_es = eigendecompose(CovarianceField(grid=grid, values=true_gamma))
-    keep = int(np.count_nonzero(true_es.eigenvalues > 1e-9))
-    true_es = EigenSystem(
-        grid=grid,
-        eigenvalues=true_es.eigenvalues[:keep],
-        eigenfunctions=true_es.eigenfunctions[:keep],
-        sign_flips=true_es.sign_flips[:keep],
-    )
+    true_es = eigendecompose(grid, true_gamma)
+    true_es = true_es.head(int(np.count_nonzero(true_es.eigenvalues > 1e-9)))
 
     def one_rep(n, seed):
         ens, _ = synthetic_kl_sample(model, n, seed)
         field = covariance_field(ens, model.mean)
-        es = eigendecompose(field)
+        es = eigendecompose(grid, field)
         phi_hat = es.phi(k_check)
         phi_true = model.phi(k_check)
         # sign-align the estimate to the truth
         sign = 1.0 if np.sum(phi_hat.values * phi_true.values) >= 0 else -1.0
         phi_hat = GridFunction(grid=grid, values=sign * phi_hat.values)
         lhs, rhs = unit_sphere_identity(phi_hat, phi_true)
-        zn = np.sqrt(n) * (field.values - true_gamma)
+        zn = np.sqrt(n) * (field - true_gamma)
         t_kn = tkn_projection(zn, true_es, k_check)
         resid = GridFunction(
             grid=grid,

@@ -7,39 +7,25 @@ leave-one-out cross-validation selector for that bandwidth is provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conditional import KernelSpec, _weight_matrix, nw_weights
 from .errors import DegenerateWeightsError
 
-__all__ = ["ScoreRegressor", "eval_alpha", "cv_bandwidth"]
+__all__ = ["eval_alpha", "cv_bandwidth"]
 
 
-@dataclass(frozen=True)
-class ScoreRegressor:
-    """Covariate values, (n, K) score matrix and the x-regression kernel."""
-
-    xs: np.ndarray
-    scores: np.ndarray
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.ndim != 1 or xs.size != self.scores.shape[0]:
-            raise ValueError("xs length must match the score matrix rows")
-        xs.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-
-
-def eval_alpha(r: ScoreRegressor, x: float) -> np.ndarray:
+def eval_alpha(
+    x: float, xs: np.ndarray, scores: np.ndarray, kernel: KernelSpec
+) -> np.ndarray:
     """NW regression estimate of each score's conditional mean at x.
 
-    Returns a length-K array; each entry is a convex combination of the
-    corresponding score column.
+    ``scores`` is (n, K) with one row per covariate value in ``xs``; a row
+    count that differs from ``len(xs)`` raises ``ValueError``. Returns a
+    length-K array; each entry is a convex combination of the corresponding
+    score column.
     """
-    return nw_weights(x, r.xs, r.kernel) @ r.scores
+    return nw_weights(x, xs, kernel) @ scores
 
 
 def cv_bandwidth(

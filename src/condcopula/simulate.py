@@ -297,10 +297,15 @@ class ConditionalModel:
         object.__setattr__(self, "family", fam)
         if self.covariate not in ("uniform", "normal"):
             raise ValueError("covariate law must be 'uniform' or 'normal'")
-        if self.covariate == "uniform":
-            # tau range must hold over the whole support
-            for x in np.linspace(0.0, 1.0, 201):
-                self.theta_at(x)
+        if self.covariate == "normal" and self.link.form == "linear" and self.link.b:
+            raise ValueError(
+                "a linear tau link with nonzero slope leaves every family's "
+                "tau range on the real line; use the uniform covariate"
+            )
+        # the tau range must hold over the whole support; every link left
+        # takes all its values on [0, 1] (sin(2 pi x) has period one)
+        for x in np.linspace(0.0, 1.0, 201):
+            self.theta_at(x)
 
     def tau_at(self, x: float) -> float:
         return float(self.link(x))

@@ -2,12 +2,14 @@
 
 Each function evaluates one point by the definition, with no shared sort
 orders or lattice accumulation, so a test can compare it with the grid and
-lattice kernels in ``condcopula.conditional``.
+lattice kernels in ``condcopula.conditional``. ``read_grid_function_csv``
+reads back what ``condcopula.grid.write_grid_function_csv`` writes.
 """
 
 import numpy as np
 
 from condcopula.conditional import PseudoSample, Sample
+from condcopula.grid import GridFunction, make_grid
 
 
 def cond_cdf(y: float, j: int, w: np.ndarray, s: Sample) -> float:
@@ -70,3 +72,24 @@ def weighted_copula(p: PseudoSample, w: np.ndarray, u: float, v: float) -> float
     q1 = cond_quantile(u, 1, w, ranks)
     q2 = cond_quantile(v, 2, w, ranks)
     return float(np.sum(w * ((r1 <= q1) & (r2 <= q2))))
+
+
+def read_grid_function_csv(path) -> GridFunction:
+    """Inverse of ``condcopula.grid.write_grid_function_csv``."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != "u,v,value":
+        raise ValueError("grid function CSV must start with header 'u,v,value'")
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    m = len(rows)
+    G = round(m**0.5)
+    if G * G != m:
+        raise ValueError(f"grid function CSV has {m} rows, not a perfect square")
+    grid = make_grid(G)
+    values = np.empty((G, G))
+    for idx, row in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {idx + 2}: expected 3 fields, got {len(parts)}")
+        values[idx // G, idx % G] = float(parts[2])
+    return GridFunction(grid=grid, values=values)

@@ -14,7 +14,7 @@ import numpy as np
 
 from condcopula.cli import run
 from condcopula.estimator import PipelineConfig, fit_pipeline
-from condcopula.fpca import CovarianceField, covariance_field, eigendecompose, scores
+from condcopula.fpca import covariance_field, eigendecompose, scores
 from condcopula.grid import GridFunction, l2_norm, make_grid
 from condcopula.harness import (
     ExperimentConfig,
@@ -69,10 +69,10 @@ def test_criterion_1_exact_identities():
     field = covariance_field(fit.ensemble, fit.center)
     # keep every positive eigenvalue: the full-rank reconstruction identity
     # needs the components that default truncation would discard
-    es = eigendecompose(field, truncate_below=0.0)
+    es = eigendecompose(grid, field, truncate_below=0.0)
     gram = delta * es.phi_flat() @ es.phi_flat().T
     ortho_ok = np.max(np.abs(gram - np.eye(es.m))) <= 1e-8
-    trace = delta * np.sum(np.diagonal(field.values))
+    trace = delta * np.sum(np.diagonal(field))
     trace_ok = abs(es.eigenvalues.sum() - trace) <= 1e-8 * max(trace, 1e-30)
     rank = int(np.count_nonzero(es.eigenvalues > 0))
     xi = scores(fit.ensemble, fit.center, es, K=rank)
@@ -92,10 +92,8 @@ def test_criterion_2_rank_one_round_trip():
     t0 = time.perf_counter()
     grid = make_grid(21)
     phi = cosine_tensor(grid, 1, 1)
-    field = CovarianceField(
-        grid=grid, values=0.3 * np.outer(phi.flat(), phi.flat())
-    )
-    es = eigendecompose(field)
+    field = 0.3 * np.outer(phi.flat(), phi.flat())
+    es = eigendecompose(grid, field)
     lam_ok = abs(es.eigenvalues[0] - 0.3) <= 1e-8
     got = es.eigenfunctions[0]
     sign = 1.0 if np.sum(got * phi.values) >= 0 else -1.0

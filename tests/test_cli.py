@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -153,3 +154,23 @@ def test_out_of_range_link_is_validation_error(tmp_path, capsys):
                 "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "tau" in capsys.readouterr().err.lower()
+
+
+def test_normal_covariate_link_checked_on_every_seed(tmp_path, capsys):
+    # the tau range check must not depend on which covariates a seed draws:
+    # a sloped linear link leaves the range on the real line, a sine link
+    # stays in it and samples as before
+    digest = hashlib.sha256()
+    for seed in range(6):
+        args = ["simulate", "--family", "clayton", "--covariate", "normal",
+                "--n", "2", "--seed", str(seed)]
+        bad = tmp_path / f"bad{seed}.csv"
+        assert run([*args, "--link", "linear:0.2,0.3", "--out", str(bad)]) == 1
+        assert not bad.exists()
+        assert "tau" in capsys.readouterr().err.lower()
+        out = tmp_path / f"s{seed}.csv"
+        assert run([*args, "--link", "sine:0.4,0.25", "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == (
+        "a69969084ad786282d3b93fce91e7bcb75eca50905694a1dc2dbe3ac7c4a18ba"
+    )

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,18 +352,21 @@ def test_sample_rejects_non_finite():
                x=np.array([0.1, 0.2]))
 
 
-def test_sample_csv_round_trip():
+def test_sample_csv_round_trip(tmp_path):
     s = toy_sample()
-    buf = io.StringIO()
-    write_sample_csv(s, buf)
-    back = read_sample_csv(io.StringIO(buf.getvalue()))
+    path = tmp_path / "s.csv"
+    write_sample_csv(s, path)
+    back = read_sample_csv(path)
     assert np.array_equal(back.y1, s.y1)
     assert np.array_equal(back.y2, s.y2)
     assert np.array_equal(back.x, s.x)
 
 
-def test_sample_csv_errors_carry_line_numbers():
+def test_sample_csv_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("y1,y2,x\n1,2,3\n1,oops,3\n")
     with pytest.raises(ValueError, match="line 3"):
-        read_sample_csv(io.StringIO("y1,y2,x\n1,2,3\n1,oops,3\n"))
+        read_sample_csv(path)
+    path.write_text("y1,y2,x\n1,2\n")
     with pytest.raises(ValueError, match="line 2"):
-        read_sample_csv(io.StringIO("y1,y2,x\n1,2\n"))
+        read_sample_csv(path)

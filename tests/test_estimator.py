@@ -19,10 +19,9 @@ from condcopula.grid import (
     GridFunction,
     from_callable,
     make_grid,
-    read_grid_function_csv,
     sup_distance,
 )
-from condcopula.regression import ScoreRegressor, eval_alpha
+from condcopula.regression import eval_alpha
 from condcopula.simulate import (
     ConditionalModel,
     SyntheticKLModel,
@@ -31,6 +30,7 @@ from condcopula.simulate import (
     synthetic_kl_sample,
     true_conditional_copula,
 )
+from oracles import read_grid_function_csv
 
 
 def clayton_sample(n=300, seed=0):
@@ -84,7 +84,8 @@ def test_reconstruction_is_partial_plus_score_expansion():
     cfg = PipelineConfig(project=False)
     fit = fit_pipeline(s, cfg)
     if fit.K > 0:
-        alpha = eval_alpha(fit.regressor, 0.5)
+        h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
+        alpha = eval_alpha(0.5, s.x, fit.scores, h_alpha)
         manual = fit.partial.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )
@@ -124,12 +125,9 @@ def test_oracle_rank_one_model_median_error():
     errs = []
     for rep in range(50):
         ens, _ = synthetic_kl_sample(model, 1000, seed=900 + rep)
-        es = eigendecompose(covariance_field(ens, model.mean))
+        es = eigendecompose(grid, covariance_field(ens, model.mean))
         xi = scores(ens, model.mean, es, K=1)
-        reg = ScoreRegressor(
-            xs=ens.xs, scores=xi, kernel=KernelSpec(bandwidth=0.1)
-        )
-        alpha = eval_alpha(reg, 0.5)
+        alpha = eval_alpha(0.5, ens.xs, xi, KernelSpec(bandwidth=0.1))
         est = GridFunction(
             grid=grid,
             values=model.mean.values + alpha[0] * es.eigenfunctions[0],

@@ -4,7 +4,6 @@ import pytest
 from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
-    CovarianceField,
     EigenSystem,
     TrajectoryEnsemble,
     covariance_field,
@@ -65,7 +64,7 @@ def test_identical_trajectories_give_zero_field():
     surf = np.repeat(mean.values[None], 4, axis=0)
     ens = TrajectoryEnsemble(xs=np.zeros(4), surfaces=surf, grid=GRID)
     field = covariance_field(ens, mean)
-    assert np.max(np.abs(field.values)) == 0.0
+    assert np.max(np.abs(field)) == 0.0
 
 
 def test_two_trajectory_rank_one_field():
@@ -76,8 +75,8 @@ def test_two_trajectory_rank_one_field():
     surf = np.stack([mean.values + phi.values, mean.values - phi.values])
     ens = TrajectoryEnsemble(xs=np.array([0.2, 0.8]), surfaces=surf, grid=GRID)
     field = covariance_field(ens, mean)
-    assert np.allclose(field.values, np.outer(phi.flat(), phi.flat()), atol=1e-12)
-    es = eigendecompose(field)
+    assert np.allclose(field, np.outer(phi.flat(), phi.flat()), atol=1e-12)
+    es = eigendecompose(GRID, field)
     assert es.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert es.eigenvalues[1] == 0.0
     diff = min(
@@ -91,13 +90,31 @@ def test_covariance_asymmetry_rejected():
     vals = np.zeros((4, 4))
     vals[0, 1] = 1.0
     with pytest.raises(ValueError, match="asymmetric"):
-        CovarianceField(grid=make_grid(2), values=vals)
+        eigendecompose(make_grid(2), vals)
+
+
+def test_covariance_shape_and_negative_variance_rejected():
+    with pytest.raises(ValueError, match="4 x 4"):
+        eigendecompose(make_grid(2), np.zeros((9, 9)))
+    with pytest.raises(ValueError, match="negative variance"):
+        eigendecompose(make_grid(2), -np.eye(4))
+
+
+@pytest.mark.parametrize("n", [40, 120])  # below and above G^2 = 81
+def test_covariance_field_is_exactly_symmetric(n):
+    # eigendecompose symmetrises its input; on the fields the pipeline forms
+    # that must leave every entry as it is
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, n, seed=32)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=9))
+    field = covariance_field(fit.ensemble, fit.center)
+    assert np.array_equal(field, field.T)
 
 
 def test_synthetic_eigenvalue_recovery():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 400, seed=21)
-    es = eigendecompose(covariance_field(ens, ens.mean_surface()))
+    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
     for k, lam in enumerate(model.eigenvalues):
         assert abs(es.eigenvalues[k] - lam) <= 0.05
 
@@ -111,7 +128,7 @@ def test_eigenvalue_error_shrinks_with_n():
         vals = []
         for rep in range(100):
             ens, _ = synthetic_kl_sample(model, n, seed=1000 * n + rep)
-            es = eigendecompose(covariance_field(ens, ens.mean_surface()))
+            es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
             vals.append(abs(es.eigenvalues[0] - model.eigenvalues[0]))
         errs[n] = np.median(vals)
     assert errs[200] >= 2.5 * errs[3200]
@@ -121,16 +138,13 @@ def test_eigenvalue_error_shrinks_with_n():
 
 
 def test_zero_field_all_zero_eigenvalues():
-    es = eigendecompose(CovarianceField(grid=make_grid(3), values=np.zeros((9, 9))))
+    es = eigendecompose(make_grid(3), np.zeros((9, 9)))
     assert np.all(es.eigenvalues == 0.0)
 
 
 def test_rank_one_constant_field():
     one = constant(GRID, 1.0)
-    field = CovarianceField(
-        grid=GRID, values=0.3 * np.outer(one.flat(), one.flat())
-    )
-    es = eigendecompose(field)
+    es = eigendecompose(GRID, 0.3 * np.outer(one.flat(), one.flat()))
     assert es.eigenvalues[0] == pytest.approx(0.3, abs=1e-12)
     assert np.allclose(es.eigenfunctions[0], 1.0, atol=1e-10)
 
@@ -138,12 +152,8 @@ def test_rank_one_constant_field():
 def test_two_component_round_trip():
     f1 = cosine_tensor(GRID, 1, 0)
     f2 = cosine_tensor(GRID, 0, 1)
-    field = CovarianceField(
-        grid=GRID,
-        values=0.4 * np.outer(f1.flat(), f1.flat())
-        + 0.2 * np.outer(f2.flat(), f2.flat()),
-    )
-    es = eigendecompose(field)
+    field = 0.4 * np.outer(f1.flat(), f1.flat()) + 0.2 * np.outer(f2.flat(), f2.flat())
+    es = eigendecompose(GRID, field)
     assert es.eigenvalues[0] == pytest.approx(0.4, abs=1e-8)
     assert es.eigenvalues[1] == pytest.approx(0.2, abs=1e-8)
     for k, f in ((1, f1), (2, f2)):
@@ -158,10 +168,10 @@ def test_orthonormality_and_trace_identity():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 60, seed=5)
     field = covariance_field(ens, ens.mean_surface())
-    es = eigendecompose(field)
+    es = eigendecompose(GRID, field)
     gram = GRID.cell_weight * es.phi_flat() @ es.phi_flat().T
     assert np.max(np.abs(gram - np.eye(es.m))) <= 1e-8
-    trace = GRID.cell_weight * np.sum(np.diagonal(field.values))
+    trace = GRID.cell_weight * np.sum(np.diagonal(field))
     assert es.eigenvalues.sum() == pytest.approx(trace, rel=1e-8)
 
 
@@ -169,21 +179,34 @@ def test_spectral_rebuild_matches_field():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 40, seed=6)
     field = covariance_field(ens, ens.mean_surface())
-    es = eigendecompose(field)
+    es = eigendecompose(GRID, field)
     pos = es.eigenvalues > 0
     phis = es.phi_flat()[pos]
     rebuilt = (es.eigenvalues[pos, None] * phis).T @ phis
-    assert np.max(np.abs(rebuilt - field.values)) <= 1e-8
+    assert np.max(np.abs(rebuilt - field)) <= 1e-8
 
 
 def test_sign_convention_nonnegative_integral():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 50, seed=7)
-    es = eigendecompose(covariance_field(ens, ens.mean_surface()))
+    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
     for k in range(es.m):
         integral = GRID.cell_weight * es.eigenfunctions[k].sum()
         if abs(integral) > 1e-12:
             assert integral > 0
+
+
+def test_head_keeps_the_leading_components():
+    ens, _ = synthetic_kl_sample(kl_model(), 12, seed=12)
+    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
+    head = es.head(3)
+    assert head.m == 3
+    assert head.grid == es.grid
+    assert np.array_equal(head.eigenvalues, es.eigenvalues[:3])
+    assert np.array_equal(head.eigenfunctions, es.eigenfunctions[:3])
+    assert np.array_equal(head.sign_flips, es.sign_flips[:3])
+    assert es.head(es.m + 5).m == es.m
+    assert es.head(0).m == 0
 
 
 # ----------------------------------------------------- ensemble eigensystem
@@ -196,7 +219,7 @@ def test_ensemble_eigensystem_matches_covariance_route(n, centering):
     s, _ = sample_conditional(model, n, seed=31)
     fit = fit_pipeline(s, PipelineConfig(grid_size=9, centering=centering))
     got = ensemble_eigensystem(fit.ensemble, fit.center)
-    want = eigendecompose(covariance_field(fit.ensemble, fit.center))
+    want = eigendecompose(GRID, covariance_field(fit.ensemble, fit.center))
     m = got.m
     assert m == min(n, GRID.G**2)
     lam = want.eigenvalues
@@ -235,7 +258,7 @@ def test_score_of_mean_trajectory_is_zero():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 30, seed=8)
     mean = ens.mean_surface()
-    es = eigendecompose(covariance_field(ens, mean))
+    es = eigendecompose(GRID, covariance_field(ens, mean))
     surf = np.concatenate([ens.surfaces, mean.values[None]], axis=0)
     ens2 = TrajectoryEnsemble(
         xs=np.append(ens.xs, 0.5), surfaces=surf, grid=GRID
@@ -248,7 +271,7 @@ def test_score_of_shifted_trajectory():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 30, seed=9)
     mean = ens.mean_surface()
-    es = eigendecompose(covariance_field(ens, mean))
+    es = eigendecompose(GRID, covariance_field(ens, mean))
     shifted = mean.values + 2.0 * es.eigenfunctions[0]
     ens2 = TrajectoryEnsemble(
         xs=np.array([0.1, 0.2]),
@@ -264,7 +287,7 @@ def test_score_columns_mean_zero_under_ensemble_centering():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 80, seed=10)
     mean = ens.mean_surface()
-    es = eigendecompose(covariance_field(ens, mean))
+    es = eigendecompose(GRID, covariance_field(ens, mean))
     xi = scores(ens, mean, es, K=3)
     assert np.max(np.abs(xi.mean(axis=0))) <= 1e-10
 
@@ -273,7 +296,7 @@ def test_full_rank_reconstruction():
     model = kl_model()
     ens, _ = synthetic_kl_sample(model, 25, seed=11)
     mean = ens.mean_surface()
-    es = eigendecompose(covariance_field(ens, mean))
+    es = eigendecompose(GRID, covariance_field(ens, mean))
     rank = int(np.count_nonzero(es.eigenvalues > 0))
     xi = scores(ens, mean, es, K=rank)
     recon = mean.flat()[None] + xi @ es.phi_flat()[:rank]
@@ -290,19 +313,14 @@ def test_full_rank_reconstruction():
 
 
 def test_select_k_cvp():
-    assert select_K(dummy_eigensystem([0.9, 0.1]), "cvp", 0.9) == 1
-    assert select_K(dummy_eigensystem([0.5, 0.5]), "cvp", 0.9) == 2
-    assert select_K(dummy_eigensystem([1.0]), "cvp", 1.0) == 1
+    assert select_K(dummy_eigensystem([0.9, 0.1]), 0.9) == 1
+    assert select_K(dummy_eigensystem([0.5, 0.5]), 0.9) == 2
+    assert select_K(dummy_eigensystem([1.0]), 1.0) == 1
 
 
 def test_select_k_fixed_and_degenerate():
     es = dummy_eigensystem([0.0, 0.0])
-    assert select_K(es, "cvp", 0.9) == 0
-    assert select_K(dummy_eigensystem([0.4, 0.1]), "fixed", 1) == 1
-    with pytest.raises(ValueError):
-        select_K(dummy_eigensystem([0.4]), "fixed", 5)
-    with pytest.raises(ValueError, match="method"):
-        select_K(dummy_eigensystem([0.4]), "elbow")
+    assert select_K(es, 0.9) == 0
 
 
 # --------------------------------------------------- perturbation projection

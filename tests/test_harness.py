@@ -39,6 +39,11 @@ def test_config_validation():
         ExperimentConfig(experiment="x", replications=0)
 
 
+def test_empty_ladder_rejected():
+    with pytest.raises(ValueError, match="at least one sample size"):
+        ExperimentConfig(experiment="x", n_ladder=())
+
+
 def test_config_digest_depends_on_seed():
     a = small_consistency_cfg()
     assert small_consistency_cfg().digest() == a.digest()
@@ -182,25 +187,12 @@ def test_bridge_tolerance_count_validated():
 def test_perturbation_residual_vanishes_without_sampling_noise():
     # feeding the exact covariance kernel (no sampling noise) must recover
     # the prescribed eigenfunctions and give an identically zero residual
-    from condcopula.fpca import (
-        CovarianceField,
-        EigenSystem,
-        eigendecompose,
-        tkn_projection,
-    )
+    from condcopula.fpca import eigendecompose, tkn_projection
     from condcopula.grid import make_grid
 
     model = build_kl_model({}, grid_size=9)
-    grid = make_grid(9)
-    field = CovarianceField(grid=grid, values=model.true_gamma_field())
-    es = eigendecompose(field)
-    keep = int(np.count_nonzero(es.eigenvalues > 1e-9))
-    es = EigenSystem(
-        grid=grid,
-        eigenvalues=es.eigenvalues[:keep],
-        eigenfunctions=es.eigenfunctions[:keep],
-        sign_flips=es.sign_flips[:keep],
-    )
+    es = eigendecompose(make_grid(9), model.true_gamma_field())
+    es = es.head(int(np.count_nonzero(es.eigenvalues > 1e-9)))
     for k in range(1, model.K + 1):
         got = es.eigenfunctions[k - 1]
         want = model.phi(k).values

@@ -3,13 +3,13 @@ import pytest
 
 from condcopula.conditional import KernelSpec, kernel_values
 from condcopula.errors import DegenerateWeightsError
-from condcopula.regression import ScoreRegressor, cv_bandwidth, eval_alpha
+from condcopula.regression import cv_bandwidth, eval_alpha
 
 
 def regressor(xs, cols, kernel):
-    xs = np.asarray(xs, dtype=float)
+    """``eval_alpha`` at x over the score columns ``cols`` observed at ``xs``."""
     xi = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-    return ScoreRegressor(xs=xs, scores=xi, kernel=kernel)
+    return lambda x: eval_alpha(x, xs, xi, kernel)
 
 
 def test_constant_column_is_reproduced():
@@ -17,12 +17,12 @@ def test_constant_column_is_reproduced():
         [0.1, 0.4, 0.9], [[2.5, 2.5, 2.5]], KernelSpec(bandwidth=0.5)
     )
     for x in (0.1, 0.3, 0.8):
-        assert eval_alpha(r, x)[0] == pytest.approx(2.5, abs=1e-12)
+        assert r(x)[0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_zero_scores_give_zero():
     r = regressor([0.0, 0.5, 1.0], [[0, 0, 0], [0, 0, 0]], KernelSpec(bandwidth=1.0))
-    assert np.allclose(eval_alpha(r, 0.3), 0.0)
+    assert np.allclose(r(0.3), 0.0)
 
 
 def test_hand_nw_evaluation():
@@ -33,7 +33,7 @@ def test_hand_nw_evaluation():
         [[0.0, 1.0, 4.0]],
         KernelSpec(family="uniform", bandwidth=1.5),
     )
-    assert eval_alpha(r, 1.0)[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
+    assert r(1.0)[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
 def test_prediction_is_convex_combination():
@@ -42,14 +42,14 @@ def test_prediction_is_convex_combination():
     col = rng.normal(size=30)
     r = regressor(xs, [col], KernelSpec(bandwidth=0.2))
     for x in np.linspace(0.05, 0.95, 7):
-        a = eval_alpha(r, x)[0]
+        a = r(x)[0]
         assert col.min() - 1e-12 <= a <= col.max() + 1e-12
 
 
 def test_degenerate_point_raises():
     r = regressor([0.0, 0.1, 0.2], [[1.0, 2.0, 3.0]], KernelSpec(bandwidth=0.05))
     with pytest.raises(DegenerateWeightsError):
-        eval_alpha(r, 5.0)
+        r(5.0)
 
 
 def loo_cv_error(xs, xi, family, h):
@@ -132,9 +132,5 @@ def test_cv_empty_candidates_rejected():
 
 
 def test_xs_length_must_match_scores():
-    with pytest.raises(ValueError, match="length"):
-        ScoreRegressor(
-            xs=np.array([0.1, 0.2]),
-            scores=np.zeros((3, 1)),
-            kernel=KernelSpec(bandwidth=0.5),
-        )
+    with pytest.raises(ValueError):
+        eval_alpha(0.15, np.array([0.1, 0.2]), np.zeros((3, 1)), KernelSpec(bandwidth=0.5))
