@@ -30,7 +30,11 @@ __all__ = [
     "write_sample_csv",
 ]
 
-_KERNEL_FAMILIES = ("epanechnikov", "gaussian", "uniform")
+# half-width of each kernel's support in bandwidth units
+_KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
+_KERNEL_FAMILIES = tuple(_KERNEL_REACH)
+# rows of the weight matrix held at once by ``pseudo_observations``
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,8 @@ def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
-    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h).
-
-    Raises ``DegenerateWeightsError`` when every kernel value at x is zero.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size < 1:
-        raise ValueError("need at least one covariate value")
-    kv = kernel_values(k.family, (x - xs) / k.bandwidth)
+def _normalise(x: float, kv: np.ndarray) -> np.ndarray:
+    """Kernel values at x divided by their total; raises when all are zero."""
     total = kv.sum()
     if total <= 0.0:
         raise DegenerateWeightsError(
@@ -127,14 +124,31 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     return kv / total
 
 
-def _weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
-    """Row i holds the NW weights w_l(X_i); raises naming the first bad row."""
-    z = (xs[:, None] - xs[None, :]) / k.bandwidth
+def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
+    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h).
+
+    Raises ``DegenerateWeightsError`` when every kernel value at x is zero.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size < 1:
+        raise ValueError("need at least one covariate value")
+    return _normalise(x, kernel_values(k.family, (x - xs) / k.bandwidth))
+
+
+def _weight_matrix(
+    xs: np.ndarray, k: KernelSpec, leave_one_out: bool, rows: slice = slice(None)
+) -> np.ndarray:
+    """Rows ``rows`` of the NW weight matrix, whose row i holds w_l(X_i).
+
+    Raises naming the global index of the first bad row.
+    """
+    rows = np.arange(xs.size)[rows]
+    z = (xs[rows, None] - xs[None, :]) / k.bandwidth
     kv = kernel_values(k.family, z)
     if leave_one_out:
-        np.fill_diagonal(kv, 0.0)
+        kv[np.arange(rows.size), rows] = 0.0
     totals = kv.sum(axis=1)
-    bad = np.nonzero(totals <= 0.0)[0]
+    bad = rows[totals <= 0.0]
     if bad.size:
         raise DegenerateWeightsError(
             f"degenerate weights at observation index {int(bad[0])} "
@@ -178,35 +192,48 @@ def pseudo_observations(
     Entry i of margin j is the weighted ECDF of Y_j, with NW weights centered
     at X_i and bandwidth g_j, evaluated at Y_ji. By default observation i is
     included in its own ECDF; ``leave_one_out`` drops it (bias studies).
+    The weight matrix is built in blocks of ``_ROW_BLOCK`` (256) rows, so
+    each block holds a few 256 x n arrays and no n x n array is held; one
+    block serves both margins when g1 == g2. Every margin-1 row is checked before any margin-2
+    row, so a degenerate row is reported as the dense matrices would.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
-    W1 = _weight_matrix(s.x, k1, leave_one_out)
-    W2 = _weight_matrix(s.x, k2, leave_one_out)
-    ind1 = s.y1[None, :] <= s.y1[:, None]
-    ind2 = s.y2[None, :] <= s.y2[:, None]
-    eps1 = np.einsum("il,il->i", W1, ind1.astype(float))
-    eps2 = np.einsum("il,il->i", W2, ind2.astype(float))
-    return PseudoSample(eps1=np.clip(eps1, 0.0, 1.0), eps2=np.clip(eps2, 0.0, 1.0))
+    eps = {1: np.empty(s.n), 2: np.empty(s.n)}
+    groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
+    for k, margins in groups:
+        for start in range(0, s.n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            W = _weight_matrix(s.x, k, leave_one_out, rows)
+            for j in margins:
+                y = s.margin(j)
+                ind = y[None, :] <= y[rows, None]
+                eps[j][rows] = np.einsum("il,il->i", W, ind.astype(float))
+    return PseudoSample(eps1=np.clip(eps[1], 0.0, 1.0), eps2=np.clip(eps[2], 0.0, 1.0))
+
+
+def _ranked(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order`` and each index's position in it."""
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    return order, position
 
 
 def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort order of ``values`` and each value's position in it."""
-    order = np.argsort(values, kind="stable")
-    position = np.empty(values.size, dtype=np.int64)
-    position[order] = np.arange(values.size)
-    return order, position
+    return _ranked(np.argsort(values, kind="stable"))
 
 
-def _lattice_cdf(a_idx, b_idx, L: int, mass=1.0) -> np.ndarray:
+def _lattice_cdf(a_idx, b_idx, L: int, mass=None) -> np.ndarray:
     """Joint CDF on an L x L lattice from each pair's first lattice index.
 
     Pair i starts counting at lattice node (a_idx[i], b_idx[i]); index L means
-    it never counts. ``mass`` is the pair's weight (scalar or per pair).
+    it never counts. ``mass`` is the per-pair weight; without it each pair
+    counts 1 and the result is an integer count. Cells accumulate in pair
+    order.
     """
-    cells = np.zeros((L + 1, L + 1))
-    np.add.at(cells, (a_idx, b_idx), mass)
-    return cells[:L, :L].cumsum(axis=0).cumsum(axis=1)
+    cells = np.bincount(a_idx * (L + 1) + b_idx, weights=mass, minlength=(L + 1) ** 2)
+    return cells.reshape(L + 1, L + 1)[:L, :L].cumsum(axis=0).cumsum(axis=1)
 
 
 def _lattice_copula(
@@ -263,16 +290,45 @@ def weighted_copula_surfaces(
     Surface i is the NW-weighted ECDF of the pseudo-pairs, with weights at
     ``xs_eval[i]`` and bandwidth from ``k``, composed with the generalized
     inverses of its own weighted margins. Returns an array of shape
-    (len(xs_eval), G, G). The pseudo-observation sort orders are shared
-    across evaluation points, so the per-point cost is O(n + G^2) after one
-    O(n log n) sort.
+    (len(xs_eval), G, G). Only the observations in the kernel window around
+    each point enter its lattice: after one O(n log n) sort of the covariate
+    and of each pseudo-margin, a point costs O(n) vector passes to select its
+    window plus O(w + G^2) lattice work for a window of w observations. The
+    Gaussian kernel's window is the whole sample. The weights, and so every
+    surface, are bit-identical to evaluating all n observations.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
+    n = s.n
     sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
+    x_order = np.argsort(s.x, kind="stable")
+    x_sorted = s.x[x_order]
+    # pad the support by more than the rounding of (x - X_i) / h, so each
+    # window holds every observation with a nonzero kernel value
+    scale = max(np.abs(x_sorted).max(), np.abs(xs_eval).max(initial=0.0)) + k.bandwidth
+    reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
+    lo = np.searchsorted(x_sorted, xs_eval - reach, side="left")
+    hi = np.searchsorted(x_sorted, xs_eval + reach, side="right")
+    local = np.empty(n, dtype=np.int64)
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
-        w = nw_weights(x, s.x, k)
-        surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
+        if hi[i] - lo[i] == n:
+            w = nw_weights(x, s.x, k)
+            surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
+        else:
+            mask = np.zeros(n, dtype=bool)
+            mask[x_order[lo[i] : hi[i]]] = True
+            members = np.flatnonzero(mask)
+            # the zero-filled row sums exactly as the dense one does
+            row = np.zeros(n)
+            row[members] = kernel_values(k.family, (x - s.x[members]) / k.bandwidth)
+            w = _normalise(x, row)[members]
+            local[members] = np.arange(members.size)
+            window_index = tuple(
+                _ranked(local[order[mask[order]]]) for order, _ in sort_index
+            )
+            surface = _lattice_copula(
+                pseudo.eps1[members], pseudo.eps2[members], grid.nodes, w, window_index
+            )
         out[i] = np.clip(surface, 0.0, 1.0)
     return out
 

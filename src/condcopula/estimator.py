@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import limited_threads
 from .conditional import (
     KernelSpec,
     PseudoSample,
@@ -51,6 +52,12 @@ __all__ = [
     "estimate_conditional_copula",
     "frechet_project",
 ]
+
+# smallest eigenproblem, min(n, G^2), whose BLAS calls use every thread.
+# On 2 cores a second thread takes the eigen stage from 0.34 to 0.27 s at
+# n=800, G=51 but saves nothing at n=3000, G=21 (0.07 s), and after each
+# threaded call the idle worker spins on the other core (see ``_blas``)
+_THREADED_EIGEN_DIM = 512
 
 
 @dataclass(frozen=True)
@@ -176,15 +183,17 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
     ensemble = TrajectoryEnsemble(xs=s.x, surfaces=surfaces, grid=grid)
     center = ensemble.mean_surface() if cfg.centering == "ensemble" else partial
-    eigen = ensemble_eigensystem(ensemble, center)
-    # the spectrum holds min(n, G^2) components and the rest are zero, so
-    # a fixed K is clamped to the positive count
-    positive = int(np.count_nonzero(eigen.eigenvalues > 0.0))
-    if cfg.K is not None:
-        K = min(cfg.K, positive)
-    else:
-        K = select_K(eigen, cfg.cvp_threshold)
-    xi = scores(ensemble, center, eigen, K) if K > 0 else np.empty((s.n, 0))
+    threaded = min(s.n, grid.G**2) >= _THREADED_EIGEN_DIM
+    with limited_threads(None if threaded else 1):
+        eigen = ensemble_eigensystem(ensemble, center)
+        # the spectrum holds min(n, G^2) components and the rest are zero,
+        # so a fixed K is clamped to the positive count
+        positive = int(np.count_nonzero(eigen.eigenvalues > 0.0))
+        if cfg.K is not None:
+            K = min(cfg.K, positive)
+        else:
+            K = select_K(eigen, cfg.cvp_threshold)
+        xi = scores(ensemble, center, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,
         config=cfg,
@@ -208,7 +217,8 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         values = fit.partial.values.copy()
     else:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
-        alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
+        with limited_threads(1):
+            alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
         values = fit.partial.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )

@@ -2,13 +2,26 @@
 
 Each function evaluates one point by the definition, with no shared sort
 orders or lattice accumulation, so a test can compare it with the grid and
-lattice kernels in ``condcopula.conditional``. ``read_grid_function_csv``
-reads back what ``condcopula.grid.write_grid_function_csv`` writes.
+lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
+and ``dense_weighted_copula_surfaces`` are the n x n forms of the row-blocked
+and window-local stages, which must match them bit for bit.
+``read_grid_function_csv`` reads back what
+``condcopula.grid.write_grid_function_csv`` writes.
 """
 
 import numpy as np
 
-from condcopula.conditional import PseudoSample, Sample
+from condcopula.conditional import (
+    KernelSpec,
+    PseudoSample,
+    Sample,
+    _lattice_copula,
+    _sort_index,
+    kernel_values,
+    nw_weights,
+)
+from condcopula.errors import DegenerateWeightsError
+from condcopula.grid import Grid2D
 from condcopula.grid import GridFunction, make_grid
 
 
@@ -93,3 +106,62 @@ def read_grid_function_csv(path) -> GridFunction:
             raise ValueError(f"line {idx + 2}: expected 3 fields, got {len(parts)}")
         values[idx // G, idx % G] = float(parts[2])
     return GridFunction(grid=grid, values=values)
+
+
+def dense_weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
+    """Row i holds the NW weights w_l(X_i); raises naming the first bad row."""
+    z = (xs[:, None] - xs[None, :]) / k.bandwidth
+    kv = kernel_values(k.family, z)
+    if leave_one_out:
+        np.fill_diagonal(kv, 0.0)
+    totals = kv.sum(axis=1)
+    bad = np.nonzero(totals <= 0.0)[0]
+    if bad.size:
+        raise DegenerateWeightsError(
+            f"degenerate weights at observation index {int(bad[0])} "
+            f"(x={xs[bad[0]]:g}); enlarge the bandwidth"
+        )
+    return kv / totals[:, None]
+
+
+def dense_pseudo_observations(
+    s: Sample,
+    k1: KernelSpec,
+    k2: KernelSpec,
+    leave_one_out: bool = False,
+) -> PseudoSample:
+    """Pseudo-observations from the full n x n weight matrix of each margin."""
+    if s.n < 2:
+        raise ValueError("pseudo-observations need at least 2 records")
+    W1 = dense_weight_matrix(s.x, k1, leave_one_out)
+    W2 = dense_weight_matrix(s.x, k2, leave_one_out)
+    ind1 = s.y1[None, :] <= s.y1[:, None]
+    ind2 = s.y2[None, :] <= s.y2[:, None]
+    eps1 = np.einsum("il,il->i", W1, ind1.astype(float))
+    eps2 = np.einsum("il,il->i", W2, ind2.astype(float))
+    return PseudoSample(eps1=np.clip(eps1, 0.0, 1.0), eps2=np.clip(eps2, 0.0, 1.0))
+
+
+def dense_weighted_copula_surfaces(
+    xs_eval: np.ndarray,
+    s: Sample,
+    k: KernelSpec,
+    grid: Grid2D,
+    pseudo: PseudoSample,
+) -> np.ndarray:
+    """Trajectory surfaces with NW weights over all n observations per point."""
+    xs_eval = np.asarray(xs_eval, dtype=float)
+    sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
+    out = np.empty((xs_eval.size, grid.G, grid.G))
+    for i, x in enumerate(xs_eval):
+        w = nw_weights(x, s.x, k)
+        surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
+        out[i] = np.clip(surface, 0.0, 1.0)
+    return out
+
+
+def add_at_lattice_cdf(a_idx, b_idx, L: int, mass=1.0) -> np.ndarray:
+    """Joint CDF on an L x L lattice, accumulated with ``np.add.at``."""
+    cells = np.zeros((L + 1, L + 1))
+    np.add.at(cells, (a_idx, b_idx), mass)
+    return cells[:L, :L].cumsum(axis=0).cumsum(axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
+    _lattice_cdf,
     _lattice_copula,
+    _weight_matrix,
     empirical_copula_grid,
+    kernel_values,
     weighted_copula_surfaces,
     nw_weights,
     pseudo_observations,
@@ -19,7 +24,16 @@ from condcopula.conditional import (
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import GridFunction, make_grid, sup_distance
 from condcopula.harness import _joint_ecdf
-from oracles import cond_cdf, cond_quantile, empirical_copula, weighted_copula
+from oracles import (
+    add_at_lattice_cdf,
+    cond_cdf,
+    cond_quantile,
+    dense_pseudo_observations,
+    dense_weight_matrix,
+    dense_weighted_copula_surfaces,
+    empirical_copula,
+    weighted_copula,
+)
 from condcopula.simulate import (
     ConditionalModel,
     TauLink,
@@ -327,6 +341,220 @@ def test_trajectory_recovers_constant_clayton():
     )
     truth = true_conditional_copula(model, 0.5, grid)
     assert sup_distance(est, truth) <= 0.08
+
+
+# ------------------------------------------------ parity with the n x n path
+
+FAMILIES = ("epanechnikov", "uniform", "gaussian")
+
+
+def tied_sample(n, seed, shift=0.0, span=1.0):
+    """Sample with ties in both margins and duplicate covariate values."""
+    rng = np.random.default_rng(seed)
+    return Sample(
+        y1=np.round(rng.normal(size=n), 1),
+        y2=np.round(rng.normal(size=n), 1),
+        x=shift + span * np.round(rng.random(n), 2),
+    )
+
+
+def in_support(xs_eval, s, k):
+    """The evaluation points with a nonzero kernel value at some X_i."""
+    return np.array([x for x in xs_eval
+                     if np.any(kernel_values(k.family, (x - s.x) / k.bandwidth) > 0.0)])
+
+
+def assert_same_outcome(got_fn, want_fn):
+    """Both calls return bit-identical arrays or raise the same message."""
+    try:
+        want = want_fn()
+    except DegenerateWeightsError as exc:
+        with pytest.raises(DegenerateWeightsError) as got:
+            got_fn()
+        assert str(got.value) == str(exc)
+        return
+    got = got_fn()
+    if isinstance(want, PseudoSample):
+        assert np.array_equal(got.eps1, want.eps1)
+        assert np.array_equal(got.eps2, want.eps2)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+def test_pseudo_and_surfaces_bit_identical_to_dense(family, leave_one_out, n):
+    s = tied_sample(n, seed=n)
+    h = rule_of_thumb_bandwidth(s.x)
+    for g2 in (h, 0.6 * h):
+        k1, k2 = KernelSpec(family, h), KernelSpec(family, g2)
+        assert_same_outcome(
+            lambda: pseudo_observations(s, k1, k2, leave_one_out),
+            lambda: dense_pseudo_observations(s, k1, k2, leave_one_out),
+        )
+    pseudo = pseudo_observations(s, k1, k1)
+    grid = make_grid(7)
+    xs_eval = np.concatenate([s.x, s.x[:9] - 0.5 * h, s.x[:9] + 0.9 * h])
+    assert np.array_equal(
+        weighted_copula_surfaces(xs_eval, s, k1, grid, pseudo),
+        dense_weighted_copula_surfaces(xs_eval, s, k1, grid, pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_at_window_edges_bit_identical(family):
+    # covariates and bandwidth are dyadic, so x_i +- h is exact and the
+    # kernel is evaluated at |z| = 1, where the uniform kernel is nonzero
+    rng = np.random.default_rng(5)
+    n = 300
+    s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n),
+               x=rng.integers(0, 64, size=n) / 64.0)
+    k = KernelSpec(family, 0.25)
+    pseudo = pseudo_observations(s, k, k)
+    xs_eval = in_support(np.concatenate([s.x[:40] - 0.25, s.x[:40] + 0.25]), s, k)
+    assert xs_eval.size > 70
+    assert np.array_equal(
+        weighted_copula_surfaces(xs_eval, s, k, make_grid(9), pseudo),
+        dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(9), pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_window_pad_covers_rounding_of_kernel_argument(family):
+    # X_i just below fl(x_i - h) across zero: x_i - X_i rounds down to h, so
+    # the kernel is evaluated at |z| = 1 for a point outside [x - h, x + h]
+    rng = np.random.default_rng(13)
+    h = 0.3
+    near = rng.random(150) * h
+    below = np.nextafter(near - h, -np.inf)
+    assert np.sum(np.abs((near - below) / h) <= 1.0) > 30
+    x = np.concatenate([near, below])
+    s = Sample(y1=rng.normal(size=x.size), y2=rng.normal(size=x.size), x=x)
+    k = KernelSpec(family, h)
+    pseudo = pseudo_observations(s, k, k)
+    assert np.array_equal(
+        weighted_copula_surfaces(near, s, k, make_grid(7), pseudo),
+        dense_weighted_copula_surfaces(near, s, k, make_grid(7), pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_on_shifted_covariate_bit_identical(family):
+    # at 1e6 one ulp of x is 1.2e-10, far above 1e-9 of the bandwidth, so
+    # the window pad must cover the rounding of x - X_i
+    s = tied_sample(400, seed=8, shift=1e6, span=0.01)
+    h = 1e-3
+    k = KernelSpec(family, h)
+    pseudo = pseudo_observations(s, KernelSpec(family, 0.05), KernelSpec(family, 0.05))
+    xs = s.x[:60]
+    xs_eval = in_support(np.concatenate([
+        xs - h, xs + h, np.nextafter(xs - h, -np.inf), np.nextafter(xs + h, np.inf),
+        xs - h * (1 + 1e-7), xs + h * (1 + 1e-7),
+    ]), s, k)
+    assert xs_eval.size > 300
+    grid = make_grid(5)
+    assert np.array_equal(
+        weighted_copula_surfaces(xs_eval, s, k, grid, pseudo),
+        dense_weighted_copula_surfaces(xs_eval, s, k, grid, pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_outside_data_raise_dense_message(family):
+    s = tied_sample(300, seed=3)
+    k = KernelSpec(family, 0.05)
+    pseudo = pseudo_observations(s, k, k)
+    # far enough that even the Gaussian kernel underflows to zero
+    x_out = 50.0 if family == "gaussian" else 1.2
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces([0.5, x_out], s, k, make_grid(5), pseudo),
+        lambda: dense_weighted_copula_surfaces([0.5, x_out], s, k, make_grid(5), pseudo),
+    )
+    with pytest.raises(DegenerateWeightsError, match=r"all kernel values are zero\) at x="):
+        weighted_copula_surfaces([x_out], s, k, make_grid(5), pseudo)
+
+
+def test_pseudo_degenerate_row_in_later_block_names_global_index():
+    rng = np.random.default_rng(4)
+    x = rng.random(600)
+    x[300] = 50.0
+    s = Sample(y1=rng.normal(size=600), y2=rng.normal(size=600), x=x)
+    k = KernelSpec(bandwidth=0.2)
+    msg = "degenerate weights at observation index 300 (x=50); enlarge the bandwidth"
+    with pytest.raises(DegenerateWeightsError) as exc:
+        pseudo_observations(s, k, k, leave_one_out=True)
+    assert str(exc.value) == msg
+    with pytest.raises(DegenerateWeightsError) as exc:
+        dense_pseudo_observations(s, k, k, leave_one_out=True)
+    assert str(exc.value) == msg
+
+
+def test_pseudo_reports_margin_one_row_before_margin_two_row():
+    # g2 < g1: index 10 is isolated only under g2, index 400 under both; the
+    # n x n path checks all margin-1 rows first and names 400
+    rng = np.random.default_rng(6)
+    x = rng.random(600)
+    x[10], x[400] = 5.0, 20.0
+    x[11] = 5.3
+    s = Sample(y1=rng.normal(size=600), y2=rng.normal(size=600), x=x)
+    k1, k2 = KernelSpec(bandwidth=0.5), KernelSpec(bandwidth=0.2)
+    with pytest.raises(DegenerateWeightsError, match="index 400"):
+        pseudo_observations(s, k1, k2, leave_one_out=True)
+    assert_same_outcome(
+        lambda: pseudo_observations(s, k1, k2, leave_one_out=True),
+        lambda: dense_pseudo_observations(s, k1, k2, leave_one_out=True),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("leave_one_out", [False, True])
+def test_full_weight_matrix_unchanged(family, leave_one_out):
+    # ``regression.cv_bandwidth`` builds all rows at once
+    s = tied_sample(300, seed=9)
+    k = KernelSpec(family, 0.1)
+    assert_same_outcome(
+        lambda: _weight_matrix(s.x, k, leave_one_out),
+        lambda: dense_weight_matrix(s.x, k, leave_one_out),
+    )
+    k = KernelSpec(family, 1e-4)
+    assert_same_outcome(
+        lambda: _weight_matrix(s.x[::7] * 10, k, leave_one_out),
+        lambda: dense_weight_matrix(s.x[::7] * 10, k, leave_one_out),
+    )
+
+
+def test_lattice_cdf_matches_add_at():
+    rng = np.random.default_rng(10)
+    L = 9
+    a, b = rng.integers(0, L + 1, size=(2, 500))
+    w = rng.random(500) / 250.0
+    assert np.array_equal(_lattice_cdf(a, b, L, w), add_at_lattice_cdf(a, b, L, w))
+    assert np.array_equal(_lattice_cdf(a, b, L), add_at_lattice_cdf(a, b, L))
+
+
+def traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
+def test_conditional_stages_hold_no_n_by_n_array(family):
+    # one dense 4000 x 4000 float array alone is 122 MiB
+    rng = np.random.default_rng(11)
+    n = 4000
+    s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n), x=rng.random(n))
+    k = KernelSpec(family, rule_of_thumb_bandwidth(s.x))
+    pseudo, peak = traced_peak_mib(lambda: pseudo_observations(s, k, k))
+    assert peak < 64.0
+    if family == "epanechnikov":
+        surfaces, peak = traced_peak_mib(
+            lambda: weighted_copula_surfaces(s.x, s, k, make_grid(21), pseudo))
+        assert peak < surfaces.nbytes / 2**20 + 4.0
 
 
 # --------------------------------------------------------------------- misc
