@@ -18,7 +18,6 @@ from .estimator import (
 )
 from .fpca import (
     EigenSystem,
-    TrajectoryEnsemble,
     covariance_field,
     eigendecompose,
     scores,

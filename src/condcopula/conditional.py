@@ -140,7 +140,9 @@ def _weight_matrix(
 ) -> np.ndarray:
     """Rows ``rows`` of the NW weight matrix, whose row i holds w_l(X_i).
 
-    Raises naming the global index of the first bad row.
+    ``leave_one_out`` zeroes each row's own weight (cross-validation); only
+    then can a row be all zero, and the first such row is named by its
+    global index.
     """
     rows = np.arange(xs.size)[rows]
     z = (xs[rows, None] - xs[None, :]) / k.bandwidth
@@ -181,21 +183,15 @@ class PseudoSample:
         return self.eps1.size
 
 
-def pseudo_observations(
-    s: Sample,
-    k1: KernelSpec,
-    k2: KernelSpec,
-    leave_one_out: bool = False,
-) -> PseudoSample:
+def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSample:
     """Estimated conditional probability transforms of each observation.
 
     Entry i of margin j is the weighted ECDF of Y_j, with NW weights centered
-    at X_i and bandwidth g_j, evaluated at Y_ji. By default observation i is
-    included in its own ECDF; ``leave_one_out`` drops it (bias studies).
-    The weight matrix is built in blocks of ``_ROW_BLOCK`` (256) rows, so
-    each block holds a few 256 x n arrays and no n x n array is held; one
-    block serves both margins when g1 == g2. Every margin-1 row is checked before any margin-2
-    row, so a degenerate row is reported as the dense matrices would.
+    at X_i and bandwidth g_j, evaluated at Y_ji. Observation i is included
+    in its own ECDF, so its row holds the weight K(0) > 0 and never
+    degenerates. The weight matrix is built in blocks of ``_ROW_BLOCK``
+    (256) rows, so each block holds a few 256 x n arrays and no n x n array
+    is held; one block serves both margins when g1 == g2.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
@@ -204,7 +200,7 @@ def pseudo_observations(
     for k, margins in groups:
         for start in range(0, s.n, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            W = _weight_matrix(s.x, k, leave_one_out, rows)
+            W = _weight_matrix(s.x, k, leave_one_out=False, rows=rows)
             for j in margins:
                 y = s.margin(j)
                 ind = y[None, :] <= y[rows, None]
@@ -212,16 +208,12 @@ def pseudo_observations(
     return PseudoSample(eps1=np.clip(eps[1], 0.0, 1.0), eps2=np.clip(eps[2], 0.0, 1.0))
 
 
-def _ranked(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``order`` and each index's position in it."""
+def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``values`` and each value's position in it."""
+    order = np.argsort(values, kind="stable")
     position = np.empty(order.size, dtype=np.int64)
     position[order] = np.arange(order.size)
     return order, position
-
-
-def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of ``values`` and each value's position in it."""
-    return _ranked(np.argsort(values, kind="stable"))
 
 
 def _lattice_cdf(a_idx, b_idx, L: int, mass=None) -> np.ndarray:
@@ -291,11 +283,13 @@ def weighted_copula_surfaces(
     ``xs_eval[i]`` and bandwidth from ``k``, composed with the generalized
     inverses of its own weighted margins. Returns an array of shape
     (len(xs_eval), G, G). Only the observations in the kernel window around
-    each point enter its lattice: after one O(n log n) sort of the covariate
-    and of each pseudo-margin, a point costs O(n) vector passes to select its
-    window plus O(w + G^2) lattice work for a window of w observations. The
-    Gaussian kernel's window is the whole sample. The weights, and so every
-    surface, are bit-identical to evaluating all n observations.
+    each point enter its lattice: after one O(n log n) sort of the covariate,
+    a window of w observations costs O(w log w) to sort its members and
+    margins plus one O(n) zero-filled weight row, which sums exactly as the
+    dense row does. The Gaussian kernel's window is the whole sample. A
+    stable sort of the window, taken in sample order, orders it as the
+    global stable sort does, so every surface is bit-identical to evaluating
+    all n observations.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
     n = s.n
@@ -308,26 +302,19 @@ def weighted_copula_surfaces(
     reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
     lo = np.searchsorted(x_sorted, xs_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, xs_eval + reach, side="right")
-    local = np.empty(n, dtype=np.int64)
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
         if hi[i] - lo[i] == n:
             w = nw_weights(x, s.x, k)
             surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
         else:
-            mask = np.zeros(n, dtype=bool)
-            mask[x_order[lo[i] : hi[i]]] = True
-            members = np.flatnonzero(mask)
+            members = np.sort(x_order[lo[i] : hi[i]])
             # the zero-filled row sums exactly as the dense one does
             row = np.zeros(n)
             row[members] = kernel_values(k.family, (x - s.x[members]) / k.bandwidth)
             w = _normalise(x, row)[members]
-            local[members] = np.arange(members.size)
-            window_index = tuple(
-                _ranked(local[order[mask[order]]]) for order, _ in sort_index
-            )
             surface = _lattice_copula(
-                pseudo.eps1[members], pseudo.eps2[members], grid.nodes, w, window_index
+                pseudo.eps1[members], pseudo.eps2[members], grid.nodes, w
             )
         out[i] = np.clip(surface, 0.0, 1.0)
     return out

@@ -3,8 +3,8 @@
 Assembles the whole pipeline: pseudo-observations, empirical partial copula,
 per-observation trajectory surfaces, covariance eigendecomposition, component
 selection, kernel score regression, and the truncated reconstruction
-partial + sum_k alpha_k(x) phi_k, optionally clamped into the
-Frechet-Hoeffding envelope.
+center + sum_k alpha_k(x) phi_k around the surface the scores were centred
+on, optionally clamped into the Frechet-Hoeffding envelope.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .conditional import (
 )
 from .fpca import (
     EigenSystem,
-    TrajectoryEnsemble,
     # perfbench/run.py wraps these two where this module looks them up
     covariance_field,  # noqa: F401
     eigendecompose,  # noqa: F401
@@ -65,10 +64,11 @@ class PipelineConfig:
     """Everything the pipeline needs besides the sample itself.
 
     Bandwidths set to None resolve to the rule of thumb
-    sd(X) * n^(-1/5); ``centering`` picks the surface subtracted before the
-    covariance step ('partial' = rank-based partial copula, 'ensemble' =
-    average of the trajectories, which makes the score columns exactly
-    mean-zero).
+    sd(X) * n^(-1/5). ``centering`` picks the surface subtracted before the
+    covariance step and added back in the reconstruction ('partial' =
+    rank-based partial copula, 'ensemble' = average of the trajectories,
+    which makes the score columns exactly mean-zero). Each pseudo-observation
+    includes its own observation in its weighted ECDF.
     """
 
     grid_size: int = 21
@@ -81,7 +81,6 @@ class PipelineConfig:
     cvp_threshold: float = 0.9
     centering: str = "partial"
     project: bool = True
-    leave_one_out: bool = False
 
     def __post_init__(self):
         if self.grid_size < 1:
@@ -108,7 +107,7 @@ class FpcaFit:
     grid: Grid2D
     pseudo: PseudoSample
     partial: GridFunction
-    ensemble: TrajectoryEnsemble
+    surfaces: np.ndarray  # (n, G, G) trajectory surfaces
     center: GridFunction
     eigen: EigenSystem
     K: int
@@ -176,16 +175,17 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
         s,
         KernelSpec(family=fam, bandwidth=bw["g1"]),
         KernelSpec(family=fam, bandwidth=bw["g2"]),
-        leave_one_out=cfg.leave_one_out,
     )
     partial = empirical_copula_grid(pseudo, grid)
     traj_kernel = KernelSpec(family=fam, bandwidth=bw["h"])
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
-    ensemble = TrajectoryEnsemble(xs=s.x, surfaces=surfaces, grid=grid)
-    center = ensemble.mean_surface() if cfg.centering == "ensemble" else partial
+    if cfg.centering == "ensemble":
+        center = GridFunction(grid=grid, values=surfaces.mean(axis=0))
+    else:
+        center = partial
     threaded = min(s.n, grid.G**2) >= _THREADED_EIGEN_DIM
     with limited_threads(None if threaded else 1):
-        eigen = ensemble_eigensystem(ensemble, center)
+        eigen = ensemble_eigensystem(surfaces, center)
         # the spectrum holds min(n, G^2) components and the rest are zero,
         # so a fixed K is clamped to the positive count
         positive = int(np.count_nonzero(eigen.eigenvalues > 0.0))
@@ -193,14 +193,14 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
             K = min(cfg.K, positive)
         else:
             K = select_K(eigen, cfg.cvp_threshold)
-        xi = scores(ensemble, center, eigen, K) if K > 0 else np.empty((s.n, 0))
+        xi = scores(surfaces, center, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,
         config=cfg,
         grid=grid,
         pseudo=pseudo,
         partial=partial,
-        ensemble=ensemble,
+        surfaces=surfaces,
         center=center,
         eigen=eigen,
         K=K,
@@ -210,16 +210,16 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
 
 
 def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
-    """Truncated reconstruction at x from a precomputed fit."""
+    """Truncated reconstruction center + sum_k alpha_k(x) phi_k at x."""
     cfg = fit.config
     if fit.K == 0:
         alpha = np.empty(0)
-        values = fit.partial.values.copy()
+        values = fit.center.values.copy()
     else:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
         with limited_threads(1):
             alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
-        values = fit.partial.values + np.einsum(
+        values = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )
     surface = GridFunction(grid=fit.grid, values=values)

@@ -1,10 +1,11 @@
 """Covariance estimation, eigendecomposition, scores and diagnostics.
 
-The covariance function of the trajectory ensemble is discretized as a
-symmetric G^2 x G^2 matrix over node pairs; the covariance operator becomes
-the symmetric eigenproblem (cell_weight * matrix) phi = lambda phi, with
-eigenvector values rescaled so the quadrature norm of each eigenfunction is
-one. When the ensemble has fewer trajectories than grid nodes, the same
+The trajectory ensemble is a plain (n, G, G) array, one surface per
+observation; it lives on the grid of the centre surface passed with it. Its
+covariance function is discretized as a symmetric G^2 x G^2 matrix over node
+pairs; the covariance operator becomes the symmetric eigenproblem
+(cell_weight * matrix) phi = lambda phi, with eigenvector values rescaled so
+the quadrature norm of each eigenfunction is one. When the ensemble has fewer trajectories than grid nodes, the same
 spectrum comes from the smaller n x n Gram matrix of the centered
 trajectories (the method of snapshots, Sirovich 1987). Also houses the
 first-order eigenfunction perturbation projection and the exact unit-sphere
@@ -22,7 +23,6 @@ from .errors import DegenerateSpectrumError
 from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
-    "TrajectoryEnsemble",
     "EigenSystem",
     "covariance_field",
     "eigendecompose",
@@ -35,40 +35,6 @@ __all__ = [
 
 _GAP_TOL = 1e-10
 _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
-
-
-@dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """Covariate values paired with one grid surface per observation."""
-
-    xs: np.ndarray
-    surfaces: np.ndarray  # shape (n, G, G)
-    grid: Grid2D
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        surf = np.asarray(self.surfaces, dtype=float)
-        G = self.grid.G
-        if surf.ndim != 3 or surf.shape[1:] != (G, G):
-            raise ValueError(f"surfaces must have shape (n, {G}, {G})")
-        if xs.ndim != 1 or xs.size != surf.shape[0]:
-            raise ValueError("xs length must match number of surfaces")
-        xs.setflags(write=False)
-        surf.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "surfaces", surf)
-
-    @property
-    def n(self) -> int:
-        return self.surfaces.shape[0]
-
-    def flat(self) -> np.ndarray:
-        """(n, G^2) view, row-major node flattening."""
-        n = self.n
-        return self.surfaces.reshape(n, -1)
-
-    def mean_surface(self) -> GridFunction:
-        return GridFunction(grid=self.grid, values=self.surfaces.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -115,25 +81,26 @@ class EigenSystem:
                 write_grid_function_csv(self.phi(k), f"{csv_prefix}_phi{k}.csv")
 
 
-def _centered(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
-    """(n, G^2) trajectories minus ``mean``."""
-    if e.grid != mean.grid:
-        raise ValueError("ensemble and mean live on different grids")
-    if e.n < 2:
+def _centered(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
+    """(n, G^2) trajectories minus ``mean``; ``surfaces`` is (n, G, G)."""
+    G = mean.grid.G
+    if surfaces.ndim != 3 or surfaces.shape[1:] != (G, G):
+        raise ValueError(f"surfaces must have shape (n, {G}, {G})")
+    if surfaces.shape[0] < 2:
         raise ValueError("covariance needs at least 2 trajectories")
-    return e.flat() - mean.flat()[None, :]
+    return surfaces.reshape(surfaces.shape[0], -1) - mean.flat()[None, :]
 
 
-def covariance_field(e: TrajectoryEnsemble, mean: GridFunction) -> np.ndarray:
-    """Empirical covariance of the ensemble around ``mean``, (G^2, G^2).
+def covariance_field(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
+    """Empirical covariance of the surfaces around ``mean``, (G^2, G^2).
 
     (1/n) sum_i (C_i(u) - mean(u)) (C_i(v) - mean(v)) over node pairs. Always
     symmetric positive semidefinite (sum of outer products), whatever center
     is passed; numpy forms ``C^T C`` with a symmetric kernel, so the matrix
     equals its transpose exactly.
     """
-    centered = _centered(e, mean)
-    return centered.T @ centered / e.n
+    centered = _centered(surfaces, mean)
+    return centered.T @ centered / centered.shape[0]
 
 
 def _eigensystem(
@@ -195,12 +162,12 @@ def eigendecompose(
     return _eigensystem(grid, evals, evecs / np.sqrt(delta), truncate_below)
 
 
-def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSystem:
-    """The eigensystem of ``covariance_field(e, center)``, up to rounding.
+def ensemble_eigensystem(surfaces: np.ndarray, center: GridFunction) -> EigenSystem:
+    """The eigensystem of ``covariance_field(surfaces, center)``, up to rounding.
 
     With n >= G^2 trajectories this is exactly
-    ``eigendecompose(e.grid, covariance_field(e, center))``. With fewer, the
-    covariance has rank at most n, so the n x n Gram matrix
+    ``eigendecompose(center.grid, covariance_field(surfaces, center))``. With
+    fewer, the covariance has rank at most n, so the n x n Gram matrix
     (cell_weight / n) C C^T of the centered trajectories C is decomposed
     instead: its eigenvalues are the nonzero ones of the covariance operator,
     and C^T u, rescaled to unit quadrature norm, is the eigenfunction of
@@ -208,28 +175,31 @@ def ensemble_eigensystem(e: TrajectoryEnsemble, center: GridFunction) -> EigenSy
     eigenfunction. The system holds min(n, G^2) components; the ones it
     drops all have eigenvalue zero.
     """
-    if e.n >= e.grid.G ** 2:
-        return eigendecompose(e.grid, covariance_field(e, center))
-    centered = _centered(e, center)
-    delta = e.grid.cell_weight
-    evals, u = np.linalg.eigh(delta / e.n * (centered @ centered.T))
+    grid = center.grid
+    if len(surfaces) >= grid.G ** 2:
+        return eigendecompose(grid, covariance_field(surfaces, center))
+    centered = _centered(surfaces, center)
+    delta = grid.cell_weight
+    evals, u = np.linalg.eigh(delta / len(surfaces) * (centered @ centered.T))
     phis = centered.T @ u
     norms = np.sqrt(delta * np.einsum("ij,ij->j", phis, phis))
     live = norms > 0.0
     phis[:, live] /= norms[live]
     evals[~live] = 0.0
-    return _eigensystem(e.grid, evals, phis, _TRUNCATE_BELOW)
+    return _eigensystem(grid, evals, phis, _TRUNCATE_BELOW)
 
 
 def scores(
-    e: TrajectoryEnsemble, mean: GridFunction, es: EigenSystem, K: int
+    surfaces: np.ndarray, mean: GridFunction, es: EigenSystem, K: int
 ) -> np.ndarray:
-    """Quadrature projections of the centered trajectories, (n, K)."""
+    """Quadrature projections of the surfaces centered at ``mean``, (n, K)."""
     if not (1 <= K <= es.m):
         raise ValueError(f"K={K} out of range 1..{es.m}")
-    if e.grid != es.grid:
-        raise ValueError("ensemble and eigensystem live on different grids")
-    return e.grid.cell_weight * _centered(e, mean) @ es.phi_flat()[:K].T
+    if mean.grid != es.grid:
+        raise ValueError("mean and eigensystem live on different grids")
+    # scaling the unnamed temporary lets numpy reuse its buffer
+    weighted = es.grid.cell_weight * _centered(surfaces, mean)
+    return weighted @ es.phi_flat()[:K].T
 
 
 def select_K(es: EigenSystem, threshold: float = 0.9) -> int:

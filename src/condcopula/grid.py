@@ -79,10 +79,6 @@ def make_grid(G: int) -> Grid2D:
     return Grid2D(G=G, nodes=nodes, cell_weight=1.0 / G**2)
 
 
-def constant(grid: Grid2D, c: float) -> GridFunction:
-    return GridFunction(grid=grid, values=np.full((grid.G, grid.G), float(c)))
-
-
 def from_callable(grid: Grid2D, f) -> GridFunction:
     """Sample ``f(u, v)`` at all grid nodes (f must broadcast over arrays)."""
     U, V = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")

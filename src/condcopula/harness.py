@@ -385,8 +385,8 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     true_es = true_es.head(int(np.count_nonzero(true_es.eigenvalues > 1e-9)))
 
     def one_rep(n, seed):
-        ens, _ = synthetic_kl_sample(model, n, seed)
-        field = covariance_field(ens, model.mean)
+        _, surfaces, _ = synthetic_kl_sample(model, n, seed)
+        field = covariance_field(surfaces, model.mean)
         es = eigendecompose(grid, field)
         phi_hat = es.phi(k_check)
         phi_true = model.phi(k_check)
@@ -402,7 +402,7 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
         mean_dev = GridFunction(
             grid=grid,
-            values=np.sqrt(n) * (ens.surfaces.mean(axis=0) - model.mean.values),
+            values=np.sqrt(n) * (surfaces.mean(axis=0) - model.mean.values),
         )
         return l2_norm(resid), l2_norm(mean_dev), abs(lhs - rhs)
 

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from .conditional import Sample
-from .fpca import TrajectoryEnsemble
 from .grid import Grid2D, GridFunction, from_callable
 
 __all__ = [
@@ -182,6 +181,21 @@ _TAU_RANGES = {
 }
 
 
+def _check_tau(family: str, tau: float) -> None:
+    """Raise unless ``tau`` lies in the Kendall-tau range of ``family``."""
+    lo, hi = _TAU_RANGES[family]
+    if family == "independence" and tau != 0.0:
+        raise ValueError("independence family admits only tau = 0")
+    if family == "clayton" and not (lo < tau < hi):
+        raise ValueError(f"Clayton tau must lie in ({lo}, {hi}), got {tau}")
+    if family == "fgm" and not (lo <= tau <= hi):
+        raise ValueError(f"FGM tau must lie in [{lo:.6g}, {hi:.6g}], got {tau}")
+    if family == "gumbel" and not (lo <= tau < hi):
+        raise ValueError(f"Gumbel tau must lie in [{lo}, {hi}), got {tau}")
+    if family == "frank" and (tau == 0.0 or not (lo < tau < hi)):
+        raise ValueError(f"Frank tau must lie in ({lo}, {hi}) excluding 0, got {tau}")
+
+
 def tau_to_theta(family: str, tau: float) -> float:
     """Map Kendall tau to the family parameter.
 
@@ -191,26 +205,16 @@ def tau_to_theta(family: str, tau: float) -> float:
     family = family.lower()
     if family not in FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")
-    lo, hi = _TAU_RANGES[family]
+    _check_tau(family, tau)
     if family == "independence":
-        if tau != 0.0:
-            raise ValueError("independence family admits only tau = 0")
         return 0.0
     if family == "clayton":
-        if not (lo < tau < hi):
-            raise ValueError(f"Clayton tau must lie in ({lo}, {hi}), got {tau}")
         return 2.0 * tau / (1.0 - tau)
     if family == "fgm":
-        if not (lo <= tau <= hi):
-            raise ValueError(f"FGM tau must lie in [{lo:.6g}, {hi:.6g}], got {tau}")
         return 4.5 * tau
     if family == "gumbel":
-        if not (lo <= tau < hi):
-            raise ValueError(f"Gumbel tau must lie in [{lo}, {hi}), got {tau}")
         return 1.0 / (1.0 - tau)
     # frank
-    if tau == 0.0 or not (lo < tau < hi):
-        raise ValueError(f"Frank tau must lie in ({lo}, {hi}) excluding 0, got {tau}")
     sign = 1.0 if tau > 0 else -1.0
     target = abs(tau)
     theta = optimize.brentq(
@@ -305,7 +309,7 @@ class ConditionalModel:
         # the tau range must hold over the whole support; every link left
         # takes all its values on [0, 1] (sin(2 pi x) has period one)
         for x in np.linspace(0.0, 1.0, 201):
-            self.theta_at(x)
+            _check_tau(fam, self.tau_at(x))
 
     def tau_at(self, x: float) -> float:
         return float(self.link(x))
@@ -445,13 +449,6 @@ class SyntheticKLModel:
             [0.0 if a is None else float(a(x)) for a in self.alphas]
         )
 
-    def true_surface(self, x: float) -> GridFunction:
-        vals = self.mean.values.copy()
-        for k, a in enumerate(self.alpha_at(x), start=1):
-            if a != 0.0:
-                vals = vals + a * self.phi(k).values
-        return GridFunction(grid=self.grid, values=vals)
-
     def true_gamma_field(self) -> np.ndarray:
         """Node-pair covariance kernel sum(lambda_k phi_k (x) phi_k)."""
         m = self.grid.G ** 2
@@ -464,10 +461,11 @@ class SyntheticKLModel:
 
 def synthetic_kl_sample(
     m: SyntheticKLModel, n: int, seed: int
-) -> tuple[TrajectoryEnsemble, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate n trajectories mean + sum_k xi_k phi_k directly.
 
-    Returns the ensemble and the realized (n, K) scores xi.
+    Returns the covariates xs, the (n, G, G) surfaces and the realized
+    (n, K) scores xi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -482,4 +480,4 @@ def synthetic_kl_sample(
         xi[i] = m.alpha_at(x) + np.asarray(m.noise_sd) * noise
     phis = np.stack([m.phi(k).values for k in range(1, K + 1)])
     surfaces = m.mean.values[None, :, :] + np.einsum("ik,kab->iab", xi, phis)
-    return TrajectoryEnsemble(xs=xs, surfaces=surfaces, grid=m.grid), xi
+    return xs, surfaces, xi

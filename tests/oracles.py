@@ -6,7 +6,8 @@ lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
 and ``dense_weighted_copula_surfaces`` are the n x n forms of the row-blocked
 and window-local stages, which must match them bit for bit.
 ``read_grid_function_csv`` reads back what
-``condcopula.grid.write_grid_function_csv`` writes.
+``condcopula.grid.write_grid_function_csv`` writes. ``constant`` and
+``true_surface`` build known surfaces for the tests.
 """
 
 import numpy as np
@@ -23,6 +24,20 @@ from condcopula.conditional import (
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import Grid2D
 from condcopula.grid import GridFunction, make_grid
+from condcopula.simulate import SyntheticKLModel
+
+
+def constant(grid: Grid2D, c: float) -> GridFunction:
+    return GridFunction(grid=grid, values=np.full((grid.G, grid.G), float(c)))
+
+
+def true_surface(m: SyntheticKLModel, x: float) -> GridFunction:
+    """mean + sum_k alpha_k(x) phi_k of a synthetic KL model."""
+    vals = m.mean.values.copy()
+    for k, a in enumerate(m.alpha_at(x), start=1):
+        if a != 0.0:
+            vals = vals + a * m.phi(k).values
+    return GridFunction(grid=m.grid, values=vals)
 
 
 def cond_cdf(y: float, j: int, w: np.ndarray, s: Sample) -> float:
@@ -124,17 +139,12 @@ def dense_weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> n
     return kv / totals[:, None]
 
 
-def dense_pseudo_observations(
-    s: Sample,
-    k1: KernelSpec,
-    k2: KernelSpec,
-    leave_one_out: bool = False,
-) -> PseudoSample:
+def dense_pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec):
     """Pseudo-observations from the full n x n weight matrix of each margin."""
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
-    W1 = dense_weight_matrix(s.x, k1, leave_one_out)
-    W2 = dense_weight_matrix(s.x, k2, leave_one_out)
+    W1 = dense_weight_matrix(s.x, k1, leave_one_out=False)
+    W2 = dense_weight_matrix(s.x, k2, leave_one_out=False)
     ind1 = s.y1[None, :] <= s.y1[:, None]
     ind2 = s.y2[None, :] <= s.y2[:, None]
     eps1 = np.einsum("il,il->i", W1, ind1.astype(float))

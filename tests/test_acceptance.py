@@ -66,7 +66,7 @@ def test_criterion_1_exact_identities():
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, 150, seed=2)
     fit = fit_pipeline(s, PipelineConfig(grid_size=21, centering="ensemble"))
-    field = covariance_field(fit.ensemble, fit.center)
+    field = covariance_field(fit.surfaces, fit.center)
     # keep every positive eigenvalue: the full-rank reconstruction identity
     # needs the components that default truncation would discard
     es = eigendecompose(grid, field, truncate_below=0.0)
@@ -75,12 +75,12 @@ def test_criterion_1_exact_identities():
     trace = delta * np.sum(np.diagonal(field))
     trace_ok = abs(es.eigenvalues.sum() - trace) <= 1e-8 * max(trace, 1e-30)
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(fit.ensemble, fit.center, es, K=rank)
+    xi = scores(fit.surfaces, fit.center, es, K=rank)
     recon = fit.center.flat()[None] + xi @ es.phi_flat()[:rank]
     recon_ok = all(
-        l2_norm(GridFunction(grid=grid, values=(fit.ensemble.flat()[i] - recon[i]).reshape(21, 21)))
+        l2_norm(GridFunction(grid=grid, values=surface - recon[i].reshape(21, 21)))
         <= 1e-8
-        for i in range(fit.ensemble.n)
+        for i, surface in enumerate(fit.surfaces)
     )
 
     ok = identity_ok and ortho_ok and trace_ok and recon_ok

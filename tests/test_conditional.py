@@ -169,16 +169,6 @@ def test_pseudo_self_inclusion_lower_bound():
         assert p.eps2[i] >= w[i] - 1e-12
 
 
-def test_pseudo_leave_one_out_differs():
-    rng = np.random.default_rng(4)
-    s = Sample(y1=rng.normal(size=20), y2=rng.normal(size=20), x=rng.random(20))
-    k = KernelSpec(bandwidth=0.4)
-    assert not np.allclose(
-        pseudo_observations(s, k, k).eps1,
-        pseudo_observations(s, k, k, leave_one_out=True).eps1,
-    )
-
-
 @pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
 def test_pseudo_matches_pointwise_cond_cdf(family):
     rng = np.random.default_rng(5)
@@ -195,17 +185,18 @@ def test_pseudo_matches_pointwise_cond_cdf(family):
             cond_cdf(s.y2[i], 2, nw_weights(s.x[i], s.x, k2), s), abs=1e-12)
 
 
-def test_pseudo_degenerate_row_named():
+def test_isolated_row_degenerates_only_without_its_own_weight():
     s = Sample(
         y1=np.array([0.0, 1.0, 2.0]),
         y2=np.array([0.0, 1.0, 2.0]),
         x=np.array([0.0, 0.01, 9.0]),
     )
     k = KernelSpec(bandwidth=0.05)
-    # the isolated observation only survives through its own weight, so the
-    # leave-one-out variant must flag it by index
+    # the isolated observation only survives through its own weight: the
+    # pseudo-observations keep it, the leave-one-out weights flag it by index
+    assert pseudo_observations(s, k, k).eps1[2] == 1.0
     with pytest.raises(DegenerateWeightsError, match="index 2"):
-        pseudo_observations(s, k, k, leave_one_out=True)
+        _weight_matrix(s.x, k, leave_one_out=True)
 
 
 def test_pseudo_needs_two_records():
@@ -382,23 +373,24 @@ def assert_same_outcome(got_fn, want_fn):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("shared_bandwidth", [False, True])
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
-def test_pseudo_and_surfaces_bit_identical_to_dense(family, leave_one_out, n):
+def test_pseudo_and_surfaces_bit_identical_to_dense(family, shared_bandwidth, n):
+    # a shared bandwidth takes the one-block-for-both-margins path; the
+    # surfaces use the margin-2 bandwidth, so they run at two window widths
     s = tied_sample(n, seed=n)
     h = rule_of_thumb_bandwidth(s.x)
-    for g2 in (h, 0.6 * h):
-        k1, k2 = KernelSpec(family, h), KernelSpec(family, g2)
-        assert_same_outcome(
-            lambda: pseudo_observations(s, k1, k2, leave_one_out),
-            lambda: dense_pseudo_observations(s, k1, k2, leave_one_out),
-        )
-    pseudo = pseudo_observations(s, k1, k1)
+    g2 = h if shared_bandwidth else 0.6 * h
+    k1, k2 = KernelSpec(family, h), KernelSpec(family, g2)
+    pseudo = pseudo_observations(s, k1, k2)
+    want = dense_pseudo_observations(s, k1, k2)
+    assert np.array_equal(pseudo.eps1, want.eps1)
+    assert np.array_equal(pseudo.eps2, want.eps2)
     grid = make_grid(7)
-    xs_eval = np.concatenate([s.x, s.x[:9] - 0.5 * h, s.x[:9] + 0.9 * h])
+    xs_eval = np.concatenate([s.x, s.x[:9] - 0.5 * g2, s.x[:9] + 0.9 * g2])
     assert np.array_equal(
-        weighted_copula_surfaces(xs_eval, s, k1, grid, pseudo),
-        dense_weighted_copula_surfaces(xs_eval, s, k1, grid, pseudo),
+        weighted_copula_surfaces(xs_eval, s, k2, grid, pseudo),
+        dense_weighted_copula_surfaces(xs_eval, s, k2, grid, pseudo),
     )
 
 
@@ -473,38 +465,6 @@ def test_surfaces_outside_data_raise_dense_message(family):
     )
     with pytest.raises(DegenerateWeightsError, match=r"all kernel values are zero\) at x="):
         weighted_copula_surfaces([x_out], s, k, make_grid(5), pseudo)
-
-
-def test_pseudo_degenerate_row_in_later_block_names_global_index():
-    rng = np.random.default_rng(4)
-    x = rng.random(600)
-    x[300] = 50.0
-    s = Sample(y1=rng.normal(size=600), y2=rng.normal(size=600), x=x)
-    k = KernelSpec(bandwidth=0.2)
-    msg = "degenerate weights at observation index 300 (x=50); enlarge the bandwidth"
-    with pytest.raises(DegenerateWeightsError) as exc:
-        pseudo_observations(s, k, k, leave_one_out=True)
-    assert str(exc.value) == msg
-    with pytest.raises(DegenerateWeightsError) as exc:
-        dense_pseudo_observations(s, k, k, leave_one_out=True)
-    assert str(exc.value) == msg
-
-
-def test_pseudo_reports_margin_one_row_before_margin_two_row():
-    # g2 < g1: index 10 is isolated only under g2, index 400 under both; the
-    # n x n path checks all margin-1 rows first and names 400
-    rng = np.random.default_rng(6)
-    x = rng.random(600)
-    x[10], x[400] = 5.0, 20.0
-    x[11] = 5.3
-    s = Sample(y1=rng.normal(size=600), y2=rng.normal(size=600), x=x)
-    k1, k2 = KernelSpec(bandwidth=0.5), KernelSpec(bandwidth=0.2)
-    with pytest.raises(DegenerateWeightsError, match="index 400"):
-        pseudo_observations(s, k1, k2, leave_one_out=True)
-    assert_same_outcome(
-        lambda: pseudo_observations(s, k1, k2, leave_one_out=True),
-        lambda: dense_pseudo_observations(s, k1, k2, leave_one_out=True),
-    )
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -30,7 +30,7 @@ from condcopula.simulate import (
     synthetic_kl_sample,
     true_conditional_copula,
 )
-from oracles import read_grid_function_csv
+from oracles import read_grid_function_csv, true_surface
 
 
 def clayton_sample(n=300, seed=0):
@@ -76,7 +76,7 @@ def test_constant_ensemble_falls_back_to_partial_copula():
     assert est.K == 0
     assert est.diagnostics["degenerate_spectrum"]
     assert est.diagnostics["eigengap"] is None
-    assert np.array_equal(est.surface.values, fit.partial.values)
+    assert np.array_equal(est.surface.values, fit.center.values)
 
 
 def test_reconstruction_is_partial_plus_score_expansion():
@@ -91,6 +91,23 @@ def test_reconstruction_is_partial_plus_score_expansion():
         )
         est = evaluate_fit(fit, 0.5)
         assert np.allclose(est.surface.values, manual, atol=1e-12)
+
+
+def test_reconstruction_adds_scores_to_the_ensemble_center():
+    # the scores are projections around the ensemble mean, so the
+    # reconstruction must add them back to that mean, not to the partial copula
+    _, s = clayton_sample(n=120, seed=2)
+    cfg = PipelineConfig(centering="ensemble", project=False)
+    fit = fit_pipeline(s, cfg)
+    assert fit.K > 0
+    assert not np.array_equal(fit.center.values, fit.partial.values)
+    h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
+    alpha = eval_alpha(0.5, s.x, fit.scores, h_alpha)
+    manual = fit.center.values + np.einsum(
+        "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
+    )
+    est = evaluate_fit(fit, 0.5)
+    assert np.max(np.abs(est.surface.values - manual)) <= 1e-12
 
 
 def test_estimate_deterministic():
@@ -124,15 +141,15 @@ def test_oracle_rank_one_model_median_error():
     )
     errs = []
     for rep in range(50):
-        ens, _ = synthetic_kl_sample(model, 1000, seed=900 + rep)
-        es = eigendecompose(grid, covariance_field(ens, model.mean))
-        xi = scores(ens, model.mean, es, K=1)
-        alpha = eval_alpha(0.5, ens.xs, xi, KernelSpec(bandwidth=0.1))
+        xs, surfaces, _ = synthetic_kl_sample(model, 1000, seed=900 + rep)
+        es = eigendecompose(grid, covariance_field(surfaces, model.mean))
+        xi = scores(surfaces, model.mean, es, K=1)
+        alpha = eval_alpha(0.5, xs, xi, KernelSpec(bandwidth=0.1))
         est = GridFunction(
             grid=grid,
             values=model.mean.values + alpha[0] * es.eigenfunctions[0],
         )
-        errs.append(sup_distance(est, model.true_surface(0.5)))
+        errs.append(sup_distance(est, true_surface(model, 0.5)))
     assert np.median(errs) <= 0.05
 
 

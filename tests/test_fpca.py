@@ -5,7 +5,6 @@ from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
     EigenSystem,
-    TrajectoryEnsemble,
     covariance_field,
     eigendecompose,
     ensemble_eigensystem,
@@ -16,7 +15,6 @@ from condcopula.fpca import (
 )
 from condcopula.grid import (
     GridFunction,
-    constant,
     inner_product,
     l2_norm,
     make_grid,
@@ -29,6 +27,7 @@ from condcopula.simulate import (
     sample_conditional,
     synthetic_kl_sample,
 )
+from oracles import constant
 
 GRID = make_grid(9)
 
@@ -43,6 +42,10 @@ def dummy_eigensystem(eigenvalues):
         eigenfunctions=np.ones((m, 1, 1)),
         sign_flips=np.ones(m),
     )
+
+
+def mean_surface(surfaces):
+    return GridFunction(grid=GRID, values=surfaces.mean(axis=0))
 
 
 def kl_model(grid=None, lam=(0.4, 0.2, 0.05)):
@@ -62,8 +65,7 @@ def kl_model(grid=None, lam=(0.4, 0.2, 0.05)):
 def test_identical_trajectories_give_zero_field():
     mean = constant(GRID, 0.3)
     surf = np.repeat(mean.values[None], 4, axis=0)
-    ens = TrajectoryEnsemble(xs=np.zeros(4), surfaces=surf, grid=GRID)
-    field = covariance_field(ens, mean)
+    field = covariance_field(surf, mean)
     assert np.max(np.abs(field)) == 0.0
 
 
@@ -73,8 +75,7 @@ def test_two_trajectory_rank_one_field():
     phi = cosine_tensor(GRID, 1, 0)
     mean = constant(GRID, 0.5)
     surf = np.stack([mean.values + phi.values, mean.values - phi.values])
-    ens = TrajectoryEnsemble(xs=np.array([0.2, 0.8]), surfaces=surf, grid=GRID)
-    field = covariance_field(ens, mean)
+    field = covariance_field(surf, mean)
     assert np.allclose(field, np.outer(phi.flat(), phi.flat()), atol=1e-12)
     es = eigendecompose(GRID, field)
     assert es.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
@@ -107,14 +108,14 @@ def test_covariance_field_is_exactly_symmetric(n):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=32)
     fit = fit_pipeline(s, PipelineConfig(grid_size=9))
-    field = covariance_field(fit.ensemble, fit.center)
+    field = covariance_field(fit.surfaces, fit.center)
     assert np.array_equal(field, field.T)
 
 
 def test_synthetic_eigenvalue_recovery():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 400, seed=21)
-    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
+    _, surf, _ = synthetic_kl_sample(model, 400, seed=21)
+    es = eigendecompose(GRID, covariance_field(surf, mean_surface(surf)))
     for k, lam in enumerate(model.eigenvalues):
         assert abs(es.eigenvalues[k] - lam) <= 0.05
 
@@ -127,8 +128,8 @@ def test_eigenvalue_error_shrinks_with_n():
     for n in (200, 3200):
         vals = []
         for rep in range(100):
-            ens, _ = synthetic_kl_sample(model, n, seed=1000 * n + rep)
-            es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
+            _, surf, _ = synthetic_kl_sample(model, n, seed=1000 * n + rep)
+            es = eigendecompose(GRID, covariance_field(surf, mean_surface(surf)))
             vals.append(abs(es.eigenvalues[0] - model.eigenvalues[0]))
         errs[n] = np.median(vals)
     assert errs[200] >= 2.5 * errs[3200]
@@ -166,8 +167,8 @@ def test_two_component_round_trip():
 
 def test_orthonormality_and_trace_identity():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 60, seed=5)
-    field = covariance_field(ens, ens.mean_surface())
+    _, surf, _ = synthetic_kl_sample(model, 60, seed=5)
+    field = covariance_field(surf, mean_surface(surf))
     es = eigendecompose(GRID, field)
     gram = GRID.cell_weight * es.phi_flat() @ es.phi_flat().T
     assert np.max(np.abs(gram - np.eye(es.m))) <= 1e-8
@@ -177,8 +178,8 @@ def test_orthonormality_and_trace_identity():
 
 def test_spectral_rebuild_matches_field():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 40, seed=6)
-    field = covariance_field(ens, ens.mean_surface())
+    _, surf, _ = synthetic_kl_sample(model, 40, seed=6)
+    field = covariance_field(surf, mean_surface(surf))
     es = eigendecompose(GRID, field)
     pos = es.eigenvalues > 0
     phis = es.phi_flat()[pos]
@@ -188,8 +189,8 @@ def test_spectral_rebuild_matches_field():
 
 def test_sign_convention_nonnegative_integral():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 50, seed=7)
-    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
+    _, surf, _ = synthetic_kl_sample(model, 50, seed=7)
+    es = eigendecompose(GRID, covariance_field(surf, mean_surface(surf)))
     for k in range(es.m):
         integral = GRID.cell_weight * es.eigenfunctions[k].sum()
         if abs(integral) > 1e-12:
@@ -197,8 +198,8 @@ def test_sign_convention_nonnegative_integral():
 
 
 def test_head_keeps_the_leading_components():
-    ens, _ = synthetic_kl_sample(kl_model(), 12, seed=12)
-    es = eigendecompose(GRID, covariance_field(ens, ens.mean_surface()))
+    _, surf, _ = synthetic_kl_sample(kl_model(), 12, seed=12)
+    es = eigendecompose(GRID, covariance_field(surf, mean_surface(surf)))
     head = es.head(3)
     assert head.m == 3
     assert head.grid == es.grid
@@ -218,8 +219,8 @@ def test_ensemble_eigensystem_matches_covariance_route(n, centering):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=31)
     fit = fit_pipeline(s, PipelineConfig(grid_size=9, centering=centering))
-    got = ensemble_eigensystem(fit.ensemble, fit.center)
-    want = eigendecompose(GRID, covariance_field(fit.ensemble, fit.center))
+    got = ensemble_eigensystem(fit.surfaces, fit.center)
+    want = eigendecompose(GRID, covariance_field(fit.surfaces, fit.center))
     m = got.m
     assert m == min(n, GRID.G**2)
     lam = want.eigenvalues
@@ -244,8 +245,7 @@ def test_ensemble_eigensystem_matches_covariance_route(n, centering):
 def test_ensemble_eigensystem_of_constant_ensemble_is_zero(n):
     mean = constant(GRID, 0.3)
     surf = np.repeat(mean.values[None], n, axis=0)
-    ens = TrajectoryEnsemble(xs=np.zeros(n), surfaces=surf, grid=GRID)
-    es = ensemble_eigensystem(ens, mean)
+    es = ensemble_eigensystem(surf, mean)
     assert es.m == min(n, GRID.G**2)
     assert np.all(es.eigenvalues == 0.0)
     assert np.all(np.isfinite(es.eigenfunctions))
@@ -256,55 +256,44 @@ def test_ensemble_eigensystem_of_constant_ensemble_is_zero(n):
 
 def test_score_of_mean_trajectory_is_zero():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 30, seed=8)
-    mean = ens.mean_surface()
-    es = eigendecompose(GRID, covariance_field(ens, mean))
-    surf = np.concatenate([ens.surfaces, mean.values[None]], axis=0)
-    ens2 = TrajectoryEnsemble(
-        xs=np.append(ens.xs, 0.5), surfaces=surf, grid=GRID
-    )
-    xi = scores(ens2, mean, es, K=3)
+    _, surf, _ = synthetic_kl_sample(model, 30, seed=8)
+    mean = mean_surface(surf)
+    es = eigendecompose(GRID, covariance_field(surf, mean))
+    xi = scores(np.concatenate([surf, mean.values[None]], axis=0), mean, es, K=3)
     assert np.max(np.abs(xi[-1])) <= 1e-10
 
 
 def test_score_of_shifted_trajectory():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 30, seed=9)
-    mean = ens.mean_surface()
-    es = eigendecompose(GRID, covariance_field(ens, mean))
+    _, surf, _ = synthetic_kl_sample(model, 30, seed=9)
+    mean = mean_surface(surf)
+    es = eigendecompose(GRID, covariance_field(surf, mean))
     shifted = mean.values + 2.0 * es.eigenfunctions[0]
-    ens2 = TrajectoryEnsemble(
-        xs=np.array([0.1, 0.2]),
-        surfaces=np.stack([shifted, mean.values]),
-        grid=GRID,
-    )
-    xi = scores(ens2, mean, es, K=4)
+    xi = scores(np.stack([shifted, mean.values]), mean, es, K=4)
     assert xi[0, 0] == pytest.approx(2.0, abs=1e-10)
     assert np.max(np.abs(xi[0, 1:])) <= 1e-10
 
 
 def test_score_columns_mean_zero_under_ensemble_centering():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 80, seed=10)
-    mean = ens.mean_surface()
-    es = eigendecompose(GRID, covariance_field(ens, mean))
-    xi = scores(ens, mean, es, K=3)
+    _, surf, _ = synthetic_kl_sample(model, 80, seed=10)
+    mean = mean_surface(surf)
+    es = eigendecompose(GRID, covariance_field(surf, mean))
+    xi = scores(surf, mean, es, K=3)
     assert np.max(np.abs(xi.mean(axis=0))) <= 1e-10
 
 
 def test_full_rank_reconstruction():
     model = kl_model()
-    ens, _ = synthetic_kl_sample(model, 25, seed=11)
-    mean = ens.mean_surface()
-    es = eigendecompose(GRID, covariance_field(ens, mean))
+    _, surf, _ = synthetic_kl_sample(model, 25, seed=11)
+    mean = mean_surface(surf)
+    es = eigendecompose(GRID, covariance_field(surf, mean))
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(ens, mean, es, K=rank)
+    xi = scores(surf, mean, es, K=rank)
     recon = mean.flat()[None] + xi @ es.phi_flat()[:rank]
-    for i in range(ens.n):
+    for i in range(len(surf)):
         err = l2_norm(
-            GridFunction(
-                grid=GRID, values=(ens.flat()[i] - recon[i]).reshape(9, 9)
-            )
+            GridFunction(grid=GRID, values=surf[i] - recon[i].reshape(9, 9))
         )
         assert err <= 1e-8
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from condcopula.grid import (
     GridFunction,
-    constant,
     from_callable,
     inner_product,
     l2_norm,
@@ -13,7 +12,7 @@ from condcopula.grid import (
     sup_distance,
     write_grid_function_csv,
 )
-from oracles import read_grid_function_csv
+from oracles import constant, read_grid_function_csv
 
 
 def test_make_grid_two_nodes():

@@ -56,3 +56,56 @@ def test_unused_import_detected():
 def test_every_import_is_used(module):
     source = (PACKAGE_DIR / f"{module}.py").read_text()
     assert unused_imports(source) == []
+
+
+REPO = PACKAGE_DIR.parents[1]
+# read by no caller yet: ROADMAP item 5 keeps the paper's CV selector
+UNCALLED_ALLOWED = {"cv_bandwidth"}
+
+
+def public_definitions(source: str) -> set:
+    """Names of the public top-level functions and classes of a module."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def referenced_names(source: str) -> set:
+    """Every identifier, attribute and imported name a module mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_uncalled_definition_detected():
+    source = "def f(): pass\nclass C: pass\ndef _g(): pass\n"
+    assert public_definitions(source) == {"f", "C"}
+    assert referenced_names("from m import f\nC.x\ny\n") == {"f", "C", "x", "y"}
+
+
+def test_every_public_definition_has_a_caller():
+    # tests other than the acceptance criteria do not count as callers: a
+    # function only they call belongs in tests/oracles.py
+    callers = [
+        *(REPO / "src").rglob("*.py"),
+        *(REPO / "perfbench").rglob("*.py"),
+        *(REPO / "scripts").rglob("*.py"),
+        REPO / "tests" / "test_acceptance.py",
+    ]
+    referenced = set().union(*(referenced_names(p.read_text()) for p in callers))
+    uncalled = {
+        f"{module}.{name}"
+        for module in MODULES
+        for name in public_definitions((PACKAGE_DIR / f"{module}.py").read_text())
+        if name not in referenced | UNCALLED_ALLOWED
+    }
+    assert sorted(uncalled) == []

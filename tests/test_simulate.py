@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from condcopula import simulate
 from condcopula.grid import inner_product, make_grid
 from condcopula.simulate import (
     ConditionalModel,
@@ -224,6 +225,17 @@ def test_margins_push_through_quantiles():
 def test_link_out_of_range_rejected():
     with pytest.raises(ValueError):
         ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.1, b=0.5))
+    with pytest.raises(ValueError, match=r"Frank tau .* excluding 0, got 0.0"):
+        ConditionalModel(family="frank", link=TauLink(form="sine", a=0.0, b=0.5))
+
+
+def test_frank_model_checks_its_range_without_root_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("brentq ran while the model was built")
+
+    monkeypatch.setattr(simulate.optimize, "brentq", no_solve)
+    model = ConditionalModel(family="frank", link=TauLink(form="sine", a=0.4, b=0.25))
+    assert model.tau_at(0.25) == pytest.approx(0.65)
 
 
 def test_link_parsing():
@@ -289,14 +301,14 @@ def kl_model(**kw):
 
 def test_zero_noise_trajectories_equal_mean():
     m = kl_model(eigenvalues=(0.4,), frequencies=((1, 1),), noise_sd=(0.0,))
-    ens, xi = synthetic_kl_sample(m, 5, seed=0)
-    assert np.max(np.abs(ens.surfaces - m.mean.values[None])) == 0.0
+    _, surfaces, xi = synthetic_kl_sample(m, 5, seed=0)
+    assert np.max(np.abs(surfaces - m.mean.values[None])) == 0.0
     assert np.max(np.abs(xi)) == 0.0
 
 
 def test_score_variances_match_eigenvalues():
     m = kl_model()
-    _, xi = synthetic_kl_sample(m, 10000, seed=2)
+    _, _, xi = synthetic_kl_sample(m, 10000, seed=2)
     var = xi.var(axis=0, ddof=1)
     for k, lam in enumerate(m.eigenvalues):
         assert abs(var[k] - lam) <= 0.05 * lam
@@ -304,10 +316,10 @@ def test_score_variances_match_eigenvalues():
 
 def test_exact_reconstruction_from_truth_scores():
     m = kl_model()
-    ens, xi = synthetic_kl_sample(m, 12, seed=3)
+    _, surfaces, xi = synthetic_kl_sample(m, 12, seed=3)
     phis = np.stack([m.phi(k).values for k in (1, 2, 3)])
     recon = m.mean.values[None] + np.einsum("ik,kab->iab", xi, phis)
-    assert np.max(np.abs(recon - ens.surfaces)) <= 1e-12
+    assert np.max(np.abs(recon - surfaces)) <= 1e-12
 
 
 def test_alpha_links_shift_scores():
@@ -315,8 +327,8 @@ def test_alpha_links_shift_scores():
         alphas=(TauLink(form="sine", a=0.0, b=0.5), None, None),
         noise_sd=(0.0, 0.0, 0.0),
     )
-    ens, xi = synthetic_kl_sample(m, 50, seed=4)
-    expected = 0.5 * np.sin(2 * np.pi * ens.xs)
+    xs, _, xi = synthetic_kl_sample(m, 50, seed=4)
+    expected = 0.5 * np.sin(2 * np.pi * xs)
     assert np.allclose(xi[:, 0], expected, atol=1e-12)
     assert np.max(np.abs(xi[:, 1:])) == 0.0
 
