@@ -320,15 +320,15 @@ def weighted_copula_surfaces(
     return out
 
 
-def rule_of_thumb_bandwidth(xs: np.ndarray, c: float = 1.0) -> float:
-    """h = c * sd(X) * n^(-1/5); the default for all 'auto' bandwidths."""
+def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
+    """h = sd(X) * n^(-1/5); the default for all 'auto' bandwidths."""
     xs = np.asarray(xs, dtype=float)
     if xs.size < 2:
         raise ValueError("bandwidth rule needs at least 2 covariate values")
     sd = float(np.std(xs, ddof=1))
     if sd == 0.0:
         sd = 1.0
-    return c * sd * xs.size ** (-0.2)
+    return sd * xs.size ** (-0.2)
 
 
 def write_sample_csv(s: Sample, path) -> None:

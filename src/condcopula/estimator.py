@@ -1,10 +1,10 @@
 """Final conditional copula estimator.
 
 Assembles the whole pipeline: pseudo-observations, empirical partial copula,
-per-observation trajectory surfaces, covariance eigendecomposition, component
-selection, kernel score regression, and the truncated reconstruction
-center + sum_k alpha_k(x) phi_k around the surface the scores were centred
-on, optionally clamped into the Frechet-Hoeffding envelope.
+per-observation trajectory surfaces, covariance eigendecomposition around the
+partial copula, component selection, kernel score regression, and the
+truncated reconstruction partial + sum_k alpha_k(x) phi_k, optionally clamped
+into the Frechet-Hoeffding envelope.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .fpca import (
     select_K,
 )
 from .grid import (
-    Grid2D,
     GridFunction,
     from_callable,
     make_grid,
@@ -64,11 +63,8 @@ class PipelineConfig:
     """Everything the pipeline needs besides the sample itself.
 
     Bandwidths set to None resolve to the rule of thumb
-    sd(X) * n^(-1/5). ``centering`` picks the surface subtracted before the
-    covariance step and added back in the reconstruction ('partial' =
-    rank-based partial copula, 'ensemble' = average of the trajectories,
-    which makes the score columns exactly mean-zero). Each pseudo-observation
-    includes its own observation in its weighted ECDF.
+    sd(X) * n^(-1/5). Each pseudo-observation includes its own observation
+    in its weighted ECDF.
     """
 
     grid_size: int = 21
@@ -79,14 +75,11 @@ class PipelineConfig:
     h_alpha: float | None = None
     K: int | None = None  # None -> smallest K whose CVP reaches cvp_threshold
     cvp_threshold: float = 0.9
-    centering: str = "partial"
     project: bool = True
 
     def __post_init__(self):
         if self.grid_size < 1:
             raise ValueError("grid_size must be >= 1")
-        if self.centering not in ("partial", "ensemble"):
-            raise ValueError("centering must be 'partial' or 'ensemble'")
         if self.K is None and not (0.0 < self.cvp_threshold <= 1.0):
             raise ValueError("automatic K needs a CVP threshold in (0, 1]")
         K = self.K
@@ -100,14 +93,13 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class FpcaFit:
-    """Sample-level fit, shared by estimates at different x."""
+    """Sample-level fit, shared by estimates at different x. The spectrum,
+    the scores and the reconstruction are all centred at the partial copula
+    ``center``; the (n, G, G) trajectory surfaces are not kept."""
 
     sample: Sample
     config: PipelineConfig
-    grid: Grid2D
     pseudo: PseudoSample
-    partial: GridFunction
-    surfaces: np.ndarray  # (n, G, G) trajectory surfaces
     center: GridFunction
     eigen: EigenSystem
     K: int
@@ -176,13 +168,9 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
         KernelSpec(family=fam, bandwidth=bw["g1"]),
         KernelSpec(family=fam, bandwidth=bw["g2"]),
     )
-    partial = empirical_copula_grid(pseudo, grid)
+    center = empirical_copula_grid(pseudo, grid)
     traj_kernel = KernelSpec(family=fam, bandwidth=bw["h"])
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
-    if cfg.centering == "ensemble":
-        center = GridFunction(grid=grid, values=surfaces.mean(axis=0))
-    else:
-        center = partial
     threaded = min(s.n, grid.G**2) >= _THREADED_EIGEN_DIM
     with limited_threads(None if threaded else 1):
         eigen = ensemble_eigensystem(surfaces, center)
@@ -197,10 +185,7 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     return FpcaFit(
         sample=s,
         config=cfg,
-        grid=grid,
         pseudo=pseudo,
-        partial=partial,
-        surfaces=surfaces,
         center=center,
         eigen=eigen,
         K=K,
@@ -222,7 +207,7 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         values = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )
-    surface = GridFunction(grid=fit.grid, values=values)
+    surface = GridFunction(grid=fit.center.grid, values=values)
     if cfg.project:
         surface = frechet_project(surface)
     lam = fit.eigen.eigenvalues
@@ -233,7 +218,6 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         "eigengap": fit.eigengap(),
         "degenerate_spectrum": fit.K == 0,
         "kernel_family": cfg.kernel_family,
-        "centering": cfg.centering,
         "grid_size": cfg.grid_size,
     }
     return ConditionalCopulaEstimate(

@@ -66,8 +66,8 @@ class EigenSystem:
             sign_flips=self.sign_flips[:m],
         )
 
-    def export(self, json_path, csv_prefix=None) -> None:
-        """JSON spectrum plus optional per-component grid CSV files."""
+    def export(self, json_path, csv_prefix) -> None:
+        """JSON spectrum plus one grid CSV file per component."""
         payload = {
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "grid_size": self.grid.G,
@@ -76,9 +76,8 @@ class EigenSystem:
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        if csv_prefix is not None:
-            for k in range(1, self.m + 1):
-                write_grid_function_csv(self.phi(k), f"{csv_prefix}_phi{k}.csv")
+        for k in range(1, self.m + 1):
+            write_grid_function_csv(self.phi(k), f"{csv_prefix}_phi{k}.csv")
 
 
 def _centered(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:

@@ -530,7 +530,7 @@ def benchmark_vs_baseline(cfg: ExperimentConfig) -> ExperimentReport:
         fit = fit_pipeline(sample, est_cfg)
         est = evaluate_fit(fit, x_eval)
         k = KernelSpec(family=est_cfg.kernel_family, bandwidth=fit.bandwidths["h"])
-        base = weighted_copula_surfaces([x_eval], sample, k, fit.grid, fit.pseudo)[0]
+        base = weighted_copula_surfaces([x_eval], sample, k, fit.center.grid, fit.pseudo)[0]
         return (*_grid_errors(est.surface.values, true_surf), *_grid_errors(base, true_surf))
 
     def judge(raw):

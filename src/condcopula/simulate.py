@@ -172,10 +172,15 @@ def frank_tau(theta: float) -> float:
     return 1.0 - 4.0 / theta * (1.0 - _debye1(theta))
 
 
+# upper end of the theta bracket of the Frank tau solver; a tau beyond
+# frank_tau of it has no root there, so the range check rejects it
+_FRANK_THETA_MAX = 745.0
+_FRANK_TAU_MAX = frank_tau(_FRANK_THETA_MAX)
+
 _TAU_RANGES = {
     "independence": (-1.0, 1.0),
     "clayton": (0.0, 1.0),
-    "frank": (-1.0, 1.0),
+    "frank": (-_FRANK_TAU_MAX, _FRANK_TAU_MAX),
     "fgm": (-2.0 / 9.0, 2.0 / 9.0),
     "gumbel": (0.0, 1.0),
 }
@@ -218,7 +223,7 @@ def tau_to_theta(family: str, tau: float) -> float:
     sign = 1.0 if tau > 0 else -1.0
     target = abs(tau)
     theta = optimize.brentq(
-        lambda t: frank_tau(t) - target, 1e-8, 745.0, xtol=1e-10, rtol=1e-14
+        lambda t: frank_tau(t) - target, 1e-8, _FRANK_THETA_MAX, xtol=1e-10, rtol=1e-14
     )
     return sign * theta
 
@@ -276,12 +281,6 @@ class MarginSpec:
 
     def quantile(self, u, x):
         return self.a + self.b * np.asarray(x, dtype=float) + self.s * stats.norm.ppf(u)
-
-    def cdf(self, y, x):
-        return stats.norm.cdf(
-            (np.asarray(y, dtype=float) - self.a - self.b * np.asarray(x, dtype=float))
-            / self.s
-        )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from condcopula.cli import run
+from condcopula.conditional import KernelSpec, weighted_copula_surfaces
 from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import covariance_field, eigendecompose, scores
 from condcopula.grid import GridFunction, l2_norm, make_grid
@@ -65,8 +66,11 @@ def test_criterion_1_exact_identities():
     # estimated trajectory ensemble from a real sample
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, 150, seed=2)
-    fit = fit_pipeline(s, PipelineConfig(grid_size=21, centering="ensemble"))
-    field = covariance_field(fit.surfaces, fit.center)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=21))
+    kernel = KernelSpec(fit.config.kernel_family, fit.bandwidths["h"])
+    surfaces = weighted_copula_surfaces(s.x, s, kernel, grid, fit.pseudo)
+    center = GridFunction(grid=grid, values=surfaces.mean(axis=0))
+    field = covariance_field(surfaces, center)
     # keep every positive eigenvalue: the full-rank reconstruction identity
     # needs the components that default truncation would discard
     es = eigendecompose(grid, field, truncate_below=0.0)
@@ -75,12 +79,12 @@ def test_criterion_1_exact_identities():
     trace = delta * np.sum(np.diagonal(field))
     trace_ok = abs(es.eigenvalues.sum() - trace) <= 1e-8 * max(trace, 1e-30)
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(fit.surfaces, fit.center, es, K=rank)
-    recon = fit.center.flat()[None] + xi @ es.phi_flat()[:rank]
+    xi = scores(surfaces, center, es, K=rank)
+    recon = center.flat()[None] + xi @ es.phi_flat()[:rank]
     recon_ok = all(
         l2_norm(GridFunction(grid=grid, values=surface - recon[i].reshape(21, 21)))
         <= 1e-8
-        for i, surface in enumerate(fit.surfaces)
+        for i, surface in enumerate(surfaces)
     )
 
     ok = identity_ok and ortho_ok and trace_ok and recon_ok

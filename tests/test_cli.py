@@ -156,6 +156,15 @@ def test_out_of_range_link_is_validation_error(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err.lower()
 
 
+def test_frank_tau_beyond_the_solver_range_is_validation_error(tmp_path, capsys):
+    code = run(["simulate", "--family", "frank", "--link", "constant:0.999",
+                "--n", "10", "--seed", "0",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "tau" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_normal_covariate_link_checked_on_every_seed(tmp_path, capsys):
     # the tau range check must not depend on which covariates a seed draws:
     # a sloped linear link leaves the range on the real line, a sine link

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_fixed_k_zero_reduces_to_partial_copula():
     fit = fit_pipeline(s, cfg)
     est = evaluate_fit(fit, 0.5)
     assert est.K == 0
-    assert np.array_equal(est.surface.values, fit.partial.values)
+    assert np.array_equal(est.surface.values, fit.center.values)
     assert est.alpha.size == 0
 
 
@@ -62,12 +63,12 @@ def test_fixed_k_above_sample_size_clamps_to_positive_count():
 
 
 def test_constant_ensemble_falls_back_to_partial_copula():
-    # a kernel this wide weights every observation exactly 1.0, so all
-    # trajectories equal the partial copula and the ensemble-centered
-    # spectrum is identically zero
+    # a kernel this wide weights every observation exactly 1.0, so every
+    # trajectory equals the partial copula to within 1.1e-16, every
+    # eigenvalue around it clips to zero and K = 0
     _, s = clayton_sample(n=60, seed=13)
     cfg = PipelineConfig(grid_size=11, kernel_family="gaussian", h=1e12,
-                         centering="ensemble", project=False)
+                         project=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = fit_pipeline(s, cfg)
@@ -86,28 +87,25 @@ def test_reconstruction_is_partial_plus_score_expansion():
     if fit.K > 0:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
         alpha = eval_alpha(0.5, s.x, fit.scores, h_alpha)
-        manual = fit.partial.values + np.einsum(
+        manual = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )
         est = evaluate_fit(fit, 0.5)
         assert np.allclose(est.surface.values, manual, atol=1e-12)
 
 
-def test_reconstruction_adds_scores_to_the_ensemble_center():
-    # the scores are projections around the ensemble mean, so the
-    # reconstruction must add them back to that mean, not to the partial copula
-    _, s = clayton_sample(n=120, seed=2)
-    cfg = PipelineConfig(centering="ensemble", project=False)
-    fit = fit_pipeline(s, cfg)
+def test_finished_fit_does_not_hold_the_trajectory_stack():
+    # the (n, G, G) stack is 14.1 MB here; what the fit keeps (eigenpairs,
+    # scores, pseudo-observations, partial copula) comes to about 1.6 MiB
+    _, s = clayton_sample(n=4000, seed=0)
+    tracemalloc.start()
+    try:
+        fit = fit_pipeline(s, PipelineConfig(grid_size=21))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert fit.K > 0
-    assert not np.array_equal(fit.center.values, fit.partial.values)
-    h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
-    alpha = eval_alpha(0.5, s.x, fit.scores, h_alpha)
-    manual = fit.center.values + np.einsum(
-        "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
-    )
-    est = evaluate_fit(fit, 0.5)
-    assert np.max(np.abs(est.surface.values - manual)) <= 1e-12
+    assert held < 8 * 2**20
 
 
 def test_estimate_deterministic():
@@ -210,8 +208,6 @@ def test_export_round_trip(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="grid_size"):
         PipelineConfig(grid_size=0)
-    with pytest.raises(ValueError, match="centering"):
-        PipelineConfig(centering="median")
     with pytest.raises(ValueError, match="CVP"):
         PipelineConfig(cvp_threshold=1.5)
 
@@ -230,14 +226,6 @@ def test_bad_config_rejected_before_any_stage_runs(bad, monkeypatch):
     name = next(iter(bad))
     with pytest.raises(ValueError, match=f"{name} must be"):
         fit_pipeline(s, PipelineConfig(**bad))
-
-
-def test_ensemble_centering_supported():
-    _, s = clayton_sample(n=150, seed=8)
-    est = estimate_conditional_copula(
-        0.5, s, PipelineConfig(centering="ensemble")
-    )
-    assert est.surface.values.min() >= 0.0
 
 
 # ------------------------------------------------------- Frechet projection

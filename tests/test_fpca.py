@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from condcopula.conditional import KernelSpec, weighted_copula_surfaces
 from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
@@ -46,6 +47,12 @@ def dummy_eigensystem(eigenvalues):
 
 def mean_surface(surfaces):
     return GridFunction(grid=GRID, values=surfaces.mean(axis=0))
+
+
+def trajectory_surfaces(fit):
+    """The (n, G, G) stack ``fit_pipeline`` decomposed; a fit does not keep it."""
+    k = KernelSpec(fit.config.kernel_family, fit.bandwidths["h"])
+    return weighted_copula_surfaces(fit.sample.x, fit.sample, k, GRID, fit.pseudo)
 
 
 def kl_model(grid=None, lam=(0.4, 0.2, 0.05)):
@@ -108,7 +115,7 @@ def test_covariance_field_is_exactly_symmetric(n):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=32)
     fit = fit_pipeline(s, PipelineConfig(grid_size=9))
-    field = covariance_field(fit.surfaces, fit.center)
+    field = covariance_field(trajectory_surfaces(fit), fit.center)
     assert np.array_equal(field, field.T)
 
 
@@ -213,14 +220,18 @@ def test_head_keeps_the_leading_components():
 # ----------------------------------------------------- ensemble eigensystem
 
 
-@pytest.mark.parametrize("centering", ["partial", "ensemble"])
+# the pipeline centres at the partial copula; the ensemble mean, around
+# which the score columns are exactly mean-zero, exercises the other case
+@pytest.mark.parametrize("center", ["partial", "ensemble"])
 @pytest.mark.parametrize("n", [40, 81, 120])  # below, at and above G^2 = 81
-def test_ensemble_eigensystem_matches_covariance_route(n, centering):
+def test_ensemble_eigensystem_matches_covariance_route(n, center):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=31)
-    fit = fit_pipeline(s, PipelineConfig(grid_size=9, centering=centering))
-    got = ensemble_eigensystem(fit.surfaces, fit.center)
-    want = eigendecompose(GRID, covariance_field(fit.surfaces, fit.center))
+    fit = fit_pipeline(s, PipelineConfig(grid_size=9))
+    surfaces = trajectory_surfaces(fit)
+    mean = fit.center if center == "partial" else mean_surface(surfaces)
+    got = ensemble_eigensystem(surfaces, mean)
+    want = eigendecompose(GRID, covariance_field(surfaces, mean))
     m = got.m
     assert m == min(n, GRID.G**2)
     lam = want.eigenvalues

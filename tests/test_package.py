@@ -92,16 +92,24 @@ def test_uncalled_definition_detected():
     assert referenced_names("from m import f\nC.x\ny\n") == {"f", "C", "x", "y"}
 
 
-def test_every_public_definition_has_a_caller():
-    # tests other than the acceptance criteria do not count as callers: a
-    # function only they call belongs in tests/oracles.py
-    callers = [
+def caller_sources() -> list:
+    """Sources whose references count as uses of the package.
+
+    Tests other than the acceptance criteria do not count: a function only
+    they call belongs in tests/oracles.py, and a field only they read need
+    not be kept.
+    """
+    paths = [
         *(REPO / "src").rglob("*.py"),
         *(REPO / "perfbench").rglob("*.py"),
         *(REPO / "scripts").rglob("*.py"),
         REPO / "tests" / "test_acceptance.py",
     ]
-    referenced = set().union(*(referenced_names(p.read_text()) for p in callers))
+    return [p.read_text() for p in paths]
+
+
+def test_every_public_definition_has_a_caller():
+    referenced = set().union(*(referenced_names(s) for s in caller_sources()))
     uncalled = {
         f"{module}.{name}"
         for module in MODULES
@@ -109,3 +117,40 @@ def test_every_public_definition_has_a_caller():
         if name not in referenced | UNCALLED_ALLOWED
     }
     assert sorted(uncalled) == []
+
+
+def public_fields(source: str) -> set:
+    """``Class.field`` for each annotated field of a public top-level class."""
+    return {
+        f"{node.name}.{item.target.id}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def read_attributes(source: str) -> set:
+    """Attribute names a module reads (``x.name`` in load context)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_unread_field_detected():
+    source = "class C:\n    a: int\n    b: int = 0\n    c = 1\nclass _D:\n    d: int\n"
+    assert public_fields(source) == {"C.a", "C.b"}
+    assert read_attributes("obj.a\nobj.b = 1\nd\n") == {"a"}
+
+
+def test_every_field_is_read():
+    read = set().union(*(read_attributes(s) for s in caller_sources()))
+    unread = {
+        f"{module}.{field}"
+        for module in MODULES
+        for field in public_fields((PACKAGE_DIR / f"{module}.py").read_text())
+        if field.split(".")[1] not in read
+    }
+    assert sorted(unread) == []

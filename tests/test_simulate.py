@@ -229,6 +229,22 @@ def test_link_out_of_range_rejected():
         ConditionalModel(family="frank", link=TauLink(form="sine", a=0.0, b=0.5))
 
 
+def test_frank_tau_beyond_the_solver_bracket_rejected_at_construction():
+    # frank_tau(745) ~ 0.994643 is the largest tau the theta solver reaches
+    with pytest.raises(ValueError, match=r"Frank tau .* excluding 0, got 0.999"):
+        ConditionalModel(family="frank", link=TauLink("constant", 0.999))
+    with pytest.raises(ValueError, match=r"Frank tau .* excluding 0"):
+        tau_to_theta("frank", -0.999)
+
+
+def test_frank_tau_just_inside_the_bracket_solves():
+    for tau in (0.9946, -0.9946):
+        model = ConditionalModel(family="frank", link=TauLink("constant", tau))
+        theta = model.theta_at(0.5)
+        assert frank_tau(abs(theta)) == pytest.approx(abs(tau), abs=1e-9)
+        assert np.sign(theta) == np.sign(tau)
+
+
 def test_frank_model_checks_its_range_without_root_solves(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("brentq ran while the model was built")
