@@ -7,10 +7,16 @@ and ``dense_weighted_copula_surfaces`` are the n x n forms of the row-blocked
 and window-local stages, which must match them bit for bit.
 ``read_grid_function_csv`` reads back what
 ``condcopula.grid.write_grid_function_csv`` writes. ``constant`` and
-``true_surface`` build known surfaces for the tests.
+``true_surface`` build known surfaces for the tests. ``quad_frank_tau``,
+``gumbel_du`` and ``textbook_frank_v_given_u`` are the quadrature, derivative
+and textbook forms that the closed-form maps of ``condcopula.simulate``
+replace.
 """
 
+import math
+
 import numpy as np
+from scipy import integrate
 
 from condcopula.conditional import (
     KernelSpec,
@@ -175,3 +181,36 @@ def add_at_lattice_cdf(a_idx, b_idx, L: int, mass=1.0) -> np.ndarray:
     cells = np.zeros((L + 1, L + 1))
     np.add.at(cells, (a_idx, b_idx), mass)
     return cells[:L, :L].cumsum(axis=0).cumsum(axis=1)
+
+
+def debye1(theta: float) -> float:
+    """D_1(theta) = (1/theta) int_0^theta t/(e^t - 1) dt by adaptive quadrature."""
+    # t/(e^t - 1) written as t e^{-t} / (1 - e^{-t}) to survive large t
+    val, _ = integrate.quad(
+        lambda t: -t * math.exp(-t) / math.expm1(-t) if t != 0.0 else 1.0,
+        0.0,
+        theta,
+        epsabs=1e-13,
+        epsrel=1e-13,
+    )
+    return val / theta
+
+
+def quad_frank_tau(theta: float) -> float:
+    """Kendall tau of the Frank copula, 1 - 4 (1 - D_1(theta)) / theta."""
+    return 1.0 - 4.0 / theta * (1.0 - debye1(theta))
+
+
+def gumbel_du(t: float, u: float, v) -> np.ndarray:
+    """Partial derivative of the Gumbel CDF in its first argument."""
+    v = np.asarray(v, dtype=float)
+    lu = -math.log(u)
+    lv = -np.log(np.clip(v, 1e-300, 1.0))
+    s = lu**t + lv**t
+    return np.exp(-(s ** (1.0 / t))) * (lu ** (t - 1.0) / u) * s ** (1.0 / t - 1.0)
+
+
+def textbook_frank_v_given_u(t: float, u: float, p: float) -> float:
+    """Frank conditional inverse -log1p(-p (1 - e^{-t}) / (p + e^{-tu}(1 - p))) / t."""
+    etu = math.exp(-t * u)
+    return -math.log1p(-p * math.expm1(-t) / (p * (etu - 1.0) - etu)) / t

@@ -165,6 +165,15 @@ def test_frank_tau_beyond_the_solver_range_is_validation_error(tmp_path, capsys)
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_frank_at_high_tau(tmp_path):
+    # the textbook Frank inverse raised "math domain error" here
+    out = tmp_path / "f.csv"
+    code = run(["simulate", "--family", "frank", "--link", "constant:0.95",
+                "--n", "500", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) > 500
+
+
 def test_normal_covariate_link_checked_on_every_seed(tmp_path, capsys):
     # the tau range check must not depend on which covariates a seed draws:
     # a sloped linear link leaves the range on the real line, a sine link

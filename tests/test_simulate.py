@@ -19,6 +19,10 @@ from condcopula.simulate import (
     tau_to_theta,
     true_conditional_copula,
 )
+from oracles import gumbel_du, quad_frank_tau, textbook_frank_v_given_u
+
+# both at tau 0.9: the maps must hold at high dependence too
+HIGH_DEPENDENCE = [CopulaModel("frank", 38.28), CopulaModel("gumbel", 10.0)]
 
 FIXED_MODELS = [
     CopulaModel("independence"),
@@ -26,7 +30,12 @@ FIXED_MODELS = [
     CopulaModel("frank", 5.0),
     CopulaModel("fgm", 0.8),
     CopulaModel("gumbel", 2.0),
+    *HIGH_DEPENDENCE,
 ]
+
+
+def model_id(m: CopulaModel) -> str:
+    return f"{m.family}-{m.theta:g}" if m in HIGH_DEPENDENCE else m.family
 
 
 def numerical_tau(m: CopulaModel, nodes: int = 80) -> float:
@@ -50,7 +59,7 @@ def numerical_tau(m: CopulaModel, nodes: int = 80) -> float:
 # ------------------------------------------------------------- copula CDFs
 
 
-@pytest.mark.parametrize("m", FIXED_MODELS, ids=lambda m: m.family)
+@pytest.mark.parametrize("m", FIXED_MODELS, ids=model_id)
 def test_margins_are_uniform(m):
     us = np.linspace(0.0, 1.0, 11)
     assert np.allclose(copula_cdf(m, us, np.ones_like(us)), us, atol=1e-12)
@@ -69,13 +78,36 @@ def test_fgm_closed_form_value():
     )
 
 
-@pytest.mark.parametrize("m", FIXED_MODELS, ids=lambda m: m.family)
+@pytest.mark.parametrize("m", FIXED_MODELS, ids=model_id)
 def test_frechet_envelope(m):
     us = np.linspace(0.0, 1.0, 21)
     U, V = np.meshgrid(us, us, indexing="ij")
     c = copula_cdf(m, U, V)
     assert np.all(c >= np.maximum(U + V - 1.0, 0.0) - 1e-12)
     assert np.all(c <= np.minimum(U, V) + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "family,tau", [("frank", 0.9), ("frank", 0.95), ("frank", 0.99), ("gumbel", 0.999)]
+)
+def test_high_dependence_cdf_is_a_copula(family, tau):
+    # the textbook Frank form cancels to 1 and the Gumbel power overflows here
+    m = CopulaModel(family, tau_to_theta(family, tau))
+    us = np.linspace(0.0, 1.0, 41)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    with np.errstate(over="raise", invalid="raise"):
+        c = copula_cdf(m, U, V)
+    assert np.all(c >= np.maximum(U + V - 1.0, 0.0) - 1e-15)
+    assert np.all(c <= np.minimum(U, V) + 1e-15)
+    margins = ((c[:, -1], us), (c[-1, :], us), (c[:, 0], 0.0), (c[0, :], 0.0))
+    for margin, expected in margins:
+        assert np.max(np.abs(margin - expected)) <= 1e-15
+    mass = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+    assert mass.min() >= -1e-15
+    if family == "gumbel":
+        # on the diagonal C(a, a) = a^(2^(1/theta)), about 0.0239 at a = 0.024
+        expected = 0.024 ** (2.0 ** (1.0 / m.theta))
+        assert copula_cdf(m, 0.024, 0.024) == pytest.approx(expected, rel=1e-14)
 
 
 def test_arguments_outside_unit_interval_rejected():
@@ -136,6 +168,21 @@ def test_frank_round_trip_and_symmetry():
     )
 
 
+def test_frank_tau_matches_quadrature_and_is_odd():
+    thetas = np.logspace(np.log10(0.05), np.log10(745.0), 200)
+    for theta in thetas:
+        assert abs(frank_tau(theta) - quad_frank_tau(theta)) <= 2e-14
+        assert frank_tau(-theta) == -frank_tau(theta)
+
+
+def test_frank_tau_round_trip_down_to_tiny_tau():
+    # theta ~ 9 tau near independence; a fixed theta floor would break it
+    for tau in (1e-12, -1e-12, 1e-9, -1e-9, 1e-3, 0.5, 0.99):
+        theta = tau_to_theta("frank", tau)
+        assert frank_tau(theta) == pytest.approx(tau, rel=1e-12)
+    assert tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-6)
+
+
 def test_tau_ranges_enforced():
     for family, bad in [
         ("clayton", -0.1),
@@ -191,7 +238,7 @@ def test_independence_sample_tau_near_zero():
     assert abs(tau) <= 0.03
 
 
-@pytest.mark.parametrize("m", FIXED_MODELS, ids=lambda m: m.family)
+@pytest.mark.parametrize("m", FIXED_MODELS, ids=model_id)
 def test_sampler_matches_cdf_on_lattice(m):
     # DKW-style check of the conditional-inversion sampler against the
     # closed-form CDF on a 21 x 21 lattice
@@ -209,6 +256,46 @@ def test_sampler_matches_cdf_on_lattice(m):
             emp = np.mean(inside & (v <= b))
             worst = max(worst, abs(emp - copula_cdf(m, a, b)))
     assert worst <= 0.015
+
+
+def test_gumbel_inverse_round_trips_through_the_derivative():
+    us = np.linspace(0.01, 0.99, 25)
+    ps = [1e-9, 1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-4]
+    for theta in (1.0001, 1.5, 2.0, 5.0, 10.0, 50.0):
+        m = CopulaModel("gumbel", theta)
+        for u in us:
+            for p in ps:
+                v = conditional_v_given_u(m, float(u), p)
+                assert abs(float(gumbel_du(theta, float(u), v)) - p) <= 1e-10
+
+
+def test_frank_inverse_matches_textbook_form_and_holds_at_high_theta():
+    us = np.linspace(0.01, 0.99, 25)
+    ps = [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12]
+    for theta in (-5.0, -1.0, -1e-3, 1e-3, 1.0, 5.0):
+        m = CopulaModel("frank", theta)
+        for u in us:
+            for p in ps:
+                expected = textbook_frank_v_given_u(theta, float(u), p)
+                assert abs(conditional_v_given_u(m, float(u), p) - expected) <= 1e-13
+    # the textbook form raises a math domain error from theta ~ 38
+    for theta in (38.28, 78.32, 398.3, 739.1):
+        for sign in (1.0, -1.0):
+            m = CopulaModel("frank", sign * theta)
+            for u in us:
+                v = [conditional_v_given_u(m, float(u), p) for p in ps]
+                assert 0.0 <= v[0] and v[-1] <= 1.0
+                assert np.all(np.diff(v) >= 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.95])
+def test_frank_samples_at_high_tau(tau):
+    model = ConditionalModel(family="frank", link=TauLink("constant", tau))
+    _, truth = sample_conditional(model, 500, seed=0)
+    assert np.all((truth.eps2 > 0.0) & (truth.eps2 < 1.0))
+    assert stats.kendalltau(truth.eps1, truth.eps2).statistic == pytest.approx(
+        tau, abs=0.03
+    )
 
 
 def test_margins_push_through_quantiles():
