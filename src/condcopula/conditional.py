@@ -35,6 +35,8 @@ _KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
 _KERNEL_FAMILIES = tuple(_KERNEL_REACH)
 # rows of the weight matrix held at once by ``pseudo_observations``
 _ROW_BLOCK = 256
+# evaluation points per vectorised lattice pass of ``weighted_copula_surfaces``
+_EVAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,11 @@ def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def _normalise(x: float, kv: np.ndarray) -> np.ndarray:
-    """Kernel values at x divided by their total; raises when all are zero."""
-    total = kv.sum()
-    if total <= 0.0:
-        raise DegenerateWeightsError(
-            f"degenerate weights (all kernel values are zero) at x={x:g}; "
-            "enlarge the bandwidth"
-        )
-    return kv / total
+def _degenerate_at(x: float) -> DegenerateWeightsError:
+    return DegenerateWeightsError(
+        f"degenerate weights (all kernel values are zero) at x={x:g}; "
+        "enlarge the bandwidth"
+    )
 
 
 def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
@@ -132,31 +130,47 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size < 1:
         raise ValueError("need at least one covariate value")
-    return _normalise(x, kernel_values(k.family, (x - xs) / k.bandwidth))
+    kv = kernel_values(k.family, (x - xs) / k.bandwidth)
+    total = kv.sum()
+    if total <= 0.0:
+        raise _degenerate_at(x)
+    return kv / total
 
 
-def _weight_matrix(
-    xs: np.ndarray, k: KernelSpec, leave_one_out: bool, rows: slice = slice(None)
-) -> np.ndarray:
-    """Rows ``rows`` of the NW weight matrix, whose row i holds w_l(X_i).
+def _weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
+    """The NW weight matrix, whose row i holds w_l(X_i).
 
     ``leave_one_out`` zeroes each row's own weight (cross-validation); only
     then can a row be all zero, and the first such row is named by its
-    global index.
+    index.
     """
-    rows = np.arange(xs.size)[rows]
-    z = (xs[rows, None] - xs[None, :]) / k.bandwidth
-    kv = kernel_values(k.family, z)
+    kv = kernel_values(k.family, (xs[:, None] - xs[None, :]) / k.bandwidth)
     if leave_one_out:
-        kv[np.arange(rows.size), rows] = 0.0
+        np.fill_diagonal(kv, 0.0)
     totals = kv.sum(axis=1)
-    bad = rows[totals <= 0.0]
+    bad = np.nonzero(totals <= 0.0)[0]
     if bad.size:
         raise DegenerateWeightsError(
             f"degenerate weights at observation index {int(bad[0])} "
             f"(x={xs[bad[0]]:g}); enlarge the bandwidth"
         )
     return kv / totals[:, None]
+
+
+def _windows(xs: np.ndarray, x_eval: np.ndarray, k: KernelSpec):
+    """Stable x order of the sample and each evaluation point's kernel window.
+
+    Window i is ``x_order[lo[i]:hi[i]]``: it holds every observation with a
+    nonzero kernel value at ``x_eval[i]``. The support is padded by more than
+    the rounding of (x - X_i) / h; the Gaussian window is the whole sample.
+    """
+    x_order = np.argsort(xs, kind="stable")
+    x_sorted = xs[x_order]
+    scale = max(np.abs(x_sorted).max(), np.abs(x_eval).max(initial=0.0)) + k.bandwidth
+    reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
+    lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
+    hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
+    return x_order, lo, hi
 
 
 @dataclass(frozen=True)
@@ -189,18 +203,27 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     Entry i of margin j is the weighted ECDF of Y_j, with NW weights centered
     at X_i and bandwidth g_j, evaluated at Y_ji. Observation i is included
     in its own ECDF, so its row holds the weight K(0) > 0 and never
-    degenerates. The weight matrix is built in blocks of ``_ROW_BLOCK``
-    (256) rows, so each block holds a few 256 x n arrays and no n x n array
-    is held; one block serves both margins when g1 == g2.
+    degenerates. The rows are taken in x order, in blocks of ``_ROW_BLOCK``
+    (256): the kernel is evaluated only on the union of the block's windows
+    and scattered into zero-filled rows of length n, so each row, its total
+    and its sum are the dense row's floats, and no n x n array is held. One
+    block serves both margins when g1 == g2.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
     eps = {1: np.empty(s.n), 2: np.empty(s.n)}
     groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
     for k, margins in groups:
+        x_order, lo, hi = _windows(s.x, s.x, k)
         for start in range(0, s.n, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            W = _weight_matrix(s.x, k, leave_one_out=False, rows=rows)
+            rows = x_order[start : start + _ROW_BLOCK]
+            union = np.sort(x_order[lo[rows[0]] : hi[rows[-1]]])
+            kv = kernel_values(k.family, (s.x[rows, None] - s.x[None, union]) / k.bandwidth)
+            if union.size < s.n:
+                full = np.zeros((rows.size, s.n))
+                full[:, union] = kv
+                kv = full
+            W = kv / kv.sum(axis=1)[:, None]
             for j in margins:
                 y = s.margin(j)
                 ind = y[None, :] <= y[rows, None]
@@ -232,33 +255,22 @@ def _lattice_copula(
     eps1: np.ndarray,
     eps2: np.ndarray,
     levels: np.ndarray,
-    w: np.ndarray | None = None,
     sort_index: tuple | None = None,
 ) -> np.ndarray:
-    """Copula of the pseudo-pairs on the ``levels`` x ``levels`` lattice.
+    """Rank-based empirical copula of the pseudo-pairs on the ``levels`` lattice.
 
-    The joint ECDF of the pairs, weighted by ``w`` when given, composed with
-    the generalized inverses of its own margins. Without weights this is the
-    rank-based empirical copula, counted in integers and divided by n at the
-    end. ``sort_index`` holds ``_sort_index`` of each margin, so callers that
-    evaluate many weight vectors sort once.
+    The joint ECDF of the pairs composed with the generalized inverses of its
+    own margins, counted in integers and divided by n at the end.
+    ``sort_index`` holds ``_sort_index`` of each margin when the caller has
+    it already.
     """
     n = eps1.size
     if sort_index is None:
         sort_index = (_sort_index(eps1), _sort_index(eps2))
-    idx = []
-    for order, position in sort_index:
-        if w is None:
-            # last sorted position at or below each level; -1 counts nothing
-            last = np.minimum(np.ceil(levels * n - 1e-12), n).astype(np.int64) - 1
-        else:
-            # sorted position of the weighted quantile for each level
-            cum = np.cumsum(w[order])
-            last = np.minimum(np.searchsorted(cum, levels - 1e-12, side="left"), n - 1)
-        idx.append(np.searchsorted(last, position, side="left"))
-    if w is None:
-        return _lattice_cdf(*idx, levels.size) / n
-    return _lattice_cdf(*idx, levels.size, w)
+    # last sorted position at or below each level; -1 counts nothing
+    last = np.minimum(np.ceil(levels * n - 1e-12), n).astype(np.int64) - 1
+    idx = [np.searchsorted(last, position, side="left") for _, position in sort_index]
+    return _lattice_cdf(*idx, levels.size) / n
 
 
 def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
@@ -282,41 +294,68 @@ def weighted_copula_surfaces(
     Surface i is the NW-weighted ECDF of the pseudo-pairs, with weights at
     ``xs_eval[i]`` and bandwidth from ``k``, composed with the generalized
     inverses of its own weighted margins. Returns an array of shape
-    (len(xs_eval), G, G). Only the observations in the kernel window around
-    each point enter its lattice: after one O(n log n) sort of the covariate,
-    a window of w observations costs O(w log w) to sort its members and
-    margins plus one O(n) zero-filled weight row, which sums exactly as the
-    dense row does. The Gaussian kernel's window is the whole sample. A
-    stable sort of the window, taken in sample order, orders it as the
-    global stable sort does, so every surface is bit-identical to evaluating
-    all n observations.
+    (len(xs_eval), G, G).
+
+    The points are taken in x order, in blocks of ``_EVAL_BLOCK`` (32). Each
+    block works on the union U of its kernel windows, with members in sample
+    order: one (B, |U|) weight block, whose row totals are summed over
+    zero-filled rows of length n exactly as the dense row is; U sorted once
+    per margin; two numpy calls per point and margin for the cumulative
+    weights and the weighted-quantile positions; integer counts for each
+    member's lattice index; and one ``bincount`` for all B lattices. The
+    Gaussian kernel's window is the whole sample. A member outside a point's
+    window has weight 0.0: it adds an exact zero to every sum and is never
+    the first position to reach a level, since every grid level is above 0.
+    So every surface is bit-identical to evaluating all n observations, and
+    a degenerate point is named as the first one in input order.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
-    n = s.n
-    sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
-    x_order = np.argsort(s.x, kind="stable")
-    x_sorted = s.x[x_order]
-    # pad the support by more than the rounding of (x - X_i) / h, so each
-    # window holds every observation with a nonzero kernel value
-    scale = max(np.abs(x_sorted).max(), np.abs(xs_eval).max(initial=0.0)) + k.bandwidth
-    reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
-    lo = np.searchsorted(x_sorted, xs_eval - reach, side="left")
-    hi = np.searchsorted(x_sorted, xs_eval + reach, side="right")
-    out = np.empty((xs_eval.size, grid.G, grid.G))
-    for i, x in enumerate(xs_eval):
-        if hi[i] - lo[i] == n:
-            w = nw_weights(x, s.x, k)
-            surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
+    n, G = s.n, grid.G
+    positions = (_sort_index(pseudo.eps1)[1], _sort_index(pseudo.eps2)[1])
+    x_order, lo, hi = _windows(s.x, xs_eval, k)
+    thresholds = grid.nodes - 1e-12
+    eval_order = np.argsort(xs_eval, kind="stable")
+    out = np.empty((xs_eval.size, G, G))
+    degenerate = []
+    for start in range(0, xs_eval.size, _EVAL_BLOCK):
+        block = eval_order[start : start + _EVAL_BLOCK]
+        B = block.size
+        union = np.sort(x_order[lo[block[0]] : hi[block[-1]]])
+        m = union.size
+        kv = kernel_values(k.family, (xs_eval[block, None] - s.x[None, union]) / k.bandwidth)
+        if m < n:
+            # the zero-filled rows sum exactly as the dense ones do
+            full = np.zeros((B, n))
+            full[:, union] = kv
+            totals = full.sum(axis=1)
         else:
-            members = np.sort(x_order[lo[i] : hi[i]])
-            # the zero-filled row sums exactly as the dense one does
-            row = np.zeros(n)
-            row[members] = kernel_values(k.family, (x - s.x[members]) / k.bandwidth)
-            w = _normalise(x, row)[members]
-            surface = _lattice_copula(
-                pseudo.eps1[members], pseudo.eps2[members], grid.nodes, w
-            )
-        out[i] = np.clip(surface, 0.0, 1.0)
+            totals = kv.sum(axis=1)
+        if np.any(totals <= 0.0):
+            degenerate.append(block[totals <= 0.0].min())
+            continue
+        W = kv / totals[:, None]
+        row = np.arange(B)[:, None]
+        idx = []
+        for position in positions:
+            order = np.argsort(position[union])
+            rank = np.empty(m, dtype=np.int64)
+            rank[order] = np.arange(m)
+            sorted_w = np.take(W, order, axis=1)
+            # sorted position of each row's weighted quantile at each level
+            last = np.empty((B, G), dtype=np.int64)
+            for b in range(B):
+                last[b] = np.searchsorted(np.cumsum(sorted_w[b]), thresholds, side="left")
+            np.minimum(last, m - 1, out=last)
+            # a member's lattice index counts the levels whose position lies
+            # below its sorted rank
+            below = np.bincount((last + 1 + row * (m + 1)).ravel(), minlength=B * (m + 1))
+            idx.append(np.take(below.reshape(B, m + 1).cumsum(axis=1), rank, axis=1))
+        cell = idx[0] * (G + 1) + idx[1] + row * (G + 1) ** 2
+        cells = np.bincount(cell.ravel(), weights=W.ravel(), minlength=B * (G + 1) ** 2)
+        lattice = cells.reshape(B, G + 1, G + 1)[:, :G, :G].cumsum(axis=1).cumsum(axis=2)
+        out[block] = np.clip(lattice, 0.0, 1.0)
+    if degenerate:
+        raise _degenerate_at(xs_eval[min(degenerate)])
     return out
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .conditional import Sample
 from .grid import Grid2D, GridFunction, from_callable
@@ -79,13 +79,19 @@ def copula_cdf(m: CopulaModel, u, v):
     if fam == "independence":
         out = u * v
     elif fam == "clayton":
+        uc, vc = np.maximum(u, 1e-300), np.maximum(v, 1e-300)
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(
-                (u > 0) & (v > 0),
-                (np.maximum(u, 1e-300) ** (-t) + np.maximum(v, 1e-300) ** (-t) - 1.0)
-                ** (-1.0 / t),
-                0.0,
-            )
+            total = uc ** (-t) + vc ** (-t) - 1.0
+            out = np.where((u > 0) & (v > 0), total ** (-1.0 / t), 0.0)
+        over = (u > 0) & (v > 0) & ~np.isfinite(total)
+        if np.any(over):
+            # where the powers overflow: with a, b = -t log u, -t log v, m =
+            # max(a, b), log(e^a + e^b - 1) = m + log1p(e^(min - m) (1 - e^-min))
+            a = -t * np.log(np.broadcast_to(uc, over.shape)[over])
+            b = -t * np.log(np.broadcast_to(vc, over.shape)[over])
+            hi, lo = np.maximum(a, b), np.minimum(a, b)
+            log_total = hi + np.log1p(np.exp(lo - hi) * -np.expm1(-lo))
+            out[over] = np.exp(-log_total / t)
     elif fam == "frank":
         # C_s(u, w) = -log(q)/s, q = [a(1 - b) + (b - c)]/(1 - c), a, b, c =
         # e^{-su}, e^{-sw}, e^{-s}: two nonnegative terms, where the textbook
@@ -117,8 +123,9 @@ def copula_cdf(m: CopulaModel, u, v):
 def conditional_v_given_u(m: CopulaModel, u: float, p: float) -> float:
     """Invert v -> dC/du(u, v) at probability level p (conditional sampling).
 
-    Closed form for every family. Frank is evaluated in log space, so it
-    holds at any admitted theta. For Gumbel, w = -log C(u, v) solves
+    Closed form for every family. Frank is evaluated in log space, and
+    Clayton too where u^(-theta) overflows, so both hold at any admitted
+    theta. For Gumbel, w = -log C(u, v) solves
     w + (theta - 1) log w = c, whose root is a scaled Wright omega value.
     """
     if not (0.0 < u < 1.0) or not (0.0 < p < 1.0):
@@ -130,9 +137,15 @@ def conditional_v_given_u(m: CopulaModel, u: float, p: float) -> float:
     ):
         return p
     if fam == "clayton":
-        return float(
-            ((p ** (-t / (1.0 + t)) - 1.0) * u ** (-t) + 1.0) ** (-1.0 / t)
-        )
+        try:
+            scaled = (p ** (-t / (1.0 + t)) - 1.0) * u ** (-t)
+        except OverflowError:
+            scaled = math.inf
+        if math.isfinite(scaled):
+            return float((scaled + 1.0) ** (-1.0 / t))
+        # where u^(-t) overflows: log(scaled) = log(expm1(-t/(1+t) log p)) - t log u
+        log_scaled = math.log(math.expm1(-t / (1.0 + t) * math.log(p))) - t * math.log(u)
+        return math.exp(-float(np.logaddexp(log_scaled, 0.0)) / t)
     if fam == "frank":
         # v = -log(q)/t with q = [e^{-tu}(1 - p) + p e^{-t}] / [p + e^{-tu}(1 - p)]
         a = -t * u + math.log1p(-p)
@@ -279,7 +292,7 @@ class MarginSpec:
             raise ValueError("margin scale must be positive")
 
     def quantile(self, u, x):
-        return self.a + self.b * np.asarray(x, dtype=float) + self.s * stats.norm.ppf(u)
+        return self.a + self.b * np.asarray(x, dtype=float) + self.s * special.ndtri(u)
 
 
 @dataclass(frozen=True)

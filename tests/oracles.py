@@ -3,8 +3,8 @@
 Each function evaluates one point by the definition, with no shared sort
 orders or lattice accumulation, so a test can compare it with the grid and
 lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
-and ``dense_weighted_copula_surfaces`` are the n x n forms of the row-blocked
-and window-local stages, which must match them bit for bit.
+and ``dense_weighted_copula_surfaces`` are the n x n, one-point-at-a-time
+forms of the blocked window-local stages, which must match them bit for bit.
 ``read_grid_function_csv`` reads back what
 ``condcopula.grid.write_grid_function_csv`` writes. ``constant`` and
 ``true_surface`` build known surfaces for the tests. ``quad_frank_tau``,
@@ -22,7 +22,7 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    _lattice_copula,
+    _lattice_cdf,
     _sort_index,
     kernel_values,
     nw_weights,
@@ -165,14 +165,25 @@ def dense_weighted_copula_surfaces(
     grid: Grid2D,
     pseudo: PseudoSample,
 ) -> np.ndarray:
-    """Trajectory surfaces with NW weights over all n observations per point."""
+    """Trajectory surfaces with NW weights over all n observations per point.
+
+    Each point sorts both margins by the weights of all n observations, takes
+    the first sorted position whose cumulative weight reaches each level
+    (less 1e-12 of rounding slack), and accumulates its lattice in sample
+    order.
+    """
     xs_eval = np.asarray(xs_eval, dtype=float)
+    n, levels = s.n, grid.nodes
     sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
         w = nw_weights(x, s.x, k)
-        surface = _lattice_copula(pseudo.eps1, pseudo.eps2, grid.nodes, w, sort_index)
-        out[i] = np.clip(surface, 0.0, 1.0)
+        idx = []
+        for order, position in sort_index:
+            cum = np.cumsum(w[order])
+            last = np.minimum(np.searchsorted(cum, levels - 1e-12, side="left"), n - 1)
+            idx.append(np.searchsorted(last, position, side="left"))
+        out[i] = np.clip(_lattice_cdf(*idx, levels.size, w), 0.0, 1.0)
     return out
 
 

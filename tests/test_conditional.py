@@ -280,18 +280,19 @@ def test_lattice_kernel_matches_pointwise_rank_copula(n, seed):
 @pytest.mark.parametrize("n, seed", [(2, 1), (23, 2), (60, 3)])
 def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
     p = tied_pseudo_sample(n, seed)
-    xs = np.random.default_rng(seed).random(n)
-    nodes = make_grid(7).nodes
-    uniform = np.full(n, 1.0 / n)
-    nw = nw_weights(0.5, xs, KernelSpec(bandwidth=0.4))
-    for w in (uniform, nw):
-        lattice = _lattice_copula(p.eps1, p.eps2, nodes, w)
-        for a, u in enumerate(nodes):
-            for b, v in enumerate(nodes):
+    s = Sample(y1=p.eps1, y2=p.eps2, x=np.random.default_rng(seed).random(n))
+    grid = make_grid(7)
+    # a wide uniform kernel weighs every pair 1/n
+    uniform, nw = KernelSpec("uniform", 100.0), KernelSpec(bandwidth=0.4)
+    for k in (uniform, nw):
+        lattice = weighted_copula_surfaces([0.5], s, k, grid, p)[0]
+        w = nw_weights(0.5, s.x, k)
+        for a, u in enumerate(grid.nodes):
+            for b, v in enumerate(grid.nodes):
                 assert lattice[a, b] == pytest.approx(weighted_copula(p, w, u, v), abs=1e-12)
     # uniform weights give the rank-based copula up to rounding
-    assert np.allclose(_lattice_copula(p.eps1, p.eps2, nodes, uniform),
-                       _lattice_copula(p.eps1, p.eps2, nodes), rtol=0, atol=1e-12)
+    assert np.allclose(weighted_copula_surfaces([0.5], s, uniform, grid, p)[0],
+                       _lattice_copula(p.eps1, p.eps2, grid.nodes), rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- trajectories
@@ -392,6 +393,98 @@ def test_pseudo_and_surfaces_bit_identical_to_dense(family, shared_bandwidth, n)
         weighted_copula_surfaces(xs_eval, s, k2, grid, pseudo),
         dense_weighted_copula_surfaces(xs_eval, s, k2, grid, pseudo),
     )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("size", [0, 31, 32, 33, 65])
+def test_surfaces_at_block_edges_bit_identical(family, size):
+    # one point short of, at, and one past a block of 32, then three blocks
+    s = tied_sample(500, seed=size)
+    k = KernelSpec(family, 0.08)
+    pseudo = pseudo_observations(s, k, k)
+    xs_eval = np.linspace(0.0, 1.0, size)
+    got = weighted_copula_surfaces(xs_eval, s, k, make_grid(9), pseudo)
+    assert got.shape == (size, 9, 9)
+    assert_same_outcome(
+        lambda: got, lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(9), pseudo)
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_at_unsorted_and_repeated_points_bit_identical(family):
+    # 70 points in shuffled order, every one of them twice, so each block
+    # gathers points from all over the input
+    s = tied_sample(400, seed=21)
+    k = KernelSpec(family, 0.06)
+    pseudo = pseudo_observations(s, k, k)
+    rng = np.random.default_rng(21)
+    points = rng.permutation(np.concatenate([s.x[:40], np.linspace(0.0, 1.0, 30)]))
+    xs_eval = np.concatenate([points, rng.permutation(points)])
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(7), pseudo),
+        lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(7), pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_when_one_block_spans_the_sample_bit_identical(family):
+    # 32 of 40 points spread over [0, 1]: the first block's union of
+    # windows is every observation, the second block's only a part
+    s = tied_sample(300, seed=4)
+    k = KernelSpec(family, 0.05)
+    pseudo = pseudo_observations(s, k, k)
+    xs_eval = np.linspace(0.0, 1.0, 40)
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(11), pseudo),
+        lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(11), pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_surfaces_name_the_first_degenerate_point_in_input_order(family):
+    # the right-hand point comes first in the input and lies in the last
+    # block of x order; the left-hand one lies in the first block
+    s = tied_sample(300, seed=6)
+    k = KernelSpec(family, 0.05)
+    pseudo = pseudo_observations(s, k, k)
+    far = 50.0 if family == "gaussian" else 1.5
+    xs_eval = np.concatenate([[0.5, 1.0 + far], np.linspace(0.0, 1.0, 40), [-far]])
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(5), pseudo),
+        lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(5), pseudo),
+    )
+    with pytest.raises(DegenerateWeightsError, match=f"at x={1.0 + far:g};"):
+        weighted_copula_surfaces(xs_eval, s, k, make_grid(5), pseudo)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [300, 700])
+def test_pseudo_and_surfaces_on_tied_covariate_bit_identical(family, n):
+    # 11 distinct covariate values, so x order has long runs of ties that
+    # straddle the row blocks of 256 and the point blocks of 32
+    rng = np.random.default_rng(n)
+    s = Sample(y1=rng.normal(size=n), y2=np.round(rng.normal(size=n), 1),
+               x=np.round(rng.random(n), 1) * 2.0)
+    k1, k2 = KernelSpec(family, 0.25), KernelSpec(family, 0.15)
+    assert_same_outcome(lambda: pseudo_observations(s, k1, k2),
+                        lambda: dense_pseudo_observations(s, k1, k2))
+    pseudo = pseudo_observations(s, k1, k2)
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(s.x, s, k2, make_grid(7), pseudo),
+        lambda: dense_weighted_copula_surfaces(s.x, s, k2, make_grid(7), pseudo),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [257, 600])
+def test_pseudo_at_row_block_edges_bit_identical(family, n):
+    # distinct covariates: the last row of each x-ordered block of 256 has
+    # its own window edge, which the block's union must reach
+    rng = np.random.default_rng(n + 1)
+    s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n), x=rng.random(n))
+    k1, k2 = KernelSpec(family, 0.02), KernelSpec(family, 0.05)
+    assert_same_outcome(lambda: pseudo_observations(s, k1, k2),
+                        lambda: dense_pseudo_observations(s, k1, k2))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +157,13 @@ def test_every_field_is_read():
         if field.split(".")[1] not in read
     }
     assert sorted(unread) == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats alone takes most of a second, at every start-up
+    code = "import sys, condcopula; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -88,10 +88,19 @@ def test_frechet_envelope(m):
 
 
 @pytest.mark.parametrize(
-    "family,tau", [("frank", 0.9), ("frank", 0.95), ("frank", 0.99), ("gumbel", 0.999)]
+    "family,tau",
+    [
+        ("frank", 0.9),
+        ("frank", 0.95),
+        ("frank", 0.99),
+        ("gumbel", 0.999),
+        ("clayton", 0.99),
+        ("clayton", 0.998),
+    ],
 )
 def test_high_dependence_cdf_is_a_copula(family, tau):
-    # the textbook Frank form cancels to 1 and the Gumbel power overflows here
+    # the textbook Frank form cancels to 1, and the Gumbel and Clayton
+    # powers overflow here
     m = CopulaModel(family, tau_to_theta(family, tau))
     us = np.linspace(0.0, 1.0, 41)
     U, V = np.meshgrid(us, us, indexing="ij")
@@ -296,6 +305,24 @@ def test_frank_samples_at_high_tau(tau):
     assert stats.kendalltau(truth.eps1, truth.eps2).statistic == pytest.approx(
         tau, abs=0.03
     )
+
+
+@pytest.mark.parametrize("tau", [0.99, 0.998])
+def test_clayton_samples_at_high_tau(tau):
+    # u^(-theta) overflows for u below about 0.02 at theta = 198
+    model = ConditionalModel(family="clayton", link=TauLink("constant", tau))
+    _, truth = sample_conditional(model, 500, seed=0)
+    assert np.all((truth.eps2 > 0.0) & (truth.eps2 < 1.0))
+    assert stats.kendalltau(truth.eps1, truth.eps2).statistic == pytest.approx(
+        tau, abs=0.01
+    )
+
+
+def test_clayton_cdf_holds_where_the_power_overflows():
+    m = CopulaModel("clayton", tau_to_theta("clayton", 0.998))
+    # C(u, u) = u (2 - u^theta)^(-1/theta), and u^theta underflows at u = 0.3
+    assert copula_cdf(m, 0.3, 0.3) == pytest.approx(0.3 * 2.0 ** (-1.0 / m.theta), rel=1e-14)
+    assert copula_cdf(m, 0.3, 1.0) == pytest.approx(0.3, rel=1e-15)
 
 
 def test_margins_push_through_quantiles():
