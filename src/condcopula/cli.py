@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate, fpca, benchmark, diagnose. Exit codes:
-0 success, 1 validation error, 2 either a numerical failure (degenerate
-weights or spectrum, with a message naming the parameter to change) or a
-benchmark/diagnose run that completed but failed its verdict.
+0 success, 1 validation error or an unreadable or unwritable file, 2 either
+a numerical failure (degenerate weights or spectrum, with a message naming
+the parameter to change) or a benchmark/diagnose run that completed but
+failed its verdict.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def run(argv=None) -> int:
     except (DegenerateWeightsError, DegenerateSpectrumError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -137,40 +137,54 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     return kv / total
 
 
-def _weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
-    """The NW weight matrix, whose row i holds w_l(X_i).
+def _weight_blocks(
+    x_eval, xs, k: KernelSpec, size: int, leave_one_out=False, full_rows=False
+):
+    """NW weight rows at ``x_eval`` over the sample ``xs``, block by block.
 
-    ``leave_one_out`` zeroes each row's own weight (cross-validation); only
-    then can a row be all zero, and the first such row is named by its
-    index.
+    Yields ``(points, union, W)`` for each block of up to ``size`` evaluation
+    points in stable x order. ``union`` holds, in sample order, every member
+    of the points' kernel windows: the observations with a nonzero kernel
+    value there. The support is padded by more than the rounding of
+    (x - X_i) / h, and the Gaussian window is the whole sample. ``W`` holds
+    the normalised weights over ``union``; with ``full_rows`` it spans all n
+    columns, zero outside ``union``, for a caller whose own sums must run
+    over the dense row. Each row total is summed over a zero-filled row of
+    length n, as the dense row is, so every weight is the dense row's float.
+    ``leave_one_out`` (with ``x_eval`` the sample itself) zeroes each point's
+    own weight. A block that holds a point whose weights all vanish is
+    skipped; after the last block the first such point in input order is
+    named in a ``DegenerateWeightsError``.
     """
-    kv = kernel_values(k.family, (xs[:, None] - xs[None, :]) / k.bandwidth)
-    if leave_one_out:
-        np.fill_diagonal(kv, 0.0)
-    totals = kv.sum(axis=1)
-    bad = np.nonzero(totals <= 0.0)[0]
-    if bad.size:
-        raise DegenerateWeightsError(
-            f"degenerate weights at observation index {int(bad[0])} "
-            f"(x={xs[bad[0]]:g}); enlarge the bandwidth"
-        )
-    return kv / totals[:, None]
-
-
-def _windows(xs: np.ndarray, x_eval: np.ndarray, k: KernelSpec):
-    """Stable x order of the sample and each evaluation point's kernel window.
-
-    Window i is ``x_order[lo[i]:hi[i]]``: it holds every observation with a
-    nonzero kernel value at ``x_eval[i]``. The support is padded by more than
-    the rounding of (x - X_i) / h; the Gaussian window is the whole sample.
-    """
+    n = xs.size
     x_order = np.argsort(xs, kind="stable")
     x_sorted = xs[x_order]
     scale = max(np.abs(x_sorted).max(), np.abs(x_eval).max(initial=0.0)) + k.bandwidth
     reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
     lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
-    return x_order, lo, hi
+    eval_order = np.argsort(x_eval, kind="stable")
+    degenerate = []
+    for start in range(0, x_eval.size, size):
+        points = eval_order[start : start + size]
+        union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
+        kv = kernel_values(k.family, (x_eval[points, None] - xs[None, union]) / k.bandwidth)
+        if leave_one_out:
+            kv[np.arange(points.size), np.searchsorted(union, points)] = 0.0
+        if union.size < n:
+            # allocated while the last block is still bound: freeing that
+            # first made the pseudo-observations about 5% slower
+            full = np.zeros((points.size, n))
+            full[:, union] = kv
+        else:
+            full = kv
+        totals = full.sum(axis=1)
+        if np.any(totals <= 0.0):
+            degenerate.append(points[totals <= 0.0].min())
+            continue
+        yield points, union, (full if full_rows else kv) / totals[:, None]
+    if degenerate:
+        raise _degenerate_at(x_eval[min(degenerate)])
 
 
 @dataclass(frozen=True)
@@ -203,27 +217,17 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     Entry i of margin j is the weighted ECDF of Y_j, with NW weights centered
     at X_i and bandwidth g_j, evaluated at Y_ji. Observation i is included
     in its own ECDF, so its row holds the weight K(0) > 0 and never
-    degenerates. The rows are taken in x order, in blocks of ``_ROW_BLOCK``
-    (256): the kernel is evaluated only on the union of the block's windows
-    and scattered into zero-filled rows of length n, so each row, its total
-    and its sum are the dense row's floats, and no n x n array is held. One
-    block serves both margins when g1 == g2.
+    degenerates. The rows come from ``_weight_blocks`` in blocks of
+    ``_ROW_BLOCK`` (256), as zero-filled rows of length n, so each sum is the
+    dense row's float and no n x n array is held. One block serves both
+    margins when g1 == g2.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
     eps = {1: np.empty(s.n), 2: np.empty(s.n)}
     groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
     for k, margins in groups:
-        x_order, lo, hi = _windows(s.x, s.x, k)
-        for start in range(0, s.n, _ROW_BLOCK):
-            rows = x_order[start : start + _ROW_BLOCK]
-            union = np.sort(x_order[lo[rows[0]] : hi[rows[-1]]])
-            kv = kernel_values(k.family, (s.x[rows, None] - s.x[None, union]) / k.bandwidth)
-            if union.size < s.n:
-                full = np.zeros((rows.size, s.n))
-                full[:, union] = kv
-                kv = full
-            W = kv / kv.sum(axis=1)[:, None]
+        for rows, _, W in _weight_blocks(s.x, s.x, k, _ROW_BLOCK, full_rows=True):
             for j in margins:
                 y = s.margin(j)
                 ind = y[None, :] <= y[rows, None]
@@ -239,15 +243,13 @@ def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, position
 
 
-def _lattice_cdf(a_idx, b_idx, L: int, mass=None) -> np.ndarray:
-    """Joint CDF on an L x L lattice from each pair's first lattice index.
+def _lattice_cdf(a_idx, b_idx, L: int) -> np.ndarray:
+    """Integer joint CDF on an L x L lattice from each pair's first lattice index.
 
     Pair i starts counting at lattice node (a_idx[i], b_idx[i]); index L means
-    it never counts. ``mass`` is the per-pair weight; without it each pair
-    counts 1 and the result is an integer count. Cells accumulate in pair
-    order.
+    it never counts.
     """
-    cells = np.bincount(a_idx * (L + 1) + b_idx, weights=mass, minlength=(L + 1) ** 2)
+    cells = np.bincount(a_idx * (L + 1) + b_idx, minlength=(L + 1) ** 2)
     return cells.reshape(L + 1, L + 1)[:L, :L].cumsum(axis=0).cumsum(axis=1)
 
 
@@ -296,44 +298,23 @@ def weighted_copula_surfaces(
     inverses of its own weighted margins. Returns an array of shape
     (len(xs_eval), G, G).
 
-    The points are taken in x order, in blocks of ``_EVAL_BLOCK`` (32). Each
-    block works on the union U of its kernel windows, with members in sample
-    order: one (B, |U|) weight block, whose row totals are summed over
-    zero-filled rows of length n exactly as the dense row is; U sorted once
+    The weights come from ``_weight_blocks`` in blocks of ``_EVAL_BLOCK``
+    (32) points, over the union U of their windows. Per block: U sorted once
     per margin; two numpy calls per point and margin for the cumulative
     weights and the weighted-quantile positions; integer counts for each
-    member's lattice index; and one ``bincount`` for all B lattices. The
-    Gaussian kernel's window is the whole sample. A member outside a point's
-    window has weight 0.0: it adds an exact zero to every sum and is never
-    the first position to reach a level, since every grid level is above 0.
-    So every surface is bit-identical to evaluating all n observations, and
-    a degenerate point is named as the first one in input order.
+    member's lattice index; and one ``bincount`` for all B lattices. A member
+    outside a point's window has weight 0.0: it adds an exact zero to every
+    sum and is never the first position to reach a level, since every grid
+    level is above 0. So every surface is bit-identical to evaluating all n
+    observations.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
-    n, G = s.n, grid.G
+    G = grid.G
     positions = (_sort_index(pseudo.eps1)[1], _sort_index(pseudo.eps2)[1])
-    x_order, lo, hi = _windows(s.x, xs_eval, k)
     thresholds = grid.nodes - 1e-12
-    eval_order = np.argsort(xs_eval, kind="stable")
     out = np.empty((xs_eval.size, G, G))
-    degenerate = []
-    for start in range(0, xs_eval.size, _EVAL_BLOCK):
-        block = eval_order[start : start + _EVAL_BLOCK]
-        B = block.size
-        union = np.sort(x_order[lo[block[0]] : hi[block[-1]]])
-        m = union.size
-        kv = kernel_values(k.family, (xs_eval[block, None] - s.x[None, union]) / k.bandwidth)
-        if m < n:
-            # the zero-filled rows sum exactly as the dense ones do
-            full = np.zeros((B, n))
-            full[:, union] = kv
-            totals = full.sum(axis=1)
-        else:
-            totals = kv.sum(axis=1)
-        if np.any(totals <= 0.0):
-            degenerate.append(block[totals <= 0.0].min())
-            continue
-        W = kv / totals[:, None]
+    for block, union, W in _weight_blocks(xs_eval, s.x, k, _EVAL_BLOCK):
+        B, m = W.shape
         row = np.arange(B)[:, None]
         idx = []
         for position in positions:
@@ -354,8 +335,6 @@ def weighted_copula_surfaces(
         cells = np.bincount(cell.ravel(), weights=W.ravel(), minlength=B * (G + 1) ** 2)
         lattice = cells.reshape(B, G + 1, G + 1)[:, :G, :G].cumsum(axis=1).cumsum(axis=2)
         out[block] = np.clip(lattice, 0.0, 1.0)
-    if degenerate:
-        raise _degenerate_at(xs_eval[min(degenerate)])
     return out
 
 

@@ -11,8 +11,10 @@ class DegenerateWeightsError(RuntimeError):
     """All kernel weights vanished at an evaluation point.
 
     Raised when the evaluation point is farther than one bandwidth from every
-    covariate observation (compact-support kernels). Enlarging the bandwidth
-    or moving the evaluation point into the covariate support fixes it.
+    covariate observation (compact-support kernels), so far that the Gaussian
+    kernel underflows, or, for leave-one-out weights, when no other
+    observation lies in the window. Enlarging the bandwidth or moving the
+    evaluation point into the covariate support fixes it.
     """
 
 

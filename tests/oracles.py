@@ -2,9 +2,10 @@
 
 Each function evaluates one point by the definition, with no shared sort
 orders or lattice accumulation, so a test can compare it with the grid and
-lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
-and ``dense_weighted_copula_surfaces`` are the n x n, one-point-at-a-time
-forms of the blocked window-local stages, which must match them bit for bit.
+lattice kernels in ``condcopula.conditional``. ``dense_weight_matrix``,
+``dense_pseudo_observations`` and ``dense_weighted_copula_surfaces`` are the
+n x n, one-point-at-a-time forms of the blocked window-local weights and
+stages, which must match them bit for bit.
 ``read_grid_function_csv`` reads back what
 ``condcopula.grid.write_grid_function_csv`` writes. ``constant`` and
 ``true_surface`` build known surfaces for the tests. ``quad_frank_tau``,
@@ -22,7 +23,6 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    _lattice_cdf,
     _sort_index,
     kernel_values,
     nw_weights,
@@ -130,7 +130,7 @@ def read_grid_function_csv(path) -> GridFunction:
 
 
 def dense_weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
-    """Row i holds the NW weights w_l(X_i); raises naming the first bad row."""
+    """Row i holds the NW weights w_l(X_i); raises naming the first bad row's x."""
     z = (xs[:, None] - xs[None, :]) / k.bandwidth
     kv = kernel_values(k.family, z)
     if leave_one_out:
@@ -139,8 +139,8 @@ def dense_weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> n
     bad = np.nonzero(totals <= 0.0)[0]
     if bad.size:
         raise DegenerateWeightsError(
-            f"degenerate weights at observation index {int(bad[0])} "
-            f"(x={xs[bad[0]]:g}); enlarge the bandwidth"
+            f"degenerate weights (all kernel values are zero) at x={xs[bad[0]]:g}; "
+            "enlarge the bandwidth"
         )
     return kv / totals[:, None]
 
@@ -183,7 +183,7 @@ def dense_weighted_copula_surfaces(
             cum = np.cumsum(w[order])
             last = np.minimum(np.searchsorted(cum, levels - 1e-12, side="left"), n - 1)
             idx.append(np.searchsorted(last, position, side="left"))
-        out[i] = np.clip(_lattice_cdf(*idx, levels.size, w), 0.0, 1.0)
+        out[i] = np.clip(add_at_lattice_cdf(*idx, levels.size, w), 0.0, 1.0)
     return out
 
 

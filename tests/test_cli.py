@@ -69,6 +69,22 @@ def test_estimate_missing_input_flag(tmp_path, capsys):
     assert "missing required --in" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_one(tmp_path, capsys):
+    code = run(["estimate", "--in", str(tmp_path / "missing.csv"), "--x", "0.5",
+                "--out", str(tmp_path / "e.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.csv" in err
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    code = run(["simulate", "--family", "clayton", "--link", "constant:0.5",
+                "--n", "50", "--seed", "1", "--out", str(tmp_path / "nodir" / "s.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nodir" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run(["simulate", "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from condcopula.conditional import (
     Sample,
     _lattice_cdf,
     _lattice_copula,
-    _weight_matrix,
+    _weight_blocks,
     empirical_copula_grid,
     kernel_values,
     weighted_copula_surfaces,
@@ -24,6 +24,7 @@ from condcopula.conditional import (
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import GridFunction, make_grid, sup_distance
 from condcopula.harness import _joint_ecdf
+from condcopula.regression import cv_bandwidth
 from oracles import (
     add_at_lattice_cdf,
     cond_cdf,
@@ -193,10 +194,10 @@ def test_isolated_row_degenerates_only_without_its_own_weight():
     )
     k = KernelSpec(bandwidth=0.05)
     # the isolated observation only survives through its own weight: the
-    # pseudo-observations keep it, the leave-one-out weights flag it by index
+    # pseudo-observations keep it, the leave-one-out weights flag it
     assert pseudo_observations(s, k, k).eps1[2] == 1.0
-    with pytest.raises(DegenerateWeightsError, match="index 2"):
-        _weight_matrix(s.x, k, leave_one_out=True)
+    with pytest.raises(DegenerateWeightsError, match="at x=9;"):
+        list(_weight_blocks(s.x, s.x, k, 256, leave_one_out=True))
 
 
 def test_pseudo_needs_two_records():
@@ -560,29 +561,62 @@ def test_surfaces_outside_data_raise_dense_message(family):
         weighted_copula_surfaces([x_out], s, k, make_grid(5), pseudo)
 
 
+def weight_block_rows(xs, k, leave_one_out):
+    """The blocks of ``_weight_blocks`` at the sample, scattered into n x n rows.
+
+    The rows handed over with ``full_rows`` must be the same scattered rows.
+    """
+    rows = np.zeros((xs.size, xs.size))
+    for points, union, W in _weight_blocks(xs, xs, k, 256, leave_one_out):
+        rows[points[:, None], union] = W
+    if not leave_one_out:
+        for points, _, W in _weight_blocks(xs, xs, k, 256, full_rows=True):
+            assert np.array_equal(W, rows[points])
+    return rows
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("leave_one_out", [False, True])
 def test_full_weight_matrix_unchanged(family, leave_one_out):
-    # ``regression.cv_bandwidth`` builds all rows at once
-    s = tied_sample(300, seed=9)
-    k = KernelSpec(family, 0.1)
+    # rows of 256 at a time: one row past a block, a part block and two full
+    # ones, with tied covariates; then a bandwidth that isolates observations
+    for n in (257, 300, 600):
+        s = tied_sample(n, seed=9)
+        k = KernelSpec(family, 0.1)
+        assert_same_outcome(
+            lambda: weight_block_rows(s.x, k, leave_one_out),
+            lambda: dense_weight_matrix(s.x, k, leave_one_out),
+        )
+        k = KernelSpec(family, 1e-4)
+        assert_same_outcome(
+            lambda: weight_block_rows(s.x[::7] * 10, k, leave_one_out),
+            lambda: dense_weight_matrix(s.x[::7] * 10, k, leave_one_out),
+        )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("leave_one_out", [False, True])
+def test_weight_blocks_name_the_first_degenerate_point_in_input_order(family, leave_one_out):
+    # the isolated point first in the input lies in the last of three blocks
+    # of x order, the one last in the input in the first block; only without
+    # their own weight do they degenerate
+    rng = np.random.default_rng(12)
+    far = 50.0 if family == "gaussian" else 5.0
+    xs = np.concatenate([[far], rng.random(598), [-far]])
+    k = KernelSpec(family, 0.05)
     assert_same_outcome(
-        lambda: _weight_matrix(s.x, k, leave_one_out),
-        lambda: dense_weight_matrix(s.x, k, leave_one_out),
+        lambda: weight_block_rows(xs, k, leave_one_out),
+        lambda: dense_weight_matrix(xs, k, leave_one_out),
     )
-    k = KernelSpec(family, 1e-4)
-    assert_same_outcome(
-        lambda: _weight_matrix(s.x[::7] * 10, k, leave_one_out),
-        lambda: dense_weight_matrix(s.x[::7] * 10, k, leave_one_out),
-    )
+    if leave_one_out:
+        with pytest.raises(DegenerateWeightsError, match=f"at x={far:g};"):
+            list(_weight_blocks(xs, xs, k, 256, leave_one_out=True))
 
 
 def test_lattice_cdf_matches_add_at():
     rng = np.random.default_rng(10)
     L = 9
     a, b = rng.integers(0, L + 1, size=(2, 500))
-    w = rng.random(500) / 250.0
-    assert np.array_equal(_lattice_cdf(a, b, L, w), add_at_lattice_cdf(a, b, L, w))
     assert np.array_equal(_lattice_cdf(a, b, L), add_at_lattice_cdf(a, b, L))
 
 
@@ -608,6 +642,10 @@ def test_conditional_stages_hold_no_n_by_n_array(family):
         surfaces, peak = traced_peak_mib(
             lambda: weighted_copula_surfaces(s.x, s, k, make_grid(21), pseudo))
         assert peak < surfaces.nbytes / 2**20 + 4.0
+    scores = np.column_stack([s.y1, s.y2, s.x])
+    h = k.bandwidth
+    _, peak = traced_peak_mib(lambda: cv_bandwidth(s.x, scores, family, [h, 2 * h]))
+    assert peak < 64.0
 
 
 # --------------------------------------------------------------------- misc

@@ -62,7 +62,7 @@ def test_every_import_is_used(module):
 
 
 REPO = PACKAGE_DIR.parents[1]
-# read by no caller yet: ROADMAP item 5 keeps the paper's CV selector
+# read by no caller yet: ROADMAP item 6 keeps the paper's CV selector
 UNCALLED_ALLOWED = {"cv_bandwidth"}
 
 
@@ -120,6 +120,39 @@ def test_every_public_definition_has_a_caller():
         if name not in referenced | UNCALLED_ALLOWED
     }
     assert sorted(uncalled) == []
+
+
+def callers_of(source: str, name: str) -> set:
+    """Names of the functions whose bodies call ``name``; "<module>" for top level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_callers_of_detected():
+    source = "def f():\n    def g():\n        m.k(1)\n    k()\nk(2)\ndef h(): k\n"
+    assert callers_of(source, "k") == {"f", "g", "<module>"}
+
+
+def test_kernel_evaluated_only_by_the_weight_routines():
+    # one place decides how a kernel row and its total are formed
+    callers = set().union(
+        *(callers_of(p.read_text(), "kernel_values") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {"nw_weights", "_weight_blocks"}
 
 
 def public_fields(source: str) -> set:
