@@ -5,9 +5,11 @@ normal conditional margins provide samples whose true conditional copula is
 available in closed form; a synthetic mean-plus-eigenfunction process with
 prescribed spectrum exercises the FPCA and perturbation machinery in
 isolation. Every copula CDF, conditional inverse and tau map is in closed
-form; only Frank's tau-to-theta map takes a root search. All randomness
-flows through counter-based per-observation substreams, so sampling is
-order-independent and parallel-safe.
+form; Frank's tau-to-theta map is a safeguarded Newton solve over its closed
+form tau and slope. All randomness flows through counter-based
+per-observation substreams, so sampling is order-independent and
+parallel-safe; the uniform draws of every observation are computed in one
+array pass over those substreams.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .conditional import Sample
 from .grid import Grid2D, GridFunction, from_callable
@@ -45,6 +47,81 @@ def _obs_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
 
+# Philox-4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers
+# and the Weyl increments of the two key words
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m, from 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = a_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(m)
+
+
+def _substream_words(seed: int, index: np.ndarray) -> np.ndarray:
+    """The first four words of ``_obs_rng(seed, i)`` for every i of the 1-d ``index``.
+
+    ``Philox(key=(seed << 64) + i)`` has key words (i, seed) and draws its
+    first block at counter (1, 0, 0, 0). A block is a pure function of key
+    and counter, so ten rounds over the index array give the (4, len(index))
+    words of every ``random_raw(4)`` at once.
+    """
+    k0, k1 = np.asarray(index, dtype=np.uint64), int(seed)
+    if not 0 <= k1 < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    zero = np.zeros_like(k0)
+    c0, c1, c2, c3 = np.ones_like(k0), zero, zero, zero
+    for r in range(10):
+        if r:
+            k0 = k0 + np.uint64(_PHILOX_W[0])
+            k1 = (k1 + _PHILOX_W[1]) & ((1 << 64) - 1)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return np.stack([c0, c1, c2, c3])
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """``fn`` applied element by element over the broadcast ``args``.
+
+    numpy's SIMD ``power``, ``log`` and ``exp`` can differ from libm in the
+    last bit; the maps whose samples must keep their bits go through here
+    with ``math`` functions.
+    """
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    flat = (a.ravel().tolist() for a in args)
+    out = np.fromiter(map(fn, *flat), dtype=float, count=args[0].size)
+    return out.reshape(args[0].shape)
+
+
+def _pow(base: float, exponent: float) -> float:
+    """``base ** exponent`` by libm, inf where that overflows."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _check_theta(family: str, theta) -> None:
+    """Raise unless every ``theta`` is an admitted parameter of ``family``."""
+    t = np.asarray(theta, dtype=float)
+    if family == "clayton" and not np.all(t > 0):
+        raise ValueError("Clayton requires theta > 0")
+    if family == "frank" and not np.all(t != 0):
+        raise ValueError("Frank requires theta != 0")
+    if family == "fgm" and not np.all((-1.0 <= t) & (t <= 1.0)):
+        raise ValueError("FGM requires theta in [-1, 1]")
+    if family == "gumbel" and not np.all(t >= 1.0):
+        raise ValueError("Gumbel requires theta >= 1")
+
+
 @dataclass(frozen=True)
 class CopulaModel:
     """One bivariate copula family at a fixed parameter value."""
@@ -57,15 +134,7 @@ class CopulaModel:
         if fam not in FAMILIES:
             raise ValueError(f"unknown copula family {self.family!r}")
         object.__setattr__(self, "family", fam)
-        t = self.theta
-        if fam == "clayton" and not t > 0:
-            raise ValueError("Clayton requires theta > 0")
-        if fam == "frank" and t == 0:
-            raise ValueError("Frank requires theta != 0")
-        if fam == "fgm" and not -1.0 <= t <= 1.0:
-            raise ValueError("FGM requires theta in [-1, 1]")
-        if fam == "gumbel" and not t >= 1.0:
-            raise ValueError("Gumbel requires theta >= 1")
+        _check_theta(fam, self.theta)
 
 
 def copula_cdf(m: CopulaModel, u, v):
@@ -120,73 +189,122 @@ def copula_cdf(m: CopulaModel, u, v):
     return out if out.ndim else float(out)
 
 
-def conditional_v_given_u(m: CopulaModel, u: float, p: float) -> float:
+def conditional_v_given_u(family: str, theta, u, p):
     """Invert v -> dC/du(u, v) at probability level p (conditional sampling).
 
-    Closed form for every family. Frank is evaluated in log space, and
-    Clayton too where u^(-theta) overflows, so both hold at any admitted
-    theta. For Gumbel, w = -log C(u, v) solves
-    w + (theta - 1) log w = c, whose root is a scaled Wright omega value.
+    Element-wise over the broadcast (theta, u, p) of one family; scalars give
+    a float. Closed form for every family. Frank is evaluated in log space,
+    and Clayton too where u^(-theta) overflows, so both hold at any admitted
+    theta. For Gumbel, w = -log C(u, v) solves w + (theta - 1) log w = c,
+    whose root is a scaled Wright omega value. Clayton and FGM take their
+    powers, logs and exps from libm, as Python's float arithmetic does.
     """
-    if not (0.0 < u < 1.0) or not (0.0 < p < 1.0):
+    family = family.lower()
+    if family not in FAMILIES:
+        raise ValueError(f"unknown copula family {family!r}")
+    _check_theta(family, theta)
+    t, u, p = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, u, p)))
+    if not (np.all((0.0 < u) & (u < 1.0)) and np.all((0.0 < p) & (p < 1.0))):
         raise ValueError("u and p must lie strictly inside (0, 1)")
-    t = m.theta
-    fam = m.family
-    if fam == "independence" or (fam == "fgm" and t == 0.0) or (
-        fam == "gumbel" and t == 1.0
-    ):
-        return p
-    if fam == "clayton":
-        try:
-            scaled = (p ** (-t / (1.0 + t)) - 1.0) * u ** (-t)
-        except OverflowError:
-            scaled = math.inf
-        if math.isfinite(scaled):
-            return float((scaled + 1.0) ** (-1.0 / t))
+    # independence, FGM at b ~ 0 and Gumbel at theta = 1 keep v = p
+    v = p.copy()
+    if family == "clayton":
+        a = -t / (1.0 + t)
+        with np.errstate(over="ignore"):
+            scaled = (_libm(math.pow, p, a) - 1.0) * _libm(_pow, u, -t)
+        fin = np.isfinite(scaled)
+        v[fin] = _libm(math.pow, scaled[fin] + 1.0, -1.0 / t[fin])
         # where u^(-t) overflows: log(scaled) = log(expm1(-t/(1+t) log p)) - t log u
-        log_scaled = math.log(math.expm1(-t / (1.0 + t) * math.log(p))) - t * math.log(u)
-        return math.exp(-float(np.logaddexp(log_scaled, 0.0)) / t)
-    if fam == "frank":
+        over = ~fin
+        log_scaled = _libm(math.log, _libm(math.expm1, a[over] * _libm(math.log, p[over])))
+        log_scaled -= t[over] * _libm(math.log, u[over])
+        v[over] = _libm(math.exp, -np.logaddexp(log_scaled, 0.0) / t[over])
+    elif family == "frank":
         # v = -log(q)/t with q = [e^{-tu}(1 - p) + p e^{-t}] / [p + e^{-tu}(1 - p)]
-        a = -t * u + math.log1p(-p)
-        lp = math.log(p)
-        return float(-(np.logaddexp(a, lp - t) - np.logaddexp(lp, a)) / t)
-    if fam == "fgm":
+        a = -t * u + np.log1p(-p)
+        lp = np.log(p)
+        v = -(np.logaddexp(a, lp - t) - np.logaddexp(lp, a)) / t
+    elif family == "fgm":
         b = t * (1.0 - 2.0 * u)
-        if abs(b) < 1e-10:
-            return p
-        return float(((1.0 + b) - math.sqrt((1.0 + b) ** 2 - 4.0 * b * p)) / (2.0 * b))
-    # gumbel: with lu = -log u, dC/du = p reads w + (t - 1) log w = c for
-    # w = (lu^t + lv^t)^(1/t); rounding near p = 1 can leave w at lu
-    lu = -math.log(u)
-    c = lu + (t - 1.0) * math.log(lu) - math.log(p)
-    w = (t - 1.0) * float(special.wrightomega(c / (t - 1.0) - math.log(t - 1.0)))
-    lv = w * max(-math.expm1(t * math.log(lu / w)), 0.0) ** (1.0 / t)
-    return math.exp(-lv)
+        on = np.abs(b) >= 1e-10
+        b, q = b[on], p[on]
+        root = np.sqrt(_libm(math.pow, 1.0 + b, 2.0) - 4.0 * b * q)
+        v[on] = ((1.0 + b) - root) / (2.0 * b)
+    elif family == "gumbel":
+        # with lu = -log u, dC/du = p reads w + (t - 1) log w = c for
+        # w = (lu^t + lv^t)^(1/t); rounding near p = 1 can leave w at lu
+        on = t != 1.0
+        t, lu, q = t[on], -np.log(u[on]), p[on]
+        c = lu + (t - 1.0) * np.log(lu) - np.log(q)
+        w = (t - 1.0) * special.wrightomega(c / (t - 1.0) - np.log(t - 1.0))
+        lv = w * np.maximum(-np.expm1(t * np.log(lu / w)), 0.0) ** (1.0 / t)
+        v[on] = np.exp(-lv)
+    return v if v.ndim else float(v)
 
 
-def frank_tau(theta: float) -> float:
+def _frank_tau_and_slope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frank tau at t = |theta| >= 0 and its derivative d tau / d t.
+
+    tau = 1 - 4/t + 4 I/t^2 with the Debye integral I = int_0^t s/(e^s - 1)
+    ds = pi^2/6 + t log(1 - e^{-t}) - Li2(e^{-t}) (Nelsen 2006, sec. 5.1),
+    so d tau/d t = 4/t^2 - 8 I/t^3 + 4/(t (e^t - 1)); below t = 0.2, where
+    those cancel, the series of both.
+    """
+    small = t < 0.2
+    t2 = t * t
+    tau = t * (1 / 9 - t2 * (1 / 900 - t2 * (1 / 52920 - t2 / 2721600)))
+    slope = 1 / 9 - t2 * (3 / 900 - t2 * (5 / 52920 - t2 * 7 / 2721600))
+    big = np.where(small, 1.0, t)
+    with np.errstate(over="ignore"):
+        debye = math.pi**2 / 6 + big * np.log1p(-np.exp(-big))
+        debye -= special.spence(-np.expm1(-big))
+        tau_big = 1.0 - 4.0 / big + 4.0 * debye / (big * big)
+        slope_big = (4.0 - 8.0 * debye / big) / (big * big) + 4.0 / (big * np.expm1(big))
+    return np.where(small, tau, tau_big), np.where(small, slope, slope_big)
+
+
+def frank_tau(theta):
     """Kendall tau of the Frank copula at parameter theta (odd in theta).
 
-    At t = |theta|, tau = 1 - 4/t + 4 I/t^2 with the Debye integral I =
-    int_0^t s/(e^s - 1) ds = pi^2/6 + t log(1 - e^{-t}) - Li2(e^{-t})
-    (Nelsen 2006, sec. 5.1); below t = 0.2, where that cancels, its series.
+    Element-wise; a scalar gives a float.
     """
-    t = abs(theta)
-    if t < 0.2:
-        t2 = t * t
-        tau = t * (1 / 9 - t2 * (1 / 900 - t2 * (1 / 52920 - t2 / 2721600)))
-    else:
-        debye = math.pi**2 / 6 + t * math.log1p(-math.exp(-t))
-        debye -= float(special.spence(-math.expm1(-t)))
-        tau = 1.0 - 4.0 / t + 4.0 * debye / (t * t)
-    return math.copysign(tau, theta)
+    theta = np.asarray(theta, dtype=float)
+    tau = np.copysign(_frank_tau_and_slope(np.abs(theta))[0], theta)
+    return tau if tau.ndim else float(tau)
 
 
 # upper end of the theta bracket of the Frank tau solver; a tau beyond
 # frank_tau of it has no root there, so the range check rejects it
 _FRANK_THETA_MAX = 745.0
 _FRANK_TAU_MAX = frank_tau(_FRANK_THETA_MAX)
+
+
+def _frank_theta(target: np.ndarray) -> np.ndarray:
+    """theta in (0, 745] with frank_tau(theta) = target, for targets in (0, _FRANK_TAU_MAX).
+
+    Newton from the small-theta value 9 tau, which lies below the root
+    (tau < theta/9 for theta > 0), kept inside a bracket in [0, 745] that
+    each residual tightens: a step that leaves the bracket bisects it. A
+    tiny tau stays at 9 tau, as the series there says. Convergence is
+    quadratic, so a relative step below 1e-12 leaves only the rounding of
+    tau (a step of a few ulps would not settle).
+    """
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, _FRANK_THETA_MAX)
+    theta = np.minimum(9.0 * target, hi)
+    for _ in range(100):
+        tau, slope = _frank_tau_and_slope(theta)
+        resid = tau - target
+        lo = np.where(resid < 0, theta, lo)
+        hi = np.where(resid > 0, theta, hi)
+        step = theta - resid / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(step - theta) <= 1e-12 * step
+        theta = step
+        if np.all(done):
+            break
+    return theta
+
 
 _TAU_RANGES = {
     "independence": (-1.0, 1.0),
@@ -197,47 +315,52 @@ _TAU_RANGES = {
 }
 
 
-def _check_tau(family: str, tau: float) -> None:
-    """Raise unless ``tau`` lies in the Kendall-tau range of ``family``."""
+def _check_tau(family: str, tau) -> None:
+    """Raise unless every ``tau`` lies in the Kendall-tau range of ``family``.
+
+    The message names the first value outside the range.
+    """
+    tau = np.asarray(tau, dtype=float)
     lo, hi = _TAU_RANGES[family]
-    if family == "independence" and tau != 0.0:
-        raise ValueError("independence family admits only tau = 0")
-    if family == "clayton" and not (lo < tau < hi):
-        raise ValueError(f"Clayton tau must lie in ({lo}, {hi}), got {tau}")
-    if family == "fgm" and not (lo <= tau <= hi):
-        raise ValueError(f"FGM tau must lie in [{lo:.6g}, {hi:.6g}], got {tau}")
-    if family == "gumbel" and not (lo <= tau < hi):
-        raise ValueError(f"Gumbel tau must lie in [{lo}, {hi}), got {tau}")
-    if family == "frank" and (tau == 0.0 or not (lo < tau < hi)):
-        raise ValueError(f"Frank tau must lie in ({lo}, {hi}) excluding 0, got {tau}")
+    if family == "independence":
+        ok, rule = tau == 0.0, "independence family admits only tau = 0"
+    elif family == "clayton":
+        ok, rule = (lo < tau) & (tau < hi), f"Clayton tau must lie in ({lo}, {hi})"
+    elif family == "fgm":
+        ok, rule = (lo <= tau) & (tau <= hi), f"FGM tau must lie in [{lo:.6g}, {hi:.6g}]"
+    elif family == "gumbel":
+        ok, rule = (lo <= tau) & (tau < hi), f"Gumbel tau must lie in [{lo}, {hi})"
+    else:
+        ok = (tau != 0.0) & (lo < tau) & (tau < hi)
+        rule = f"Frank tau must lie in ({lo}, {hi}) excluding 0"
+    if not np.all(ok):
+        raise ValueError(f"{rule}, got {float(tau[~ok].flat[0])}")
 
 
-def tau_to_theta(family: str, tau: float) -> float:
-    """Map Kendall tau to the family parameter.
+def tau_to_theta(family: str, tau):
+    """Map Kendall tau to the family parameter, element-wise.
 
-    Clayton, FGM and Gumbel use their closed-form relations; Frank is solved
-    by a root search on [0, 745] to a relative 1e-14, which holds down to
-    the tiniest |tau|. Independence accepts only tau = 0 and returns 0.
+    A scalar gives a float. Clayton, FGM and Gumbel use their closed-form
+    relations; Frank is a safeguarded Newton solve on [0, 745], which holds
+    down to the tiniest |tau|. Independence accepts only tau = 0 and
+    returns 0.
     """
     family = family.lower()
     if family not in FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")
+    tau = np.asarray(tau, dtype=float)
     _check_tau(family, tau)
     if family == "independence":
-        return 0.0
-    if family == "clayton":
-        return 2.0 * tau / (1.0 - tau)
-    if family == "fgm":
-        return 4.5 * tau
-    if family == "gumbel":
-        return 1.0 / (1.0 - tau)
-    # frank
-    sign = 1.0 if tau > 0 else -1.0
-    target = abs(tau)
-    theta = optimize.brentq(
-        lambda t: frank_tau(t) - target, 0.0, _FRANK_THETA_MAX, xtol=1e-300, rtol=1e-14
-    )
-    return sign * theta
+        theta = np.zeros_like(tau)
+    elif family == "clayton":
+        theta = 2.0 * tau / (1.0 - tau)
+    elif family == "fgm":
+        theta = 4.5 * tau
+    elif family == "gumbel":
+        theta = 1.0 / (1.0 - tau)
+    else:
+        theta = np.copysign(_frank_theta(np.abs(tau)), tau)
+    return theta if theta.ndim else float(theta)
 
 
 @dataclass(frozen=True)
@@ -319,8 +442,7 @@ class ConditionalModel:
             )
         # the tau range must hold over the whole support; every link left
         # takes all its values on [0, 1] (sin(2 pi x) has period one)
-        for x in np.linspace(0.0, 1.0, 201):
-            _check_tau(fam, self.tau_at(x))
+        _check_tau(fam, self.link(np.linspace(0.0, 1.0, 201)))
 
     def tau_at(self, x: float) -> float:
         return float(self.link(x))
@@ -348,43 +470,49 @@ class TruthRecord:
         }
 
 
+def _normal_covariate_draws(seed: int, n: int) -> np.ndarray:
+    """(x, u, p) rows for n observations whose covariate is standard normal.
+
+    numpy's ziggurat ``standard_normal`` reads a variable number of words
+    from a substream, so these draws keep one generator per observation.
+    """
+    draws = np.empty((3, n))
+    for i in range(n):
+        rng = _obs_rng(seed, i)
+        draws[:, i] = rng.standard_normal(), rng.random(), rng.random()
+    return draws
+
+
 def sample_conditional(
     m: ConditionalModel, n: int, seed: int
 ) -> tuple[Sample, TruthRecord]:
     """Draw n triples (y1, y2, x) by conditional inversion.
 
-    For each observation (own substream): draw X, map tau(X) to the family
-    parameter, draw U uniform, invert the conditional distribution of V given
-    U, then push (U, V) through the conditional marginal quantiles. The truth
-    record keeps (U, V) = (eps1, eps2) for known-margins experiments.
+    Observation i draws X, then U and P uniform, from its own substream
+    ``_obs_rng(seed, i)``. Then, as one array pass over all observations:
+    tau(X) is mapped to the family parameter, V inverts the conditional
+    distribution of V given U at level P, and (U, V) go through the
+    conditional marginal quantiles. Under the uniform covariate the three
+    uniforms are the first three words of every substream, computed in bulk
+    with the same bits as the per-observation generators. The truth record
+    keeps (U, V) = (eps1, eps2) for known-margins experiments.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    xs = np.empty(n)
-    e1 = np.empty(n)
-    e2 = np.empty(n)
-    th = np.empty(n)
-    for i in range(n):
-        rng = _obs_rng(seed, i)
-        if m.covariate == "uniform":
-            x = float(rng.random())
-        else:
-            x = float(rng.standard_normal())
-        cop = m.copula_at(x)
-        u = float(rng.random())
-        p = float(rng.random())
-        u = min(max(u, 1e-12), 1.0 - 1e-12)
-        p = min(max(p, 1e-12), 1.0 - 1e-12)
-        v = conditional_v_given_u(cop, u, p)
-        xs[i] = x
-        e1[i] = u
-        e2[i] = min(max(v, 1e-12), 1.0 - 1e-12)
-        th[i] = cop.theta
-    y1 = m.margin1.quantile(e1, xs) if n else np.empty(0)
-    y2 = m.margin2.quantile(e2, xs) if n else np.empty(0)
+    if m.covariate == "uniform":
+        # random() is (word >> 11) * 2^-53
+        words = _substream_words(seed, np.arange(n, dtype=np.uint64))[:3]
+        xs, u, p = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    else:
+        xs, u, p = _normal_covariate_draws(seed, n)
+    theta = tau_to_theta(m.family, m.link(xs))
+    e1 = np.clip(u, 1e-12, 1.0 - 1e-12)
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    v = conditional_v_given_u(m.family, theta, e1, p)
+    e2 = np.clip(v, 1e-12, 1.0 - 1e-12)
     return (
-        Sample(y1=y1, y2=y2, x=xs),
-        TruthRecord(eps1=e1, eps2=e2, theta=th),
+        Sample(y1=m.margin1.quantile(e1, xs), y2=m.margin2.quantile(e2, xs), x=xs),
+        TruthRecord(eps1=e1, eps2=e2, theta=theta),
     )
 
 

@@ -11,13 +11,16 @@ stages, which must match them bit for bit.
 ``true_surface`` build known surfaces for the tests. ``quad_frank_tau``,
 ``gumbel_du`` and ``textbook_frank_v_given_u`` are the quadrature, derivative
 and textbook forms that the closed-form maps of ``condcopula.simulate``
-replace.
+replace. ``scalar_v_given_u`` evaluates the conditional inverse of one
+observation in Python floats, and ``loop_sample_conditional`` draws a
+uniform-covariate sample one observation and one generator at a time; the
+array sampler must match both.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from condcopula.conditional import (
     KernelSpec,
@@ -30,7 +33,13 @@ from condcopula.conditional import (
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import Grid2D
 from condcopula.grid import GridFunction, make_grid
-from condcopula.simulate import SyntheticKLModel
+from condcopula.simulate import (
+    ConditionalModel,
+    SyntheticKLModel,
+    TruthRecord,
+    _obs_rng,
+    tau_to_theta,
+)
 
 
 def constant(grid: Grid2D, c: float) -> GridFunction:
@@ -225,3 +234,50 @@ def textbook_frank_v_given_u(t: float, u: float, p: float) -> float:
     """Frank conditional inverse -log1p(-p (1 - e^{-t}) / (p + e^{-tu}(1 - p))) / t."""
     etu = math.exp(-t * u)
     return -math.log1p(-p * math.expm1(-t) / (p * (etu - 1.0) - etu)) / t
+
+
+def scalar_v_given_u(family: str, t: float, u: float, p: float) -> float:
+    """Conditional inverse of dC/du at level p for one observation, in Python floats."""
+    t, u, p = float(t), float(u), float(p)
+    if family == "independence" or (family == "fgm" and t == 0.0) or (
+        family == "gumbel" and t == 1.0
+    ):
+        return p
+    if family == "clayton":
+        try:
+            scaled = (p ** (-t / (1.0 + t)) - 1.0) * u ** (-t)
+        except OverflowError:
+            scaled = math.inf
+        if math.isfinite(scaled):
+            return float((scaled + 1.0) ** (-1.0 / t))
+        log_scaled = math.log(math.expm1(-t / (1.0 + t) * math.log(p))) - t * math.log(u)
+        return math.exp(-float(np.logaddexp(log_scaled, 0.0)) / t)
+    if family == "frank":
+        a = -t * u + math.log1p(-p)
+        lp = math.log(p)
+        return float(-(np.logaddexp(a, lp - t) - np.logaddexp(lp, a)) / t)
+    if family == "fgm":
+        b = t * (1.0 - 2.0 * u)
+        if abs(b) < 1e-10:
+            return p
+        return float(((1.0 + b) - math.sqrt((1.0 + b) ** 2 - 4.0 * b * p)) / (2.0 * b))
+    lu = -math.log(u)
+    c = lu + (t - 1.0) * math.log(lu) - math.log(p)
+    w = (t - 1.0) * float(special.wrightomega(c / (t - 1.0) - math.log(t - 1.0)))
+    lv = w * max(-math.expm1(t * math.log(lu / w)), 0.0) ** (1.0 / t)
+    return math.exp(-lv)
+
+
+def loop_sample_conditional(m: ConditionalModel, n: int, seed: int):
+    """(x, truth) of a uniform-covariate sample, one substream generator per observation."""
+    xs, e1, e2, th = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        rng = _obs_rng(seed, i)
+        x = float(rng.random())
+        theta = tau_to_theta(m.family, m.tau_at(x))
+        u = min(max(float(rng.random()), 1e-12), 1.0 - 1e-12)
+        p = min(max(float(rng.random()), 1e-12), 1.0 - 1e-12)
+        v = scalar_v_given_u(m.family, theta, u, p)
+        xs[i], e1[i], th[i] = x, u, theta
+        e2[i] = min(max(v, 1e-12), 1.0 - 1e-12)
+    return xs, TruthRecord(eps1=e1, eps2=e2, theta=th)

@@ -155,6 +155,16 @@ def test_kernel_evaluated_only_by_the_weight_routines():
     assert callers == {"nw_weights", "_weight_blocks"}
 
 
+def test_substream_generators_built_only_where_draws_vary_in_length():
+    # a per-observation generator loop is kept only where numpy's ziggurat
+    # standard_normal reads a variable number of words; uniform draws come
+    # from the bulk substream words
+    callers = set().union(
+        *(callers_of(p.read_text(), "_obs_rng") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {"_normal_covariate_draws", "synthetic_kl_sample"}
+
+
 def public_fields(source: str) -> set:
     """``Class.field`` for each annotated field of a public top-level class."""
     return {

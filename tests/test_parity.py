@@ -23,6 +23,7 @@ from condcopula.harness import (
     eigen_perturbation_experiment,
     uniformity_and_gap_experiment,
 )
+from condcopula.simulate import ConditionalModel, TauLink, sample_conditional
 
 CLAYTON_SINE = {"family": "clayton", "link": "sine:0.4,0.25"}
 
@@ -97,3 +98,41 @@ def test_estimate_grid_csv_pinned(tmp_path, flags, digest):
     assert run(["estimate", "--in", str(data), "--x", "0.4", *flags,
                 "--out", str(out)]) == 0
     assert sha256(out.with_suffix(".grid.csv").read_bytes()) == digest
+
+
+# the fits read y only through ranks, so a last-bit change of the sample can
+# pass every digest above; these pin the sampler's own outputs
+SAMPLERS = {
+    "clayton-sine": (
+        ("clayton", "sine:0.4,0.25", "uniform"),
+        "442d82460799b4ac3b56b4e719ebc835e6879d3d442bd0b86e42f32763db6cf4",
+    ),
+    "fgm": (
+        ("fgm", "sine:0.1,0.1", "uniform"),
+        "88d6fdb07b439b87c201fdb00b64725a74bf37552710d5dcf7f5eb8adc1e7eba",
+    ),
+    "independence": (
+        ("independence", "constant:0.0", "uniform"),
+        "ac40020f464404e56e522f546ed29d28088080e22aad17e7e6d3be3545fd8ae9",
+    ),
+    # theta = 998: u^(-theta) overflows for most u
+    "clayton-overflow": (
+        ("clayton", "constant:0.998", "uniform"),
+        "6003bca3b4162f3c7fd3bcfdcecabeae0d7df4feee80b9548104eb596bd64cc5",
+    ),
+    "clayton-normal-covariate": (
+        ("clayton", "sine:0.4,0.25", "normal"),
+        "dcfdd3cdffdc4cd642d5ffe88c6fdc11d5af57a463add58c230d81784c6a4693",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_sampler_outputs_pinned(name):
+    (family, link, covariate), digest = SAMPLERS[name]
+    model = ConditionalModel(family=family, link=TauLink.parse(link), covariate=covariate)
+    sample, truth = sample_conditional(model, 400, seed=11)
+    h = hashlib.sha256()
+    for a in (sample.x, sample.y1, sample.y2, truth.eps1, truth.eps2, truth.theta):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest

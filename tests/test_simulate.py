@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from condcopula import simulate
 from condcopula.grid import inner_product, make_grid
@@ -19,7 +21,13 @@ from condcopula.simulate import (
     tau_to_theta,
     true_conditional_copula,
 )
-from oracles import gumbel_du, quad_frank_tau, textbook_frank_v_given_u
+from oracles import (
+    gumbel_du,
+    loop_sample_conditional,
+    quad_frank_tau,
+    scalar_v_given_u,
+    textbook_frank_v_given_u,
+)
 
 # both at tau 0.9: the maps must hold at high dependence too
 HIGH_DEPENDENCE = [CopulaModel("frank", 38.28), CopulaModel("gumbel", 10.0)]
@@ -192,6 +200,22 @@ def test_frank_tau_round_trip_down_to_tiny_tau():
     assert tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-6)
 
 
+def test_frank_theta_matches_a_brentq_reference():
+    edge = simulate._FRANK_TAU_MAX * (1.0 - 1e-12)
+    taus = np.array([1e-300, 1e-12, 1e-3, 0.5, 0.99, edge])
+    taus = np.concatenate([taus, -taus])
+    thetas = tau_to_theta("frank", taus)
+    for tau, theta in zip(taus, thetas):
+        # bisecting [0, 745] down to tau = 1e-300 takes about 150 steps
+        ref = optimize.brentq(
+            lambda t: frank_tau(t) - abs(tau), 0.0, 745.0,
+            xtol=5e-324, rtol=1e-14, maxiter=2000,
+        )
+        assert abs(theta - math.copysign(ref, tau)) <= 1e-12 * ref
+    # a tiny tau sits on the series theta = 9 tau
+    assert tau_to_theta("frank", 1e-300) == pytest.approx(9e-300, rel=1e-15)
+
+
 def test_tau_ranges_enforced():
     for family, bad in [
         ("clayton", -0.1),
@@ -238,6 +262,70 @@ def test_prefix_stability_of_substreams():
     assert np.array_equal(s_big.y1[:20], s_small.y1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**62 + 7])
+def test_bulk_words_match_substreams(seed, start):
+    index = np.arange(start, start + 300, dtype=np.uint64)
+    words = simulate._substream_words(seed, index)
+    expected = np.stack(
+        [simulate._obs_rng(seed, int(i)).bit_generator.random_raw(4) for i in index], axis=1
+    )
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, expected)
+
+
+def test_uniform_covariate_sample_matches_one_generator_per_observation():
+    # theta runs from 98 to about 2000, so u^(-theta) overflows for some
+    # observations and not for others: both Clayton branches
+    model = ConditionalModel(family="clayton", link=TauLink("linear", 0.98, 0.019))
+    sample, truth = sample_conditional(model, 400, seed=3)
+    xs, expected = loop_sample_conditional(model, 400, seed=3)
+    overflow = -truth.theta * np.log(truth.eps1) > math.log(np.finfo(float).max)
+    assert 0 < overflow.sum() < overflow.size
+    assert sample.x.tobytes() == xs.tobytes()
+    for field in ("eps1", "eps2", "theta"):
+        assert getattr(truth, field).tobytes() == getattr(expected, field).tobytes()
+
+
+# each family's inverse at branch edges: (family, theta, u, p) rows in which
+# neighbouring entries take different branches
+BRANCH_CASES = {
+    "gumbel": ([1.0, 1.0 + 1e-9, 1.0, 2.0, 1.0 + 1e-9, 50.0],
+               [0.3, 0.3, 0.7, 0.7, 0.01, 0.5], [0.4, 0.4, 0.9, 0.9, 0.2, 1e-6]),
+    "fgm": ([0.8, 0.8, 0.8, 0.8, -1.0, 0.0],
+            [0.5, 0.5 + 1e-11, 0.5 + 1e-9, 0.1, 0.9, 0.3], [0.3, 0.3, 0.3, 0.7, 0.2, 0.6]),
+    # u^(-200) overflows below u ~ 0.029
+    "clayton": ([200.0, 200.0, 200.0, 200.0, 1998.0, 0.5],
+                [0.02, 0.1, 1e-6, 0.9, 0.7, 0.02], [0.5, 0.5, 0.99, 1e-9, 0.5, 0.5]),
+    "frank": ([-5.0, 5.0, -1e-3, 1e-3, -739.1, 739.1],
+              [0.3, 0.3, 0.6, 0.6, 0.05, 0.95], [0.2, 0.2, 0.9, 0.9, 1e-12, 0.5]),
+    "independence": ([0.0, 0.0], [0.2, 0.8], [0.1, 0.95]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BRANCH_CASES))
+def test_inverse_branches_match_the_scalar_form_element_wise(family):
+    theta, u, p = (np.array(a) for a in BRANCH_CASES[family])
+    v = conditional_v_given_u(family, theta, u, p)
+    expected = [scalar_v_given_u(family, *args) for args in zip(theta, u, p)]
+    for got, want in zip(v, expected):
+        if family in ("frank", "gumbel"):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+        else:
+            # Clayton, FGM and independence keep the bits of the scalar form
+            assert got == want
+
+
+def test_inverse_rejects_levels_and_parameters_outside_the_family():
+    with pytest.raises(ValueError, match="strictly inside"):
+        conditional_v_given_u("clayton", 2.0, np.array([0.5, 1.0]), 0.5)
+    with pytest.raises(ValueError, match="Clayton requires"):
+        conditional_v_given_u("clayton", np.array([2.0, -1.0]), 0.5, 0.5)
+    assert conditional_v_given_u("fgm", 0.5, 0.25, 0.5) == scalar_v_given_u(
+        "fgm", 0.5, 0.25, 0.5
+    )
+
+
 def test_independence_sample_tau_near_zero():
     model = ConditionalModel(
         family="independence", link=TauLink(form="constant", a=0.0)
@@ -255,8 +343,7 @@ def test_sampler_matches_cdf_on_lattice(m):
     rng = np.random.default_rng(100)
     u = np.clip(rng.random(n), 1e-12, 1 - 1e-12)
     p = np.clip(rng.random(n), 1e-12, 1 - 1e-12)
-    v = np.array([conditional_v_given_u(m, float(ui), float(pi))
-                  for ui, pi in zip(u, p)])
+    v = conditional_v_given_u(m.family, m.theta, u, p)
     lattice = np.linspace(0.05, 0.95, 21)
     worst = 0.0
     for a in lattice:
@@ -274,7 +361,7 @@ def test_gumbel_inverse_round_trips_through_the_derivative():
         m = CopulaModel("gumbel", theta)
         for u in us:
             for p in ps:
-                v = conditional_v_given_u(m, float(u), p)
+                v = conditional_v_given_u(m.family, m.theta, float(u), p)
                 assert abs(float(gumbel_du(theta, float(u), v)) - p) <= 1e-10
 
 
@@ -286,13 +373,13 @@ def test_frank_inverse_matches_textbook_form_and_holds_at_high_theta():
         for u in us:
             for p in ps:
                 expected = textbook_frank_v_given_u(theta, float(u), p)
-                assert abs(conditional_v_given_u(m, float(u), p) - expected) <= 1e-13
+                assert abs(conditional_v_given_u(m.family, m.theta, float(u), p) - expected) <= 1e-13
     # the textbook form raises a math domain error from theta ~ 38
     for theta in (38.28, 78.32, 398.3, 739.1):
         for sign in (1.0, -1.0):
             m = CopulaModel("frank", sign * theta)
             for u in us:
-                v = [conditional_v_given_u(m, float(u), p) for p in ps]
+                v = conditional_v_given_u(m.family, m.theta, float(u), ps)
                 assert 0.0 <= v[0] and v[-1] <= 1.0
                 assert np.all(np.diff(v) >= 0.0)
 
@@ -361,9 +448,9 @@ def test_frank_tau_just_inside_the_bracket_solves():
 
 def test_frank_model_checks_its_range_without_root_solves(monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("brentq ran while the model was built")
+        raise AssertionError("the Frank theta solver ran while the model was built")
 
-    monkeypatch.setattr(simulate.optimize, "brentq", no_solve)
+    monkeypatch.setattr(simulate, "_frank_theta", no_solve)
     model = ConditionalModel(family="frank", link=TauLink(form="sine", a=0.4, b=0.25))
     assert model.tau_at(0.25) == pytest.approx(0.65)
 
