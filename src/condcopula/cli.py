@@ -197,7 +197,7 @@ def _cmd_fpca(args) -> int:
     head = fit.eigen.head(args.components)
     head.export(out, csv_prefix=prefix)
     lam = fit.eigen.eigenvalues
-    total = lam.sum() if lam.sum() > 0 else 1.0
+    total = fit.eigen.total if fit.eigen.total > 0 else 1.0
     for k in range(head.m):
         print(f"lambda_{k + 1} = {lam[k]:.6g}  (cvp {lam[: k + 1].sum() / total:.3f})")
     print(f"wrote {out} and {prefix}_phi*.csv")

@@ -27,6 +27,7 @@ from .conditional import (
 )
 from .fpca import (
     EigenSystem,
+    centered_trajectories,
     # perfbench/run.py wraps these two where this module looks them up
     covariance_field,  # noqa: F401
     eigendecompose,  # noqa: F401
@@ -51,11 +52,9 @@ __all__ = [
     "frechet_project",
 ]
 
-# smallest eigenproblem, min(n, G^2), whose BLAS calls use every thread.
-# On 2 cores a second thread takes the eigen stage from 0.34 to 0.27 s at
-# n=800, G=51 but saves nothing at n=3000, G=21 (0.07 s), and after each
-# threaded call the idle worker spins on the other core (see ``_blas``)
-_THREADED_EIGEN_DIM = 512
+# leading components solved for under an automatic K; the CVP picks K = 1
+# to 8 on typical fits, and a threshold these miss gets the whole spectrum
+_LEADING = 16
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class PipelineConfig:
 class FpcaFit:
     """Sample-level fit, shared by estimates at different x. The spectrum,
     the scores and the reconstruction are all centred at the partial copula
-    ``center``; the (n, G, G) trajectory surfaces are not kept."""
+    ``center``; the (n, G, G) trajectory surfaces are not kept. ``eigen``
+    holds the leading components the fit reads and the total variance."""
 
     sample: Sample
     config: PipelineConfig
@@ -107,11 +107,10 @@ class FpcaFit:
     bandwidths: dict
 
     def cvp_attained(self) -> float:
-        lam = self.eigen.eigenvalues
-        total = lam.sum()
+        total = self.eigen.total
         if total <= 0 or self.K == 0:
             return 0.0
-        return float(lam[: self.K].sum() / total)
+        return float(self.eigen.eigenvalues[: self.K].sum() / total)
 
     def eigengap(self) -> float | None:
         """lambda_K / lambda_{K+1}; None when K=0 or lambda_{K+1} is zero or absent."""
@@ -171,17 +170,25 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     center = empirical_copula_grid(pseudo, grid)
     traj_kernel = KernelSpec(family=fam, bandwidth=bw["h"])
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
-    threaded = min(s.n, grid.G**2) >= _THREADED_EIGEN_DIM
-    with limited_threads(None if threaded else 1):
-        eigen = ensemble_eigensystem(surfaces, center)
-        # the spectrum holds min(n, G^2) components and the rest are zero,
-        # so a fixed K is clamped to the positive count
-        positive = int(np.count_nonzero(eigen.eigenvalues > 0.0))
+    # the eigen solve and the scores read one centred copy; the stack goes
+    # before the eigen stage allocates
+    centered = centered_trajectories(surfaces, center)
+    del surfaces
+    m = min(s.n, grid.G**2)  # the spectrum's length; the rest of it is zero
+    with limited_threads(1):
         if cfg.K is not None:
-            K = min(cfg.K, positive)
+            # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
+            # beyond the positive eigenvalues is clamped to their count
+            eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, 5))
+            K = min(cfg.K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
         else:
+            eigen = ensemble_eigensystem(centered, grid, _LEADING)
             K = select_K(eigen, cfg.cvp_threshold)
-        xi = scores(surfaces, center, eigen, K) if K > 0 else np.empty((s.n, 0))
+            if K == eigen.m < m:
+                # the threshold, or lambda_{K+1}, lies past the leading components
+                eigen = ensemble_eigensystem(centered, grid, m)
+                K = select_K(eigen, cfg.cvp_threshold)
+        xi = scores(centered, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,
         config=cfg,

@@ -5,11 +5,15 @@ observation; it lives on the grid of the centre surface passed with it. Its
 covariance function is discretized as a symmetric G^2 x G^2 matrix over node
 pairs; the covariance operator becomes the symmetric eigenproblem
 (cell_weight * matrix) phi = lambda phi, with eigenvector values rescaled so
-the quadrature norm of each eigenfunction is one. When the ensemble has fewer trajectories than grid nodes, the same
-spectrum comes from the smaller n x n Gram matrix of the centered
-trajectories (the method of snapshots, Sirovich 1987). Also houses the
-first-order eigenfunction perturbation projection and the exact unit-sphere
-identity used by the verification harness.
+the quadrature norm of each eigenfunction is one. Every eigensystem carries
+the total variance, the trace of the decomposed matrix, so that the share of
+variance its components explain is known also when it holds only the leading
+ones. The fit path solves for those alone (``ensemble_eigensystem``), and when
+the ensemble has fewer trajectories than grid nodes it takes them from the
+smaller n x n Gram matrix of the centered trajectories (the method of
+snapshots, Sirovich 1987). Also houses the first-order eigenfunction
+perturbation projection and the exact unit-sphere identity used by the
+verification harness.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import leading_eigh
 from .errors import DegenerateSpectrumError
 from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
     "EigenSystem",
+    "centered_trajectories",
     "covariance_field",
     "eigendecompose",
     "ensemble_eigensystem",
@@ -39,12 +45,17 @@ _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ordered eigenvalues and quadrature-orthonormal eigenfunctions."""
+    """Ordered eigenvalues and quadrature-orthonormal eigenfunctions.
+
+    The system may hold only the leading components of a spectrum; ``total``
+    is the sum of the whole spectrum, the trace of the decomposed matrix.
+    """
 
     grid: Grid2D
     eigenvalues: np.ndarray  # nonincreasing, length m
     eigenfunctions: np.ndarray  # shape (m, G, G)
     sign_flips: np.ndarray  # +-1 per component, as applied
+    total: float
 
     @property
     def m(self) -> int:
@@ -64,6 +75,7 @@ class EigenSystem:
             eigenvalues=self.eigenvalues[:m],
             eigenfunctions=self.eigenfunctions[:m],
             sign_flips=self.sign_flips[:m],
+            total=self.total,
         )
 
     def export(self, json_path, csv_prefix) -> None:
@@ -80,7 +92,7 @@ class EigenSystem:
             write_grid_function_csv(self.phi(k), f"{csv_prefix}_phi{k}.csv")
 
 
-def _centered(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
+def centered_trajectories(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
     """(n, G^2) trajectories minus ``mean``; ``surfaces`` is (n, G, G)."""
     G = mean.grid.G
     if surfaces.ndim != 3 or surfaces.shape[1:] != (G, G):
@@ -98,20 +110,20 @@ def covariance_field(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
     is passed; numpy forms ``C^T C`` with a symmetric kernel, so the matrix
     equals its transpose exactly.
     """
-    centered = _centered(surfaces, mean)
+    centered = centered_trajectories(surfaces, mean)
     return centered.T @ centered / centered.shape[0]
 
 
 def _eigensystem(
-    grid: Grid2D, evals: np.ndarray, phis: np.ndarray, truncate_below: float
+    grid: Grid2D, evals: np.ndarray, phis: np.ndarray, total: float, truncate_below: float
 ) -> EigenSystem:
     """Order, clip and sign-normalise an unordered eigenpair set.
 
     ``phis`` holds one quadrature-normalised eigenfunction per column,
-    (G^2, m). Eigenvalues come out nonincreasing, those below
-    ``truncate_below`` clipped to zero. Each eigenfunction's sign makes its
-    integral positive; when the integral vanishes, its first entry of
-    magnitude above 1e-8 is positive.
+    (G^2, m); ``total`` is the trace of the decomposed matrix. Eigenvalues
+    come out nonincreasing, those below ``truncate_below`` clipped to zero.
+    Each eigenfunction's sign makes its integral positive; when the integral
+    vanishes, its first entry of magnitude above 1e-8 is positive.
     """
     order = np.argsort(evals, kind="stable")[::-1]
     evals = evals[order]
@@ -131,7 +143,8 @@ def _eigensystem(
                 flips[k] = -1.0
         phis[k] *= flips[k]
     return EigenSystem(
-        grid=grid, eigenvalues=evals, eigenfunctions=phis, sign_flips=flips
+        grid=grid, eigenvalues=evals, eigenfunctions=phis, sign_flips=flips,
+        total=total,
     )
 
 
@@ -157,55 +170,69 @@ def eigendecompose(
     if np.min(np.diagonal(field)) < -1e-12:
         raise ValueError("negative variance on the diagonal")
     delta = grid.cell_weight
-    evals, evecs = np.linalg.eigh(delta * (0.5 * (field + field.T)))
-    return _eigensystem(grid, evals, evecs / np.sqrt(delta), truncate_below)
+    matrix = delta * (0.5 * (field + field.T))
+    evals, evecs = np.linalg.eigh(matrix)
+    return _eigensystem(
+        grid, evals, evecs / np.sqrt(delta), float(np.trace(matrix)), truncate_below
+    )
 
 
-def ensemble_eigensystem(surfaces: np.ndarray, center: GridFunction) -> EigenSystem:
-    """The eigensystem of ``covariance_field(surfaces, center)``, up to rounding.
+def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> EigenSystem:
+    """The leading ``count`` components of the ensemble covariance operator.
 
-    With n >= G^2 trajectories this is exactly
-    ``eigendecompose(center.grid, covariance_field(surfaces, center))``. With
-    fewer, the covariance has rank at most n, so the n x n Gram matrix
-    (cell_weight / n) C C^T of the centered trajectories C is decomposed
-    instead: its eigenvalues are the nonzero ones of the covariance operator,
-    and C^T u, rescaled to unit quadrature norm, is the eigenfunction of
-    eigenvector u. A direction with C^T u = 0 gets eigenvalue 0 and a zero
-    eigenfunction. The system holds min(n, G^2) components; the ones it
-    drops all have eigenvalue zero.
+    ``centered`` is ``centered_trajectories(surfaces, center)`` for surfaces
+    on ``grid``. Up to rounding, the result is
+    ``eigendecompose(grid, covariance_field(surfaces, center)).head(count)``,
+    with ``total`` the trace of the covariance operator,
+    (cell_weight / n) ||C||_F^2 for the centered trajectories C. With n >= G^2
+    trajectories the G^2 x G^2 matrix cell_weight * C^T C / n is decomposed,
+    exactly as ``eigendecompose`` forms it. With fewer, the covariance has
+    rank at most n, so the n x n Gram matrix (cell_weight / n) C C^T is
+    decomposed instead: its eigenvalues are the nonzero ones of the
+    covariance operator, and C^T u, rescaled to unit quadrature norm, is the
+    eigenfunction of eigenvector u. A direction with C^T u = 0 gets
+    eigenvalue 0 and a zero eigenfunction. Only the leading eigenpairs are
+    solved for (``_blas.leading_eigh``). The system holds
+    min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
     """
-    grid = center.grid
-    if len(surfaces) >= grid.G ** 2:
-        return eigendecompose(grid, covariance_field(surfaces, center))
-    centered = _centered(surfaces, center)
+    n = centered.shape[0]
     delta = grid.cell_weight
-    evals, u = np.linalg.eigh(delta / len(surfaces) * (centered @ centered.T))
-    phis = centered.T @ u
+    snapshots = n < grid.G ** 2
+    if snapshots:
+        matrix = delta / n * (centered @ centered.T)
+    else:
+        matrix = delta * (centered.T @ centered / n)
+    total = float(np.trace(matrix))
+    evals, vecs = leading_eigh(matrix, min(count, matrix.shape[0]))
+    if not snapshots:
+        return _eigensystem(grid, evals, vecs / np.sqrt(delta), total, _TRUNCATE_BELOW)
+    phis = centered.T @ vecs
     norms = np.sqrt(delta * np.einsum("ij,ij->j", phis, phis))
     live = norms > 0.0
     phis[:, live] /= norms[live]
     evals[~live] = 0.0
-    return _eigensystem(grid, evals, phis, _TRUNCATE_BELOW)
+    return _eigensystem(grid, evals, phis, total, _TRUNCATE_BELOW)
 
 
-def scores(
-    surfaces: np.ndarray, mean: GridFunction, es: EigenSystem, K: int
-) -> np.ndarray:
-    """Quadrature projections of the surfaces centered at ``mean``, (n, K)."""
+def scores(centered: np.ndarray, es: EigenSystem, K: int) -> np.ndarray:
+    """Quadrature projections of ``centered_trajectories(surfaces, mean)``, (n, K)."""
     if not (1 <= K <= es.m):
         raise ValueError(f"K={K} out of range 1..{es.m}")
-    if mean.grid != es.grid:
-        raise ValueError("mean and eigensystem live on different grids")
-    # scaling the unnamed temporary lets numpy reuse its buffer
-    weighted = es.grid.cell_weight * _centered(surfaces, mean)
-    return weighted @ es.phi_flat()[:K].T
+    if centered.ndim != 2 or centered.shape[1] != es.grid.G ** 2:
+        raise ValueError(f"centered trajectories must have shape (n, {es.grid.G ** 2})")
+    # scaling the (n, K) product, not the trajectories, makes no second (n, G^2) array
+    return (centered @ es.phi_flat()[:K].T) * es.grid.cell_weight
 
 
 def select_K(es: EigenSystem, threshold: float = 0.9) -> int:
-    """Smallest K whose cumulative variance fraction reaches ``threshold``.
+    """Smallest K whose share of the total variance ``es.total`` reaches ``threshold``.
 
-    An all-zero spectrum returns 0 (degenerate; callers fall back to the
-    mean surface alone).
+    When the positive components of ``es`` do not reach it (the system holds
+    only leading components, or rounding and the clipping of eigenvalues
+    below 1e-12 leave their sum short of the trace) their count is returned,
+    so a threshold of 1.0 keeps every positive component. An all-zero
+    spectrum returns 0 (degenerate; callers fall back to the mean surface
+    alone).
     """
     lam = es.eigenvalues
     positive = lam[lam > 0.0]
@@ -213,8 +240,8 @@ def select_K(es: EigenSystem, threshold: float = 0.9) -> int:
         return 0
     if not (0.0 < threshold <= 1.0):
         raise ValueError("CVP threshold must be in (0, 1]")
-    frac = np.cumsum(positive) / positive.sum()
-    return int(np.searchsorted(frac, threshold - 1e-12) + 1)
+    frac = np.cumsum(positive) / es.total
+    return int(min(np.searchsorted(frac, threshold - 1e-12) + 1, positive.size))
 
 
 def _hs_inner(z: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray, delta: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from condcopula.cli import run
 from condcopula.conditional import KernelSpec, weighted_copula_surfaces
 from condcopula.estimator import PipelineConfig, fit_pipeline
-from condcopula.fpca import covariance_field, eigendecompose, scores
+from condcopula.fpca import centered_trajectories, covariance_field, eigendecompose, scores
 from condcopula.grid import GridFunction, l2_norm, make_grid
 from condcopula.harness import (
     ExperimentConfig,
@@ -79,7 +79,7 @@ def test_criterion_1_exact_identities():
     trace = delta * np.sum(np.diagonal(field))
     trace_ok = abs(es.eigenvalues.sum() - trace) <= 1e-8 * max(trace, 1e-30)
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(surfaces, center, es, K=rank)
+    xi = scores(centered_trajectories(surfaces, center), es, K=rank)
     recon = center.flat()[None] + xi @ es.phi_flat()[:rank]
     recon_ok = all(
         l2_norm(GridFunction(grid=grid, values=surface - recon[i].reshape(21, 21)))

@@ -1,4 +1,4 @@
-"""The BLAS thread limit that the fit pipeline puts on its small eigenproblems."""
+"""The BLAS thread limit that the fit pipeline puts on its eigen and score stage."""
 
 import numpy as np
 import pytest
@@ -32,28 +32,23 @@ def test_limited_threads_restores_when_the_block_raises():
     assert thread_counts() == before
 
 
-def test_limited_threads_none_leaves_the_count():
-    before = thread_counts()
-    with _blas.limited_threads(None):
-        assert thread_counts() == before
-
-
 def test_small_fit_is_the_same_at_any_thread_count():
-    # min(n, G^2) = 121 is below the threaded size, so the fit runs its BLAS
-    # on one thread whatever the caller allows, and gives the same bits
+    # min(n, G^2) = 121 and 600: the eigen and score stage runs on one thread
+    # at every size, whatever the caller allows, and gives the same bits
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
-    s, _ = sample_conditional(model, 300, 4)
-    cfg = PipelineConfig(grid_size=11)
-    before = thread_counts()
-    free = fit_pipeline(s, cfg)
-    assert thread_counts() == before
-    with _blas.limited_threads(1):
-        single = fit_pipeline(s, cfg)
-    assert free.K == single.K > 0
-    assert np.array_equal(free.eigen.eigenvalues, single.eigen.eigenvalues)
-    assert np.array_equal(free.eigen.eigenfunctions, single.eigen.eigenfunctions)
-    assert np.array_equal(free.scores, single.scores)
-    assert np.array_equal(
-        evaluate_fit(free, 0.4).surface.values, evaluate_fit(single, 0.4).surface.values
-    )
-    assert thread_counts() == before
+    for n, grid_size in ((300, 11), (600, 25)):
+        s, _ = sample_conditional(model, n, 4)
+        cfg = PipelineConfig(grid_size=grid_size)
+        before = thread_counts()
+        free = fit_pipeline(s, cfg)
+        assert thread_counts() == before
+        with _blas.limited_threads(1):
+            single = fit_pipeline(s, cfg)
+        assert free.K == single.K > 0
+        assert np.array_equal(free.eigen.eigenvalues, single.eigen.eigenvalues)
+        assert np.array_equal(free.eigen.eigenfunctions, single.eigen.eigenfunctions)
+        assert np.array_equal(free.scores, single.scores)
+        assert np.array_equal(
+            evaluate_fit(free, 0.4).surface.values, evaluate_fit(single, 0.4).surface.values
+        )
+        assert thread_counts() == before

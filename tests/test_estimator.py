@@ -15,7 +15,7 @@ from condcopula.estimator import (
     fit_pipeline,
     frechet_project,
 )
-from condcopula.fpca import covariance_field, eigendecompose, scores
+from condcopula.fpca import centered_trajectories, covariance_field, eigendecompose, scores
 from condcopula.grid import (
     GridFunction,
     from_callable,
@@ -53,8 +53,9 @@ def test_fixed_k_zero_reduces_to_partial_copula():
 
 
 def test_fixed_k_above_sample_size_clamps_to_positive_count():
-    # n=50 < K=100 <= G^2=121: the spectrum holds 50 components, and K
-    # clamps to the positive ones as it did when all 121 were kept
+    # n=50 < K=100 <= G^2=121: the spectrum holds 50 components, so the fit
+    # solves for all 50 rather than K + 1 = 101, and K clamps to the
+    # positive ones as it did when all 121 were kept
     _, s = clayton_sample(n=50, seed=12)
     fit = fit_pipeline(s, PipelineConfig(grid_size=11, K=100))
     assert fit.eigen.m == 50
@@ -141,7 +142,7 @@ def test_oracle_rank_one_model_median_error():
     for rep in range(50):
         xs, surfaces, _ = synthetic_kl_sample(model, 1000, seed=900 + rep)
         es = eigendecompose(grid, covariance_field(surfaces, model.mean))
-        xi = scores(surfaces, model.mean, es, K=1)
+        xi = scores(centered_trajectories(surfaces, model.mean), es, K=1)
         alpha = eval_alpha(0.5, xs, xi, KernelSpec(bandwidth=0.1))
         est = GridFunction(
             grid=grid,
@@ -185,9 +186,13 @@ def test_eigengap_diagnostic():
     assert gap >= 1.0
     no_components = fit_pipeline(s, PipelineConfig(K=0))
     assert evaluate_fit(no_components, 0.4).diagnostics["eigengap"] is None
-    # every positive component kept: lambda_{K+1} is zero or absent
-    all_components = fit_pipeline(s, PipelineConfig(K=fit.eigen.m))
-    assert all_components.K == np.count_nonzero(lam > 0.0)
+    # every positive component kept: lambda_{K+1} is zero or absent. The
+    # fit above holds only its leading components, so K asks for all 150
+    all_components = fit_pipeline(s, PipelineConfig(K=s.n))
+    assert all_components.eigen.m == s.n
+    lam_all = all_components.eigen.eigenvalues
+    assert np.all(np.abs(lam_all[: fit.eigen.m] - lam) <= 1e-12 * lam[0])
+    assert all_components.K == np.count_nonzero(lam_all > 0.0) > fit.eigen.m
     assert evaluate_fit(all_components, 0.4).diagnostics["eigengap"] is None
 
 

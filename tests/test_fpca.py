@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from condcopula import _blas
 from condcopula.conditional import KernelSpec, weighted_copula_surfaces
 from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, fit_pipeline
 from condcopula.fpca import (
     EigenSystem,
+    centered_trajectories,
     covariance_field,
     eigendecompose,
     ensemble_eigensystem,
@@ -42,6 +46,7 @@ def dummy_eigensystem(eigenvalues):
         eigenvalues=lam,
         eigenfunctions=np.ones((m, 1, 1)),
         sign_flips=np.ones(m),
+        total=lam.sum(),
     )
 
 
@@ -220,46 +225,91 @@ def test_head_keeps_the_leading_components():
 # ----------------------------------------------------- ensemble eigensystem
 
 
-# the pipeline centres at the partial copula; the ensemble mean, around
-# which the score columns are exactly mean-zero, exercises the other case
-@pytest.mark.parametrize("center", ["partial", "ensemble"])
-@pytest.mark.parametrize("n", [40, 81, 120])  # below, at and above G^2 = 81
-def test_ensemble_eigensystem_matches_covariance_route(n, center):
+def assert_leading_system(got, want, count):
+    """``got`` holds ``want.head(count)`` up to rounding, past the spectrum's zeros.
+
+    Both solvers place an eigenfunction only to within about
+    eps * lambda_1 / gap (Davis-Kahan), so the bound scales with the inverse
+    relative gap: 1e-10 at a gap of 1e-4 * lambda_1, and components closer
+    than 1e-6 * lambda_1 to a neighbour are not compared. The distance is
+    the quadrature L2 norm, in which both are unit vectors; the sign
+    convention is compared along with the values.
+    """
+    lam = want.eigenvalues
+    m = got.m
+    assert np.all(np.abs(got.eigenvalues - lam[:m]) <= 1e-12 * lam[0])
+    assert np.all(lam[m:count] == 0.0)
+    gaps = np.abs(np.subtract.outer(lam, lam)) + np.diag(np.full(lam.size, np.inf))
+    rel_gap = gaps.min(axis=1)[:m] / lam[0]
+    separated = (rel_gap > 1e-6) & (lam[:m] > 0.0)
+    diff = got.phi_flat() - want.phi_flat()[:m]
+    dist = np.sqrt(GRID.cell_weight * np.sum(diff * diff, axis=1))
+    assert np.all(dist[separated] <= 1e-14 / rel_gap[separated])
+    return separated
+
+
+def clayton_ensemble(n, center):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=31)
     fit = fit_pipeline(s, PipelineConfig(grid_size=9))
     surfaces = trajectory_surfaces(fit)
     mean = fit.center if center == "partial" else mean_surface(surfaces)
-    got = ensemble_eigensystem(surfaces, mean)
-    want = eigendecompose(GRID, covariance_field(surfaces, mean))
-    m = got.m
-    assert m == min(n, GRID.G**2)
-    lam = want.eigenvalues
-    assert np.all(np.abs(got.eigenvalues - lam[:m]) <= 1e-12 * lam[0])
-    assert np.all(lam[m:] == 0.0)
-    # both solvers place an eigenfunction only to within about
-    # eps * lambda_1 / gap (Davis-Kahan), so the bound scales with the
-    # inverse relative gap: 1e-10 at a gap of 1e-4 * lambda_1, and components
-    # closer than 1e-6 * lambda_1 to a neighbour are not compared. The
-    # distance is the quadrature L2 norm, in which both are unit vectors;
-    # the sign convention is compared along with the values.
-    gaps = np.abs(np.subtract.outer(lam[:m], lam[:m])) + np.diag(np.full(m, np.inf))
-    rel_gap = gaps.min(axis=1) / lam[0]
-    separated = (rel_gap > 1e-6) & (lam[:m] > 0.0)
-    assert separated.sum() >= m // 2
-    diff = got.phi_flat() - want.phi_flat()[:m]
-    dist = np.sqrt(GRID.cell_weight * np.sum(diff * diff, axis=1))
-    assert np.all(dist[separated] <= 1e-14 / rel_gap[separated])
+    return surfaces, mean
+
+
+# the pipeline centres at the partial copula; the ensemble mean, around
+# which the score columns are exactly mean-zero, exercises the other case
+@pytest.mark.parametrize("center", ["partial", "ensemble"])
+@pytest.mark.parametrize("n", [40, 81, 120])  # below, at and above G^2 = 81
+def test_ensemble_eigensystem_matches_covariance_route(n, center):
+    surfaces, mean = clayton_ensemble(n, center)
+    field = covariance_field(surfaces, mean)
+    want = eigendecompose(GRID, field)
+    centered = centered_trajectories(surfaces, mean)
+    m = min(n, GRID.G**2)
+    trace = GRID.cell_weight * np.trace(field)
+    for count in (1, 5, m - 1, m, m + 3):
+        got = ensemble_eigensystem(centered, GRID, count)
+        assert got.m == min(count, m)
+        assert got.total == pytest.approx(trace, rel=1e-12)
+        separated = assert_leading_system(got, want, count)
+        assert separated.sum() >= got.m // 2
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_leading_solve_without_the_mapped_lapack_uses_scipy(n, monkeypatch):
+    surfaces, mean = clayton_ensemble(n, "partial")
+    centered = centered_trajectories(surfaces, mean)
+    mapped = ensemble_eigensystem(centered, GRID, 16)
+    monkeypatch.setattr(_blas, "_dsyevr", lambda: None)
+    fallback = ensemble_eigensystem(centered, GRID, 16)
+    assert fallback.total == mapped.total
+    assert_leading_system(fallback, mapped, 16)
+
+
+def test_cvp_past_the_leading_components_reads_the_whole_spectrum():
+    # a threshold of 1.0 keeps every positive component, far more than the
+    # leading ones the fit solves for first
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, 40, seed=31)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=9, cvp_threshold=1.0))
+    surfaces = trajectory_surfaces(fit)
+    full = ensemble_eigensystem(centered_trajectories(surfaces, fit.center), GRID, 40)
+    assert fit.eigen.m == full.m == 40
+    assert fit.K == select_K(full, 1.0) == np.count_nonzero(full.eigenvalues > 0.0)
+    assert fit.K > 16
 
 
 @pytest.mark.parametrize("n", [4, 100])
 def test_ensemble_eigensystem_of_constant_ensemble_is_zero(n):
     mean = constant(GRID, 0.3)
     surf = np.repeat(mean.values[None], n, axis=0)
-    es = ensemble_eigensystem(surf, mean)
+    es = ensemble_eigensystem(centered_trajectories(surf, mean), GRID, n)
     assert es.m == min(n, GRID.G**2)
     assert np.all(es.eigenvalues == 0.0)
     assert np.all(np.isfinite(es.eigenfunctions))
+    assert es.total == 0.0
+    assert select_K(es, 0.9) == 0
 
 
 # ------------------------------------------------------------------- scores
@@ -270,7 +320,8 @@ def test_score_of_mean_trajectory_is_zero():
     _, surf, _ = synthetic_kl_sample(model, 30, seed=8)
     mean = mean_surface(surf)
     es = eigendecompose(GRID, covariance_field(surf, mean))
-    xi = scores(np.concatenate([surf, mean.values[None]], axis=0), mean, es, K=3)
+    both = np.concatenate([surf, mean.values[None]], axis=0)
+    xi = scores(centered_trajectories(both, mean), es, K=3)
     assert np.max(np.abs(xi[-1])) <= 1e-10
 
 
@@ -280,7 +331,7 @@ def test_score_of_shifted_trajectory():
     mean = mean_surface(surf)
     es = eigendecompose(GRID, covariance_field(surf, mean))
     shifted = mean.values + 2.0 * es.eigenfunctions[0]
-    xi = scores(np.stack([shifted, mean.values]), mean, es, K=4)
+    xi = scores(centered_trajectories(np.stack([shifted, mean.values]), mean), es, K=4)
     assert xi[0, 0] == pytest.approx(2.0, abs=1e-10)
     assert np.max(np.abs(xi[0, 1:])) <= 1e-10
 
@@ -290,7 +341,7 @@ def test_score_columns_mean_zero_under_ensemble_centering():
     _, surf, _ = synthetic_kl_sample(model, 80, seed=10)
     mean = mean_surface(surf)
     es = eigendecompose(GRID, covariance_field(surf, mean))
-    xi = scores(surf, mean, es, K=3)
+    xi = scores(centered_trajectories(surf, mean), es, K=3)
     assert np.max(np.abs(xi.mean(axis=0))) <= 1e-10
 
 
@@ -300,7 +351,7 @@ def test_full_rank_reconstruction():
     mean = mean_surface(surf)
     es = eigendecompose(GRID, covariance_field(surf, mean))
     rank = int(np.count_nonzero(es.eigenvalues > 0))
-    xi = scores(surf, mean, es, K=rank)
+    xi = scores(centered_trajectories(surf, mean), es, K=rank)
     recon = mean.flat()[None] + xi @ es.phi_flat()[:rank]
     for i in range(len(surf)):
         err = l2_norm(
@@ -316,6 +367,12 @@ def test_select_k_cvp():
     assert select_K(dummy_eigensystem([0.9, 0.1]), 0.9) == 1
     assert select_K(dummy_eigensystem([0.5, 0.5]), 0.9) == 2
     assert select_K(dummy_eigensystem([1.0]), 1.0) == 1
+    # the share is of es.total, which a leading system does not exhaust;
+    # when its positive components fall short, all of them are kept
+    leading = dataclasses.replace(dummy_eigensystem([0.5, 0.3]), total=1.0)
+    assert select_K(leading, 0.5) == 1
+    assert select_K(leading, 0.8) == 2
+    assert select_K(leading, 0.9) == 2
 
 
 def test_select_k_fixed_and_degenerate():
@@ -335,6 +392,7 @@ def two_pair_system():
             eigenvalues=np.array([0.5, 0.2]),
             eigenfunctions=np.stack([f1.values, f2.values]),
             sign_flips=np.ones(2),
+            total=0.7,
         ),
         f1,
         f2,
@@ -374,6 +432,7 @@ def test_tkn_rejects_repeated_eigenvalues():
         eigenvalues=np.array([0.5, 0.5]),
         eigenfunctions=es.eigenfunctions,
         sign_flips=np.ones(2),
+        total=1.0,
     )
     with pytest.raises(DegenerateSpectrumError, match="gap"):
         tkn_projection(np.zeros((81, 81)), bad, 1)

@@ -210,3 +210,22 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_fit_leaves_scipy_linalg_unloaded():
+    # the leading eigenpairs come from the LAPACK numpy already maps;
+    # importing scipy.linalg would load and start a second OpenBLAS
+    code = (
+        "import sys\n"
+        "from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline\n"
+        "from condcopula.simulate import ConditionalModel, TauLink, sample_conditional\n"
+        "model = ConditionalModel(family='clayton', link=TauLink(form='sine', a=0.4, b=0.25))\n"
+        "s, _ = sample_conditional(model, 100, 3)\n"
+        "evaluate_fit(fit_pipeline(s, PipelineConfig(grid_size=9)), 0.5)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
