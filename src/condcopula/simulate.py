@@ -7,9 +7,11 @@ prescribed spectrum exercises the FPCA and perturbation machinery in
 isolation. Every copula CDF, conditional inverse and tau map is in closed
 form; Frank's tau-to-theta map is a safeguarded Newton solve over its closed
 form tau and slope. All randomness flows through counter-based
-per-observation substreams, so sampling is order-independent and
-parallel-safe; the uniform draws of every observation are computed in one
-array pass over those substreams.
+per-observation Philox substreams, so sampling is order-independent and
+parallel-safe. Every sampler computes the substream words of all its
+observations in one array pass and turns each word into one draw: a
+uniform as numpy's ``random()`` does, or a standard normal as ``ndtri`` of
+an open-interval uniform.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ __all__ = [
 FAMILIES = ("independence", "clayton", "frank", "fgm", "gumbel")
 
 
-def _obs_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for observation ``index`` under ``seed``."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
-
-
 # Philox-4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers
 # and the Weyl increments of the two key words
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -65,19 +62,20 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return hi, a * np.uint64(m)
 
 
-def _substream_words(seed: int, index: np.ndarray) -> np.ndarray:
-    """The first four words of ``_obs_rng(seed, i)`` for every i of the 1-d ``index``.
+def _substream_words(seed: int, index: np.ndarray, blocks: int) -> np.ndarray:
+    """The (4 * blocks, len(index)) first words of substream i, for every i of ``index``.
 
-    ``Philox(key=(seed << 64) + i)`` has key words (i, seed) and draws its
-    first block at counter (1, 0, 0, 0). A block is a pure function of key
-    and counter, so ten rounds over the index array give the (4, len(index))
-    words of every ``random_raw(4)`` at once.
+    Substream i under ``seed`` is numpy's ``Philox(key=(seed << 64) + i)``,
+    with key words (i, seed), so its block j is Philox-4x64-10 at counter
+    (j, 0, 0, 0), j = 1, 2, ...: ten rounds over every (block, index) pair
+    give the words of every ``random_raw(4 * blocks)`` at once.
     """
-    k0, k1 = np.asarray(index, dtype=np.uint64), int(seed)
-    if not 0 <= k1 < 1 << 64:
+    if not 0 <= int(seed) < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
-    zero = np.zeros_like(k0)
-    c0, c1, c2, c3 = np.ones_like(k0), zero, zero, zero
+    n = np.size(index)
+    k0, k1 = np.tile(np.asarray(index, dtype=np.uint64), blocks), int(seed)
+    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    c1 = c2 = c3 = np.zeros_like(k0)
     for r in range(10):
         if r:
             k0 = k0 + np.uint64(_PHILOX_W[0])
@@ -85,7 +83,22 @@ def _substream_words(seed: int, index: np.ndarray) -> np.ndarray:
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3])
+    words = np.stack([c0, c1, c2, c3]).reshape(4, blocks, n)
+    return words.transpose(1, 0, 2).reshape(4 * blocks, n)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` of each word: (word >> 11) 2^-53, in [0, 1)."""
+    return (words >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _standard_normal(words: np.ndarray) -> np.ndarray:
+    """A standard normal from each word: ``ndtri`` of ((word >> 12) + 1/2) 2^-52.
+
+    That uniform is exact and lies in [2^-53, 1 - 2^-53], so the normal is
+    finite; a 53-bit form would round the top word to 1.0.
+    """
+    return special.ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -470,41 +483,26 @@ class TruthRecord:
         }
 
 
-def _normal_covariate_draws(seed: int, n: int) -> np.ndarray:
-    """(x, u, p) rows for n observations whose covariate is standard normal.
-
-    numpy's ziggurat ``standard_normal`` reads a variable number of words
-    from a substream, so these draws keep one generator per observation.
-    """
-    draws = np.empty((3, n))
-    for i in range(n):
-        rng = _obs_rng(seed, i)
-        draws[:, i] = rng.standard_normal(), rng.random(), rng.random()
-    return draws
-
-
 def sample_conditional(
     m: ConditionalModel, n: int, seed: int
 ) -> tuple[Sample, TruthRecord]:
     """Draw n triples (y1, y2, x) by conditional inversion.
 
-    Observation i draws X, then U and P uniform, from its own substream
-    ``_obs_rng(seed, i)``. Then, as one array pass over all observations:
-    tau(X) is mapped to the family parameter, V inverts the conditional
-    distribution of V given U at level P, and (U, V) go through the
-    conditional marginal quantiles. Under the uniform covariate the three
-    uniforms are the first three words of every substream, computed in bulk
-    with the same bits as the per-observation generators. The truth record
-    keeps (U, V) = (eps1, eps2) for known-margins experiments.
+    Observation i reads the first three words of its own substream (i,
+    seed): X from word 0, uniform or standard normal by the covariate law,
+    and U and P uniform from words 1 and 2. Then, as one array pass over
+    all observations: tau(X) is mapped to the family parameter, V inverts
+    the conditional distribution of V given U at level P, and (U, V) go
+    through the conditional marginal quantiles. The uniforms have the bits
+    of numpy's ``random()`` on a ``Philox`` generator per observation. The
+    truth record keeps (U, V) = (eps1, eps2) for known-margins experiments.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if m.covariate == "uniform":
-        # random() is (word >> 11) * 2^-53
-        words = _substream_words(seed, np.arange(n, dtype=np.uint64))[:3]
-        xs, u, p = (words >> np.uint64(11)).astype(float) * 2.0**-53
-    else:
-        xs, u, p = _normal_covariate_draws(seed, n)
+    words = _substream_words(seed, np.arange(n, dtype=np.uint64), blocks=1)
+    xs, u, p = _uniform(words[:3])
+    if m.covariate == "normal":
+        xs = _standard_normal(words[0])
     theta = tau_to_theta(m.family, m.link(xs))
     e1 = np.clip(u, 1e-12, 1.0 - 1e-12)
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
@@ -543,9 +541,10 @@ class SyntheticKLModel:
 
     Component k has eigenvalue ``eigenvalues[k]``, cosine-tensor eigenfunction
     with frequencies ``frequencies[k]`` = (p, q), conditional score mean
-    ``alphas[k]`` (a callable of x; None means identically zero) and Gaussian
-    noise of standard deviation ``noise_sd[k]`` (default sqrt(eigenvalue), so
-    with a zero alpha the score variance equals the eigenvalue).
+    ``alphas[k]`` (an element-wise callable over an array of x; None means
+    identically zero) and Gaussian noise of standard deviation
+    ``noise_sd[k]`` (default sqrt(eigenvalue), so with a zero alpha the
+    score variance equals the eigenvalue).
     """
 
     grid: Grid2D
@@ -584,9 +583,8 @@ class SyntheticKLModel:
         return cosine_tensor(self.grid, p, q)
 
     def alpha_at(self, x) -> np.ndarray:
-        return np.array(
-            [0.0 if a is None else float(a(x)) for a in self.alphas]
-        )
+        """The K conditional score means at x: shape (K,) + np.shape(x)."""
+        return np.array([np.zeros_like(x) if a is None else a(x) for a in self.alphas])
 
     def true_gamma_field(self) -> np.ndarray:
         """Node-pair covariance kernel sum(lambda_k phi_k (x) phi_k)."""
@@ -603,20 +601,19 @@ def synthetic_kl_sample(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate n trajectories mean + sum_k xi_k phi_k directly.
 
-    Returns the covariates xs, the (n, G, G) surfaces and the realized
-    (n, K) scores xi.
+    Observation i reads the first K + 1 words of its substream (i, seed):
+    X uniform from word 0 and the K standard normal score noises from words
+    1..K, so xi_k = alpha_k(X) + noise_sd[k] * noise_k. Returns the
+    covariates xs, the (n, G, G) surfaces and the realized (n, K) scores xi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     K = m.K
-    xs = np.empty(n)
-    xi = np.empty((n, K))
-    for i in range(n):
-        rng = _obs_rng(seed, i)
-        x = float(rng.random())
-        noise = rng.standard_normal(K)
-        xs[i] = x
-        xi[i] = m.alpha_at(x) + np.asarray(m.noise_sd) * noise
+    # K + 1 words, four to a block
+    words = _substream_words(seed, np.arange(n, dtype=np.uint64), blocks=K // 4 + 1)
+    xs = _uniform(words[0])
+    noise = _standard_normal(words[1 : K + 1])
+    xi = (m.alpha_at(xs) + np.asarray(m.noise_sd)[:, None] * noise).T
     phis = np.stack([m.phi(k).values for k in range(1, K + 1)])
     surfaces = m.mean.values[None, :, :] + np.einsum("ik,kab->iab", xi, phis)
     return xs, surfaces, xi

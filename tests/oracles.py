@@ -14,7 +14,8 @@ and textbook forms that the closed-form maps of ``condcopula.simulate``
 replace. ``scalar_v_given_u`` evaluates the conditional inverse of one
 observation in Python floats, and ``loop_sample_conditional`` draws a
 uniform-covariate sample one observation and one generator at a time; the
-array sampler must match both.
+array sampler must match both. ``obs_rng`` is numpy's ``Philox`` generator of
+one observation's substream, which the bulk substream words must match.
 """
 
 import math
@@ -37,9 +38,13 @@ from condcopula.simulate import (
     ConditionalModel,
     SyntheticKLModel,
     TruthRecord,
-    _obs_rng,
     tau_to_theta,
 )
+
+
+def obs_rng(seed: int, index: int) -> np.random.Generator:
+    """numpy's ``Philox`` generator of observation ``index``'s substream under ``seed``."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
 
 def constant(grid: Grid2D, c: float) -> GridFunction:
@@ -272,7 +277,7 @@ def loop_sample_conditional(m: ConditionalModel, n: int, seed: int):
     """(x, truth) of a uniform-covariate sample, one substream generator per observation."""
     xs, e1, e2, th = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        rng = _obs_rng(seed, i)
+        rng = obs_rng(seed, i)
         x = float(rng.random())
         theta = tau_to_theta(m.family, m.tau_at(x))
         u = min(max(float(rng.random()), 1e-12), 1.0 - 1e-12)

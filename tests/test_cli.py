@@ -206,5 +206,17 @@ def test_normal_covariate_link_checked_on_every_seed(tmp_path, capsys):
         assert run([*args, "--link", "sine:0.4,0.25", "--out", str(out)]) == 0
         digest.update(out.read_bytes())
     assert digest.hexdigest() == (
-        "a69969084ad786282d3b93fce91e7bcb75eca50905694a1dc2dbe3ac7c4a18ba"
+        "d4dcd370eb80aab96e5ea190c0ae4bf6265811d405228a0419c25633ff5ca09d"
     )
+
+
+def test_seed_outside_64_bits_is_named_under_either_covariate(tmp_path, capsys):
+    for covariate in ("uniform", "normal"):
+        for seed in ("-1", "18446744073709551616"):
+            out = tmp_path / f"{covariate}{seed}.csv"
+            code = run(["simulate", "--family", "clayton", "--link", "sine:0.4,0.25",
+                        "--covariate", covariate, "--n", "5", "--seed", seed,
+                        "--out", str(out)])
+            assert code == 1
+            assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+            assert not out.exists()

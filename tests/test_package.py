@@ -155,14 +155,12 @@ def test_kernel_evaluated_only_by_the_weight_routines():
     assert callers == {"nw_weights", "_weight_blocks"}
 
 
-def test_substream_generators_built_only_where_draws_vary_in_length():
-    # a per-observation generator loop is kept only where numpy's ziggurat
-    # standard_normal reads a variable number of words; uniform draws come
-    # from the bulk substream words
-    callers = set().union(
-        *(callers_of(p.read_text(), "_obs_rng") for p in PACKAGE_DIR.glob("*.py"))
-    )
-    assert callers == {"_normal_covariate_draws", "synthetic_kl_sample"}
+def test_no_generator_built_in_the_package():
+    # every draw comes from the bulk substream words, so no code builds a
+    # numpy bit generator or Generator
+    for name in ("Philox", "Generator", "default_rng"):
+        for p in PACKAGE_DIR.glob("*.py"):
+            assert callers_of(p.read_text(), name) == set(), (p.name, name)
 
 
 def public_fields(source: str) -> set:

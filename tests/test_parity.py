@@ -9,7 +9,10 @@ The fits run their eigen and score stage on one BLAS thread at every size,
 so the digests are of those one-thread outputs on any machine. The
 ``consistency``, ``consistency-failures``, ``benchmark`` and both ``estimate``
 digests are of the leading-eigenpair solve, which moved their floats from
-the full ``eigh`` by at most 2.2e-16, with the same K and failures.
+the full ``eigh`` by at most 2.2e-16, with the same K and failures. The
+``perturbation`` and ``clayton-normal-covariate`` digests are of normals
+drawn as ``ndtri`` of one substream word each, where numpy's ziggurat
+drew them before.
 """
 
 import hashlib
@@ -56,7 +59,7 @@ EXPERIMENTS = {
         eigen_perturbation_experiment,
         dict(experiment="perturbation", n_ladder=(100, 200), replications=4,
              seed=4, grid_size=9),
-        "ae02592193e55b3b5cdcab5b4e0f021b64d87cc6c12c591b23fa38dd16a80ed3",
+        "b04359e746b5d17e939a5f8bae8b16c8af7a6a0e24442fd560405b1064cee0af",
     ),
     "uniformity": (
         uniformity_and_gap_experiment,
@@ -125,7 +128,7 @@ SAMPLERS = {
     ),
     "clayton-normal-covariate": (
         ("clayton", "sine:0.4,0.25", "normal"),
-        "dcfdd3cdffdc4cd642d5ffe88c6fdc11d5af57a463add58c230d81784c6a4693",
+        "e48d6a473cc0e3e597fdad3f44179478d445ceb7b0a892da74d68aa7860adb30",
     ),
 }
 

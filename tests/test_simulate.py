@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from condcopula import simulate
 from condcopula.grid import inner_product, make_grid
+from condcopula.harness import ks_uniform_statistic
 from condcopula.simulate import (
     ConditionalModel,
     CopulaModel,
@@ -24,6 +25,7 @@ from condcopula.simulate import (
 from oracles import (
     gumbel_du,
     loop_sample_conditional,
+    obs_rng,
     quad_frank_tau,
     scalar_v_given_u,
     textbook_frank_v_given_u,
@@ -254,24 +256,62 @@ def test_same_seed_identical_bytes():
 
 
 def test_prefix_stability_of_substreams():
-    # per-observation substreams: a longer run starts with the shorter one
-    model = ConditionalModel(family="fgm", link=TauLink(form="constant", a=0.2))
-    s_small, _ = sample_conditional(model, 20, seed=5)
-    s_big, _ = sample_conditional(model, 40, seed=5)
-    assert np.array_equal(s_big.x[:20], s_small.x)
-    assert np.array_equal(s_big.y1[:20], s_small.y1)
+    # per-observation substreams: a longer run starts with the shorter one,
+    # under either covariate law and for KL models of one and two blocks
+    for covariate in ("uniform", "normal"):
+        model = ConditionalModel(
+            family="fgm", link=TauLink(form="constant", a=0.2), covariate=covariate
+        )
+        s_small, _ = sample_conditional(model, 20, seed=5)
+        s_big, _ = sample_conditional(model, 40, seed=5)
+        assert np.array_equal(s_big.x[:20], s_small.x)
+        assert np.array_equal(s_big.y1[:20], s_small.y1)
+    for m in (kl_model(), kl_model(**FIVE_COMPONENTS)):
+        small, big = synthetic_kl_sample(m, 20, seed=5), synthetic_kl_sample(m, 40, seed=5)
+        for a, b in zip(small, big):
+            assert np.array_equal(b[:20], a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
 @pytest.mark.parametrize("start", [0, 2**62 + 7])
 def test_bulk_words_match_substreams(seed, start):
     index = np.arange(start, start + 300, dtype=np.uint64)
-    words = simulate._substream_words(seed, index)
-    expected = np.stack(
-        [simulate._obs_rng(seed, int(i)).bit_generator.random_raw(4) for i in index], axis=1
+    for blocks in (1, 2):
+        words = simulate._substream_words(seed, index, blocks)
+        expected = np.stack(
+            [obs_rng(seed, int(i)).bit_generator.random_raw(4 * blocks) for i in index],
+            axis=1,
+        )
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+
+
+def test_normals_from_the_extreme_words_are_finite_and_opposite():
+    x = simulate._standard_normal(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert np.all(np.isfinite(x))
+    assert x[0] < 0 and x[0] == -x[1]
+
+
+def test_normal_covariate_is_standard_normal():
+    model = ConditionalModel(
+        family="independence", link=TauLink(form="constant", a=0.0), covariate="normal"
     )
-    assert words.dtype == np.uint64
-    assert np.array_equal(words, expected)
+    n = 20000
+    sample, _ = sample_conditional(model, n, seed=8)
+    # the 1% critical value of the one-sample KS distance
+    assert ks_uniform_statistic(special.ndtr(sample.x)) <= 1.63 / math.sqrt(n)
+
+
+def test_samplers_name_a_seed_outside_64_bits():
+    for seed in (-1, 2**64):
+        for covariate in ("uniform", "normal"):
+            model = ConditionalModel(
+                family="clayton", link=TauLink.parse("sine:0.4,0.25"), covariate=covariate
+            )
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                sample_conditional(model, 3, seed)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            synthetic_kl_sample(kl_model(), 3, seed)
 
 
 def test_uniform_covariate_sample_matches_one_generator_per_observation():
@@ -516,6 +556,13 @@ def kl_model(**kw):
     return SyntheticKLModel(**defaults)
 
 
+# six words a draw: the noise of the fifth component comes from the second block
+FIVE_COMPONENTS = dict(
+    eigenvalues=(0.4, 0.2, 0.05, 0.02, 0.01),
+    frequencies=((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)),
+)
+
+
 def test_zero_noise_trajectories_equal_mean():
     m = kl_model(eigenvalues=(0.4,), frequencies=((1, 1),), noise_sd=(0.0,))
     _, surfaces, xi = synthetic_kl_sample(m, 5, seed=0)
@@ -524,11 +571,11 @@ def test_zero_noise_trajectories_equal_mean():
 
 
 def test_score_variances_match_eigenvalues():
-    m = kl_model()
-    _, _, xi = synthetic_kl_sample(m, 10000, seed=2)
-    var = xi.var(axis=0, ddof=1)
-    for k, lam in enumerate(m.eigenvalues):
-        assert abs(var[k] - lam) <= 0.05 * lam
+    for m in (kl_model(), kl_model(**FIVE_COMPONENTS)):
+        _, _, xi = synthetic_kl_sample(m, 10000, seed=2)
+        var = xi.var(axis=0, ddof=1)
+        for k, lam in enumerate(m.eigenvalues):
+            assert abs(var[k] - lam) <= 0.05 * lam
 
 
 def test_exact_reconstruction_from_truth_scores():
