@@ -203,6 +203,8 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
 
 def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
     """Truncated reconstruction center + sum_k alpha_k(x) phi_k at x."""
+    if not np.isfinite(x):
+        raise ValueError(f"evaluation point x must be finite, got {x}")
     cfg = fit.config
     if fit.K == 0:
         alpha = np.empty(0)

@@ -4,11 +4,11 @@ Parametric copula families with covariate-dependent Kendall-tau links and
 normal conditional margins provide samples whose true conditional copula is
 available in closed form; a synthetic mean-plus-eigenfunction process with
 prescribed spectrum exercises the FPCA and perturbation machinery in
-isolation. Every copula CDF, conditional inverse and tau map is in closed
-form; Frank's tau-to-theta map is a safeguarded Newton solve over its closed
-form tau and slope. All randomness flows through counter-based
-per-observation Philox substreams, so sampling is order-independent and
-parallel-safe. Every sampler computes the substream words of all its
+isolation. Every copula CDF, conditional inverse and tau map is one closed
+form that holds at every admitted parameter; Frank's tau-to-theta map is a
+safeguarded Newton solve over its closed-form tau and slope. All randomness
+flows through counter-based per-observation Philox substreams, so sampling
+is order-independent and parallel-safe. Every sampler computes the substream words of all its
 observations in one array pass and turns each word into one draw: a
 uniform as numpy's ``random()`` does, or a standard normal as ``ndtri`` of
 an open-interval uniform.
@@ -104,22 +104,14 @@ def _standard_normal(words: np.ndarray) -> np.ndarray:
 def _libm(fn, *args) -> np.ndarray:
     """``fn`` applied element by element over the broadcast ``args``.
 
-    numpy's SIMD ``power``, ``log`` and ``exp`` can differ from libm in the
-    last bit; the maps whose samples must keep their bits go through here
-    with ``math`` functions.
+    numpy's SIMD ``log``, ``exp`` and ``expm1`` can differ from libm in the
+    last bit; the Clayton inverse takes them from ``math`` through here, so
+    its samples have the bits of Python's float arithmetic.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     flat = (a.ravel().tolist() for a in args)
     out = np.fromiter(map(fn, *flat), dtype=float, count=args[0].size)
     return out.reshape(args[0].shape)
-
-
-def _pow(base: float, exponent: float) -> float:
-    """``base ** exponent`` by libm, inf where that overflows."""
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return math.inf
 
 
 def _check_theta(family: str, theta) -> None:
@@ -161,19 +153,13 @@ def copula_cdf(m: CopulaModel, u, v):
     if fam == "independence":
         out = u * v
     elif fam == "clayton":
-        uc, vc = np.maximum(u, 1e-300), np.maximum(v, 1e-300)
-        with np.errstate(divide="ignore", over="ignore"):
-            total = uc ** (-t) + vc ** (-t) - 1.0
-            out = np.where((u > 0) & (v > 0), total ** (-1.0 / t), 0.0)
-        over = (u > 0) & (v > 0) & ~np.isfinite(total)
-        if np.any(over):
-            # where the powers overflow: with a, b = -t log u, -t log v, m =
-            # max(a, b), log(e^a + e^b - 1) = m + log1p(e^(min - m) (1 - e^-min))
-            a = -t * np.log(np.broadcast_to(uc, over.shape)[over])
-            b = -t * np.log(np.broadcast_to(vc, over.shape)[over])
+        # with a, b = -t log u, -t log v and hi, lo their max and min,
+        # log(u^-t + v^-t - 1) = hi + log1p(e^(lo - hi) (1 - e^-lo))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b = -t * np.log(u), -t * np.log(v)
             hi, lo = np.maximum(a, b), np.minimum(a, b)
             log_total = hi + np.log1p(np.exp(lo - hi) * -np.expm1(-lo))
-            out[over] = np.exp(-log_total / t)
+            out = np.where((u > 0) & (v > 0), np.exp(-log_total / t), 0.0)
     elif fam == "frank":
         # C_s(u, w) = -log(q)/s, q = [a(1 - b) + (b - c)]/(1 - c), a, b, c =
         # e^{-su}, e^{-sw}, e^{-s}: two nonnegative terms, where the textbook
@@ -206,11 +192,12 @@ def conditional_v_given_u(family: str, theta, u, p):
     """Invert v -> dC/du(u, v) at probability level p (conditional sampling).
 
     Element-wise over the broadcast (theta, u, p) of one family; scalars give
-    a float. Closed form for every family. Frank is evaluated in log space,
-    and Clayton too where u^(-theta) overflows, so both hold at any admitted
-    theta. For Gumbel, w = -log C(u, v) solves w + (theta - 1) log w = c,
-    whose root is a scaled Wright omega value. Clayton and FGM take their
-    powers, logs and exps from libm, as Python's float arithmetic does.
+    a float. One closed form per family. Clayton and Frank are evaluated in
+    log space, so both hold at any admitted theta, and the FGM root is
+    rationalised, so it holds at b = theta (1 - 2u) = 0. For Gumbel, w =
+    -log C(u, v) solves w + (theta - 1) log w = c, whose root is a scaled
+    Wright omega value. Clayton's logs and exps come from libm, as Python's
+    float arithmetic takes them.
     """
     family = family.lower()
     if family not in FAMILIES:
@@ -219,30 +206,24 @@ def conditional_v_given_u(family: str, theta, u, p):
     t, u, p = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, u, p)))
     if not (np.all((0.0 < u) & (u < 1.0)) and np.all((0.0 < p) & (p < 1.0))):
         raise ValueError("u and p must lie strictly inside (0, 1)")
-    # independence, FGM at b ~ 0 and Gumbel at theta = 1 keep v = p
+    # independence and Gumbel at theta = 1 keep v = p
     v = p.copy()
     if family == "clayton":
-        a = -t / (1.0 + t)
-        with np.errstate(over="ignore"):
-            scaled = (_libm(math.pow, p, a) - 1.0) * _libm(_pow, u, -t)
-        fin = np.isfinite(scaled)
-        v[fin] = _libm(math.pow, scaled[fin] + 1.0, -1.0 / t[fin])
-        # where u^(-t) overflows: log(scaled) = log(expm1(-t/(1+t) log p)) - t log u
-        over = ~fin
-        log_scaled = _libm(math.log, _libm(math.expm1, a[over] * _libm(math.log, p[over])))
-        log_scaled -= t[over] * _libm(math.log, u[over])
-        v[over] = _libm(math.exp, -np.logaddexp(log_scaled, 0.0) / t[over])
+        # log v = -log1p(s)/t for s = (p^(-t/(1+t)) - 1) u^(-t), whose log
+        # log(expm1(-t/(1+t) log p)) - t log u cannot overflow
+        log_s = _libm(math.log, _libm(math.expm1, -t / (1.0 + t) * _libm(math.log, p)))
+        log_s -= t * _libm(math.log, u)
+        v = _libm(math.exp, -np.logaddexp(log_s, 0.0) / t)
     elif family == "frank":
         # v = -log(q)/t with q = [e^{-tu}(1 - p) + p e^{-t}] / [p + e^{-tu}(1 - p)]
         a = -t * u + np.log1p(-p)
         lp = np.log(p)
         v = -(np.logaddexp(a, lp - t) - np.logaddexp(lp, a)) / t
     elif family == "fgm":
+        # the root in [0, 1] of b v^2 - (1 + b) v + p = 0, b = theta (1 - 2u),
+        # rationalised so that it neither cancels near b = 0 nor divides by b
         b = t * (1.0 - 2.0 * u)
-        on = np.abs(b) >= 1e-10
-        b, q = b[on], p[on]
-        root = np.sqrt(_libm(math.pow, 1.0 + b, 2.0) - 4.0 * b * q)
-        v[on] = ((1.0 + b) - root) / (2.0 * b)
+        v = 2.0 * p / ((1.0 + b) + np.sqrt((1.0 + b) * (1.0 + b) - 4.0 * b * p))
     elif family == "gumbel":
         # with lu = -log u, dC/du = p reads w + (t - 1) log w = c for
         # w = (lu^t + lv^t)^(1/t); rounding near p = 1 can leave w at lu
@@ -255,18 +236,30 @@ def conditional_v_given_u(family: str, theta, u, p):
     return v if v.ndim else float(v)
 
 
+# c_k = 4 B_2k / ((2k + 1) (2k)!), k = 1..12, with the Bernoulli numbers B_2k
+_FRANK_SERIES = np.array([
+    1 / 9, -1 / 900, 1 / 52920, -1 / 2721600, 1 / 131725440, -691 / 4249941696000,
+    1 / 280215936000, -3617 / 45350147082240000, 43867 / 24268197531561984000,
+    -174611 / 4215002729166028800000, 77683 / 81081325226502881280000,
+    -236364091 / 10586400854573397934080000000,
+])
+
+
 def _frank_tau_and_slope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frank tau at t = |theta| >= 0 and its derivative d tau / d t.
 
     tau = 1 - 4/t + 4 I/t^2 with the Debye integral I = int_0^t s/(e^s - 1)
     ds = pi^2/6 + t log(1 - e^{-t}) - Li2(e^{-t}) (Nelsen 2006, sec. 5.1),
-    so d tau/d t = 4/t^2 - 8 I/t^3 + 4/(t (e^t - 1)); below t = 0.2, where
-    those cancel, the series of both.
+    so d tau/d t = 4/t^2 - 8 I/t^3 + 4/(t (e^t - 1)). Those cancel about
+    4/(t tau) to one near t = 0, so below t = 1.5 tau is its series sum_k c_k
+    t^(2k-1) to twelve terms, which leave out less than 2e-16 of tau (the
+    series converges for t < 2 pi), and the slope their derivative.
     """
-    small = t < 0.2
+    small = t < 1.5
     t2 = t * t
-    tau = t * (1 / 9 - t2 * (1 / 900 - t2 * (1 / 52920 - t2 / 2721600)))
-    slope = 1 / 9 - t2 * (3 / 900 - t2 * (5 / 52920 - t2 * 7 / 2721600))
+    polyval = np.polynomial.polynomial.polyval
+    tau = t * polyval(t2, _FRANK_SERIES)
+    slope = polyval(t2, np.arange(1, 2 * _FRANK_SERIES.size, 2) * _FRANK_SERIES)
     big = np.where(small, 1.0, t)
     with np.errstate(over="ignore"):
         debye = math.pi**2 / 6 + big * np.log1p(-np.exp(-big))

@@ -16,9 +16,14 @@ observation in Python floats, and ``loop_sample_conditional`` draws a
 uniform-covariate sample one observation and one generator at a time; the
 array sampler must match both. ``obs_rng`` is numpy's ``Philox`` generator of
 one observation's substream, which the bulk substream words must match.
+``decimal_clayton_v_given_u``, ``decimal_clayton_cdf``,
+``decimal_fgm_v_given_u`` and ``decimal_frank_tau`` evaluate the maps by
+their definitions in 40-digit ``decimal`` arithmetic, as accuracy references.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
@@ -244,28 +249,18 @@ def textbook_frank_v_given_u(t: float, u: float, p: float) -> float:
 def scalar_v_given_u(family: str, t: float, u: float, p: float) -> float:
     """Conditional inverse of dC/du at level p for one observation, in Python floats."""
     t, u, p = float(t), float(u), float(p)
-    if family == "independence" or (family == "fgm" and t == 0.0) or (
-        family == "gumbel" and t == 1.0
-    ):
+    if family == "independence" or (family == "gumbel" and t == 1.0):
         return p
     if family == "clayton":
-        try:
-            scaled = (p ** (-t / (1.0 + t)) - 1.0) * u ** (-t)
-        except OverflowError:
-            scaled = math.inf
-        if math.isfinite(scaled):
-            return float((scaled + 1.0) ** (-1.0 / t))
-        log_scaled = math.log(math.expm1(-t / (1.0 + t) * math.log(p))) - t * math.log(u)
-        return math.exp(-float(np.logaddexp(log_scaled, 0.0)) / t)
+        log_s = math.log(math.expm1(-t / (1.0 + t) * math.log(p))) - t * math.log(u)
+        return math.exp(-float(np.logaddexp(log_s, 0.0)) / t)
     if family == "frank":
         a = -t * u + math.log1p(-p)
         lp = math.log(p)
         return float(-(np.logaddexp(a, lp - t) - np.logaddexp(lp, a)) / t)
     if family == "fgm":
         b = t * (1.0 - 2.0 * u)
-        if abs(b) < 1e-10:
-            return p
-        return float(((1.0 + b) - math.sqrt((1.0 + b) ** 2 - 4.0 * b * p)) / (2.0 * b))
+        return 2.0 * p / ((1.0 + b) + math.sqrt((1.0 + b) * (1.0 + b) - 4.0 * b * p))
     lu = -math.log(u)
     c = lu + (t - 1.0) * math.log(lu) - math.log(p)
     w = (t - 1.0) * float(special.wrightomega(c / (t - 1.0) - math.log(t - 1.0)))
@@ -286,3 +281,59 @@ def loop_sample_conditional(m: ConditionalModel, n: int, seed: int):
         xs[i], e1[i], th[i] = x, u, theta
         e2[i] = min(max(v, 1e-12), 1.0 - 1e-12)
     return xs, TruthRecord(eps1=e1, eps2=e2, theta=th)
+
+
+def decimal_clayton_v_given_u(t: float, u: float, p: float) -> float:
+    """Clayton inverse ((p^(-t/(1+t)) - 1) u^(-t) + 1)^(-1/t) at 40 digits."""
+    with localcontext(prec=40):
+        t, u, p = Decimal(t), Decimal(u), Decimal(p)
+        s = ((-t / (1 + t) * p.ln()).exp() - 1) * (-t * u.ln()).exp()
+        return float(((1 + s).ln() / -t).exp())
+
+
+def decimal_clayton_cdf(t: float, u: float, v: float) -> float:
+    """Clayton CDF (u^(-t) + v^(-t) - 1)^(-1/t) at 40 digits."""
+    with localcontext(prec=40):
+        t, u, v = Decimal(t), Decimal(u), Decimal(v)
+        total = (-t * u.ln()).exp() + (-t * v.ln()).exp() - 1
+        return float((total.ln() / -t).exp())
+
+
+def decimal_fgm_v_given_u(t: float, u: float, p: float) -> float:
+    """Root in [0, 1] of b v^2 - (1 + b) v + p = 0, b = t (1 - 2u), at 40 digits.
+
+    The root is taken rationalised, 2p / ((1 + b) + sqrt((1 + b)^2 - 4bp)),
+    since the textbook form would cancel most of the 40 digits at tiny b p.
+    """
+    with localcontext(prec=40):
+        t, u, p = Decimal(t), Decimal(u), Decimal(p)
+        b = t * (1 - 2 * u)
+        return float(2 * p / ((1 + b) + ((1 + b) ** 2 - 4 * b * p).sqrt()))
+
+
+def bernoulli(n: int) -> list:
+    """B_0..B_n as exact fractions (Akiyama-Tanigawa), with B_1 = +1/2."""
+    a, out = [], []
+    for m in range(n + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
+
+
+_BERNOULLI = bernoulli(80)
+
+
+def decimal_frank_tau(theta: float) -> float:
+    """Frank tau sum_k 4 B_2k theta^(2k-1)/((2k+1) (2k)!) at 40 digits.
+
+    The series converges for |theta| < 2 pi; forty terms leave out less
+    than 1e-40 for |theta| <= 2.
+    """
+    with localcontext(prec=40):
+        t, total = Decimal(theta), Decimal(0)
+        for k in range(1, 41):
+            c = 4 * _BERNOULLI[2 * k] / ((2 * k + 1) * math.factorial(2 * k))
+            total += Decimal(c.numerator) / Decimal(c.denominator) * t ** (2 * k - 1)
+        return float(total)

@@ -63,6 +63,18 @@ def test_estimate_deterministic(tmp_path):
     assert grids[0] == grids[1]
 
 
+def test_estimate_names_a_non_finite_x(tmp_path, capsys):
+    data = simulate(tmp_path, n=200)
+    for kernel in ("epanechnikov", "gaussian"):
+        for x in ("nan", "inf", "-inf"):
+            out = tmp_path / f"{kernel}{x}.json"
+            code = run(["estimate", "--in", str(data), f"--x={x}", "--kernel", kernel,
+                        "--out", str(out)])
+            assert code == 1
+            assert f"x must be finite, got {x}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_estimate_missing_input_flag(tmp_path, capsys):
     code = run(["estimate", "--x", "0.5", "--out", str(tmp_path / "x.json")])
     assert code == 1
@@ -206,7 +218,7 @@ def test_normal_covariate_link_checked_on_every_seed(tmp_path, capsys):
         assert run([*args, "--link", "sine:0.4,0.25", "--out", str(out)]) == 0
         digest.update(out.read_bytes())
     assert digest.hexdigest() == (
-        "d4dcd370eb80aab96e5ea190c0ae4bf6265811d405228a0419c25633ff5ca09d"
+        "5b1319841063e7a2cb63bf0d2148c0cdbe7473efeb2825f320e80159dfb05ef7"
     )
 
 

@@ -155,6 +155,15 @@ def test_kernel_evaluated_only_by_the_weight_routines():
     assert callers == {"nw_weights", "_weight_blocks"}
 
 
+def test_libm_bit_matching_only_in_the_conditional_inverse():
+    # element-wise libm calls keep the Clayton inverse on the bits of its
+    # scalar reference; no other map needs them
+    callers = set().union(
+        *(callers_of(p.read_text(), "_libm") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {"conditional_v_given_u"}
+
+
 def test_no_generator_built_in_the_package():
     # every draw comes from the bulk substream words, so no code builds a
     # numpy bit generator or Generator

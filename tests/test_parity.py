@@ -12,7 +12,15 @@ digests are of the leading-eigenpair solve, which moved their floats from
 the full ``eigh`` by at most 2.2e-16, with the same K and failures. The
 ``perturbation`` and ``clayton-normal-covariate`` digests are of normals
 drawn as ``ndtri`` of one substream word each, where numpy's ziggurat
-drew them before.
+drew them before. The ``consistency``, ``consistency-failures``,
+``benchmark`` and ``uniformity`` digests are of the log-space Clayton CDF
+and inverse, which replaced a power form with relative errors up to 4e-13
+in the CDF and 6e-5 in the inverse; their floats moved by at most 1.1e-16, with
+the same K, failures and verdicts. The ``clayton-*`` and ``fgm`` sampler
+digests are of the same Clayton inverse and of the rationalised FGM root,
+which replaced a root that cancelled near b = 0: eps2 moved by at most
+3.1e-15 relative for Clayton and 1.5e-10 for FGM, toward a 40-digit
+reference.
 """
 
 import hashlib
@@ -38,14 +46,14 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "51e30980818fcd3e8b879849994b3a66799a4911ddabc1b9cf00c19e896eb8eb",
+        "015041243735171f08a14310b34cba86506f6ba811dee00d7c4575799aed1ecf",
     ),
     "consistency-failures": (
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=10, seed=11, eval_points=(0.5,), grid_size=11,
              estimator={"h_alpha": 0.004}),
-        "9e11657447b3de5d362d8a850117756b70e731f2dcf06760f15d6409145c6f4c",
+        "aee0715ff85d11655c5a50e0de06c2c4b456ef21bef31b0e95b7d37d6ed3abd3",
     ),
     "bridge": (
         bridge_covariance_experiment,
@@ -66,13 +74,13 @@ EXPERIMENTS = {
         dict(experiment="uniformity",
              model={"family": "clayton", "link": "constant:0.5"},
              n_ladder=(1, 50, 200), replications=5, seed=6),
-        "7e4f7b7f73176191c05498ab5de79527025f46ed84f89b9583c96a14f51918af",
+        "da69f6bfa1dc9ab1dabd78ce2f5edcb044b858905b43113b93594b4588a21643",
     ),
     "benchmark": (
         benchmark_vs_baseline,
         dict(experiment="benchmark", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=9, eval_points=(0.5,), grid_size=11),
-        "24f4e96f3af9513d958c385a30f6f476877919a9507beb373d81cd81196c9ec3",
+        "b002b4bd0eadd636531ac279bc197c79746d3b2a1df52c0115943127ca7b97df",
     ),
 }
 
@@ -111,11 +119,11 @@ def test_estimate_grid_csv_pinned(tmp_path, flags, digest):
 SAMPLERS = {
     "clayton-sine": (
         ("clayton", "sine:0.4,0.25", "uniform"),
-        "442d82460799b4ac3b56b4e719ebc835e6879d3d442bd0b86e42f32763db6cf4",
+        "2bf0cb1e38e2bdfba567e249e2ecf28854901156d7ba843b500f94de62b225a9",
     ),
     "fgm": (
         ("fgm", "sine:0.1,0.1", "uniform"),
-        "88d6fdb07b439b87c201fdb00b64725a74bf37552710d5dcf7f5eb8adc1e7eba",
+        "14a6ccc179f79a829c4dcaf71283cd4ce5fe99c2b264b94b40a476bb04c902f0",
     ),
     "independence": (
         ("independence", "constant:0.0", "uniform"),
@@ -124,11 +132,11 @@ SAMPLERS = {
     # theta = 998: u^(-theta) overflows for most u
     "clayton-overflow": (
         ("clayton", "constant:0.998", "uniform"),
-        "6003bca3b4162f3c7fd3bcfdcecabeae0d7df4feee80b9548104eb596bd64cc5",
+        "027d3255aa2eea91d96ebb14805b1b3651dab817a2eb7be98ab946effe491b0e",
     ),
     "clayton-normal-covariate": (
         ("clayton", "sine:0.4,0.25", "normal"),
-        "e48d6a473cc0e3e597fdad3f44179478d445ceb7b0a892da74d68aa7860adb30",
+        "86c5536a6da00cdea906f2ada3712dcb988573363e0b320913682da70c774da9",
     ),
 }
 

@@ -23,6 +23,10 @@ from condcopula.simulate import (
     true_conditional_copula,
 )
 from oracles import (
+    decimal_clayton_cdf,
+    decimal_clayton_v_given_u,
+    decimal_fgm_v_given_u,
+    decimal_frank_tau,
     gumbel_du,
     loop_sample_conditional,
     obs_rng,
@@ -194,6 +198,16 @@ def test_frank_tau_matches_quadrature_and_is_odd():
         assert frank_tau(-theta) == -frank_tau(theta)
 
 
+def test_frank_tau_matches_its_decimal_series_across_the_series_cuts():
+    # dense about the old cut 0.2, about 1 and about the cut at 1.5, where
+    # the closed form cancels most
+    thetas = np.concatenate([np.linspace(c - 0.1, c + 0.1, 201) for c in (0.2, 1.0, 1.5)])
+    tau = frank_tau(thetas)
+    for theta, got in zip(thetas, tau):
+        want = decimal_frank_tau(theta)
+        assert abs(got - want) <= 2e-14 * want, theta
+
+
 def test_frank_tau_round_trip_down_to_tiny_tau():
     # theta ~ 9 tau near independence; a fixed theta floor would break it
     for tau in (1e-12, -1e-12, 1e-9, -1e-9, 1e-3, 0.5, 0.99):
@@ -316,7 +330,7 @@ def test_samplers_name_a_seed_outside_64_bits():
 
 def test_uniform_covariate_sample_matches_one_generator_per_observation():
     # theta runs from 98 to about 2000, so u^(-theta) overflows for some
-    # observations and not for others: both Clayton branches
+    # observations and not for others; the log-space inverse takes both
     model = ConditionalModel(family="clayton", link=TauLink("linear", 0.98, 0.019))
     sample, truth = sample_conditional(model, 400, seed=3)
     xs, expected = loop_sample_conditional(model, 400, seed=3)
@@ -327,8 +341,9 @@ def test_uniform_covariate_sample_matches_one_generator_per_observation():
         assert getattr(truth, field).tobytes() == getattr(expected, field).tobytes()
 
 
-# each family's inverse at branch edges: (family, theta, u, p) rows in which
-# neighbouring entries take different branches
+# (family, theta, u, p) rows whose neighbouring entries sit on either side
+# of theta's sign or of a branch edge: Gumbel's theta = 1, and the overflow
+# of the replaced Clayton power form and the replaced FGM small-b cut
 BRANCH_CASES = {
     "gumbel": ([1.0, 1.0 + 1e-9, 1.0, 2.0, 1.0 + 1e-9, 50.0],
                [0.3, 0.3, 0.7, 0.7, 0.01, 0.5], [0.4, 0.4, 0.9, 0.9, 0.2, 1e-6]),
@@ -354,6 +369,41 @@ def test_inverse_branches_match_the_scalar_form_element_wise(family):
         else:
             # Clayton, FGM and independence keep the bits of the scalar form
             assert got == want
+
+
+CLAYTON_THETAS = (1e-3, 0.05, 0.5, 2.0, 10.0, 100.0, 1000.0)
+# u and v down to 1e-10, and p within 1e-12 of 1
+CLAYTON_LEVELS = (1e-10, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("theta", CLAYTON_THETAS)
+def test_clayton_inverse_matches_a_decimal_reference(theta):
+    u, p = (a.ravel() for a in np.meshgrid(CLAYTON_LEVELS, CLAYTON_LEVELS[2:]))
+    v = conditional_v_given_u("clayton", theta, u, p)
+    for args, got in zip(zip(u, p), v):
+        want = decimal_clayton_v_given_u(theta, *args)
+        assert abs(got - want) <= 1e-14 * want, args
+
+
+@pytest.mark.parametrize("theta", CLAYTON_THETAS)
+def test_clayton_cdf_matches_a_decimal_reference(theta):
+    u, v = (a.ravel() for a in np.meshgrid(CLAYTON_LEVELS, CLAYTON_LEVELS))
+    c = copula_cdf(CopulaModel("clayton", theta), u, v)
+    for args, got in zip(zip(u, v), c):
+        want = decimal_clayton_cdf(theta, *args)
+        assert abs(got - want) <= 1e-14 * want, args
+
+
+@pytest.mark.parametrize("theta", [-1.0, 1e-6, 1.0])
+def test_fgm_inverse_matches_a_decimal_reference_near_u_half(theta):
+    # b = theta (1 - 2u) runs through 0, where the textbook root cancels
+    u, p = (a.ravel() for a in np.meshgrid(
+        0.5 + np.linspace(-1e-9, 1e-9, 41), [1e-12, 0.01, 0.3, 0.5, 0.99, 1.0 - 1e-12]
+    ))
+    v = conditional_v_given_u("fgm", theta, u, p)
+    for args, got in zip(zip(u, p), v):
+        want = decimal_fgm_v_given_u(theta, *args)
+        assert abs(got - want) <= 1e-15 * want, args
 
 
 def test_inverse_rejects_levels_and_parameters_outside_the_family():
