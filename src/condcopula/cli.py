@@ -245,10 +245,31 @@ def _cmd_diagnose(args) -> int:
     return 0 if report.passed else 2
 
 
+def _attach_x_value(argv) -> list:
+    """``argv`` with each number after ``--x`` joined to it as ``--x=VALUE``.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like ``-1`` or ``-.5``, so ``--x -1e-3`` or ``--x -inf`` would lose the
+    value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--x" and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--x={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_x_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

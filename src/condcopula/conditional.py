@@ -33,9 +33,11 @@ __all__ = [
 # half-width of each kernel's support in bandwidth units
 _KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
 _KERNEL_FAMILIES = tuple(_KERNEL_REACH)
-# rows of the weight matrix held at once by ``pseudo_observations``
+# rows of the leave-one-out CV weights, and of the dense pseudo-observation
+# rows, held at once
 _ROW_BLOCK = 256
-# evaluation points per vectorised lattice pass of ``weighted_copula_surfaces``
+# evaluation points per window-local block: the pseudo-observation rows, and
+# each vectorised lattice pass of ``weighted_copula_surfaces``
 _EVAL_BLOCK = 32
 
 
@@ -74,12 +76,19 @@ class Sample:
         raise ValueError(f"margin index must be 1 or 2, got {j}")
 
     def warn_on_ties(self) -> None:
-        """Ties within a margin are broken by sample order; flag them."""
+        """Flag ties within a margin: the estimate can then depend on row order.
+
+        Tied responses give tied or nearly tied pseudo-observations, whose
+        stable ranks follow sample order; with integer margins at n=1000,
+        permuting the rows moved the estimate by up to 4.8e-3 (ROADMAP
+        item 9).
+        """
         for j in (1, 2):
             vals = self.margin(j)
             if np.unique(vals).size < vals.size:
                 warnings.warn(
-                    f"ties in margin {j}; broken by original sample order",
+                    f"ties in margin {j}; the estimate can depend on the order "
+                    "of the rows",
                     stacklevel=2,
                 )
 
@@ -137,26 +146,17 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     return kv / total
 
 
-def _weight_blocks(
-    x_eval, xs, k: KernelSpec, size: int, leave_one_out=False, full_rows=False
-):
-    """NW weight rows at ``x_eval`` over the sample ``xs``, block by block.
+def _kernel_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
+    """Kernel values at ``x_eval`` over the sample ``xs``, block by block.
 
-    Yields ``(points, union, W)`` for each block of up to ``size`` evaluation
+    Yields ``(points, union, kv)`` for each block of up to ``size`` evaluation
     points in stable x order. ``union`` holds, in sample order, every member
     of the points' kernel windows: the observations with a nonzero kernel
     value there. The support is padded by more than the rounding of
-    (x - X_i) / h, and the Gaussian window is the whole sample. ``W`` holds
-    the normalised weights over ``union``; with ``full_rows`` it spans all n
-    columns, zero outside ``union``, for a caller whose own sums must run
-    over the dense row. Each row total is summed over a zero-filled row of
-    length n, as the dense row is, so every weight is the dense row's float.
-    ``leave_one_out`` (with ``x_eval`` the sample itself) zeroes each point's
-    own weight. A block that holds a point whose weights all vanish is
-    skipped; after the last block the first such point in input order is
-    named in a ``DegenerateWeightsError``.
+    (x - X_i) / h, and the Gaussian window is the whole sample. ``kv`` holds
+    the kernel values over ``union``; ``leave_one_out`` (with ``x_eval`` the
+    sample itself) zeroes each point's own value.
     """
-    n = xs.size
     x_order = np.argsort(xs, kind="stable")
     x_sorted = xs[x_order]
     scale = max(np.abs(x_sorted).max(), np.abs(x_eval).max(initial=0.0)) + k.bandwidth
@@ -164,25 +164,37 @@ def _weight_blocks(
     lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
     eval_order = np.argsort(x_eval, kind="stable")
-    degenerate = []
     for start in range(0, x_eval.size, size):
         points = eval_order[start : start + size]
         union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
         kv = kernel_values(k.family, (x_eval[points, None] - xs[None, union]) / k.bandwidth)
         if leave_one_out:
             kv[np.arange(points.size), np.searchsorted(union, points)] = 0.0
+        yield points, union, kv
+
+
+def _weight_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
+    """NW weight rows at ``x_eval`` over the sample ``xs``, block by block.
+
+    Yields ``(points, union, W)`` for each block of ``_kernel_blocks``, ``W``
+    the normalised weights over ``union``. Each row total is summed over a
+    zero-filled row of length n, as the dense row is, so every weight is the
+    dense row's float. A block that holds a point whose weights all vanish is
+    skipped; after the last block the first such point in input order is
+    named in a ``DegenerateWeightsError``.
+    """
+    n = xs.size
+    degenerate = []
+    for points, union, kv in _kernel_blocks(x_eval, xs, k, size, leave_one_out):
+        full = kv
         if union.size < n:
-            # allocated while the last block is still bound: freeing that
-            # first made the pseudo-observations about 5% slower
             full = np.zeros((points.size, n))
             full[:, union] = kv
-        else:
-            full = kv
         totals = full.sum(axis=1)
         if np.any(totals <= 0.0):
             degenerate.append(points[totals <= 0.0].min())
             continue
-        yield points, union, (full if full_rows else kv) / totals[:, None]
+        yield points, union, kv / totals[:, None]
     if degenerate:
         raise _degenerate_at(x_eval[min(degenerate)])
 
@@ -217,22 +229,75 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     Entry i of margin j is the weighted ECDF of Y_j, with NW weights centered
     at X_i and bandwidth g_j, evaluated at Y_ji. Observation i is included
     in its own ECDF, so its row holds the weight K(0) > 0 and never
-    degenerates. The rows come from ``_weight_blocks`` in blocks of
-    ``_ROW_BLOCK`` (256), as zero-filled rows of length n, so each sum is the
-    dense row's float and no n x n array is held. One block serves both
-    margins when g1 == g2.
+    degenerates.
+
+    Later stages read these values only through their stable ranks
+    (``_sort_index``), and those ranks are exactly the ranks of the dense
+    rows: kernel over all n columns, row total, division, then the row sum
+    against the indicator. Each block of ``_EVAL_BLOCK`` (32) rows in x order
+    sums kernel values over the union of its windows only, both the
+    indicator sum and the total, and divides once; nothing of length n is
+    held per row, and one block serves both margins when g1 == g2. Both
+    forms sum at most n nonnegative terms, so each value lies within
+    b = 4 n 2^-53 of the dense one (Higham 2002, section 4.2; for n below
+    4 * 10^7). Every row with a value within 2b of a sorted neighbour
+    (``_near_ties``) then takes its dense values from ``_dense_pseudo_rows``.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
     eps = {1: np.empty(s.n), 2: np.empty(s.n)}
     groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
     for k, margins in groups:
-        for rows, _, W in _weight_blocks(s.x, s.x, k, _ROW_BLOCK, full_rows=True):
+        for rows, union, kv in _kernel_blocks(s.x, s.x, k, _EVAL_BLOCK):
+            totals = kv.sum(axis=1)
             for j in margins:
                 y = s.margin(j)
-                ind = y[None, :] <= y[rows, None]
-                eps[j][rows] = np.einsum("il,il->i", W, ind.astype(float))
-    return PseudoSample(eps1=np.clip(eps[1], 0.0, 1.0), eps2=np.clip(eps[2], 0.0, 1.0))
+                below = y[union] <= y[rows, None]
+                eps[j][rows] = np.einsum("il,il->i", kv, below.astype(float)) / totals
+        for j in margins:
+            np.clip(eps[j], 0.0, 1.0, out=eps[j])
+        rows = np.flatnonzero(np.logical_or.reduce([_near_ties(eps[j]) for j in margins]))
+        if rows.size:
+            for j, values in zip(margins, _dense_pseudo_rows(s, k, margins, rows)):
+                eps[j][rows] = values
+    return PseudoSample(eps1=eps[1], eps2=eps[2])
+
+
+def _near_ties(eps: np.ndarray) -> np.ndarray:
+    """Mask of the values within 8 n 2^-53 of a neighbour in sorted order.
+
+    Let ``eps`` lie within b = 4 n 2^-53 of values d. In sorted order, a gap
+    wider than 2b between neighbours is a gap of the same sign in d, so the
+    groups such gaps separate are ordered alike in ``eps``, in d, and in any
+    mix of the two. Giving every masked value its d therefore gives the
+    stable ranks of d: a group of two or more is then all d, and a lone
+    value has no neighbour to trade places with.
+    """
+    order = np.argsort(eps, kind="stable")
+    close = np.diff(eps[order]) <= 8 * eps.size * 2.0**-53
+    near = np.zeros(eps.size, dtype=bool)
+    near[order[:-1][close]] = True
+    near[order[1:][close]] = True
+    return near
+
+
+def _dense_pseudo_rows(s: Sample, k: KernelSpec, margins, rows: np.ndarray) -> np.ndarray:
+    """The ``margins``' pseudo-observations at ``rows`` as the dense rows give them.
+
+    Returns shape (len(margins), len(rows)). Each row's weights are the dense
+    row's floats (``_weight_blocks``), set into a zero-filled row of length n
+    and summed against the float indicator over all n columns, ``_ROW_BLOCK``
+    rows at a time, then clipped to [0, 1].
+    """
+    out = np.empty((len(margins), rows.size))
+    for points, union, W in _weight_blocks(s.x[rows], s.x, k, _ROW_BLOCK):
+        full = np.zeros((points.size, s.n))
+        full[:, union] = W
+        for values, j in zip(out, margins):
+            y = s.margin(j)
+            ind = y[None, :] <= y[rows[points], None]
+            values[points] = np.einsum("il,il->i", full, ind.astype(float))
+    return np.clip(out, 0.0, 1.0)
 
 
 def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

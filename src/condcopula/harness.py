@@ -272,6 +272,8 @@ def _estimation_target(cfg: ExperimentConfig):
     """Model, evaluation point, true surface and estimator config of a run."""
     model = build_conditional_model(cfg.model)
     x_eval = cfg.eval_points[0] if cfg.eval_points else 0.5
+    if not np.isfinite(x_eval):
+        raise ValueError(f"evaluation point x must be finite, got {x_eval}")
     true_surf = true_conditional_copula(model, x_eval, make_grid(cfg.grid_size))
     # verification targets the raw linear estimator; projection only if asked
     est_cfg = PipelineConfig(grid_size=cfg.grid_size, **{"project": False, **cfg.estimator})

@@ -114,11 +114,17 @@ def _libm(fn, *args) -> np.ndarray:
     return out.reshape(args[0].shape)
 
 
+# smallest admitted Clayton theta: at or above it -theta/(1+theta) log p is
+# a normal float for every p <= 1 - 2^-53, where |log p| >= 2^-53; below
+# about 4e-308 it underflows to 0 and the log-space inverse fails
+_CLAYTON_THETA_MIN = 1e-290
+
+
 def _check_theta(family: str, theta) -> None:
     """Raise unless every ``theta`` is an admitted parameter of ``family``."""
     t = np.asarray(theta, dtype=float)
-    if family == "clayton" and not np.all(t > 0):
-        raise ValueError("Clayton requires theta > 0")
+    if family == "clayton" and not np.all(t >= _CLAYTON_THETA_MIN):
+        raise ValueError(f"Clayton requires theta >= {_CLAYTON_THETA_MIN:g}")
     if family == "frank" and not np.all(t != 0):
         raise ValueError("Frank requires theta != 0")
     if family == "fgm" and not np.all((-1.0 <= t) & (t <= 1.0)):
@@ -314,7 +320,8 @@ def _frank_theta(target: np.ndarray) -> np.ndarray:
 
 _TAU_RANGES = {
     "independence": (-1.0, 1.0),
-    "clayton": (0.0, 1.0),
+    # the tau of _CLAYTON_THETA_MIN, which maps back to it exactly
+    "clayton": (_CLAYTON_THETA_MIN / 2.0, 1.0),
     "frank": (-_FRANK_TAU_MAX, _FRANK_TAU_MAX),
     "fgm": (-2.0 / 9.0, 2.0 / 9.0),
     "gumbel": (0.0, 1.0),
@@ -331,7 +338,7 @@ def _check_tau(family: str, tau) -> None:
     if family == "independence":
         ok, rule = tau == 0.0, "independence family admits only tau = 0"
     elif family == "clayton":
-        ok, rule = (lo < tau) & (tau < hi), f"Clayton tau must lie in ({lo}, {hi})"
+        ok, rule = (lo <= tau) & (tau < hi), f"Clayton tau must lie in [{lo:g}, {hi:g})"
     elif family == "fgm":
         ok, rule = (lo <= tau) & (tau <= hi), f"FGM tau must lie in [{lo:.6g}, {hi:.6g}]"
     elif family == "gumbel":

@@ -75,6 +75,30 @@ def test_estimate_names_a_non_finite_x(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_negative_x_after_a_space_is_a_number(tmp_path, capsys):
+    # argparse alone reads "-1e-3" and "-inf" as options, not as the value
+    data = simulate(tmp_path, n=200)
+    out = tmp_path / "neg.json"
+    assert run(["estimate", "--in", str(data), "--x", "-1e-3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["x"] == -1e-3
+    code = run(["estimate", "--in", str(data), "--x", "-inf",
+                "--out", str(tmp_path / "inf.json")])
+    assert code == 1
+    assert "x must be finite, got -inf" in capsys.readouterr().err
+    bench = ["benchmark", "--ladder", "200,400", "--reps", "2", "--grid", "9", "--seed", "3"]
+    assert run([*bench, "--x", "-1e-3"]) == 0
+    assert run([*bench, "--x", "-inf"]) == 1
+    assert "x must be finite, got -inf" in capsys.readouterr().err
+
+
+def test_clayton_tau_below_its_floor_is_validation_error(tmp_path, capsys):
+    code = run(["simulate", "--family", "clayton", "--link", "constant:1e-320",
+                "--n", "10", "--seed", "0", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "Clayton tau must lie in [5e-291, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_estimate_missing_input_flag(tmp_path, capsys):
     code = run(["estimate", "--x", "0.5", "--out", str(tmp_path / "x.json")])
     assert code == 1

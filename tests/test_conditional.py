@@ -1,16 +1,19 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condcopula import conditional
 from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
     _lattice_cdf,
     _lattice_copula,
+    _sort_index,
     _weight_blocks,
     empirical_copula_grid,
     kernel_values,
@@ -357,8 +360,51 @@ def in_support(xs_eval, s, k):
                      if np.any(kernel_values(k.family, (x - s.x) / k.bandwidth) > 0.0)])
 
 
-def assert_same_outcome(got_fn, want_fn):
-    """Both calls return bit-identical arrays or raise the same message."""
+@contextmanager
+def dense_row_calls():
+    """Records each call of the dense-row fallback as (margin, rows, values)."""
+    calls = []
+    real = conditional._dense_pseudo_rows
+
+    def spy(s, k, margins, rows):
+        values = real(s, k, margins, rows)
+        calls.extend(zip(margins, [rows] * len(margins), values))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditional, "_dense_pseudo_rows", spy)
+        yield calls
+
+
+@pytest.fixture
+def recomputed():
+    with dense_row_calls() as calls:
+        yield calls
+
+
+def assert_dense_ranks(got, want, recomputed):
+    """``got`` holds the dense pseudo-observations' stable ranks exactly.
+
+    Its values lie within 4 n 2^-53 of the dense ones, and every row that
+    ``recomputed`` names holds the dense float.
+    """
+    bound = 4 * want.n * 2.0**-53
+    margins = {1: (got.eps1, want.eps1), 2: (got.eps2, want.eps2)}
+    for g, w in margins.values():
+        assert np.array_equal(_sort_index(g)[1], _sort_index(w)[1])
+        assert np.max(np.abs(g - w)) <= bound
+    for j, rows, values in recomputed:
+        g, w = margins[j]
+        assert np.array_equal(values, w[rows])
+        assert np.array_equal(g[rows], w[rows])
+
+
+def assert_same_outcome(got_fn, want_fn, recomputed=None):
+    """Both calls return the same outcome or raise the same message.
+
+    Arrays must be bit-identical; pseudo-observations must have the dense
+    ranks (``assert_dense_ranks``, with the fallback calls of ``got_fn``).
+    """
     try:
         want = want_fn()
     except DegenerateWeightsError as exc:
@@ -366,10 +412,11 @@ def assert_same_outcome(got_fn, want_fn):
             got_fn()
         assert str(got.value) == str(exc)
         return
+    if recomputed is not None:
+        recomputed.clear()
     got = got_fn()
     if isinstance(want, PseudoSample):
-        assert np.array_equal(got.eps1, want.eps1)
-        assert np.array_equal(got.eps2, want.eps2)
+        assert_dense_ranks(got, want, recomputed)
     else:
         assert np.array_equal(got, want)
 
@@ -377,7 +424,7 @@ def assert_same_outcome(got_fn, want_fn):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("shared_bandwidth", [False, True])
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
-def test_pseudo_and_surfaces_bit_identical_to_dense(family, shared_bandwidth, n):
+def test_pseudo_and_surfaces_bit_identical_to_dense(family, shared_bandwidth, n, recomputed):
     # a shared bandwidth takes the one-block-for-both-margins path; the
     # surfaces use the margin-2 bandwidth, so they run at two window widths
     s = tied_sample(n, seed=n)
@@ -385,9 +432,7 @@ def test_pseudo_and_surfaces_bit_identical_to_dense(family, shared_bandwidth, n)
     g2 = h if shared_bandwidth else 0.6 * h
     k1, k2 = KernelSpec(family, h), KernelSpec(family, g2)
     pseudo = pseudo_observations(s, k1, k2)
-    want = dense_pseudo_observations(s, k1, k2)
-    assert np.array_equal(pseudo.eps1, want.eps1)
-    assert np.array_equal(pseudo.eps2, want.eps2)
+    assert_dense_ranks(pseudo, dense_pseudo_observations(s, k1, k2), recomputed)
     grid = make_grid(7)
     xs_eval = np.concatenate([s.x, s.x[:9] - 0.5 * g2, s.x[:9] + 0.9 * g2])
     assert np.array_equal(
@@ -460,15 +505,15 @@ def test_surfaces_name_the_first_degenerate_point_in_input_order(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [300, 700])
-def test_pseudo_and_surfaces_on_tied_covariate_bit_identical(family, n):
+def test_pseudo_and_surfaces_on_tied_covariate_bit_identical(family, n, recomputed):
     # 11 distinct covariate values, so x order has long runs of ties that
-    # straddle the row blocks of 256 and the point blocks of 32
+    # straddle the blocks of 32 rows or points
     rng = np.random.default_rng(n)
     s = Sample(y1=rng.normal(size=n), y2=np.round(rng.normal(size=n), 1),
                x=np.round(rng.random(n), 1) * 2.0)
     k1, k2 = KernelSpec(family, 0.25), KernelSpec(family, 0.15)
     assert_same_outcome(lambda: pseudo_observations(s, k1, k2),
-                        lambda: dense_pseudo_observations(s, k1, k2))
+                        lambda: dense_pseudo_observations(s, k1, k2), recomputed)
     pseudo = pseudo_observations(s, k1, k2)
     assert_same_outcome(
         lambda: weighted_copula_surfaces(s.x, s, k2, make_grid(7), pseudo),
@@ -478,14 +523,52 @@ def test_pseudo_and_surfaces_on_tied_covariate_bit_identical(family, n):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [257, 600])
-def test_pseudo_at_row_block_edges_bit_identical(family, n):
-    # distinct covariates: the last row of each x-ordered block of 256 has
-    # its own window edge, which the block's union must reach
+def test_pseudo_at_row_block_edges_bit_identical(family, n, recomputed):
+    # distinct covariates: the last row of each x-ordered block has its own
+    # window edge, which the block's union must reach
     rng = np.random.default_rng(n + 1)
     s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n), x=rng.random(n))
     k1, k2 = KernelSpec(family, 0.02), KernelSpec(family, 0.05)
     assert_same_outcome(lambda: pseudo_observations(s, k1, k2),
-                        lambda: dense_pseudo_observations(s, k1, k2))
+                        lambda: dense_pseudo_observations(s, k1, k2), recomputed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pseudo_ranks_match_dense_rows_on_frank(seed, recomputed):
+    # window maxima have a true value of exactly 1, which the dense row sum
+    # rounds to 1 or to 1 - ulp; the window sums alone misorder them
+    model = ConditionalModel(family="frank", link=TauLink(form="linear", a=0.2, b=0.3))
+    s, _ = sample_conditional(model, 200, seed)
+    k = KernelSpec(bandwidth=rule_of_thumb_bandwidth(s.x))
+    want = dense_pseudo_observations(s, k, k)
+    recomputed.clear()
+    assert_dense_ranks(pseudo_observations(s, k, k), want, recomputed)
+    assert sum(rows.size for _, rows, _ in recomputed) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=80),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(FAMILIES),
+    st.floats(min_value=0.02, max_value=0.6),
+    st.sampled_from([0, 1, 2]),
+)
+def test_pseudo_ranks_match_dense_rows_with_duplicated_rows(n, seed, family, h, digits):
+    # whole rows repeated, and margins and covariate rounded, so values tie
+    # exactly in both forms and near-ties cross block boundaries
+    rng = np.random.default_rng(seed)
+    base = np.column_stack([np.round(rng.normal(size=n), digits),
+                            np.round(rng.normal(size=n), digits),
+                            np.round(rng.random(n), 1 + digits)])
+    rows = np.concatenate([base, base[rng.integers(0, n, size=n // 2)]])
+    rows = rows[rng.permutation(rows.shape[0])]
+    s = Sample(y1=rows[:, 0], y2=rows[:, 1], x=rows[:, 2])
+    k1, k2 = KernelSpec(family, h), KernelSpec(family, 0.7 * h)
+    want = dense_pseudo_observations(s, k1, k2)
+    with dense_row_calls() as calls:
+        got = pseudo_observations(s, k1, k2)
+    assert_dense_ranks(got, want, calls)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -562,16 +645,10 @@ def test_surfaces_outside_data_raise_dense_message(family):
 
 
 def weight_block_rows(xs, k, leave_one_out):
-    """The blocks of ``_weight_blocks`` at the sample, scattered into n x n rows.
-
-    The rows handed over with ``full_rows`` must be the same scattered rows.
-    """
+    """The blocks of ``_weight_blocks`` at the sample, scattered into n x n rows."""
     rows = np.zeros((xs.size, xs.size))
     for points, union, W in _weight_blocks(xs, xs, k, 256, leave_one_out):
         rows[points[:, None], union] = W
-    if not leave_one_out:
-        for points, _, W in _weight_blocks(xs, xs, k, 256, full_rows=True):
-            assert np.array_equal(W, rows[points])
     return rows
 
 
@@ -637,7 +714,9 @@ def test_conditional_stages_hold_no_n_by_n_array(family):
     s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n), x=rng.random(n))
     k = KernelSpec(family, rule_of_thumb_bandwidth(s.x))
     pseudo, peak = traced_peak_mib(lambda: pseudo_observations(s, k, k))
-    assert peak < 64.0
+    # the window-local rows hold no length-n row; the Gaussian window is the
+    # whole sample, so its blocks are 32 x n
+    assert peak < (8.0 if family == "epanechnikov" else 64.0)
     if family == "epanechnikov":
         surfaces, peak = traced_peak_mib(
             lambda: weighted_copula_surfaces(s.x, s, k, make_grid(21), pseudo))

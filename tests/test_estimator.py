@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condcopula import estimator
-from condcopula.conditional import KernelSpec
+from condcopula.conditional import KernelSpec, PseudoSample
 from condcopula.errors import DegenerateWeightsError
 from condcopula.estimator import (
     PipelineConfig,
@@ -270,3 +270,28 @@ def test_projection_idempotent_and_improving():
     assert np.array_equal(once.values, twice.values)
     truth = from_callable(g, lambda u, v: u * v)
     assert sup_distance(once, truth) <= sup_distance(f, truth) + 1e-15
+
+
+def test_fit_reads_the_pseudo_observations_only_through_their_ranks(monkeypatch):
+    # halving is exact and keeps every order, so nothing a fit or an
+    # evaluation returns may change
+    _, s = clayton_sample(n=600, seed=4)
+    cfg = PipelineConfig()
+    base = fit_pipeline(s, cfg)
+    real = estimator.pseudo_observations
+
+    def halved(*args):
+        p = real(*args)
+        return PseudoSample(eps1=0.5 * p.eps1, eps2=0.5 * p.eps2)
+
+    monkeypatch.setattr(estimator, "pseudo_observations", halved)
+    fit = fit_pipeline(s, cfg)
+    assert np.array_equal(fit.pseudo.eps1, 0.5 * base.pseudo.eps1)
+    assert np.array_equal(fit.center.values, base.center.values)
+    assert np.array_equal(fit.eigen.eigenvalues, base.eigen.eigenvalues)
+    assert np.array_equal(fit.eigen.eigenfunctions, base.eigen.eigenfunctions)
+    assert fit.eigen.total == base.eigen.total
+    assert np.array_equal(fit.scores, base.scores)
+    for x in np.linspace(0.05, 0.95, 19):
+        assert np.array_equal(evaluate_fit(fit, x).surface.values,
+                              evaluate_fit(base, x).surface.values)

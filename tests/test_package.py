@@ -148,11 +148,19 @@ def test_callers_of_detected():
 
 
 def test_kernel_evaluated_only_by_the_weight_routines():
-    # one place decides how a kernel row and its total are formed
+    # kernel values come from one window-block routine, or at one point
     callers = set().union(
         *(callers_of(p.read_text(), "kernel_values") for p in PACKAGE_DIR.glob("*.py"))
     )
-    assert callers == {"nw_weights", "_weight_blocks"}
+    assert callers == {"nw_weights", "_kernel_blocks"}
+
+
+def test_dense_pseudo_rows_only_certify_near_ties():
+    # the O(n) dense row runs only for the values whose ranks it settles
+    callers = set().union(
+        *(callers_of(p.read_text(), "_dense_pseudo_rows") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {"pseudo_observations"}
 
 
 def test_libm_bit_matching_only_in_the_conditional_inverse():

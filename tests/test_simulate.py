@@ -416,6 +416,20 @@ def test_inverse_rejects_levels_and_parameters_outside_the_family():
     )
 
 
+@pytest.mark.parametrize("p", [1 - 1e-12, 1 - 2.0**-53])
+def test_clayton_theta_floor_keeps_the_inverse_finite(p):
+    # below the floor -theta/(1+theta) log p underflows, and the log-space
+    # inverse took the log of 0; at it the inverse is p to rounding
+    floor = simulate._CLAYTON_THETA_MIN
+    assert conditional_v_given_u("clayton", floor, 0.3, p) == pytest.approx(p, rel=4e-16)
+    for theta in (2e-320, 0.5 * floor):
+        with pytest.raises(ValueError, match="Clayton requires theta >= 1e-290"):
+            conditional_v_given_u("clayton", theta, 0.3, p)
+    assert tau_to_theta("clayton", floor / 2.0) == floor
+    with pytest.raises(ValueError, match=r"Clayton tau must lie in \[5e-291, 1\), got 1e-320"):
+        ConditionalModel(family="clayton", link=TauLink(form="constant", a=1e-320))
+
+
 def test_independence_sample_tau_near_zero():
     model = ConditionalModel(
         family="independence", link=TauLink(form="constant", a=0.0)
