@@ -1,10 +1,11 @@
 """Kernel-weighted conditional distribution machinery.
 
 Nadaraya-Watson weights, conditional probability transforms of the raw
-sample (pseudo-observations), and one copula-lattice kernel: unweighted it is
-the empirical partial copula, kernel-weighted it is the transformed plug-in
-conditional copula estimator that serves both as baseline and as trajectory
-source for the FPCA stage.
+sample (pseudo-observations), and one copula-lattice kernel,
+``_copula_lattices``: with unit masses it is the empirical partial copula and
+the harness's rank-copula check; with kernel weights it is the transformed
+plug-in conditional copula estimator that serves both as baseline and as
+trajectory source for the FPCA stage.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ __all__ = [
 # half-width of each kernel's support in bandwidth units
 _KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
 _KERNEL_FAMILIES = tuple(_KERNEL_REACH)
-# rows of the leave-one-out CV weights, and of the dense pseudo-observation
-# rows, held at once
-_ROW_BLOCK = 256
-# evaluation points per window-local block: the pseudo-observation rows, and
-# each vectorised lattice pass of ``weighted_copula_surfaces``
-_EVAL_BLOCK = 32
+# evaluation points per window-local block, in every kernel-weighted stage
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -146,16 +143,16 @@ def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     return kv / total
 
 
-def _kernel_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
+def _kernel_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
     """Kernel values at ``x_eval`` over the sample ``xs``, block by block.
 
-    Yields ``(points, union, kv)`` for each block of up to ``size`` evaluation
-    points in stable x order. ``union`` holds, in sample order, every member
-    of the points' kernel windows: the observations with a nonzero kernel
-    value there. The support is padded by more than the rounding of
-    (x - X_i) / h, and the Gaussian window is the whole sample. ``kv`` holds
-    the kernel values over ``union``; ``leave_one_out`` (with ``x_eval`` the
-    sample itself) zeroes each point's own value.
+    Yields ``(points, union, kv)`` for each block of up to ``_BLOCK`` (32)
+    evaluation points in stable x order. ``union`` holds, in sample order,
+    every member of the points' kernel windows: the observations with a
+    nonzero kernel value there. The support is padded by more than the
+    rounding of (x - X_i) / h, and the Gaussian window is the whole sample.
+    ``kv`` holds the kernel values over ``union``; ``leave_one_out`` (with
+    ``x_eval`` the sample itself) zeroes each point's own value.
     """
     x_order = np.argsort(xs, kind="stable")
     x_sorted = xs[x_order]
@@ -164,8 +161,8 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
     lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
     eval_order = np.argsort(x_eval, kind="stable")
-    for start in range(0, x_eval.size, size):
-        points = eval_order[start : start + size]
+    for start in range(0, x_eval.size, _BLOCK):
+        points = eval_order[start : start + _BLOCK]
         union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
         kv = kernel_values(k.family, (x_eval[points, None] - xs[None, union]) / k.bandwidth)
         if leave_one_out:
@@ -173,7 +170,7 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
         yield points, union, kv
 
 
-def _weight_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
+def _weight_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
     """NW weight rows at ``x_eval`` over the sample ``xs``, block by block.
 
     Yields ``(points, union, W)`` for each block of ``_kernel_blocks``, ``W``
@@ -185,7 +182,7 @@ def _weight_blocks(x_eval, xs, k: KernelSpec, size: int, leave_one_out=False):
     """
     n = xs.size
     degenerate = []
-    for points, union, kv in _kernel_blocks(x_eval, xs, k, size, leave_one_out):
+    for points, union, kv in _kernel_blocks(x_eval, xs, k, leave_one_out):
         full = kv
         if union.size < n:
             full = np.zeros((points.size, n))
@@ -234,21 +231,24 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     Later stages read these values only through their stable ranks
     (``_sort_index``), and those ranks are exactly the ranks of the dense
     rows: kernel over all n columns, row total, division, then the row sum
-    against the indicator. Each block of ``_EVAL_BLOCK`` (32) rows in x order
+    against the indicator. Each block of ``_BLOCK`` (32) rows in x order
     sums kernel values over the union of its windows only, both the
     indicator sum and the total, and divides once; nothing of length n is
     held per row, and one block serves both margins when g1 == g2. Both
     forms sum at most n nonnegative terms, so each value lies within
     b = 4 n 2^-53 of the dense one (Higham 2002, section 4.2; for n below
-    4 * 10^7). Every row with a value within 2b of a sorted neighbour
-    (``_near_ties``) then takes its dense values from ``_dense_pseudo_rows``.
+    4 * 10^7). Every value of a margin within 2b of a sorted neighbour in
+    that margin (``_near_ties``) then takes its dense value from
+    ``_dense_pseudo_rows``. The dense row of observation i depends only on
+    (X_i, Y_ji), so each distinct pair is summed once and its value shared:
+    tied data cost one dense row per distinct pair, not one per row.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
     eps = {1: np.empty(s.n), 2: np.empty(s.n)}
     groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
     for k, margins in groups:
-        for rows, union, kv in _kernel_blocks(s.x, s.x, k, _EVAL_BLOCK):
+        for rows, union, kv in _kernel_blocks(s.x, s.x, k):
             totals = kv.sum(axis=1)
             for j in margins:
                 y = s.margin(j)
@@ -256,10 +256,10 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
                 eps[j][rows] = np.einsum("il,il->i", kv, below.astype(float)) / totals
         for j in margins:
             np.clip(eps[j], 0.0, 1.0, out=eps[j])
-        rows = np.flatnonzero(np.logical_or.reduce([_near_ties(eps[j]) for j in margins]))
-        if rows.size:
-            for j, values in zip(margins, _dense_pseudo_rows(s, k, margins, rows)):
-                eps[j][rows] = values
+            rows = np.flatnonzero(_near_ties(eps[j]))
+            pairs = np.column_stack([s.x[rows], s.margin(j)[rows]])
+            _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+            eps[j][rows] = _dense_pseudo_rows(s, k, j, rows[first])[inverse]
     return PseudoSample(eps1=eps[1], eps2=eps[2])
 
 
@@ -281,22 +281,21 @@ def _near_ties(eps: np.ndarray) -> np.ndarray:
     return near
 
 
-def _dense_pseudo_rows(s: Sample, k: KernelSpec, margins, rows: np.ndarray) -> np.ndarray:
-    """The ``margins``' pseudo-observations at ``rows`` as the dense rows give them.
+def _dense_pseudo_rows(s: Sample, k: KernelSpec, j: int, rows: np.ndarray) -> np.ndarray:
+    """Margin ``j``'s pseudo-observations at ``rows`` as the dense rows give them.
 
-    Returns shape (len(margins), len(rows)). Each row's weights are the dense
-    row's floats (``_weight_blocks``), set into a zero-filled row of length n
-    and summed against the float indicator over all n columns, ``_ROW_BLOCK``
-    rows at a time, then clipped to [0, 1].
+    Each row's weights are the dense row's floats (``_weight_blocks``), set
+    into a zero-filled row of length n and summed against the float
+    indicator over all n columns, one block of rows at a time, then clipped
+    to [0, 1].
     """
-    out = np.empty((len(margins), rows.size))
-    for points, union, W in _weight_blocks(s.x[rows], s.x, k, _ROW_BLOCK):
+    y = s.margin(j)
+    out = np.empty(rows.size)
+    for points, union, W in _weight_blocks(s.x[rows], s.x, k):
         full = np.zeros((points.size, s.n))
         full[:, union] = W
-        for values, j in zip(out, margins):
-            y = s.margin(j)
-            ind = y[None, :] <= y[rows[points], None]
-            values[points] = np.einsum("il,il->i", full, ind.astype(float))
+        ind = y[None, :] <= y[rows[points], None]
+        out[points] = np.einsum("il,il->i", full, ind.astype(float))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -308,45 +307,60 @@ def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, position
 
 
-def _lattice_cdf(a_idx, b_idx, L: int) -> np.ndarray:
-    """Integer joint CDF on an L x L lattice from each pair's first lattice index.
+def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
+    """Joint CDFs on an L x L lattice, one per row of masses.
 
-    Pair i starts counting at lattice node (a_idx[i], b_idx[i]); index L means
-    it never counts.
+    Row b of the (B, m) arrays ``a_idx``, ``b_idx`` and ``mass`` gives each
+    pair's first lattice index on each margin and the pair's mass; index L
+    means it never counts. Returns shape (B, L, L).
     """
-    cells = np.bincount(a_idx * (L + 1) + b_idx, minlength=(L + 1) ** 2)
-    return cells.reshape(L + 1, L + 1)[:L, :L].cumsum(axis=0).cumsum(axis=1)
+    B = mass.shape[0]
+    cell = a_idx * (L + 1) + b_idx + np.arange(B)[:, None] * (L + 1) ** 2
+    cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=B * (L + 1) ** 2)
+    return cells.reshape(B, L + 1, L + 1)[:, :L, :L].cumsum(axis=1).cumsum(axis=2)
 
 
-def _lattice_copula(
-    eps1: np.ndarray,
-    eps2: np.ndarray,
-    levels: np.ndarray,
-    sort_index: tuple | None = None,
-) -> np.ndarray:
-    """Rank-based empirical copula of the pseudo-pairs on the ``levels`` lattice.
+def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Mass-weighted rank copulas of m pairs on the ``thresholds`` lattice.
 
-    The joint ECDF of the pairs composed with the generalized inverses of its
-    own margins, counted in integers and divided by n at the end.
-    ``sort_index`` holds ``_sort_index`` of each margin when the caller has
-    it already.
+    ``positions`` holds each margin's sort positions of the m pairs (any
+    integers in the order of their stable ranks), ``mass`` is (B, m) and
+    ``thresholds`` holds L increasing levels. Lattice b, of shape (L, L), is
+    the joint CDF of the pairs under ``mass[b]`` composed with the
+    generalized inverses of its own margins: on each margin, level l counts
+    the pairs in rank order up to the first whose cumulative mass reaches
+    ``thresholds[l]``, or every pair if none does. Returns shape (B, L, L).
     """
-    n = eps1.size
-    if sort_index is None:
-        sort_index = (_sort_index(eps1), _sort_index(eps2))
-    # last sorted position at or below each level; -1 counts nothing
-    last = np.minimum(np.ceil(levels * n - 1e-12), n).astype(np.int64) - 1
-    idx = [np.searchsorted(last, position, side="left") for _, position in sort_index]
-    return _lattice_cdf(*idx, levels.size) / n
+    B, m = mass.shape
+    row = np.arange(B)[:, None]
+    idx = []
+    for position in positions:
+        order = np.argsort(position)
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        # mass ranked below each sorted position, 0 to m
+        below = np.zeros((B, m + 1))
+        np.cumsum(np.take(mass, order, axis=1), axis=1, out=below[:, 1:])
+        first = np.stack([np.searchsorted(cum, thresholds, side="left") for cum in below])
+        # a member's lattice index counts the levels whose first position
+        # lies at or below its sorted rank
+        counts = np.bincount((first + row * (m + 2)).ravel(), minlength=B * (m + 2))
+        idx.append(np.take(counts.reshape(B, m + 2).cumsum(axis=1), rank, axis=1))
+    return _lattice_cdf(*idx, thresholds.size, mass)
 
 
 def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
     """Rank-based empirical copula of the pseudo-sample at all grid nodes.
 
     Composes the joint ECDF of the pseudo-pairs with the generalized inverses
-    of their marginal ECDFs (ties broken by sample order).
+    of their marginal ECDFs (ties broken by sample order): ``_copula_lattices``
+    with unit masses and the thresholds ``levels * n - 1e-12``, whose counts
+    are exact integers, divided by n.
     """
-    return GridFunction(grid=grid, values=_lattice_copula(p.eps1, p.eps2, grid.nodes))
+    n = p.n
+    positions = (_sort_index(p.eps1)[1], _sort_index(p.eps2)[1])
+    lattice = _copula_lattices(positions, np.ones((1, n)), grid.nodes * n - 1e-12)
+    return GridFunction(grid=grid, values=lattice[0] / n)
 
 
 def weighted_copula_surfaces(
@@ -363,43 +377,21 @@ def weighted_copula_surfaces(
     inverses of its own weighted margins. Returns an array of shape
     (len(xs_eval), G, G).
 
-    The weights come from ``_weight_blocks`` in blocks of ``_EVAL_BLOCK``
-    (32) points, over the union U of their windows. Per block: U sorted once
-    per margin; two numpy calls per point and margin for the cumulative
-    weights and the weighted-quantile positions; integer counts for each
-    member's lattice index; and one ``bincount`` for all B lattices. A member
-    outside a point's window has weight 0.0: it adds an exact zero to every
-    sum and is never the first position to reach a level, since every grid
-    level is above 0. So every surface is bit-identical to evaluating all n
-    observations.
+    The weights come from ``_weight_blocks`` in blocks of ``_BLOCK`` (32)
+    points, over the union U of their windows, and one ``_copula_lattices``
+    call per block turns them into the block's lattices with the thresholds
+    ``levels - 1e-12``. A member outside a point's window has weight 0.0: it
+    adds an exact zero to every sum and is never the last member counted at
+    a level, since every grid level is above 0. So every surface is
+    bit-identical to evaluating all n observations.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
-    G = grid.G
     positions = (_sort_index(pseudo.eps1)[1], _sort_index(pseudo.eps2)[1])
     thresholds = grid.nodes - 1e-12
-    out = np.empty((xs_eval.size, G, G))
-    for block, union, W in _weight_blocks(xs_eval, s.x, k, _EVAL_BLOCK):
-        B, m = W.shape
-        row = np.arange(B)[:, None]
-        idx = []
-        for position in positions:
-            order = np.argsort(position[union])
-            rank = np.empty(m, dtype=np.int64)
-            rank[order] = np.arange(m)
-            sorted_w = np.take(W, order, axis=1)
-            # sorted position of each row's weighted quantile at each level
-            last = np.empty((B, G), dtype=np.int64)
-            for b in range(B):
-                last[b] = np.searchsorted(np.cumsum(sorted_w[b]), thresholds, side="left")
-            np.minimum(last, m - 1, out=last)
-            # a member's lattice index counts the levels whose position lies
-            # below its sorted rank
-            below = np.bincount((last + 1 + row * (m + 1)).ravel(), minlength=B * (m + 1))
-            idx.append(np.take(below.reshape(B, m + 1).cumsum(axis=1), rank, axis=1))
-        cell = idx[0] * (G + 1) + idx[1] + row * (G + 1) ** 2
-        cells = np.bincount(cell.ravel(), weights=W.ravel(), minlength=B * (G + 1) ** 2)
-        lattice = cells.reshape(B, G + 1, G + 1)[:, :G, :G].cumsum(axis=1).cumsum(axis=2)
-        out[block] = np.clip(lattice, 0.0, 1.0)
+    out = np.empty((xs_eval.size, grid.G, grid.G))
+    for block, union, W in _weight_blocks(xs_eval, s.x, k):
+        lattices = _copula_lattices([p[union] for p in positions], W, thresholds)
+        out[block] = np.clip(lattices, 0.0, 1.0)
     return out
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .conditional import (
     KernelSpec,
+    _copula_lattices,
     _lattice_cdf,
-    _lattice_copula,
     _sort_index,
     weighted_copula_surfaces,
 )
@@ -440,7 +440,8 @@ def _joint_ecdf_on_lattice(e1, e2, levels) -> np.ndarray:
     """Joint ECDF of the pairs on the levels x levels lattice."""
     a_idx = np.searchsorted(levels, e1, side="left")
     b_idx = np.searchsorted(levels, e2, side="left")
-    return _lattice_cdf(a_idx, b_idx, levels.size) / e1.size
+    n = e1.size
+    return _lattice_cdf(a_idx[None], b_idx[None], levels.size, np.ones((1, n)))[0] / n
 
 
 def ks_uniform_statistic(vals: np.ndarray) -> float:
@@ -471,12 +472,12 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _, truth = sample_conditional(model, n, seed)
         e1, e2 = truth.eps1, truth.eps2
         ks = max(ks_uniform_statistic(e1), ks_uniform_statistic(e2))
-        sort_index = (_sort_index(e1), _sort_index(e2))
-        rank_surface = _lattice_copula(e1, e2, levels, sort_index=sort_index)
+        positions = (_sort_index(e1)[1], _sort_index(e2)[1])
+        rank_surface = _copula_lattices(positions, np.ones((1, n)), levels * n - 1e-12)[0] / n
         # normalized ranks of the same sample; the rank-based estimator can
         # move each margin threshold by at most one atom relative to their
         # ECDF, hence the 2/n bound
-        r1, r2 = ((position + 1) / e1.size for _, position in sort_index)
+        r1, r2 = ((position + 1) / n for position in positions)
         rank_ecdf = _joint_ecdf_on_lattice(r1, r2, levels)
         gap = float(np.max(np.abs(rank_surface - rank_ecdf)))
         # distance to the exact-margins ECDF, reported but not asserted

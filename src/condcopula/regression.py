@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conditional import _ROW_BLOCK, KernelSpec, _weight_blocks, nw_weights
+from .conditional import KernelSpec, _weight_blocks, nw_weights
 from .errors import DegenerateWeightsError
 
 __all__ = ["eval_alpha", "cv_bandwidth"]
@@ -39,8 +39,8 @@ def cv_bandwidth(
     Minimizes the squared leave-one-out prediction error summed over score
     columns and observations; candidates whose window isolates some
     observation get infinite error. Ties resolve to the smaller bandwidth.
-    The leave-one-out weights come from ``_weight_blocks`` in blocks of 256
-    rows, so no n x n array is held.
+    The leave-one-out weights come from ``_weight_blocks`` in the blocks of
+    32 rows that every kernel-weighted stage uses, so no n x n array is held.
     """
     xs = np.asarray(xs, dtype=float)
     if np.unique(xs).size < 3:
@@ -51,9 +51,7 @@ def cv_bandwidth(
     candidates = sorted(float(h) for h in candidates)
     best_h, best_err = None, np.inf
     for h in candidates:
-        blocks = _weight_blocks(
-            xs, xs, KernelSpec(kernel_family, h), _ROW_BLOCK, leave_one_out=True
-        )
+        blocks = _weight_blocks(xs, xs, KernelSpec(kernel_family, h), leave_one_out=True)
         try:
             err = sum(
                 float(np.sum((scores[rows] - W @ scores[union]) ** 2))

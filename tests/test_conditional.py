@@ -11,8 +11,8 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
+    _copula_lattices,
     _lattice_cdf,
-    _lattice_copula,
     _sort_index,
     _weight_blocks,
     empirical_copula_grid,
@@ -200,7 +200,7 @@ def test_isolated_row_degenerates_only_without_its_own_weight():
     # pseudo-observations keep it, the leave-one-out weights flag it
     assert pseudo_observations(s, k, k).eps1[2] == 1.0
     with pytest.raises(DegenerateWeightsError, match="at x=9;"):
-        list(_weight_blocks(s.x, s.x, k, 256, leave_one_out=True))
+        list(_weight_blocks(s.x, s.x, k, leave_one_out=True))
 
 
 def test_pseudo_needs_two_records():
@@ -271,12 +271,18 @@ def tied_pseudo_sample(n, seed):
     return PseudoSample(eps1=np.round(rng.random(n), 1), eps2=np.round(rng.random(n), 1))
 
 
+def rank_copula_lattice(p, levels):
+    """``_copula_lattices`` with unit masses, as the partial copula calls it."""
+    positions = (_sort_index(p.eps1)[1], _sort_index(p.eps2)[1])
+    return _copula_lattices(positions, np.ones((1, p.n)), levels * p.n - 1e-12)[0] / p.n
+
+
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (23, 2), (60, 3)])
 def test_lattice_kernel_matches_pointwise_rank_copula(n, seed):
     # the lattice that starts at level 0 is the one the rank-gap check uses
     p = tied_pseudo_sample(n, seed)
     for levels in (np.linspace(0.0, 1.0, 11), make_grid(7).nodes):
-        lattice = _lattice_copula(p.eps1, p.eps2, levels)
+        lattice = rank_copula_lattice(p, levels)
         want = [[empirical_copula(p, u, v) for v in levels] for u in levels]
         assert np.array_equal(lattice, want)
 
@@ -296,7 +302,7 @@ def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
                 assert lattice[a, b] == pytest.approx(weighted_copula(p, w, u, v), abs=1e-12)
     # uniform weights give the rank-based copula up to rounding
     assert np.allclose(weighted_copula_surfaces([0.5], s, uniform, grid, p)[0],
-                       _lattice_copula(p.eps1, p.eps2, grid.nodes), rtol=0, atol=1e-12)
+                       empirical_copula_grid(p, grid).values, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- trajectories
@@ -366,9 +372,9 @@ def dense_row_calls():
     calls = []
     real = conditional._dense_pseudo_rows
 
-    def spy(s, k, margins, rows):
-        values = real(s, k, margins, rows)
-        calls.extend(zip(margins, [rows] * len(margins), values))
+    def spy(s, k, j, rows):
+        values = real(s, k, j, rows)
+        calls.append((j, rows, values))
         return values
 
     with pytest.MonkeyPatch.context() as mp:
@@ -480,10 +486,13 @@ def test_surfaces_when_one_block_spans_the_sample_bit_identical(family):
     k = KernelSpec(family, 0.05)
     pseudo = pseudo_observations(s, k, k)
     xs_eval = np.linspace(0.0, 1.0, 40)
-    assert_same_outcome(
-        lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(11), pseudo),
-        lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(11), pseudo),
-    )
+    # the Gaussian kernel also runs on the 51-node grid of the fine-grid
+    # benchmark workload, so each level search takes 51 thresholds
+    for G in (11, 51) if family == "gaussian" else (11,):
+        assert_same_outcome(
+            lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(G), pseudo),
+            lambda: dense_weighted_copula_surfaces(xs_eval, s, k, make_grid(G), pseudo),
+        )
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -544,6 +553,23 @@ def test_pseudo_ranks_match_dense_rows_on_frank(seed, recomputed):
     recomputed.clear()
     assert_dense_ranks(pseudo_observations(s, k, k), want, recomputed)
     assert sum(rows.size for _, rows, _ in recomputed) > 0
+
+
+def test_tied_pairs_sum_one_dense_row_each(recomputed):
+    # x on steps of 0.01 and integer margins: window sums tie exactly, so
+    # most values are near-ties, but rows with the same (x, y_j) share one
+    # dense row
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    raw, _ = sample_conditional(model, 600, seed=1)
+    s = Sample(y1=np.round(raw.y1), y2=np.round(raw.y2), x=np.round(raw.x, 2))
+    k = KernelSpec(bandwidth=rule_of_thumb_bandwidth(s.x))
+    want = dense_pseudo_observations(s, k, k)
+    recomputed.clear()
+    assert_dense_ranks(pseudo_observations(s, k, k), want, recomputed)
+    for j in (1, 2):
+        rows = np.concatenate([r for margin, r, _ in recomputed if margin == j])
+        distinct = np.unique(np.column_stack([s.x[rows], s.margin(j)[rows]]), axis=0)
+        assert rows.size == distinct.shape[0] > 100
 
 
 @settings(max_examples=60, deadline=None)
@@ -647,7 +673,7 @@ def test_surfaces_outside_data_raise_dense_message(family):
 def weight_block_rows(xs, k, leave_one_out):
     """The blocks of ``_weight_blocks`` at the sample, scattered into n x n rows."""
     rows = np.zeros((xs.size, xs.size))
-    for points, union, W in _weight_blocks(xs, xs, k, 256, leave_one_out):
+    for points, union, W in _weight_blocks(xs, xs, k, leave_one_out):
         rows[points[:, None], union] = W
     return rows
 
@@ -655,8 +681,8 @@ def weight_block_rows(xs, k, leave_one_out):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("leave_one_out", [False, True])
 def test_full_weight_matrix_unchanged(family, leave_one_out):
-    # rows of 256 at a time: one row past a block, a part block and two full
-    # ones, with tied covariates; then a bandwidth that isolates observations
+    # blocks of 32 rows: one row past eight blocks, then part last blocks,
+    # with tied covariates; then a bandwidth that isolates observations
     for n in (257, 300, 600):
         s = tied_sample(n, seed=9)
         k = KernelSpec(family, 0.1)
@@ -674,8 +700,8 @@ def test_full_weight_matrix_unchanged(family, leave_one_out):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("leave_one_out", [False, True])
 def test_weight_blocks_name_the_first_degenerate_point_in_input_order(family, leave_one_out):
-    # the isolated point first in the input lies in the last of three blocks
-    # of x order, the one last in the input in the first block; only without
+    # the isolated point first in the input lies in the last of 19 blocks of
+    # x order, the one last in the input in the first block; only without
     # their own weight do they degenerate
     rng = np.random.default_rng(12)
     far = 50.0 if family == "gaussian" else 5.0
@@ -687,14 +713,18 @@ def test_weight_blocks_name_the_first_degenerate_point_in_input_order(family, le
     )
     if leave_one_out:
         with pytest.raises(DegenerateWeightsError, match=f"at x={far:g};"):
-            list(_weight_blocks(xs, xs, k, 256, leave_one_out=True))
+            list(_weight_blocks(xs, xs, k, leave_one_out=True))
 
 
 def test_lattice_cdf_matches_add_at():
+    # one row of unit masses, as the harness ECDF passes, and one of weights
     rng = np.random.default_rng(10)
     L = 9
-    a, b = rng.integers(0, L + 1, size=(2, 500))
-    assert np.array_equal(_lattice_cdf(a, b, L), add_at_lattice_cdf(a, b, L))
+    a, b = rng.integers(0, L + 1, size=(2, 2, 500))
+    mass = np.stack([np.ones(500), rng.random(500)])
+    lattices = _lattice_cdf(a, b, L, mass)
+    for row in range(2):
+        assert np.array_equal(lattices[row], add_at_lattice_cdf(a[row], b[row], L, mass[row]))
 
 
 def traced_peak_mib(fn):

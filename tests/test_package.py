@@ -155,6 +155,15 @@ def test_kernel_evaluated_only_by_the_weight_routines():
     assert callers == {"nw_weights", "_kernel_blocks"}
 
 
+def test_lattices_accumulated_only_by_the_lattice_routines():
+    # one copula-lattice kernel serves the partial copula, the trajectory
+    # surfaces and the harness checks
+    callers = set().union(
+        *(callers_of(p.read_text(), "bincount") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {"_lattice_cdf", "_copula_lattices"}
+
+
 def test_dense_pseudo_rows_only_certify_near_ties():
     # the O(n) dense row runs only for the values whose ranks it settles
     callers = set().union(
