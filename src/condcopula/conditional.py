@@ -78,7 +78,7 @@ class Sample:
         Tied responses give tied or nearly tied pseudo-observations, whose
         stable ranks follow sample order; with integer margins at n=1000,
         permuting the rows moved the estimate by up to 4.8e-3 (ROADMAP
-        item 9).
+        item 1).
         """
         for j in (1, 2):
             vals = self.margin(j)
@@ -128,22 +128,40 @@ def _degenerate_at(x: float) -> DegenerateWeightsError:
     )
 
 
+def _row_totals(kv: np.ndarray) -> np.ndarray:
+    """Sequential, left-to-right sums of kernel values along the last axis.
+
+    Every NW weight outside the pseudo-observation ranks divides by this
+    total; an empty window totals 0. Adding an exact zero leaves a
+    sequential sum unchanged, so the total over a kernel window in sample
+    order is the float of the total over all n columns, whichever block of
+    evaluation points the window was gathered for. A pairwise sum groups its
+    terms by position, so its float would depend on the zeros and neighbours
+    around the window (Higham 2002, section 4.2).
+    """
+    if kv.shape[-1] == 0:
+        return np.zeros(kv.shape[:-1])
+    return np.cumsum(kv, axis=-1)[..., -1]
+
+
 def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
     """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h).
 
+    The total is summed in sample order (``_row_totals``), so these are the
+    floats of the window-local weights of ``weighted_copula_surfaces``.
     Raises ``DegenerateWeightsError`` when every kernel value at x is zero.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size < 1:
         raise ValueError("need at least one covariate value")
     kv = kernel_values(k.family, (x - xs) / k.bandwidth)
-    total = kv.sum()
+    total = _row_totals(kv)
     if total <= 0.0:
         raise _degenerate_at(x)
     return kv / total
 
 
-def _kernel_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
+def _kernel_blocks(x_eval, xs, k: KernelSpec):
     """Kernel values at ``x_eval`` over the sample ``xs``, block by block.
 
     Yields ``(points, union, kv)`` for each block of up to ``_BLOCK`` (32)
@@ -151,8 +169,7 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
     every member of the points' kernel windows: the observations with a
     nonzero kernel value there. The support is padded by more than the
     rounding of (x - X_i) / h, and the Gaussian window is the whole sample.
-    ``kv`` holds the kernel values over ``union``; ``leave_one_out`` (with
-    ``x_eval`` the sample itself) zeroes each point's own value.
+    ``kv`` holds the kernel values over ``union``.
     """
     x_order = np.argsort(xs, kind="stable")
     x_sorted = xs[x_order]
@@ -165,35 +182,7 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
         points = eval_order[start : start + _BLOCK]
         union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
         kv = kernel_values(k.family, (x_eval[points, None] - xs[None, union]) / k.bandwidth)
-        if leave_one_out:
-            kv[np.arange(points.size), np.searchsorted(union, points)] = 0.0
         yield points, union, kv
-
-
-def _weight_blocks(x_eval, xs, k: KernelSpec, leave_one_out=False):
-    """NW weight rows at ``x_eval`` over the sample ``xs``, block by block.
-
-    Yields ``(points, union, W)`` for each block of ``_kernel_blocks``, ``W``
-    the normalised weights over ``union``. Each row total is summed over a
-    zero-filled row of length n, as the dense row is, so every weight is the
-    dense row's float. A block that holds a point whose weights all vanish is
-    skipped; after the last block the first such point in input order is
-    named in a ``DegenerateWeightsError``.
-    """
-    n = xs.size
-    degenerate = []
-    for points, union, kv in _kernel_blocks(x_eval, xs, k, leave_one_out):
-        full = kv
-        if union.size < n:
-            full = np.zeros((points.size, n))
-            full[:, union] = kv
-        totals = full.sum(axis=1)
-        if np.any(totals <= 0.0):
-            degenerate.append(points[totals <= 0.0].min())
-            continue
-        yield points, union, kv / totals[:, None]
-    if degenerate:
-        raise _degenerate_at(x_eval[min(degenerate)])
 
 
 @dataclass(frozen=True)
@@ -230,18 +219,21 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
 
     Later stages read these values only through their stable ranks
     (``_sort_index``), and those ranks are exactly the ranks of the dense
-    rows: kernel over all n columns, row total, division, then the row sum
-    against the indicator. Each block of ``_BLOCK`` (32) rows in x order
-    sums kernel values over the union of its windows only, both the
-    indicator sum and the total, and divides once; nothing of length n is
-    held per row, and one block serves both margins when g1 == g2. Both
-    forms sum at most n nonnegative terms, so each value lies within
-    b = 4 n 2^-53 of the dense one (Higham 2002, section 4.2; for n below
-    4 * 10^7). Every value of a margin within 2b of a sorted neighbour in
-    that margin (``_near_ties``) then takes its dense value from
-    ``_dense_pseudo_rows``. The dense row of observation i depends only on
-    (X_i, Y_ji), so each distinct pair is summed once and its value shared:
-    tied data cost one dense row per distinct pair, not one per row.
+    rows: kernel over all n columns, pairwise row total, division, then the
+    row sum against the indicator. These rows keep numpy's pairwise sums,
+    not the sequential totals of the other weights, because the benchmark's
+    reference outputs (``perfbench/reference.json``) pin the ranks they
+    decide. Each block of ``_BLOCK`` (32) rows in x order sums kernel values
+    over the union of its windows only, both the indicator sum and the
+    total, and divides once; nothing of length n is held per row, and one
+    block serves both margins when g1 == g2. Both forms sum at most n
+    nonnegative terms, so each value lies within b = 4 n 2^-53 of the dense
+    one (Higham 2002, section 4.2; for n below 4 * 10^7). Every value of a
+    margin within 2b of a sorted neighbour in that margin (``_near_ties``)
+    then takes its dense value from ``_dense_pseudo_rows``. The dense row of
+    observation i depends only on (X_i, Y_ji), so each distinct pair is
+    summed once and its value shared: tied data cost one dense row per
+    distinct pair, not one per row.
     """
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
@@ -284,18 +276,20 @@ def _near_ties(eps: np.ndarray) -> np.ndarray:
 def _dense_pseudo_rows(s: Sample, k: KernelSpec, j: int, rows: np.ndarray) -> np.ndarray:
     """Margin ``j``'s pseudo-observations at ``rows`` as the dense rows give them.
 
-    Each row's weights are the dense row's floats (``_weight_blocks``), set
-    into a zero-filled row of length n and summed against the float
-    indicator over all n columns, one block of rows at a time, then clipped
-    to [0, 1].
+    Each row's kernel values are set into a zero-filled row of length n,
+    divided by the row's pairwise sum and summed against the float indicator
+    over all n columns, one block of rows at a time, then clipped to [0, 1].
+    These are the only length-n rows of the package; they stay pairwise
+    because ``perfbench/reference.json`` pins the ranks they decide. A row
+    at a sample point holds its own weight K(0) > 0, so none degenerates.
     """
     y = s.margin(j)
     out = np.empty(rows.size)
-    for points, union, W in _weight_blocks(s.x[rows], s.x, k):
+    for points, union, kv in _kernel_blocks(s.x[rows], s.x, k):
         full = np.zeros((points.size, s.n))
-        full[:, union] = W
+        full[:, union] = kv
         ind = y[None, :] <= y[rows[points], None]
-        out[points] = np.einsum("il,il->i", full, ind.astype(float))
+        out[points] = np.einsum("il,il->i", full / full.sum(axis=1)[:, None], ind.astype(float))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -377,21 +371,33 @@ def weighted_copula_surfaces(
     inverses of its own weighted margins. Returns an array of shape
     (len(xs_eval), G, G).
 
-    The weights come from ``_weight_blocks`` in blocks of ``_BLOCK`` (32)
-    points, over the union U of their windows, and one ``_copula_lattices``
-    call per block turns them into the block's lattices with the thresholds
+    The points go in blocks of ``_BLOCK`` (32) from ``_kernel_blocks``, each
+    with the union U of their windows. Each weight divides by the sequential
+    total of its point's kernel values (``_row_totals``, as in
+    ``nw_weights``), and one ``_copula_lattices`` call per block turns the
+    weights into the block's lattices with the thresholds
     ``levels - 1e-12``. A member outside a point's window has weight 0.0: it
     adds an exact zero to every sum and is never the last member counted at
     a level, since every grid level is above 0. So every surface is
-    bit-identical to evaluating all n observations.
+    bit-identical to evaluating all n observations with ``nw_weights``. A
+    block that holds a point whose weights all vanish is skipped; after the
+    last block the first such point in input order is named in a
+    ``DegenerateWeightsError``.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
     positions = (_sort_index(pseudo.eps1)[1], _sort_index(pseudo.eps2)[1])
     thresholds = grid.nodes - 1e-12
     out = np.empty((xs_eval.size, grid.G, grid.G))
-    for block, union, W in _weight_blocks(xs_eval, s.x, k):
-        lattices = _copula_lattices([p[union] for p in positions], W, thresholds)
+    degenerate = []
+    for block, union, kv in _kernel_blocks(xs_eval, s.x, k):
+        totals = _row_totals(kv)
+        if np.any(totals <= 0.0):
+            degenerate.append(block[totals <= 0.0].min())
+            continue
+        lattices = _copula_lattices([p[union] for p in positions], kv / totals[:, None], thresholds)
         out[block] = np.clip(lattices, 0.0, 1.0)
+    if degenerate:
+        raise _degenerate_at(xs_eval[min(degenerate)])
     return out
 
 

@@ -2,10 +2,12 @@
 
 Each function evaluates one point by the definition, with no shared sort
 orders or lattice accumulation, so a test can compare it with the grid and
-lattice kernels in ``condcopula.conditional``. ``dense_weight_matrix``,
-``dense_pseudo_observations`` and ``dense_weighted_copula_surfaces`` are the
-n x n, one-point-at-a-time forms of the blocked window-local weights and
-stages, which must match them bit for bit.
+lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
+and ``dense_weighted_copula_surfaces`` are the n x n, one-point-at-a-time
+forms of the blocked window-local stages. The surfaces must match theirs bit
+for bit: both take each weight's total as a sequential sum (``nw_weights``).
+The pseudo-observations must match the stable ranks of theirs, whose rows
+``dense_weight_matrix`` normalises by pairwise sums.
 ``read_grid_function_csv`` reads back what
 ``condcopula.grid.write_grid_function_csv`` writes. ``constant`` and
 ``true_surface`` build known surfaces for the tests. ``quad_frank_tau``,
@@ -36,7 +38,6 @@ from condcopula.conditional import (
     kernel_values,
     nw_weights,
 )
-from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import Grid2D
 from condcopula.grid import GridFunction, make_grid
 from condcopula.simulate import (
@@ -148,28 +149,21 @@ def read_grid_function_csv(path) -> GridFunction:
     return GridFunction(grid=grid, values=values)
 
 
-def dense_weight_matrix(xs: np.ndarray, k: KernelSpec, leave_one_out: bool) -> np.ndarray:
-    """Row i holds the NW weights w_l(X_i); raises naming the first bad row's x."""
-    z = (xs[:, None] - xs[None, :]) / k.bandwidth
-    kv = kernel_values(k.family, z)
-    if leave_one_out:
-        np.fill_diagonal(kv, 0.0)
-    totals = kv.sum(axis=1)
-    bad = np.nonzero(totals <= 0.0)[0]
-    if bad.size:
-        raise DegenerateWeightsError(
-            f"degenerate weights (all kernel values are zero) at x={xs[bad[0]]:g}; "
-            "enlarge the bandwidth"
-        )
-    return kv / totals[:, None]
+def dense_weight_matrix(xs: np.ndarray, k: KernelSpec) -> np.ndarray:
+    """Row i holds the NW weights w_l(X_i), each row divided by its pairwise sum.
+
+    Every row holds its own weight K(0) > 0, so none degenerates.
+    """
+    kv = kernel_values(k.family, (xs[:, None] - xs[None, :]) / k.bandwidth)
+    return kv / kv.sum(axis=1)[:, None]
 
 
 def dense_pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec):
     """Pseudo-observations from the full n x n weight matrix of each margin."""
     if s.n < 2:
         raise ValueError("pseudo-observations need at least 2 records")
-    W1 = dense_weight_matrix(s.x, k1, leave_one_out=False)
-    W2 = dense_weight_matrix(s.x, k2, leave_one_out=False)
+    W1 = dense_weight_matrix(s.x, k1)
+    W2 = dense_weight_matrix(s.x, k2)
     ind1 = s.y1[None, :] <= s.y1[:, None]
     ind2 = s.y2[None, :] <= s.y2[:, None]
     eps1 = np.einsum("il,il->i", W1, ind1.astype(float))

@@ -14,7 +14,6 @@ from condcopula.conditional import (
     _copula_lattices,
     _lattice_cdf,
     _sort_index,
-    _weight_blocks,
     empirical_copula_grid,
     kernel_values,
     weighted_copula_surfaces,
@@ -27,13 +26,11 @@ from condcopula.conditional import (
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import GridFunction, make_grid, sup_distance
 from condcopula.harness import _joint_ecdf
-from condcopula.regression import cv_bandwidth
 from oracles import (
     add_at_lattice_cdf,
     cond_cdf,
     cond_quantile,
     dense_pseudo_observations,
-    dense_weight_matrix,
     dense_weighted_copula_surfaces,
     empirical_copula,
     weighted_copula,
@@ -197,10 +194,11 @@ def test_isolated_row_degenerates_only_without_its_own_weight():
     )
     k = KernelSpec(bandwidth=0.05)
     # the isolated observation only survives through its own weight: the
-    # pseudo-observations keep it, the leave-one-out weights flag it
+    # pseudo-observations keep it, the weights over the other observations
+    # vanish
     assert pseudo_observations(s, k, k).eps1[2] == 1.0
     with pytest.raises(DegenerateWeightsError, match="at x=9;"):
-        list(_weight_blocks(s.x, s.x, k, leave_one_out=True))
+        nw_weights(s.x[2], s.x[:2], k)
 
 
 def test_pseudo_needs_two_records():
@@ -670,50 +668,48 @@ def test_surfaces_outside_data_raise_dense_message(family):
         weighted_copula_surfaces([x_out], s, k, make_grid(5), pseudo)
 
 
-def weight_block_rows(xs, k, leave_one_out):
-    """The blocks of ``_weight_blocks`` at the sample, scattered into n x n rows."""
-    rows = np.zeros((xs.size, xs.size))
-    for points, union, W in _weight_blocks(xs, xs, k, leave_one_out):
-        rows[points[:, None], union] = W
-    return rows
-
-
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("leave_one_out", [False, True])
-def test_full_weight_matrix_unchanged(family, leave_one_out):
-    # blocks of 32 rows: one row past eight blocks, then part last blocks,
-    # with tied covariates; then a bandwidth that isolates observations
+def test_surfaces_at_sample_points_bit_identical(family):
+    # blocks of 32 points: one point past eight blocks, then part last
+    # blocks, with tied covariates; then a bandwidth that isolates groups of
+    # equal covariates, so most windows hold only the point's own ties
+    grid = make_grid(5)
     for n in (257, 300, 600):
         s = tied_sample(n, seed=9)
-        k = KernelSpec(family, 0.1)
-        assert_same_outcome(
-            lambda: weight_block_rows(s.x, k, leave_one_out),
-            lambda: dense_weight_matrix(s.x, k, leave_one_out),
-        )
-        k = KernelSpec(family, 1e-4)
-        assert_same_outcome(
-            lambda: weight_block_rows(s.x[::7] * 10, k, leave_one_out),
-            lambda: dense_weight_matrix(s.x[::7] * 10, k, leave_one_out),
-        )
+        isolated = Sample(y1=s.y1[::7], y2=s.y2[::7], x=s.x[::7] * 10)
+        for sample, k in ((s, KernelSpec(family, 0.1)), (isolated, KernelSpec(family, 1e-4))):
+            pseudo = pseudo_observations(sample, k, k)
+            assert np.array_equal(
+                weighted_copula_surfaces(sample.x, sample, k, grid, pseudo),
+                dense_weighted_copula_surfaces(sample.x, sample, k, grid, pseudo),
+            )
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("leave_one_out", [False, True])
-def test_weight_blocks_name_the_first_degenerate_point_in_input_order(family, leave_one_out):
-    # the isolated point first in the input lies in the last of 19 blocks of
-    # x order, the one last in the input in the first block; only without
-    # their own weight do they degenerate
-    rng = np.random.default_rng(12)
-    far = 50.0 if family == "gaussian" else 5.0
-    xs = np.concatenate([[far], rng.random(598), [-far]])
-    k = KernelSpec(family, 0.05)
-    assert_same_outcome(
-        lambda: weight_block_rows(xs, k, leave_one_out),
-        lambda: dense_weight_matrix(xs, k, leave_one_out),
-    )
-    if leave_one_out:
-        with pytest.raises(DegenerateWeightsError, match=f"at x={far:g};"):
-            list(_weight_blocks(xs, xs, k, leave_one_out=True))
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=100, max_value=240),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(FAMILIES),
+    st.integers(min_value=2, max_value=5),
+    st.floats(min_value=0.05, max_value=0.8),
+)
+def test_surfaces_of_equal_covariates_bit_identical_across_blocks(n, seed, family, levels, h):
+    # a few distinct covariates, so runs of equal x straddle the blocks of
+    # 32, and every evaluation point repeats in other blocks: each surface is
+    # the dense one, and equal covariates give equal surfaces wherever their
+    # blocks fall
+    rng = np.random.default_rng(seed)
+    s = Sample(y1=np.round(rng.normal(size=n), 1), y2=rng.normal(size=n),
+               x=rng.integers(0, levels, size=n) / levels)
+    pseudo = PseudoSample(eps1=np.round(rng.random(n), 1), eps2=rng.random(n))
+    k = KernelSpec(family, h)
+    xs_eval = np.concatenate([s.x, rng.permutation(s.x)[: n // 2]])
+    grid = make_grid(5)
+    got = weighted_copula_surfaces(xs_eval, s, k, grid, pseudo)
+    assert np.array_equal(got, dense_weighted_copula_surfaces(xs_eval, s, k, grid, pseudo))
+    for value in np.unique(xs_eval):
+        same = got[xs_eval == value]
+        assert np.array_equal(same, np.broadcast_to(same[0], same.shape))
 
 
 def test_lattice_cdf_matches_add_at():
@@ -751,10 +747,18 @@ def test_conditional_stages_hold_no_n_by_n_array(family):
         surfaces, peak = traced_peak_mib(
             lambda: weighted_copula_surfaces(s.x, s, k, make_grid(21), pseudo))
         assert peak < surfaces.nbytes / 2**20 + 4.0
-    scores = np.column_stack([s.y1, s.y2, s.x])
-    h = k.bandwidth
-    _, peak = traced_peak_mib(lambda: cv_bandwidth(s.x, scores, family, [h, 2 * h]))
-    assert peak < 64.0
+        # eight blocks of 32 points in the middle of x order at n=8000: the
+        # window rows hold about 770 columns; a zero-filled 32 x n row alone
+        # would add 2 MiB (measured beyond the output: 2.35 MiB, and 4.10 MiB
+        # with such rows)
+        n = 8000
+        s = Sample(y1=rng.normal(size=n), y2=rng.normal(size=n), x=rng.random(n))
+        k = KernelSpec(family, rule_of_thumb_bandwidth(s.x))
+        pseudo = PseudoSample(eps1=rng.random(n), eps2=rng.random(n))
+        xs_eval = np.sort(s.x)[n // 2 - 128 : n // 2 + 128]
+        surfaces, peak = traced_peak_mib(
+            lambda: weighted_copula_surfaces(xs_eval, s, k, make_grid(21), pseudo))
+        assert peak < surfaces.nbytes / 2**20 + 3.2
 
 
 # --------------------------------------------------------------------- misc

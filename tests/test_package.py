@@ -62,8 +62,6 @@ def test_every_import_is_used(module):
 
 
 REPO = PACKAGE_DIR.parents[1]
-# read by no caller yet: ROADMAP item 6 keeps the paper's CV selector
-UNCALLED_ALLOWED = {"cv_bandwidth"}
 
 
 def public_definitions(source: str) -> set:
@@ -117,7 +115,7 @@ def test_every_public_definition_has_a_caller():
         f"{module}.{name}"
         for module in MODULES
         for name in public_definitions((PACKAGE_DIR / f"{module}.py").read_text())
-        if name not in referenced | UNCALLED_ALLOWED
+        if name not in referenced
     }
     assert sorted(uncalled) == []
 
@@ -153,6 +151,15 @@ def test_kernel_evaluated_only_by_the_weight_routines():
         *(callers_of(p.read_text(), "kernel_values") for p in PACKAGE_DIR.glob("*.py"))
     )
     assert callers == {"nw_weights", "_kernel_blocks"}
+
+
+def test_weights_normalised_only_by_the_row_total_helper():
+    # one definition of a kernel weight's total: the point weights and the
+    # window-local surfaces divide by it; only the pseudo-observation stage,
+    # whose dense rows certify its ranks, keeps pairwise row sums
+    source = (PACKAGE_DIR / "conditional.py").read_text()
+    assert callers_of(source, "_row_totals") == {"nw_weights", "weighted_copula_surfaces"}
+    assert callers_of(source, "sum") == {"pseudo_observations", "_dense_pseudo_rows"}
 
 
 def test_lattices_accumulated_only_by_the_lattice_routines():

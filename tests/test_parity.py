@@ -20,7 +20,10 @@ the same K, failures and verdicts. The ``clayton-*`` and ``fgm`` sampler
 digests are of the same Clayton inverse and of the rationalised FGM root,
 which replaced a root that cancelled near b = 0: eps2 moved by at most
 3.1e-15 relative for Clayton and 1.5e-10 for FGM, toward a 40-digit
-reference.
+reference. The ``consistency``, ``consistency-failures``, ``benchmark`` and
+both ``estimate`` digests are of NW weights whose totals are sequential
+sums (``conditional._row_totals``), where pairwise sums gave them before:
+their floats moved by at most 3.3e-16, with the same K and failures.
 """
 
 import hashlib
@@ -46,14 +49,14 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "015041243735171f08a14310b34cba86506f6ba811dee00d7c4575799aed1ecf",
+        "698c104199cba83d5c63dcb1c7863c736730fee9d9e132352b98783663032426",
     ),
     "consistency-failures": (
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=10, seed=11, eval_points=(0.5,), grid_size=11,
              estimator={"h_alpha": 0.004}),
-        "aee0715ff85d11655c5a50e0de06c2c4b456ef21bef31b0e95b7d37d6ed3abd3",
+        "8980166c14bad301fb71338828cfccdb2893eb3c84916e77690fc55995e1b932",
     ),
     "bridge": (
         bridge_covariance_experiment,
@@ -80,7 +83,7 @@ EXPERIMENTS = {
         benchmark_vs_baseline,
         dict(experiment="benchmark", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=9, eval_points=(0.5,), grid_size=11),
-        "b002b4bd0eadd636531ac279bc197c79746d3b2a1df52c0115943127ca7b97df",
+        "7e2a78db2c17a0cf63a772b6fa2a8057b98117a5714311c56f356aab53057241",
     ),
 }
 
@@ -101,8 +104,8 @@ def test_experiment_outputs_pinned(name):
 
 
 @pytest.mark.parametrize("flags, digest", [
-    ([], "cb6be49d384ed3104a40081f06ffd5d08d176c5cb2cc35310e7847a0209a8515"),
-    (["--no-project"], "82d8f66c520d2f94aafc8dd29ad75dc77fc90c456647ecda7ba06157f2306b61"),
+    ([], "f14e1d94c6f43bb1e64e51708c3115059505746a591b57f59c1ffba2267d2e66"),
+    (["--no-project"], "bd0e816d368fc131a8facb39f70d4d08485b956ba2ea1956200b960a0faee564"),
 ], ids=["projected", "no-project"])
 def test_estimate_grid_csv_pinned(tmp_path, flags, digest):
     data = tmp_path / "s.csv"
