@@ -511,6 +511,38 @@ def test_surfaces_name_the_first_degenerate_point_in_input_order(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("leave_one_out", [False])
+def test_weight_blocks_name_the_first_degenerate_point_in_input_order(
+    family, leave_one_out, recomputed
+):
+    # every window keeps the point's own weight (no leave-one-out windows
+    # remain). The isolated point first in the input lies in the last of 19
+    # blocks of x order, the one last in the input in the first block: at the
+    # sample only their own weight is left, and they do not degenerate; a
+    # step further out, the first in the input is named
+    rng = np.random.default_rng(12)
+    far = 50.0 if family == "gaussian" else 5.0
+    xs = np.concatenate([[far], rng.random(598), [-far]])
+    s = Sample(y1=rng.normal(size=600), y2=rng.normal(size=600), x=xs)
+    k = KernelSpec(family, 0.05)
+    assert_same_outcome(lambda: pseudo_observations(s, k, k),
+                        lambda: dense_pseudo_observations(s, k, k), recomputed)
+    pseudo = pseudo_observations(s, k, k)
+    assert not leave_one_out
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(xs, s, k, make_grid(5), pseudo),
+        lambda: dense_weighted_copula_surfaces(xs, s, k, make_grid(5), pseudo),
+    )
+    xs_out = np.concatenate([[2 * far], xs[1:-1], [-2 * far]])
+    assert_same_outcome(
+        lambda: weighted_copula_surfaces(xs_out, s, k, make_grid(5), pseudo),
+        lambda: dense_weighted_copula_surfaces(xs_out, s, k, make_grid(5), pseudo),
+    )
+    with pytest.raises(DegenerateWeightsError, match=f"at x={2 * far:g};"):
+        weighted_copula_surfaces(xs_out, s, k, make_grid(5), pseudo)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [300, 700])
 def test_pseudo_and_surfaces_on_tied_covariate_bit_identical(family, n, recomputed):
     # 11 distinct covariate values, so x order has long runs of ties that
