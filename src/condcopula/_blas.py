@@ -16,9 +16,10 @@ from LAPACK's ``dsyevr`` with an index range: the tridiagonal reduction, then
 bisection and inverse iteration for the chosen eigenpairs alone (MRRR when
 all are chosen). It calls the
 64-bit-integer LAPACKE entry of the scipy-openblas library that numpy
-bundles, which is already mapped into the process, so no library is loaded
-for it. Only where that library is absent does it fall back to
-``scipy.linalg.eigh``, whose import loads scipy's own LAPACK.
+bundles, which is already mapped into the process. Only where that library
+is absent does it fall back to ``scipy.linalg.eigh``, whose import costs
+about 0.08 s and 6 MiB of resident memory; it maps no new BLAS and starts no
+thread, as ``scipy.special`` (which ``simulate`` imports) has mapped scipy's.
 """
 
 from __future__ import annotations

@@ -309,7 +309,9 @@ def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
     means it never counts. Returns shape (B, L, L).
     """
     B = mass.shape[0]
-    cell = a_idx * (L + 1) + b_idx + np.arange(B)[:, None] * (L + 1) ** 2
+    cell = a_idx * (L + 1)  # then in place, without further (B, m) temporaries
+    cell += b_idx
+    cell += np.arange(B)[:, None] * (L + 1) ** 2
     cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=B * (L + 1) ** 2)
     return cells.reshape(B, L + 1, L + 1)[:, :L, :L].cumsum(axis=1).cumsum(axis=2)
 
@@ -319,27 +321,24 @@ def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.
 
     ``positions`` holds each margin's sort positions of the m pairs (any
     integers in the order of their stable ranks), ``mass`` is (B, m) and
-    ``thresholds`` holds L increasing levels. Lattice b, of shape (L, L), is
-    the joint CDF of the pairs under ``mass[b]`` composed with the
-    generalized inverses of its own margins: on each margin, level l counts
-    the pairs in rank order up to the first whose cumulative mass reaches
-    ``thresholds[l]``, or every pair if none does. Returns shape (B, L, L).
+    nonnegative, and ``thresholds`` holds L increasing levels. Lattice b, of
+    shape (L, L), is the joint CDF of the pairs under ``mass[b]`` composed
+    with the generalized inverses of its own margins: on each margin, a pair
+    counts at level l iff the mass ranked strictly before it is below
+    ``thresholds[l]``. As that mass never decreases in rank order, a
+    positive level counts the pairs up to the first whose cumulative mass
+    reaches it, or every pair if none does. Returns shape (B, L, L).
     """
     B, m = mass.shape
-    row = np.arange(B)[:, None]
+    # mass ranked strictly before each sorted position; column 0 stays 0
+    below = np.zeros((B, m))
     idx = []
     for position in positions:
         order = np.argsort(position)
         rank = np.empty(m, dtype=np.int64)
         rank[order] = np.arange(m)
-        # mass ranked below each sorted position, 0 to m
-        below = np.zeros((B, m + 1))
-        np.cumsum(np.take(mass, order, axis=1), axis=1, out=below[:, 1:])
-        first = np.stack([np.searchsorted(cum, thresholds, side="left") for cum in below])
-        # a member's lattice index counts the levels whose first position
-        # lies at or below its sorted rank
-        counts = np.bincount((first + row * (m + 2)).ravel(), minlength=B * (m + 2))
-        idx.append(np.take(counts.reshape(B, m + 2).cumsum(axis=1), rank, axis=1))
+        np.cumsum(np.take(mass, order[:-1], axis=1), axis=1, out=below[:, 1:])
+        idx.append(np.take(np.searchsorted(thresholds, below, side="right"), rank, axis=1))
     return _lattice_cdf(*idx, thresholds.size, mass)
 
 

@@ -11,9 +11,8 @@ class DegenerateWeightsError(RuntimeError):
     """All kernel weights vanished at an evaluation point.
 
     Raised when the evaluation point is farther than one bandwidth from every
-    covariate observation (compact-support kernels), so far that the Gaussian
-    kernel underflows, or, for leave-one-out weights, when no other
-    observation lies in the window. Enlarging the bandwidth or moving the
+    covariate observation (compact-support kernels) or so far that the
+    Gaussian kernel underflows. Enlarging the bandwidth or moving the
     evaluation point into the covariate support fixes it.
     """
 

@@ -303,6 +303,56 @@ def test_lattice_kernel_matches_pointwise_weighted_copula(n, seed):
                        empirical_copula_grid(p, grid).values, rtol=0, atol=1e-12)
 
 
+def per_level_lattices(positions, mass, thresholds):
+    """``_copula_lattices`` by walking each margin's rank order once per level.
+
+    A level takes pairs in rank order until the mass taken reaches it.
+    Dyadic masses make every sum exact, whatever its order.
+    """
+    B, L = mass.shape[0], thresholds.size
+    out = np.zeros((B, L, L))
+    for b in range(B):
+        counted = []
+        for position in positions:
+            levels = []
+            for t in thresholds:
+                taken, total = set(), 0.0
+                for i in np.argsort(position):
+                    if total >= t:
+                        break
+                    taken.add(i)
+                    total += mass[b, i]
+                levels.append(taken)
+            counted.append(levels)
+        for l1, first in enumerate(counted[0]):
+            for l2, second in enumerate(counted[1]):
+                out[b, l1, l2] = sum(mass[b, i] for i in first & second)
+    return out
+
+
+@pytest.mark.parametrize(
+    "positions, mass",
+    [
+        (
+            (np.array([30, 10, 50, 0, 20, 40]), np.array([2, 5, 1, 4, 0, 3])),
+            np.array([[0.25, 0.0, 0.125, 0.375, 0.0, 0.25],
+                      [0.0, 0.5, 0.25, 0.0, 0.125, 0.125]]),
+        ),
+        ((np.array([7]), np.array([3])), np.array([[0.5], [0.0]])),
+    ],
+)
+def test_lattice_kernel_at_levels_equal_to_prefix_masses(positions, mass):
+    # a level equal to the mass up to and including a pair counts that pair
+    # and no later one; zero masses make runs of equal prefixes
+    thresholds = np.array([-1e-12, 0.0, 0.125, 0.375, 0.5, 0.625, 0.875, 1.0, 1.25])
+    if mass.shape[1] > 1:
+        for b in range(mass.shape[0]):
+            for position in positions:
+                assert np.isin(np.cumsum(mass[b, np.argsort(position)]), thresholds).sum() >= 3
+    want = per_level_lattices(positions, mass, thresholds)
+    assert np.array_equal(_copula_lattices(positions, mass, thresholds), want)
+
+
 # -------------------------------------------------------------- trajectories
 
 

@@ -164,11 +164,12 @@ def test_weights_normalised_only_by_the_row_total_helper():
 
 def test_lattices_accumulated_only_by_the_lattice_routines():
     # one copula-lattice kernel serves the partial copula, the trajectory
-    # surfaces and the harness checks
+    # surfaces and the harness checks; it finds each pair's lattice index by
+    # one search, so only the lattice CDF accumulates
     callers = set().union(
         *(callers_of(p.read_text(), "bincount") for p in PACKAGE_DIR.glob("*.py"))
     )
-    assert callers == {"_lattice_cdf", "_copula_lattices"}
+    assert callers == {"_lattice_cdf"}
 
 
 def test_dense_pseudo_rows_only_certify_near_ties():
@@ -244,8 +245,9 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_fit_leaves_scipy_linalg_unloaded():
-    # the leading eigenpairs come from the LAPACK numpy already maps;
-    # importing scipy.linalg would load and start a second OpenBLAS
+    # the leading eigenpairs come from the LAPACK numpy already maps; scipy's
+    # own OpenBLAS is mapped by then (scipy.special), but importing
+    # scipy.linalg would still cost start-up time and resident memory
     code = (
         "import sys\n"
         "from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline\n"
