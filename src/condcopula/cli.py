@@ -115,18 +115,10 @@ def _bandwidth(text: str, label: str):
 
 def _cmd_simulate(args) -> int:
     _require(args, [("out", "--out")])
-    model = build_conditional_model(
-        {"family": args.family, "link": args.link, "covariate": args.covariate}
-    )
-    sample, truth = sample_conditional(model, args.n, args.seed)
+    spec = {"family": args.family, "link": args.link, "covariate": args.covariate}
+    sample, truth = sample_conditional(build_conditional_model(spec), args.n, args.seed)
     write_sample_csv(sample, args.out)
-    sidecar = {
-        "family": args.family,
-        "link": args.link,
-        "covariate": args.covariate,
-        "n": args.n,
-        "seed": args.seed,
-    }
+    sidecar = {**spec, "n": args.n, "seed": args.seed}
     if args.emit_eps:
         sidecar["truth"] = truth.to_dict()
     with open(str(args.out) + ".truth.json", "w") as fh:
@@ -169,7 +161,8 @@ def _cmd_estimate(args) -> int:
     sidecar = Path(str(args.infile) + ".truth.json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
-        model = build_conditional_model(meta)
+        spec = {k: meta[k] for k in ("family", "link", "covariate") if k in meta}
+        model = build_conditional_model(spec)
         true_surf = true_conditional_copula(model, args.x, make_grid(args.grid))
         sup = sup_distance(est.surface, true_surf)
         l2 = l2_norm(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .fpca import (
 from .grid import GridFunction, from_callable, l2_norm, make_grid, sup_distance
 from .simulate import (
     ConditionalModel,
-    MarginSpec,
     SyntheticKLModel,
     TauLink,
     copula_cdf,
@@ -70,7 +69,11 @@ def rep_seed(base: int, step: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Serializable experiment description; unused fields stay at defaults."""
+    """Serializable experiment description; every sample size is at least 1.
+
+    An experiment refuses, naming it, each setting it does not read: see
+    ``_READS``; the bridge experiment also reads exactly one sample size.
+    """
 
     experiment: str
     model: dict = field(default_factory=dict)
@@ -88,6 +91,8 @@ class ExperimentConfig:
         ladder = tuple(int(n) for n in self.n_ladder)
         if not ladder:
             raise ValueError("n-ladder must hold at least one sample size")
+        if min(ladder) < 1:
+            raise ValueError(f"n-ladder sample sizes must be >= 1, got {min(ladder)}")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("n-ladder must be strictly increasing")
         object.__setattr__(self, "n_ladder", ladder)
@@ -169,51 +174,62 @@ class ExperimentReport:
 
 
 def build_conditional_model(spec: dict) -> ConditionalModel:
-    """Construct a parametric model from its serializable description."""
+    """Construct a parametric model from its family, link and covariate."""
     link = spec.get("link", "constant:0.5")
     if isinstance(link, str):
         link = TauLink.parse(link)
-
-    def margin(key, default):
-        m = spec.get(key)
-        return MarginSpec(*m) if m is not None else default
-
     return ConditionalModel(
         family=spec.get("family", "clayton"),
         link=link,
-        margin1=margin("margin1", MarginSpec(a=0.0, b=1.0, s=1.0)),
-        margin2=margin("margin2", MarginSpec(a=0.0, b=-1.0, s=1.0)),
         covariate=spec.get("covariate", "uniform"),
     )
 
 
-def build_kl_model(spec: dict, grid_size: int) -> SyntheticKLModel:
-    """Construct a synthetic mean-plus-eigenfunction model from a dict.
+def build_kl_model(grid_size: int) -> SyntheticKLModel:
+    """The synthetic model of the perturbation experiment on a G x G grid.
 
-    ``alphas`` entries are null or [form, a, b] on the same named forms as
-    the tau links.
+    Mean surface u v; eigenvalues (0.4, 0.2, 0.05) with cosine-tensor
+    eigenfunctions of frequencies (1, 1), (2, 1) and (1, 2); scores with
+    mean zero and variance equal to their eigenvalue.
     """
     grid = make_grid(grid_size)
-    lam = tuple(spec.get("eigenvalues", (0.4, 0.2, 0.05)))
-    freqs = tuple(
-        tuple(f) for f in spec.get("frequencies", ((1, 1), (2, 1), (1, 2))[: len(lam)])
-    )
-    mean = from_callable(grid, lambda u, v: u * v)
-    alphas = None
-    if spec.get("alphas") is not None:
-        alphas = tuple(
-            None if a is None else TauLink(form=a[0], a=a[1], b=a[2])
-            for a in spec["alphas"]
-        )
-    noise_sd = tuple(spec["noise_sd"]) if spec.get("noise_sd") else None
-    return SyntheticKLModel(
-        grid=grid,
-        mean=mean,
-        eigenvalues=lam,
-        frequencies=freqs,
-        alphas=alphas,
-        noise_sd=noise_sd,
-    )
+    return SyntheticKLModel(grid=grid, mean=from_callable(grid, lambda u, v: u * v),
+                            eigenvalues=(0.4, 0.2, 0.05), frequencies=((1, 1), (2, 1), (1, 2)))
+
+
+_MODEL_KEYS = ("family", "link", "covariate")
+_ESTIMATOR_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "grid_size")
+# the model, tolerances and estimator keys each experiment reads, and how many
+# eval_points (None: any number of point pairs); every other key is refused
+_READS = {
+    "consistency": (_MODEL_KEYS, ("final_median",), _ESTIMATOR_KEYS, 1),
+    "benchmark": (_MODEL_KEYS, (), _ESTIMATOR_KEYS, 1),
+    "bridge": (_MODEL_KEYS, ("covariance",), (), None),
+    "perturbation": ((), (), (), 0),
+    "uniformity": (_MODEL_KEYS, (), (), 0),
+}
+# fixed verdicts: the perturbation experiment follows eigenfunction 1, wants
+# residual medians to fall by a factor 2 over the ladder, identity gaps below
+# 1e-10 and mean-CLT medians within 20% of each other; the uniformity one wants
+# 95% of KS distances below the asymptotic 1% critical value 1.63 / sqrt(n)
+_COMPONENT = 1
+_RESIDUAL_FACTOR = 2.0
+_IDENTITY_TOL = 1e-10
+_CLT_BAND = 0.2
+_KS_CRITICAL = 1.63
+_KS_PASS_FRACTION = 0.95
+
+
+def _refuse_unread(cfg: ExperimentConfig, experiment: str) -> None:
+    """Raise a ValueError naming the first setting ``experiment`` does not read."""
+    *keys, points = _READS[experiment]
+    for name, read in zip(("model", "tolerances", "estimator"), keys):
+        for key in getattr(cfg, name):
+            if key not in read:
+                raise ValueError(f"the {experiment} experiment reads no {name} key "
+                                 f"{key!r}; it reads {', '.join(read) or 'none'}")
+    if points is not None and len(cfg.eval_points) > points:
+        raise ValueError(f"the {experiment} experiment reads at most {points} eval_points")
 
 
 def _median(vals) -> float:
@@ -226,7 +242,7 @@ def _decreasing(vals) -> bool:
     return all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def _run_ladder(cfg: ExperimentConfig, names, one_rep, judge, ladder=None) -> ExperimentReport:
+def _run_ladder(cfg: ExperimentConfig, names, one_rep, judge) -> ExperimentReport:
     """Run every replication of every ladder step and build the report.
 
     ``one_rep(n, seed)`` returns one value per entry of ``names``. Steps and
@@ -239,10 +255,9 @@ def _run_ladder(cfg: ExperimentConfig, names, one_rep, judge, ladder=None) -> Ex
     replication failed.
     """
     t0 = time.perf_counter()
-    ladder = cfg.n_ladder if ladder is None else ladder
     raw = {name: {} for name in names}
     failures = []
-    for step, n in enumerate(ladder):
+    for step, n in enumerate(cfg.n_ladder):
         rows = []
         for rep in range(cfg.replications):
             try:
@@ -258,7 +273,7 @@ def _run_ladder(cfg: ExperimentConfig, names, one_rep, judge, ladder=None) -> Ex
         experiment=cfg.experiment,
         config=cfg.to_dict(),
         config_hash=cfg.digest(),
-        seeds=[rep_seed(cfg.seed, step, 0) for step in range(len(ladder))],
+        seeds=[rep_seed(cfg.seed, step, 0) for step in range(len(cfg.n_ladder))],
         metrics=metrics,
         passed=all(checks.values()),
         checks=checks,
@@ -286,6 +301,7 @@ def consistency_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Passes when the medians are strictly decreasing and the final median is
     below the calibrated bound.
     """
+    _refuse_unread(cfg, "consistency")
     model, x_eval, true_surf, est_cfg = _estimation_target(cfg)
 
     def one_rep(n, seed):
@@ -306,44 +322,37 @@ def consistency_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_ladder(cfg, ("sup_error",), one_rep, judge)
 
 
-def _joint_ecdf(e1: np.ndarray, e2: np.ndarray, u: float, v: float) -> float:
-    """Known-margins partial copula: plain joint ECDF of exact transforms."""
-    return float(np.mean((e1 <= u) & (e2 <= v)))
-
-
 def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical covariance of the known-margins partial-copula process.
 
     Requires a constant tau link, so the partial copula has a closed form.
     For each configured pair of evaluation points, compares the Monte Carlo
     covariance of sqrt(n) (ECDF - truth) against
-    C(u ^ u', v ^ v') - C(u, v) C(u', v').
+    C(u ^ u', v ^ v') - C(u, v) C(u', v'). The process is that of the exact
+    transforms' ECDF on the lattice of the points' distinct coordinates.
     """
+    _refuse_unread(cfg, "bridge")
     model = build_conditional_model(cfg.model)
     if model.link.form != "constant":
         raise ValueError("bridge covariance check needs a constant tau link")
+    if len(cfg.n_ladder) != 1:
+        raise ValueError(f"the bridge experiment reads one sample size, got n_ladder "
+                         f"{cfg.n_ladder}")
     cop = model.copula_at(0.0)
-    n = cfg.n_ladder[-1]
+    (n,) = cfg.n_ladder
     pairs = cfg.eval_points or (((0.5, 0.5), (0.5, 0.5)),)
-    tol_spec = cfg.tolerances.get("covariance", 0.02)
-    tols = (
-        list(tol_spec)
-        if isinstance(tol_spec, (list, tuple))
-        else [tol_spec] * len(pairs)
-    )
+    tols = cfg.tolerances.get("covariance", 0.02)
+    tols = list(tols) if isinstance(tols, (list, tuple)) else [tols] * len(pairs)
     if len(tols) != len(pairs):
         raise ValueError("one covariance tolerance per point pair required")
 
-    points = sorted({tuple(p) for pair in pairs for p in pair})
-    idx = {p: i for i, p in enumerate(points)}
+    levels = np.unique(pairs)
+    truths = np.array([[float(copula_cdf(cop, u, v)) for v in levels] for u in levels])
 
     def one_rep(n, seed):
         _, truth = sample_conditional(model, n, seed)
-        return ([
-            np.sqrt(n) * (_joint_ecdf(truth.eps1, truth.eps2, u, v)
-                          - float(copula_cdf(cop, u, v)))
-            for (u, v) in points
-        ],)
+        ecdf = _joint_ecdf_on_lattice(truth.eps1, truth.eps2, levels)
+        return (np.sqrt(n) * (ecdf - truths),)
 
     def judge(raw):
         # the process values only feed the covariances
@@ -356,15 +365,15 @@ def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 copula_cdf(cop, min(u, u2), min(v, v2))
                 - copula_cdf(cop, u, v) * copula_cdf(cop, u2, v2)
             )
-            a = vals[:, idx[(u, v)]]
-            b = vals[:, idx[(u2, v2)]]
+            a = vals[:, np.searchsorted(levels, u), np.searchsorted(levels, v)]
+            b = vals[:, np.searchsorted(levels, u2), np.searchsorted(levels, v2)]
             emp = float(np.mean(a * b) - np.mean(a) * np.mean(b))
             label = f"cov(({u},{v}),({u2},{v2}))"
             metrics[label] = {"empirical": emp, "target": target}
             checks[f"{label} within {tol}"] = abs(emp - target) <= tol
         return metrics, checks
 
-    return _run_ladder(cfg, ("process",), one_rep, judge, ladder=(n,))
+    return _run_ladder(cfg, ("process",), one_rep, judge)
 
 
 def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -377,10 +386,10 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     unit-sphere identity and the distributional stability of
     || sqrt(n)(mean_hat - mean) ||_2 across the ladder.
     """
-    model = build_kl_model(cfg.model, cfg.grid_size)
+    _refuse_unread(cfg, "perturbation")
+    model = build_kl_model(cfg.grid_size)
     grid = model.grid
     true_gamma = model.true_gamma_field()
-    k_check = int(cfg.tolerances.get("component", 1))
 
     # eigensystem of the truth, for the perturbation formula
     true_es = eigendecompose(grid, true_gamma)
@@ -390,14 +399,14 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _, surfaces, _ = synthetic_kl_sample(model, n, seed)
         field = covariance_field(surfaces, model.mean)
         es = eigendecompose(grid, field)
-        phi_hat = es.phi(k_check)
-        phi_true = model.phi(k_check)
+        phi_hat = es.phi(_COMPONENT)
+        phi_true = model.phi(_COMPONENT)
         # sign-align the estimate to the truth
         sign = 1.0 if np.sum(phi_hat.values * phi_true.values) >= 0 else -1.0
         phi_hat = GridFunction(grid=grid, values=sign * phi_hat.values)
         lhs, rhs = unit_sphere_identity(phi_hat, phi_true)
         zn = np.sqrt(n) * (field - true_gamma)
-        t_kn = tkn_projection(zn, true_es, k_check)
+        t_kn = tkn_projection(zn, true_es, _COMPONENT)
         resid = GridFunction(
             grid=grid,
             values=np.sqrt(n) * (phi_hat.values - phi_true.values) - t_kn.values,
@@ -413,18 +422,15 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         med_clt = [_median(raw["clt_norm"][n]) for n in cfg.n_ladder]
         # the identity gaps are reported through their maximum
         max_ident = max(max(v) for v in raw.pop("identity").values())
-        factor = cfg.tolerances.get("residual_factor", 2.0)
-        ident_tol = cfg.tolerances.get("identity", 1e-10)
-        clt_band = cfg.tolerances.get("clt_band", 0.2)
         clt_stable = all(
-            abs(b - a) <= clt_band * a for a, b in zip(med_clt, med_clt[1:])
+            abs(b - a) <= _CLT_BAND * a for a, b in zip(med_clt, med_clt[1:])
         )
         checks = {
             "residual medians decreasing": _decreasing(med_resid),
-            f"end-to-end residual factor >= {factor}": med_resid[0]
-            >= factor * med_resid[-1],
-            f"unit-sphere identity <= {ident_tol:g}": max_ident <= ident_tol,
-            f"mean-CLT norm stable within {clt_band:.0%}": clt_stable,
+            f"end-to-end residual factor >= {_RESIDUAL_FACTOR}": med_resid[0]
+            >= _RESIDUAL_FACTOR * med_resid[-1],
+            f"unit-sphere identity <= {_IDENTITY_TOL:g}": max_ident <= _IDENTITY_TOL,
+            f"mean-CLT norm stable within {_CLT_BAND:.0%}": clt_stable,
         }
         metrics = {
             "median_residual": {str(n): m for n, m in zip(cfg.n_ladder, med_resid)},
@@ -463,10 +469,9 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     additional metric without an assertion; it fluctuates at the n^(-1/2)
     scale of the margins.
     """
+    _refuse_unread(cfg, "uniformity")
     model = build_conditional_model(cfg.model)
     levels = np.linspace(0.0, 1.0, 101)
-    crit_factor = cfg.tolerances.get("ks_critical", 1.63)
-    pass_frac = cfg.tolerances.get("ks_pass_fraction", 0.95)
 
     def one_rep(n, seed):
         _, truth = sample_conditional(model, n, seed)
@@ -494,14 +499,14 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "median_exact_ecdf_gap": {},
         }
         for n in cfg.n_ladder:
-            crit = crit_factor / np.sqrt(n)
+            crit = _KS_CRITICAL / np.sqrt(n)
             frac = float(np.mean(np.asarray(raw["ks"][n]) < crit))
             metrics["ks_pass_fraction"][str(n)] = frac
             if n == cfg.n_ladder[-1]:
                 # the asymptotic critical value is only trusted at the largest
                 # n; smaller ladder steps are reported without a verdict
-                checks[f"KS below {crit:.4f} in >= {pass_frac:.0%} at n={n}"] = (
-                    frac >= pass_frac
+                checks[f"KS below {crit:.4f} in >= {_KS_PASS_FRACTION:.0%} at n={n}"] = (
+                    frac >= _KS_PASS_FRACTION
                 )
             worst = max(raw["gap"][n])
             metrics["max_gap_times_n"][str(n)] = worst * n
@@ -526,6 +531,7 @@ def benchmark_vs_baseline(cfg: ExperimentConfig) -> ExperimentReport:
     decrease monotonically in median along the ladder. No superiority claim.
     The baseline reuses the fit's pseudo-observations and bandwidth h.
     """
+    _refuse_unread(cfg, "benchmark")
     model, x_eval, true_surf, est_cfg = _estimation_target(cfg)
 
     def one_rep(n, seed):

@@ -200,6 +200,11 @@ def test_bad_ladder_text(capsys):
     assert "ladder" in capsys.readouterr().err
 
 
+def test_sample_size_zero_is_validation_error(capsys):
+    assert run(["diagnose", "--ns", "0,5", "--reps", "1"]) == 1
+    assert "sample sizes must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_out_of_range_link_is_validation_error(tmp_path, capsys):
     code = run(["simulate", "--family", "clayton", "--link", "sine:0.1,0.5",
                 "--n", "10", "--seed", "0",

@@ -25,7 +25,7 @@ from condcopula.conditional import (
 )
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import GridFunction, make_grid, sup_distance
-from condcopula.harness import _joint_ecdf
+from condcopula.harness import _joint_ecdf_on_lattice
 from oracles import (
     add_at_lattice_cdf,
     cond_cdf,
@@ -259,8 +259,9 @@ def test_empirical_copula_grid_two_increasing():
 def test_partial_copula_known_margins_counts():
     e1 = np.array([0.3])
     e2 = np.array([0.7])
-    assert _joint_ecdf(e1, e2, 0.5, 0.5) == 0.0
-    assert _joint_ecdf(e1, e2, 0.5, 0.8) == 1.0
+    # rows are u levels, columns v levels
+    lattice = _joint_ecdf_on_lattice(e1, e2, np.array([0.5, 0.8]))
+    assert lattice.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
 
 def tied_pseudo_sample(n, seed):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from condcopula.harness import (
 )
 
 
+CLAYTON_SINE = {"family": "clayton", "link": "sine:0.4,0.25"}
+
+
 def small_consistency_cfg(**kw):
     base = dict(
         experiment="consistency",
-        model={"family": "clayton", "link": "sine:0.4,0.25"},
+        model=CLAYTON_SINE,
         n_ladder=(100, 200),
         replications=3,
         seed=11,
@@ -42,6 +46,57 @@ def test_config_validation():
 def test_empty_ladder_rejected():
     with pytest.raises(ValueError, match="at least one sample size"):
         ExperimentConfig(experiment="x", n_ladder=())
+
+
+def test_sample_size_below_one_rejected():
+    with pytest.raises(ValueError, match="sample sizes must be >= 1, got 0"):
+        ExperimentConfig(experiment="x", n_ladder=(0, 5))
+
+
+# each setting below used to be ignored, or to fail with an error that does
+# not name it; every experiment now refuses what it does not read
+SMALL = dict(n_ladder=(50,), replications=1, grid_size=9)
+UNREAD_SETTINGS = {
+    "misspelt-tolerance": (
+        consistency_experiment, dict(model=CLAYTON_SINE, tolerances={"final_medain": 1e-6}),
+        "tolerances key 'final_medain'",
+    ),
+    "misspelt-model-key": (
+        consistency_experiment, dict(model={"famly": "frank"}), "model key 'famly'",
+    ),
+    "second-eval-point": (
+        consistency_experiment, dict(model=CLAYTON_SINE, eval_points=(0.3, 0.7)),
+        "reads at most 1 eval_points",
+    ),
+    "kl-spec": (
+        eigen_perturbation_experiment, dict(model={"eigenvalues": (0.3, 0.1)}),
+        "model key 'eigenvalues'",
+    ),
+    "estimator-grid-size": (
+        consistency_experiment, dict(model=CLAYTON_SINE, estimator={"grid_size": 9}),
+        "estimator key 'grid_size'",
+    ),
+    "misspelt-estimator-key": (
+        benchmark_vs_baseline, dict(model=CLAYTON_SINE, estimator={"bandwith": 0.1}),
+        "estimator key 'bandwith'",
+    ),
+    "bridge-ladder": (
+        bridge_covariance_experiment,
+        dict(model={"family": "independence", "link": "constant:0.0"}, n_ladder=(50, 100)),
+        "one sample size, got n_ladder",
+    ),
+    "uniformity-tolerance": (
+        uniformity_and_gap_experiment, dict(tolerances={"ks_critical": 1.36}),
+        "tolerances key 'ks_critical'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_SETTINGS))
+def test_unread_setting_is_refused(name):
+    fn, kwargs, message = UNREAD_SETTINGS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(ExperimentConfig(experiment=name, **{**SMALL, **kwargs}))
 
 
 def test_config_digest_depends_on_seed():
@@ -190,7 +245,7 @@ def test_perturbation_residual_vanishes_without_sampling_noise():
     from condcopula.fpca import eigendecompose, tkn_projection
     from condcopula.grid import make_grid
 
-    model = build_kl_model({}, grid_size=9)
+    model = build_kl_model(grid_size=9)
     es = eigendecompose(make_grid(9), model.true_gamma_field())
     es = es.head(int(np.count_nonzero(es.eigenvalues > 1e-9)))
     for k in range(1, model.K + 1):
@@ -209,7 +264,6 @@ def test_eigen_perturbation_small_ladder():
         replications=10,
         seed=4,
         grid_size=9,
-        tolerances={"residual_factor": 1.5},
     )
     report = eigen_perturbation_experiment(cfg)
     meds = report.metrics["median_residual"]
@@ -285,13 +339,6 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_build_kl_model_defaults():
-    model = build_kl_model({}, grid_size=9)
+    model = build_kl_model(grid_size=9)
     assert model.eigenvalues == (0.4, 0.2, 0.05)
     assert model.frequencies == ((1, 1), (2, 1), (1, 2))
-    custom = build_kl_model(
-        {"eigenvalues": (0.3, 0.1), "frequencies": ((1, 0), (0, 1)),
-         "alphas": [["sine", 0.0, 0.2], None]},
-        grid_size=9,
-    )
-    assert custom.K == 2
-    assert custom.alpha_at(0.25)[0] == pytest.approx(0.2)

@@ -234,6 +234,51 @@ def test_every_field_is_read():
     assert sorted(unread) == []
 
 
+def keys_read(source: str) -> set:
+    """String keys a module reads from a dict with ``.get(key, ...)``."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+
+
+def keys_set(source: str) -> set:
+    """String keys a module writes in a dict display."""
+    return {
+        key.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def test_settings_keys_detected():
+    source = "d.get('a', 1)\nd.get(k)\nd['b']\nx = {'c': 1, **e}\n"
+    assert keys_read(source) == {"a"}
+    assert keys_set(source) == {"c"}
+
+
+def test_every_setting_has_a_caller():
+    # a model or tolerances key only unit tests set is a setting no run needs
+    harness_source = (PACKAGE_DIR / "harness.py").read_text()
+    read = keys_read(harness_source)
+    callers = [s for s in caller_sources() if s != harness_source]
+    set_by_callers = set().union(*(keys_set(s) for s in callers))
+    assert sorted(read - set_by_callers) == []
+    # and the harness accepts exactly the keys it reads
+    from condcopula.harness import _READS
+
+    accepted = {key for model, tolerances, *_ in _READS.values() for key in (*model, *tolerances)}
+    assert accepted == read
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats alone takes most of a second, at every start-up
     code = "import sys, condcopula; print('scipy.stats' in sys.modules)"
