@@ -40,16 +40,16 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed triples (y1, y2, x), one record per index."""
+    """Observed triples (y1, y2, x), one record per index, in read-only copies."""
 
     y1: np.ndarray
     y2: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        y1 = np.asarray(self.y1, dtype=float)
-        y2 = np.asarray(self.y2, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        y1 = np.array(self.y1, dtype=float)
+        y2 = np.array(self.y2, dtype=float)
+        x = np.array(self.x, dtype=float)
         if not (y1.shape == y2.shape == x.shape) or y1.ndim != 1:
             raise ValueError("y1, y2, x must be 1-d arrays of equal length")
         for name, arr in (("y1", y1), ("y2", y2), ("x", x)):
@@ -187,14 +187,14 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec):
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Conditional probability transforms (eps1_i, eps2_i) of the sample."""
+    """Conditional probability transforms (eps1_i, eps2_i), in read-only copies."""
 
     eps1: np.ndarray
     eps2: np.ndarray
 
     def __post_init__(self):
-        e1 = np.asarray(self.eps1, dtype=float)
-        e2 = np.asarray(self.eps2, dtype=float)
+        e1 = np.array(self.eps1, dtype=float)
+        e2 = np.array(self.eps2, dtype=float)
         if e1.shape != e2.shape or e1.ndim != 1:
             raise ValueError("eps1, eps2 must be 1-d arrays of equal length")
         if np.any(e1 < 0) or np.any(e1 > 1) or np.any(e2 < 0) or np.any(e2 > 1):

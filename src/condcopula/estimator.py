@@ -27,7 +27,6 @@ from .conditional import (
 )
 from .fpca import (
     EigenSystem,
-    centered_trajectories,
     # perfbench/run.py wraps these two where this module looks them up
     covariance_field,  # noqa: F401
     eigendecompose,  # noqa: F401
@@ -170,10 +169,10 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     center = empirical_copula_grid(pseudo, grid)
     traj_kernel = KernelSpec(family=fam, bandwidth=bw["h"])
     surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
-    # the eigen solve and the scores read one centred copy; the stack goes
-    # before the eigen stage allocates
-    centered = centered_trajectories(surfaces, center)
-    del surfaces
+    # a view of the stack, centred in place: the stack is the fit's largest
+    # array, and nothing reads it uncentred
+    centered = surfaces.reshape(s.n, -1)
+    centered -= center.flat()
     m = min(s.n, grid.G**2)  # the spectrum's length; the rest of it is zero
     with limited_threads(1):
         if cfg.K is not None:

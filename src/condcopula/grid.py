@@ -8,7 +8,8 @@ axis, so every node is strictly interior and the constant quadrature weight
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +26,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Midpoint discretization of [0,1]^2 with G nodes per axis."""
+    """Midpoint discretization of [0,1]^2 with G nodes per axis.
+
+    G alone defines the grid, so grids compare and hash by G; the nodes and
+    the quadrature weight derive from it.
+    """
 
     G: int
-    nodes: np.ndarray = field(repr=False)
-    cell_weight: float = field(repr=False)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid2D) and self.G == other.G
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The read-only node coordinates (a - 0.5)/G, a = 1..G, of each axis."""
+        nodes = (np.arange(1, self.G + 1) - 0.5) / self.G
+        nodes.setflags(write=False)
+        return nodes
 
-    def __hash__(self) -> int:
-        return hash(("Grid2D", self.G))
+    @property
+    def cell_weight(self) -> float:
+        return 1.0 / self.G**2
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,7 @@ def make_grid(G: int) -> Grid2D:
     """
     if G < 1:
         raise ValueError("empty grid: G must be >= 1")
-    nodes = (np.arange(1, G + 1) - 0.5) / G
-    nodes.setflags(write=False)
-    return Grid2D(G=G, nodes=nodes, cell_weight=1.0 / G**2)
+    return Grid2D(G=G)
 
 
 def from_callable(grid: Grid2D, f) -> GridFunction:

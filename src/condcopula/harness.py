@@ -341,6 +341,14 @@ def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cop = model.copula_at(0.0)
     (n,) = cfg.n_ladder
     pairs = cfg.eval_points or (((0.5, 0.5), (0.5, 0.5)),)
+    for pair in pairs:
+        try:
+            points = np.asarray(pair, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numbers
+            points = None
+        if points is None or points.shape != (2, 2) or not np.all((0 <= points) & (points <= 1)):
+            raise ValueError("each bridge eval_points entry must be a pair of (u, v) points "
+                             f"in [0, 1]^2, got {pair!r}")
     tols = cfg.tolerances.get("covariance", 0.02)
     tols = list(tols) if isinstance(tols, (list, tuple)) else [tols] * len(pairs)
     if len(tols) != len(pairs):

@@ -1,14 +1,15 @@
 """Data-generating processes with known conditional copulas.
 
 Parametric copula families with covariate-dependent Kendall-tau links and
-normal conditional margins provide samples whose true conditional copula is
-available in closed form; a synthetic mean-plus-eigenfunction process with
-prescribed spectrum exercises the FPCA and perturbation machinery in
-isolation. Every copula CDF, conditional inverse and tau map is one closed
-form that holds at every admitted parameter; Frank's tau-to-theta map is a
-safeguarded Newton solve over its closed-form tau and slope. All randomness
-flows through counter-based per-observation Philox substreams, so sampling
-is order-independent and parallel-safe. Every sampler computes the substream words of all its
+the normal conditional margins N(x, 1) and N(-x, 1) provide samples whose
+true conditional copula is available in closed form; a synthetic
+mean-plus-eigenfunction process with prescribed spectrum exercises the FPCA
+and perturbation machinery in isolation. Every copula CDF, conditional
+inverse and tau map is one closed form that holds at every admitted
+parameter; Frank's tau-to-theta map is a safeguarded Newton solve over its
+closed-form tau and slope. All randomness flows through counter-based
+per-observation Philox substreams, so sampling is order-independent and
+parallel-safe. Every sampler computes the substream words of all its
 observations in one array pass and turns each word into one draw: a
 uniform as numpy's ``random()`` does, or a standard normal as ``ndtri`` of
 an open-interval uniform.
@@ -28,7 +29,6 @@ from .grid import Grid2D, GridFunction, from_callable
 __all__ = [
     "CopulaModel",
     "TauLink",
-    "MarginSpec",
     "ConditionalModel",
     "SyntheticKLModel",
     "TruthRecord",
@@ -416,29 +416,11 @@ class TauLink:
 
 
 @dataclass(frozen=True)
-class MarginSpec:
-    """Conditional margin Y | X=x ~ Normal(a + b x, s)."""
-
-    a: float = 0.0
-    b: float = 1.0
-    s: float = 1.0
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("margin scale must be positive")
-
-    def quantile(self, u, x):
-        return self.a + self.b * np.asarray(x, dtype=float) + self.s * special.ndtri(u)
-
-
-@dataclass(frozen=True)
 class ConditionalModel:
-    """Copula family + tau link + conditional margins + covariate law."""
+    """Copula family + tau link + covariate law; Y1 | X=x ~ N(x, 1), Y2 | X=x ~ N(-x, 1)."""
 
     family: str
     link: TauLink
-    margin1: MarginSpec = MarginSpec(a=0.0, b=1.0, s=1.0)
-    margin2: MarginSpec = MarginSpec(a=0.0, b=-1.0, s=1.0)
     covariate: str = "uniform"  # uniform on (0,1) or standard normal
 
     def __post_init__(self):
@@ -457,14 +439,9 @@ class ConditionalModel:
         # takes all its values on [0, 1] (sin(2 pi x) has period one)
         _check_tau(fam, self.link(np.linspace(0.0, 1.0, 201)))
 
-    def tau_at(self, x: float) -> float:
-        return float(self.link(x))
-
-    def theta_at(self, x: float) -> float:
-        return tau_to_theta(self.family, self.tau_at(x))
-
     def copula_at(self, x: float) -> CopulaModel:
-        return CopulaModel(family=self.family, theta=self.theta_at(x))
+        theta = tau_to_theta(self.family, float(self.link(x)))
+        return CopulaModel(family=self.family, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -493,9 +470,10 @@ def sample_conditional(
     and U and P uniform from words 1 and 2. Then, as one array pass over
     all observations: tau(X) is mapped to the family parameter, V inverts
     the conditional distribution of V given U at level P, and (U, V) go
-    through the conditional marginal quantiles. The uniforms have the bits
-    of numpy's ``random()`` on a ``Philox`` generator per observation. The
-    truth record keeps (U, V) = (eps1, eps2) for known-margins experiments.
+    through the marginal quantiles: Y1 = X + ndtri(U), Y2 = -X + ndtri(V).
+    The uniforms have the bits of numpy's ``random()`` on a ``Philox``
+    generator per observation. The truth record keeps (U, V) = (eps1, eps2)
+    for known-margins experiments.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -509,7 +487,7 @@ def sample_conditional(
     v = conditional_v_given_u(m.family, theta, e1, p)
     e2 = np.clip(v, 1e-12, 1.0 - 1e-12)
     return (
-        Sample(y1=m.margin1.quantile(e1, xs), y2=m.margin2.quantile(e2, xs), x=xs),
+        Sample(y1=xs + special.ndtri(e1), y2=-xs + special.ndtri(e2), x=xs),
         TruthRecord(eps1=e1, eps2=e2, theta=theta),
     )
 

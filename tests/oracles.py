@@ -21,9 +21,12 @@ one observation's substream, which the bulk substream words must match.
 ``decimal_clayton_v_given_u``, ``decimal_clayton_cdf``,
 ``decimal_fgm_v_given_u`` and ``decimal_frank_tau`` evaluate the maps by
 their definitions in 40-digit ``decimal`` arithmetic, as accuracy references.
+``traced_peak_mib`` measures the peak memory that ``tracemalloc`` traces
+through one call.
 """
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -268,7 +271,7 @@ def loop_sample_conditional(m: ConditionalModel, n: int, seed: int):
     for i in range(n):
         rng = obs_rng(seed, i)
         x = float(rng.random())
-        theta = tau_to_theta(m.family, m.tau_at(x))
+        theta = tau_to_theta(m.family, float(m.link(x)))
         u = min(max(float(rng.random()), 1e-12), 1.0 - 1e-12)
         p = min(max(float(rng.random()), 1e-12), 1.0 - 1e-12)
         v = scalar_v_given_u(m.family, theta, u, p)
@@ -331,3 +334,13 @@ def decimal_frank_tau(theta: float) -> float:
             c = 4 * _BERNOULLI[2 * k] / ((2 * k + 1) * math.factorial(2 * k))
             total += Decimal(c.numerator) / Decimal(c.denominator) * t ** (2 * k - 1)
         return float(total)
+
+
+def traced_peak_mib(fn):
+    """(fn(), the traced peak in MiB while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -1,4 +1,3 @@
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,6 +32,7 @@ from oracles import (
     dense_pseudo_observations,
     dense_weighted_copula_surfaces,
     empirical_copula,
+    traced_peak_mib,
     weighted_copula,
 )
 from condcopula.simulate import (
@@ -806,15 +806,6 @@ def test_lattice_cdf_matches_add_at():
         assert np.array_equal(lattices[row], add_at_lattice_cdf(a[row], b[row], L, mass[row]))
 
 
-def traced_peak_mib(fn):
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])
 def test_conditional_stages_hold_no_n_by_n_array(family):
     # one dense 4000 x 4000 float array alone is 122 MiB
@@ -865,6 +856,17 @@ def test_sample_rejects_non_finite():
     with pytest.raises(ValueError, match="y2"):
         Sample(y1=np.array([1.0, 2.0]), y2=np.array([np.inf, 0.0]),
                x=np.array([0.1, 0.2]))
+
+
+def test_records_freeze_their_own_copies():
+    y1, y2, x = np.zeros(3), np.ones(3), np.linspace(0.0, 1.0, 3)
+    e1, e2 = np.full(3, 0.25), np.full(3, 0.5)
+    s, p = Sample(y1, y2, x), PseudoSample(e1, e2)
+    for arr in (y1, y2, x, e1, e2):
+        arr[0] = 0.75  # the caller's arrays stay writeable
+    assert (s.y1[0], s.y2[0], s.x[0], p.eps1[0], p.eps2[0]) == (0.0, 1.0, 0.0, 0.25, 0.5)
+    for arr in (s.y1, s.y2, s.x, p.eps1, p.eps2):
+        assert not arr.flags.writeable
 
 
 def test_sample_csv_round_trip(tmp_path):

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condcopula.grid import (
+    Grid2D,
     GridFunction,
     from_callable,
     inner_product,
@@ -25,6 +28,17 @@ def test_make_grid_single_node():
     g = make_grid(1)
     assert np.allclose(g.nodes, [0.5])
     assert g.cell_weight == 1.0
+
+
+def test_grid_is_its_node_count():
+    # nodes and quadrature weight derive from G, so no grid can carry wrong ones
+    assert [f.name for f in fields(Grid2D)] == ["G"]
+    with pytest.raises(TypeError):
+        Grid2D(G=3, nodes=np.zeros(3), cell_weight=5.0)
+    g = Grid2D(3)
+    assert g == make_grid(3) and hash(g) == hash(make_grid(3)) and g != make_grid(4)
+    assert np.array_equal(g.nodes, [1 / 6, 0.5, 5 / 6]) and g.cell_weight == 1 / 9
+    assert g.nodes is g.nodes and not g.nodes.flags.writeable
 
 
 def test_make_grid_empty_rejected():

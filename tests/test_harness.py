@@ -239,6 +239,19 @@ def test_bridge_tolerance_count_validated():
         bridge_covariance_experiment(cfg)
 
 
+@pytest.mark.parametrize("points", [(0.5,), ((0.5, 0.5),), (((0.5, 0.5), (0.5, 1.5)),)])
+def test_bridge_eval_points_must_be_point_pairs(points):
+    cfg = ExperimentConfig(
+        experiment="bridge",
+        model={"family": "independence", "link": "constant:0.0"},
+        n_ladder=(100,),
+        replications=2,
+        eval_points=points,
+    )
+    with pytest.raises(ValueError, match=r"eval_points entry must be a pair of \(u, v\) points"):
+        bridge_covariance_experiment(cfg)
+
+
 def test_perturbation_residual_vanishes_without_sampling_noise():
     # feeding the exact covariance kernel (no sampling noise) must recover
     # the prescribed eigenfunctions and give an identically zero residual

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from condcopula.harness import ks_uniform_statistic
 from condcopula.simulate import (
     ConditionalModel,
     CopulaModel,
-    MarginSpec,
     SyntheticKLModel,
     TauLink,
     conditional_v_given_u,
@@ -517,14 +517,12 @@ def test_clayton_cdf_holds_where_the_power_overflows():
 
 
 def test_margins_push_through_quantiles():
-    model = ConditionalModel(
-        family="clayton",
-        link=TauLink(form="constant", a=0.5),
-        margin1=MarginSpec(a=1.0, b=2.0, s=0.5),
-    )
+    # the conditional margins are fixed: Y1 | X=x ~ N(x, 1), Y2 | X=x ~ N(-x, 1)
+    assert [f.name for f in fields(ConditionalModel)] == ["family", "link", "covariate"]
+    model = ConditionalModel(family="clayton", link=TauLink(form="constant", a=0.5))
     s, truth = sample_conditional(model, 200, seed=3)
-    expected = 1.0 + 2.0 * s.x + 0.5 * stats.norm.ppf(truth.eps1)
-    assert np.allclose(s.y1, expected, atol=1e-12)
+    assert np.allclose(s.y1, s.x + stats.norm.ppf(truth.eps1), atol=1e-12)
+    assert np.allclose(s.y2, -s.x + stats.norm.ppf(truth.eps2), atol=1e-12)
 
 
 def test_link_out_of_range_rejected():
@@ -545,7 +543,7 @@ def test_frank_tau_beyond_the_solver_bracket_rejected_at_construction():
 def test_frank_tau_just_inside_the_bracket_solves():
     for tau in (0.9946, -0.9946):
         model = ConditionalModel(family="frank", link=TauLink("constant", tau))
-        theta = model.theta_at(0.5)
+        theta = model.copula_at(0.5).theta
         assert frank_tau(abs(theta)) == pytest.approx(abs(tau), abs=1e-9)
         assert np.sign(theta) == np.sign(tau)
 
@@ -556,7 +554,7 @@ def test_frank_model_checks_its_range_without_root_solves(monkeypatch):
 
     monkeypatch.setattr(simulate, "_frank_theta", no_solve)
     model = ConditionalModel(family="frank", link=TauLink(form="sine", a=0.4, b=0.25))
-    assert model.tau_at(0.25) == pytest.approx(0.65)
+    assert model.link(0.25) == pytest.approx(0.65)
 
 
 def test_link_parsing():
