@@ -2,9 +2,9 @@
 
 Subcommands: simulate, estimate, fpca, benchmark, diagnose. Exit codes:
 0 success, 1 validation error or an unreadable or unwritable file, 2 either
-a numerical failure (degenerate weights or spectrum, with a message naming
-the parameter to change) or a benchmark/diagnose run that completed but
-failed its verdict.
+a numerical failure (degenerate kernel weights, with a message naming the
+parameter to change) or a benchmark/diagnose run that completed but failed
+its verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .conditional import read_sample_csv, write_sample_csv
+from .conditional import KERNEL_FAMILIES, read_sample_csv, write_sample_csv
 from .errors import DegenerateSpectrumError, DegenerateWeightsError
 from .estimator import PipelineConfig, fit_pipeline, evaluate_fit
 from .grid import GridFunction, l2_norm, make_grid, sup_distance
@@ -24,7 +24,7 @@ from .harness import (
     build_conditional_model,
     uniformity_and_gap_experiment,
 )
-from .simulate import sample_conditional, true_conditional_copula
+from .simulate import COVARIATE_LAWS, sample_conditional, true_conditional_copula
 
 __all__ = ["run", "main"]
 
@@ -45,7 +45,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--family", default="clayton")
     sim.add_argument("--link", default="constant:0.5",
                      help="constant:c | linear:a,b | sine:a,b (Kendall tau)")
-    sim.add_argument("--covariate", default="uniform", choices=["uniform", "normal"])
+    sim.add_argument("--covariate", default="uniform", choices=COVARIATE_LAWS)
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out")
@@ -56,8 +56,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--in", dest="infile")
     est.add_argument("--x", type=float)
     est.add_argument("--grid", type=int, default=21)
-    est.add_argument("--kernel", default="epanechnikov",
-                     choices=["epanechnikov", "gaussian", "uniform"])
+    est.add_argument("--kernel", default="epanechnikov", choices=KERNEL_FAMILIES)
     for name in ("--h", "--g1", "--g2", "--h-alpha"):
         est.add_argument(name, default="auto")
     est.add_argument("--K", default="auto")
@@ -68,8 +67,7 @@ def _build_parser() -> _Parser:
     fp = sub.add_parser("fpca", help="inspect the estimated spectrum")
     fp.add_argument("--in", dest="infile")
     fp.add_argument("--grid", type=int, default=21)
-    fp.add_argument("--kernel", default="epanechnikov",
-                    choices=["epanechnikov", "gaussian", "uniform"])
+    fp.add_argument("--kernel", default="epanechnikov", choices=KERNEL_FAMILIES)
     fp.add_argument("--h", default="auto")
     fp.add_argument("--components", type=int, default=5)
     fp.add_argument("--out")

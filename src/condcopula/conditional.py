@@ -1,17 +1,18 @@
 """Kernel-weighted conditional distribution machinery.
 
 Nadaraya-Watson weights, conditional probability transforms of the raw
-sample (pseudo-observations), and one copula-lattice kernel,
-``_copula_lattices``: with unit masses it is the empirical partial copula and
-the harness's rank-copula check; with kernel weights it is the transformed
-plug-in conditional copula estimator that serves both as baseline and as
-trajectory source for the FPCA stage.
+sample (pseudo-observations) and their ranks, the lattice ECDF ``joint_ecdf``,
+and one copula-lattice kernel, ``_copula_lattices``: with unit masses it is
+``rank_copula``, the partial copula the harness also checks; with kernel
+weights it is the transformed plug-in conditional copula estimator that
+serves both as baseline and as trajectory source for the FPCA stage.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,19 @@ __all__ = [
     "PseudoSample",
     "nw_weights",
     "pseudo_observations",
+    "rank_copula",
+    "joint_ecdf",
     "empirical_copula_grid",
     "weighted_copula_surfaces",
     "rule_of_thumb_bandwidth",
     "read_sample_csv",
     "write_sample_csv",
+    "KERNEL_FAMILIES",
 ]
 
 # half-width of each kernel's support in bandwidth units
 _KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
-_KERNEL_FAMILIES = tuple(_KERNEL_REACH)
+KERNEL_FAMILIES = tuple(_KERNEL_REACH)
 # evaluation points per window-local block, in every kernel-weighted stage
 _BLOCK = 32
 
@@ -99,10 +103,10 @@ class KernelSpec:
 
     def __post_init__(self):
         fam = self.family.lower()
-        if fam not in _KERNEL_FAMILIES:
+        if fam not in KERNEL_FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; "
-                f"choose one of {_KERNEL_FAMILIES}"
+                f"choose one of {KERNEL_FAMILIES}"
             )
         object.__setattr__(self, "family", fam)
         if not (self.bandwidth > 0):
@@ -208,6 +212,15 @@ class PseudoSample:
     def n(self) -> int:
         return self.eps1.size
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """The read-only (2, n) stable ranks of eps1 and eps2; ties keep sample order."""
+        ranks = np.empty((2, self.n), dtype=np.int64)
+        for rank, eps in zip(ranks, (self.eps1, self.eps2)):
+            rank[np.argsort(eps, kind="stable")] = np.arange(self.n)
+        ranks.setflags(write=False)
+        return ranks
+
 
 def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSample:
     """Estimated conditional probability transforms of each observation.
@@ -218,7 +231,7 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     degenerates.
 
     Later stages read these values only through their stable ranks
-    (``_sort_index``), and those ranks are exactly the ranks of the dense
+    (``PseudoSample.ranks``), and those ranks are exactly the ranks of the dense
     rows: kernel over all n columns, pairwise row total, division, then the
     row sum against the indicator. These rows keep numpy's pairwise sums,
     not the sequential totals of the other weights, because the benchmark's
@@ -293,27 +306,21 @@ def _dense_pseudo_rows(s: Sample, k: KernelSpec, j: int, rows: np.ndarray) -> np
     return np.clip(out, 0.0, 1.0)
 
 
-def _sort_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of ``values`` and each value's position in it."""
-    order = np.argsort(values, kind="stable")
-    position = np.empty(order.size, dtype=np.int64)
-    position[order] = np.arange(order.size)
-    return order, position
-
-
 def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
     """Joint CDFs on an L x L lattice, one per row of masses.
 
     Row b of the (B, m) arrays ``a_idx``, ``b_idx`` and ``mass`` gives each
     pair's first lattice index on each margin and the pair's mass; index L
-    means it never counts. Returns shape (B, L, L).
+    means it never counts. Returns shape (B, L, L), a view of the cells.
     """
     B = mass.shape[0]
     cell = a_idx * (L + 1)  # then in place, without further (B, m) temporaries
     cell += b_idx
     cell += np.arange(B)[:, None] * (L + 1) ** 2
     cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=B * (L + 1) ** 2)
-    return cells.reshape(B, L + 1, L + 1)[:, :L, :L].cumsum(axis=1).cumsum(axis=2)
+    cdf = cells.reshape(B, L + 1, L + 1)[:, :L, :L]
+    np.cumsum(cdf, axis=1, out=cdf)
+    return np.cumsum(cdf, axis=2, out=cdf)
 
 
 def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -342,18 +349,29 @@ def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.
     return _lattice_cdf(*idx, thresholds.size, mass)
 
 
-def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
-    """Rank-based empirical copula of the pseudo-sample at all grid nodes.
+def rank_copula(p: PseudoSample, levels: np.ndarray) -> np.ndarray:
+    """Rank-based empirical copula of the pseudo-sample on the levels x levels lattice.
 
     Composes the joint ECDF of the pseudo-pairs with the generalized inverses
-    of their marginal ECDFs (ties broken by sample order): ``_copula_lattices``
-    with unit masses and the thresholds ``levels * n - 1e-12``, whose counts
-    are exact integers, divided by n.
+    of their marginal ECDFs (ties broken by sample order, ``p.ranks``):
+    ``_copula_lattices`` with unit masses and the thresholds
+    ``levels * n - 1e-12``, whose counts are exact integers, divided by n.
     """
     n = p.n
-    positions = (_sort_index(p.eps1)[1], _sort_index(p.eps2)[1])
-    lattice = _copula_lattices(positions, np.ones((1, n)), grid.nodes * n - 1e-12)
-    return GridFunction(grid=grid, values=lattice[0] / n)
+    return _copula_lattices(p.ranks, np.ones((1, n)), levels * n - 1e-12)[0] / n
+
+
+def joint_ecdf(e1: np.ndarray, e2: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Share of pairs with e1_i <= levels[a] and e2_i <= levels[b], at each (a, b)."""
+    a_idx = np.searchsorted(levels, e1, side="left")
+    b_idx = np.searchsorted(levels, e2, side="left")
+    n = e1.size
+    return _lattice_cdf(a_idx[None], b_idx[None], levels.size, np.ones((1, n)))[0] / n
+
+
+def empirical_copula_grid(p: PseudoSample, grid: Grid2D) -> GridFunction:
+    """The partial copula: ``rank_copula`` of the pseudo-sample at the grid nodes."""
+    return GridFunction(grid=grid, values=rank_copula(p, grid.nodes))
 
 
 def weighted_copula_surfaces(
@@ -374,8 +392,9 @@ def weighted_copula_surfaces(
     with the union U of their windows. Each weight divides by the sequential
     total of its point's kernel values (``_row_totals``, as in
     ``nw_weights``), and one ``_copula_lattices`` call per block turns the
-    weights into the block's lattices with the thresholds
-    ``levels - 1e-12``. A member outside a point's window has weight 0.0: it
+    weights and the members' ``pseudo.ranks`` into the block's lattices with
+    the thresholds ``levels - 1e-12``; the finished stack is clipped to
+    [0, 1] in place. A member outside a point's window has weight 0.0: it
     adds an exact zero to every sum and is never the last member counted at
     a level, since every grid level is above 0. So every surface is
     bit-identical to evaluating all n observations with ``nw_weights``. A
@@ -384,7 +403,6 @@ def weighted_copula_surfaces(
     ``DegenerateWeightsError``.
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
-    positions = (_sort_index(pseudo.eps1)[1], _sort_index(pseudo.eps2)[1])
     thresholds = grid.nodes - 1e-12
     out = np.empty((xs_eval.size, grid.G, grid.G))
     degenerate = []
@@ -393,11 +411,10 @@ def weighted_copula_surfaces(
         if np.any(totals <= 0.0):
             degenerate.append(block[totals <= 0.0].min())
             continue
-        lattices = _copula_lattices([p[union] for p in positions], kv / totals[:, None], thresholds)
-        out[block] = np.clip(lattices, 0.0, 1.0)
+        out[block] = _copula_lattices(pseudo.ranks[:, union], kv / totals[:, None], thresholds)
     if degenerate:
         raise _degenerate_at(xs_eval[min(degenerate)])
-    return out
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:

@@ -18,8 +18,9 @@ class DegenerateWeightsError(RuntimeError):
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """The estimated covariance operator has no usable eigenvalue structure.
+    """An eigenvalue gap the perturbation formulas divide by is below resolution.
 
-    Either every eigenvalue is (numerically) zero, or an eigenvalue gap
-    required by the perturbation formulas is below resolution.
+    Raised by ``fpca.tkn_projection`` when two eigenvalues lie within 1e-10.
+    A fit never raises it: an all-zero spectrum gives K = 0, the partial
+    copula and ``diagnostics["degenerate_spectrum"]``.
     """

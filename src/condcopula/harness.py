@@ -20,13 +20,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import __version__
-from .conditional import (
-    KernelSpec,
-    _copula_lattices,
-    _lattice_cdf,
-    _sort_index,
-    weighted_copula_surfaces,
-)
+from .conditional import KernelSpec, PseudoSample, joint_ecdf, rank_copula, weighted_copula_surfaces
 from .errors import DegenerateSpectrumError, DegenerateWeightsError
 from .estimator import (
     PipelineConfig,
@@ -359,7 +353,7 @@ def bridge_covariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     def one_rep(n, seed):
         _, truth = sample_conditional(model, n, seed)
-        ecdf = _joint_ecdf_on_lattice(truth.eps1, truth.eps2, levels)
+        ecdf = joint_ecdf(truth.eps1, truth.eps2, levels)
         return (np.sqrt(n) * (ecdf - truths),)
 
     def judge(raw):
@@ -450,14 +444,6 @@ def eigen_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_ladder(cfg, ("residual", "clt_norm", "identity"), one_rep, judge)
 
 
-def _joint_ecdf_on_lattice(e1, e2, levels) -> np.ndarray:
-    """Joint ECDF of the pairs on the levels x levels lattice."""
-    a_idx = np.searchsorted(levels, e1, side="left")
-    b_idx = np.searchsorted(levels, e2, side="left")
-    n = e1.size
-    return _lattice_cdf(a_idx[None], b_idx[None], levels.size, np.ones((1, n)))[0] / n
-
-
 def ks_uniform_statistic(vals: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance from Uniform(0, 1)."""
     vals = np.sort(np.asarray(vals, dtype=float))
@@ -470,8 +456,9 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Pseudo-margin uniformity (known margins) and the rank-transform gap.
 
     KS distances of the exact conditional transforms from Uniform(0,1), and
-    the sup over a 101 x 101 lattice of the distance between the rank-based
-    copula estimator and the ECDF of the sample's normalized ranks, tested
+    the sup over a 101 x 101 lattice of the distance between the fit's
+    partial copula routine, ``rank_copula``, of the exact transforms and the
+    ECDF of their normalized ranks (``joint_ecdf``), tested
     against the conservative 2/n bound (each margin threshold moves by at
     most one atom). The distance to the exact-margins ECDF is reported as an
     additional metric without an assertion; it fluctuates at the n^(-1/2)
@@ -485,17 +472,17 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _, truth = sample_conditional(model, n, seed)
         e1, e2 = truth.eps1, truth.eps2
         ks = max(ks_uniform_statistic(e1), ks_uniform_statistic(e2))
-        positions = (_sort_index(e1)[1], _sort_index(e2)[1])
-        rank_surface = _copula_lattices(positions, np.ones((1, n)), levels * n - 1e-12)[0] / n
+        pseudo = PseudoSample(eps1=e1, eps2=e2)
+        rank_surface = rank_copula(pseudo, levels)
         # normalized ranks of the same sample; the rank-based estimator can
         # move each margin threshold by at most one atom relative to their
         # ECDF, hence the 2/n bound
-        r1, r2 = ((position + 1) / n for position in positions)
-        rank_ecdf = _joint_ecdf_on_lattice(r1, r2, levels)
+        r1, r2 = (pseudo.ranks + 1) / n
+        rank_ecdf = joint_ecdf(r1, r2, levels)
         gap = float(np.max(np.abs(rank_surface - rank_ecdf)))
         # distance to the exact-margins ECDF, reported but not asserted
         # (it carries the O(n^-1/2) margin fluctuation)
-        ecdf_surface = _joint_ecdf_on_lattice(e1, e2, levels)
+        ecdf_surface = joint_ecdf(e1, e2, levels)
         ecdf_gap = float(np.max(np.abs(rank_surface - ecdf_surface)))
         return ks, gap, ecdf_gap
 

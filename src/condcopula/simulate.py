@@ -38,10 +38,12 @@ __all__ = [
     "sample_conditional",
     "true_conditional_copula",
     "synthetic_kl_sample",
+    "COVARIATE_LAWS",
     "cosine_tensor",
 ]
 
 FAMILIES = ("independence", "clayton", "frank", "fgm", "gumbel")
+COVARIATE_LAWS = ("uniform", "normal")
 
 
 # Philox-4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers
@@ -428,7 +430,7 @@ class ConditionalModel:
         if fam not in FAMILIES:
             raise ValueError(f"unknown copula family {self.family!r}")
         object.__setattr__(self, "family", fam)
-        if self.covariate not in ("uniform", "normal"):
+        if self.covariate not in COVARIATE_LAWS:
             raise ValueError("covariate law must be 'uniform' or 'normal'")
         if self.covariate == "normal" and self.link.form == "linear" and self.link.b:
             raise ValueError(

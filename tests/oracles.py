@@ -37,7 +37,6 @@ from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    _sort_index,
     kernel_values,
     nw_weights,
 )
@@ -190,7 +189,10 @@ def dense_weighted_copula_surfaces(
     """
     xs_eval = np.asarray(xs_eval, dtype=float)
     n, levels = s.n, grid.nodes
-    sort_index = (_sort_index(pseudo.eps1), _sort_index(pseudo.eps2))
+    sort_index = [
+        (np.argsort(eps, kind="stable"), rank_1based(eps) - 1)
+        for eps in (pseudo.eps1, pseudo.eps2)
+    ]
     out = np.empty((xs_eval.size, grid.G, grid.G))
     for i, x in enumerate(xs_eval):
         w = nw_weights(x, s.x, k)

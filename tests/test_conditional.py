@@ -12,19 +12,19 @@ from condcopula.conditional import (
     Sample,
     _copula_lattices,
     _lattice_cdf,
-    _sort_index,
     empirical_copula_grid,
+    joint_ecdf,
     kernel_values,
     weighted_copula_surfaces,
     nw_weights,
     pseudo_observations,
+    rank_copula,
     read_sample_csv,
     rule_of_thumb_bandwidth,
     write_sample_csv,
 )
 from condcopula.errors import DegenerateWeightsError
 from condcopula.grid import GridFunction, make_grid, sup_distance
-from condcopula.harness import _joint_ecdf_on_lattice
 from oracles import (
     add_at_lattice_cdf,
     cond_cdf,
@@ -32,6 +32,7 @@ from oracles import (
     dense_pseudo_observations,
     dense_weighted_copula_surfaces,
     empirical_copula,
+    rank_1based,
     traced_peak_mib,
     weighted_copula,
 )
@@ -260,7 +261,7 @@ def test_partial_copula_known_margins_counts():
     e1 = np.array([0.3])
     e2 = np.array([0.7])
     # rows are u levels, columns v levels
-    lattice = _joint_ecdf_on_lattice(e1, e2, np.array([0.5, 0.8]))
+    lattice = joint_ecdf(e1, e2, np.array([0.5, 0.8]))
     assert lattice.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
 
@@ -270,10 +271,16 @@ def tied_pseudo_sample(n, seed):
     return PseudoSample(eps1=np.round(rng.random(n), 1), eps2=np.round(rng.random(n), 1))
 
 
-def rank_copula_lattice(p, levels):
-    """``_copula_lattices`` with unit masses, as the partial copula calls it."""
-    positions = (_sort_index(p.eps1)[1], _sort_index(p.eps2)[1])
-    return _copula_lattices(positions, np.ones((1, p.n)), levels * p.n - 1e-12)[0] / p.n
+def test_ranks_are_stable_read_only_and_computed_once():
+    p = tied_pseudo_sample(60, seed=4)
+    ranks = p.ranks
+    assert ranks.dtype == np.int64 and ranks.shape == (2, 60)
+    assert np.unique(p.eps1).size < 60 and np.unique(p.eps2).size < 60
+    # ties keep sample order
+    assert np.array_equal(ranks, [rank_1based(p.eps1) - 1, rank_1based(p.eps2) - 1])
+    assert p.ranks is ranks
+    with pytest.raises(ValueError, match="read-only"):
+        ranks[0, 0] = 1
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (23, 2), (60, 3)])
@@ -281,7 +288,7 @@ def test_lattice_kernel_matches_pointwise_rank_copula(n, seed):
     # the lattice that starts at level 0 is the one the rank-gap check uses
     p = tied_pseudo_sample(n, seed)
     for levels in (np.linspace(0.0, 1.0, 11), make_grid(7).nodes):
-        lattice = rank_copula_lattice(p, levels)
+        lattice = rank_copula(p, levels)
         want = [[empirical_copula(p, u, v) for v in levels] for u in levels]
         assert np.array_equal(lattice, want)
 
@@ -446,7 +453,7 @@ def assert_dense_ranks(got, want, recomputed):
     bound = 4 * want.n * 2.0**-53
     margins = {1: (got.eps1, want.eps1), 2: (got.eps2, want.eps2)}
     for g, w in margins.values():
-        assert np.array_equal(_sort_index(g)[1], _sort_index(w)[1])
+        assert np.array_equal(rank_1based(g), rank_1based(w))
         assert np.max(np.abs(g - w)) <= bound
     for j, rows, values in recomputed:
         g, w = margins[j]

@@ -109,18 +109,26 @@ def test_finished_fit_does_not_hold_the_trajectory_stack():
     assert held < 8 * 2**20
 
 
-@pytest.mark.parametrize("n, G, family", [(800, 51, "gaussian"), (3000, 21, "epanechnikov")])
+@pytest.mark.parametrize(
+    "n, G, family",
+    [(800, 51, "gaussian"), (3000, 21, "epanechnikov"), (200, 101, "epanechnikov"),
+     (200, 151, "gaussian")],
+)
 def test_fit_peak_is_one_stack_plus_the_eigen_matrix(n, G, family):
     # the fit centres the (n, G, G) trajectory stack in place; with a centred
-    # copy beside it the peaks were 31.9 and 20.3 MiB against bounds of about
-    # 23.8 and 14.6 MiB
+    # copy beside it the first two peaks were 31.9 and 20.3 MiB against bounds
+    # of about 23.8 and 14.6 MiB. The surfaces cumulate each block's lattices
+    # in place and clip the finished stack in place, so their temporaries,
+    # which set the last two peaks, come to about 34 G^2 floats; with a copy
+    # per step they came to 130 G^2 floats and those peaks were 25.8 and
+    # 57.7 MiB against bounds of 19.8 and 43.8 MiB
     _, s = clayton_sample(n=n, seed=0)
     cfg = PipelineConfig(grid_size=G, kernel_family=family)
     fit, peak = traced_peak_mib(lambda: fit_pipeline(s, cfg))
     stack_mib = n * G**2 * 8 / 2**20
     eigen_mib = min(n, G**2) ** 2 * 8 / 2**20
     assert fit.K > 0
-    assert peak < stack_mib + eigen_mib + 3.0
+    assert peak < stack_mib + eigen_mib + max(3.0, 50 * G**2 * 8 / 2**20)
 
 
 def test_estimate_deterministic():

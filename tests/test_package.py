@@ -61,6 +61,32 @@ def test_every_import_is_used(module):
     assert unused_imports(source) == []
 
 
+def private_imports(source: str) -> list:
+    """``module._name`` for each private name imported from a sibling module."""
+    return sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_detected():
+    source = "from .a import _b, c\nfrom ._d import e\nfrom . import _f\nfrom g import _h\n"
+    assert private_imports(source) == ["a._b"]
+
+
+def test_no_private_name_crosses_modules():
+    # a name one module keeps private is no other module's to import; the
+    # package __init__ re-exports public names only
+    crossing = {
+        module: private_imports((PACKAGE_DIR / f"{module}.py").read_text())
+        for module in [*MODULES, "__init__"]
+    }
+    assert {module: names for module, names in crossing.items() if names} == {}
+
+
 REPO = PACKAGE_DIR.parents[1]
 
 
