@@ -5,11 +5,11 @@ for a while (about 0.2 s of CPU per call on a 2-core box) before they sleep.
 On the products and eigenproblems of a fit the extra threads save little,
 while the spinning worker takes a core from the single-threaded stages that
 follow, and a busy second core stalls every threaded call. ``limited_threads``
-runs a block with at most a given number of BLAS threads and then restores
-the previous count. The count is process-wide, so while the block runs it
-also holds for BLAS calls made by other Python threads. Where no OpenBLAS is
-loaded (another BLAS, or a platform without ``/proc/self/maps``) it does
-nothing.
+runs a block, or each call of a function it decorates, with at most a given
+number of BLAS threads and then restores the previous count. The count is
+process-wide, so while the block runs it also holds for BLAS calls made by
+other Python threads. Where no OpenBLAS is loaded (another BLAS, or a
+platform without ``/proc/self/maps``) it does nothing.
 
 ``leading_eigh`` returns only the largest eigenpairs of a symmetric matrix,
 from LAPACK's ``dsyevr`` with an index range: the tridiagonal reduction, then
@@ -137,7 +137,8 @@ def leading_eigh(a: np.ndarray, count: int) -> tuple:
 
 @contextmanager
 def limited_threads(threads: int):
-    """Run the block with at most ``threads`` BLAS threads.
+    """Run the block, or each call of the decorated function, with at most
+    ``threads`` BLAS threads.
 
     The previous count is restored on exit, also when the block raises.
     """

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .conditional import KERNEL_FAMILIES, read_sample_csv, write_sample_csv
-from .errors import DegenerateSpectrumError, DegenerateWeightsError
+from .errors import DegenerateWeightsError
 from .estimator import PipelineConfig, fit_pipeline, evaluate_fit
 from .grid import GridFunction, l2_norm, make_grid, sup_distance
 from .harness import (
@@ -275,7 +275,7 @@ def run(argv=None) -> int:
         return 1
     try:
         return handlers[args.command](args)
-    except (DegenerateWeightsError, DegenerateSpectrumError) as exc:
+    except DegenerateWeightsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

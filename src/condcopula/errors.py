@@ -2,8 +2,8 @@
 
 Validation problems (bad arguments, malformed files) raise plain
 ``ValueError``; numerical failures that a caller can fix by changing a
-parameter (bandwidth, grid, model) raise the dedicated classes below so the
-CLI can map them to a distinct exit code.
+parameter (bandwidth, grid, model) raise ``DegenerateWeightsError`` so the
+CLI can map it to a distinct exit code.
 """
 
 
@@ -18,9 +18,10 @@ class DegenerateWeightsError(RuntimeError):
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """An eigenvalue gap the perturbation formulas divide by is below resolution.
+    """An eigenvalue gap a perturbation formula divides by is below resolution.
 
-    Raised by ``fpca.tkn_projection`` when two eigenvalues lie within 1e-10.
-    A fit never raises it: an all-zero spectrum gives K = 0, the partial
-    copula and ``diagnostics["degenerate_spectrum"]``.
+    No package code raises it any more: a fit with an all-zero spectrum gives
+    K = 0, the partial copula and ``diagnostics["degenerate_spectrum"]``, and
+    the perturbation experiment divides only by the gaps of its fixed model's
+    distinct eigenvalues. It stays importable for callers that catch it.
     """

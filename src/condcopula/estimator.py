@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import limited_threads
 from .conditional import (
     KernelSpec,
     PseudoSample,
@@ -174,20 +173,19 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     centered = surfaces.reshape(s.n, -1)
     centered -= center.flat()
     m = min(s.n, grid.G**2)  # the spectrum's length; the rest of it is zero
-    with limited_threads(1):
-        if cfg.K is not None:
-            # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
-            # beyond the positive eigenvalues is clamped to their count
-            eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, 5))
-            K = min(cfg.K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
-        else:
-            eigen = ensemble_eigensystem(centered, grid, _LEADING)
+    if cfg.K is not None:
+        # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
+        # beyond the positive eigenvalues is clamped to their count
+        eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, 5))
+        K = min(cfg.K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
+    else:
+        eigen = ensemble_eigensystem(centered, grid, _LEADING)
+        K = select_K(eigen, cfg.cvp_threshold)
+        if K == eigen.m < m:
+            # the threshold, or lambda_{K+1}, lies past the leading components
+            eigen = ensemble_eigensystem(centered, grid, m)
             K = select_K(eigen, cfg.cvp_threshold)
-            if K == eigen.m < m:
-                # the threshold, or lambda_{K+1}, lies past the leading components
-                eigen = ensemble_eigensystem(centered, grid, m)
-                K = select_K(eigen, cfg.cvp_threshold)
-        xi = scores(centered, eigen, K) if K > 0 else np.empty((s.n, 0))
+    xi = scores(centered, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,
         config=cfg,
@@ -210,8 +208,7 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         values = fit.center.values.copy()
     else:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
-        with limited_threads(1):
-            alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
+        alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
         values = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )

@@ -11,9 +11,10 @@ variance its components explain is known also when it holds only the leading
 ones. The fit path solves for those alone (``ensemble_eigensystem``), and when
 the ensemble has fewer trajectories than grid nodes it takes them from the
 smaller n x n Gram matrix of the centered trajectories (the method of
-snapshots, Sirovich 1987). Also houses the first-order eigenfunction
-perturbation projection and the exact unit-sphere identity used by the
-verification harness.
+snapshots, Sirovich 1987). Every function here that calls BLAS runs it on
+one thread (``_blas.limited_threads``), so its result has the same bits at
+any BLAS thread count and no caller manages threads. Also houses the exact
+unit-sphere identity used by the verification harness.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import leading_eigh
-from .errors import DegenerateSpectrumError
+from ._blas import leading_eigh, limited_threads
 from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
@@ -35,11 +35,9 @@ __all__ = [
     "ensemble_eigensystem",
     "scores",
     "select_K",
-    "tkn_projection",
     "unit_sphere_identity",
 ]
 
-_GAP_TOL = 1e-10
 _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
 
 
@@ -102,6 +100,7 @@ def centered_trajectories(surfaces: np.ndarray, mean: GridFunction) -> np.ndarra
     return surfaces.reshape(surfaces.shape[0], -1) - mean.flat()[None, :]
 
 
+@limited_threads(1)
 def covariance_field(surfaces: np.ndarray, mean: GridFunction) -> np.ndarray:
     """Empirical covariance of the surfaces around ``mean``, (G^2, G^2).
 
@@ -148,6 +147,7 @@ def _eigensystem(
     )
 
 
+@limited_threads(1)
 def eigendecompose(
     grid: Grid2D, field: np.ndarray, truncate_below: float = _TRUNCATE_BELOW
 ) -> EigenSystem:
@@ -177,6 +177,7 @@ def eigendecompose(
     )
 
 
+@limited_threads(1)
 def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> EigenSystem:
     """The leading ``count`` components of the ensemble covariance operator.
 
@@ -214,6 +215,7 @@ def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> Eige
     return _eigensystem(grid, evals, phis, total, _TRUNCATE_BELOW)
 
 
+@limited_threads(1)
 def scores(centered: np.ndarray, es: EigenSystem, K: int) -> np.ndarray:
     """Quadrature projections of ``centered_trajectories(surfaces, mean)``, (n, K)."""
     if not (1 <= K <= es.m):
@@ -242,42 +244,6 @@ def select_K(es: EigenSystem, threshold: float = 0.9) -> int:
         raise ValueError("CVP threshold must be in (0, 1]")
     frac = np.cumsum(positive) / es.total
     return int(min(np.searchsorted(frac, threshold - 1e-12) + 1, positive.size))
-
-
-def _hs_inner(z: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray, delta: float) -> float:
-    """Hilbert-Schmidt pairing of a node-pair kernel with phi_a (x) phi_b."""
-    return float(delta * delta * phi_a @ z @ phi_b)
-
-
-def tkn_projection(zn: np.ndarray, true_es: EigenSystem, k: int) -> GridFunction:
-    """First-order perturbation of the k-th eigenfunction under kernel ``zn``.
-
-    ``zn`` is a node-pair matrix (G^2 x G^2), typically sqrt(n) times the
-    difference between estimated and true covariance fields. Requires the
-    provided eigenvalues to be pairwise distinct; the result is orthogonal to
-    the k-th eigenfunction by construction.
-    """
-    if not (1 <= k <= true_es.m):
-        raise ValueError(f"k={k} out of range 1..{true_es.m}")
-    lam = true_es.eigenvalues
-    gaps = np.abs(np.subtract.outer(lam, lam)) + np.eye(lam.size)
-    if np.min(gaps) < _GAP_TOL:
-        i, j = divmod(int(np.argmin(gaps)), lam.size)
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap |lambda_{i + 1} - lambda_{j + 1}| below {_GAP_TOL:g}"
-        )
-    delta = true_es.grid.cell_weight
-    phis = true_es.phi_flat()
-    zn = np.asarray(zn, dtype=float)
-    out = np.zeros(phis.shape[1])
-    for j in range(true_es.m):
-        if j == k - 1:
-            continue
-        coeff = _hs_inner(zn, phis[k - 1], phis[j], delta) / (lam[k - 1] - lam[j])
-        out += coeff * phis[j]
-    return GridFunction(
-        grid=true_es.grid, values=out.reshape(true_es.grid.G, true_es.grid.G)
-    )
 
 
 def unit_sphere_identity(phi_hat: GridFunction, phi: GridFunction):

@@ -566,15 +566,6 @@ class SyntheticKLModel:
         """The K conditional score means at x: shape (K,) + np.shape(x)."""
         return np.array([np.zeros_like(x) if a is None else a(x) for a in self.alphas])
 
-    def true_gamma_field(self) -> np.ndarray:
-        """Node-pair covariance kernel sum(lambda_k phi_k (x) phi_k)."""
-        m = self.grid.G ** 2
-        out = np.zeros((m, m))
-        for k in range(1, self.K + 1):
-            f = self.phi(k).flat()
-            out += self.eigenvalues[k - 1] * np.outer(f, f)
-        return out
-
 
 def synthetic_kl_sample(
     m: SyntheticKLModel, n: int, seed: int

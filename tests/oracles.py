@@ -22,7 +22,11 @@ one observation's substream, which the bulk substream words must match.
 ``decimal_fgm_v_given_u`` and ``decimal_frank_tau`` evaluate the maps by
 their definitions in 40-digit ``decimal`` arithmetic, as accuracy references.
 ``traced_peak_mib`` measures the peak memory that ``tracemalloc`` traces
-through one call.
+through one call. ``true_gamma_field`` is the G^2 x G^2 covariance kernel of
+a synthetic Karhunen-Loeve model, ``tkn_projection`` the first-order
+eigenfunction perturbation of a node-pair kernel, and
+``kernel_perturbation_replication`` one replication of the perturbation
+experiment on the covariance-field route that the score form replaces.
 """
 
 import math
@@ -40,12 +44,15 @@ from condcopula.conditional import (
     kernel_values,
     nw_weights,
 )
+from condcopula.errors import DegenerateSpectrumError
+from condcopula.fpca import EigenSystem, covariance_field, eigendecompose
 from condcopula.grid import Grid2D
-from condcopula.grid import GridFunction, make_grid
+from condcopula.grid import GridFunction, l2_norm, make_grid
 from condcopula.simulate import (
     ConditionalModel,
     SyntheticKLModel,
     TruthRecord,
+    synthetic_kl_sample,
     tau_to_theta,
 )
 
@@ -346,3 +353,67 @@ def traced_peak_mib(fn):
         return out, tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def true_gamma_field(m: SyntheticKLModel) -> np.ndarray:
+    """Node-pair covariance kernel sum(lambda_k phi_k (x) phi_k) of ``m``."""
+    size = m.grid.G ** 2
+    out = np.zeros((size, size))
+    for k in range(1, m.K + 1):
+        f = m.phi(k).flat()
+        out += m.eigenvalues[k - 1] * np.outer(f, f)
+    return out
+
+
+def tkn_projection(zn: np.ndarray, true_es: EigenSystem, k: int) -> GridFunction:
+    """First-order perturbation of the k-th eigenfunction under kernel ``zn``.
+
+    ``zn`` is a node-pair matrix (G^2 x G^2), typically sqrt(n) times the
+    difference between estimated and true covariance fields; the result is
+    sum_{j != k} <zn phi_k, phi_j> / (lambda_k - lambda_j) phi_j, orthogonal
+    to the k-th eigenfunction. Eigenvalues within 1e-10 of each other raise
+    ``DegenerateSpectrumError``.
+    """
+    if not (1 <= k <= true_es.m):
+        raise ValueError(f"k={k} out of range 1..{true_es.m}")
+    lam = true_es.eigenvalues
+    gaps = np.abs(np.subtract.outer(lam, lam)) + np.eye(lam.size)
+    if np.min(gaps) < 1e-10:
+        i, j = divmod(int(np.argmin(gaps)), lam.size)
+        raise DegenerateSpectrumError(
+            f"eigenvalue gap |lambda_{i + 1} - lambda_{j + 1}| below 1e-10"
+        )
+    delta = true_es.grid.cell_weight
+    phis = true_es.phi_flat()
+    out = np.zeros(phis.shape[1])
+    for j in range(true_es.m):
+        if j != k - 1:
+            pairing = float(delta * delta * phis[k - 1] @ zn @ phis[j])
+            out += pairing / (lam[k - 1] - lam[j]) * phis[j]
+    return GridFunction(grid=true_es.grid, values=out.reshape(true_es.grid.G, true_es.grid.G))
+
+
+def kernel_perturbation_replication(m: SyntheticKLModel, n: int, seed: int) -> tuple:
+    """(residual, mean-CLT norm) of one perturbation replication.
+
+    Decomposes the full G^2 x G^2 covariance field of the sample around the
+    model's mean, follows eigenfunction 1 and takes T from
+    sqrt(n) (field - true field) through ``tkn_projection``, with the
+    eigensystem of the true field as the truth.
+    """
+    grid = m.grid
+    true_gamma = true_gamma_field(m)
+    true_es = eigendecompose(grid, true_gamma)
+    true_es = true_es.head(int(np.count_nonzero(true_es.eigenvalues > 1e-9)))
+    _, surfaces, _ = synthetic_kl_sample(m, n, seed)
+    field = covariance_field(surfaces, m.mean)
+    phi_hat = eigendecompose(grid, field).phi(1)
+    phi_true = m.phi(1)
+    sign = 1.0 if np.sum(phi_hat.values * phi_true.values) >= 0 else -1.0
+    t_kn = tkn_projection(np.sqrt(n) * (field - true_gamma), true_es, 1)
+    resid = np.sqrt(n) * (sign * phi_hat.values - phi_true.values) - t_kn.values
+    mean_dev = np.sqrt(n) * (surfaces.mean(axis=0) - m.mean.values)
+    return (
+        l2_norm(GridFunction(grid=grid, values=resid)),
+        l2_norm(GridFunction(grid=grid, values=mean_dev)),
+    )

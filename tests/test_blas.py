@@ -1,11 +1,22 @@
-"""The BLAS thread limit that the fit pipeline puts on its eigen and score stage."""
+"""The one-thread BLAS rule of the eigen, score and score-regression stages.
+
+``fpca.covariance_field``, ``eigendecompose``, ``ensemble_eigensystem``,
+``scores`` and ``regression.eval_alpha`` each run under
+``_blas.limited_threads(1)``, and no other code manages BLAS threads
+(``tests/test_package.py``), so the fit and every harness experiment give
+the same bits at any BLAS thread count.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
 from condcopula import _blas
 from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
-from condcopula.simulate import ConditionalModel, TauLink, sample_conditional
+from condcopula.fpca import covariance_field, eigendecompose
+from condcopula.harness import ExperimentConfig, build_kl_model, eigen_perturbation_experiment
+from condcopula.simulate import ConditionalModel, TauLink, sample_conditional, synthetic_kl_sample
 
 CONTROLS = _blas._controls()
 needs_openblas = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS in this process")
@@ -52,3 +63,44 @@ def test_small_fit_is_the_same_at_any_thread_count():
             evaluate_fit(free, 0.4).surface.values, evaluate_fit(single, 0.4).surface.values
         )
         assert thread_counts() == before
+
+
+def at_threads(threads, fn):
+    """``fn()`` with every OpenBLAS library set to ``threads`` threads, then restored."""
+    before = thread_counts()
+    for _, put in CONTROLS:
+        put(threads)
+    try:
+        return fn()
+    finally:
+        for (_, put), count in zip(CONTROLS, before):
+            put(count)
+
+
+def report_bytes(report) -> str:
+    return report.to_json() + json.dumps(report.raw, sort_keys=True)
+
+
+@needs_openblas
+def test_outputs_are_the_same_at_one_and_two_threads():
+    from test_parity import EXPERIMENTS
+
+    model = build_kl_model(21)
+    _, surfaces, _ = synthetic_kl_sample(model, 600, 3)
+    # G^2 = 441: the first step takes the Gram route, the second the covariance route
+    perturbation = ExperimentConfig(experiment="perturbation", n_ladder=(200, 500),
+                                    replications=3, seed=5, grid_size=21)
+
+    def outputs():
+        field = covariance_field(surfaces, model.mean)
+        es = eigendecompose(model.grid, field)
+        reports = [fn(ExperimentConfig(**kw)) for fn, kw, _ in EXPERIMENTS.values()]
+        reports.append(eigen_perturbation_experiment(perturbation))
+        return (
+            field.tobytes(),
+            es.eigenvalues.tobytes(),
+            es.eigenfunctions.tobytes(),
+            [report_bytes(r) for r in reports],
+        )
+
+    assert at_threads(2, outputs) == at_threads(1, outputs)

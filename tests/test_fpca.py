@@ -15,7 +15,6 @@ from condcopula.fpca import (
     ensemble_eigensystem,
     scores,
     select_K,
-    tkn_projection,
     unit_sphere_identity,
 )
 from condcopula.grid import (
@@ -32,7 +31,7 @@ from condcopula.simulate import (
     sample_conditional,
     synthetic_kl_sample,
 )
-from oracles import constant
+from oracles import constant, tkn_projection
 
 GRID = make_grid(9)
 
@@ -380,7 +379,7 @@ def test_select_k_fixed_and_degenerate():
     assert select_K(es, 0.9) == 0
 
 
-# --------------------------------------------------- perturbation projection
+# --------------------------------- perturbation projection (the oracle in tests/oracles.py)
 
 
 def two_pair_system():

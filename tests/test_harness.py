@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from condcopula import harness
+from condcopula.fpca import eigendecompose
+from condcopula.grid import make_grid
 from condcopula.harness import (
     ExperimentConfig,
     benchmark_vs_baseline,
@@ -17,7 +19,7 @@ from condcopula.harness import (
     rep_seed,
     uniformity_and_gap_experiment,
 )
-
+from oracles import kernel_perturbation_replication, traced_peak_mib, true_gamma_field
 
 CLAYTON_SINE = {"family": "clayton", "link": "sine:0.4,0.25"}
 
@@ -253,21 +255,44 @@ def test_bridge_eval_points_must_be_point_pairs(points):
 
 
 def test_perturbation_residual_vanishes_without_sampling_noise():
-    # feeding the exact covariance kernel (no sampling noise) must recover
-    # the prescribed eigenfunctions and give an identically zero residual
-    from condcopula.fpca import eigendecompose, tkn_projection
-    from condcopula.grid import make_grid
-
+    # the exact covariance kernel (no sampling noise) recovers the prescribed
+    # eigenfunctions; the zero kernel's zero first-order term is
+    # test_fpca.py::test_tkn_zero_kernel
     model = build_kl_model(grid_size=9)
-    es = eigendecompose(make_grid(9), model.true_gamma_field())
+    es = eigendecompose(make_grid(9), true_gamma_field(model))
     es = es.head(int(np.count_nonzero(es.eigenvalues > 1e-9)))
+    assert es.m == model.K
     for k in range(1, model.K + 1):
         got = es.eigenfunctions[k - 1]
         want = model.phi(k).values
         diff = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
         assert diff <= 1e-8
-    t = tkn_projection(np.zeros((81, 81)), es, 1)
-    assert np.max(np.abs(t.values)) == 0.0
+
+
+@pytest.mark.parametrize("grid_size, ladder", [(9, (40, 120)), (15, (100, 400))])
+def test_perturbation_residuals_match_the_kernel_route(grid_size, ladder):
+    # one step below G^2 (the Gram route) and one above (the covariance
+    # route): the score form of the first-order term gives the residuals of
+    # the G^2 x G^2 kernel route up to rounding, and the same mean-CLT norms
+    cfg = ExperimentConfig(experiment="perturbation", n_ladder=ladder, replications=3,
+                           seed=4, grid_size=grid_size)
+    report = eigen_perturbation_experiment(cfg)
+    model = build_kl_model(grid_size)
+    for step, n in enumerate(ladder):
+        for rep in range(cfg.replications):
+            resid, clt = kernel_perturbation_replication(model, n, rep_seed(cfg.seed, step, rep))
+            assert abs(report.raw["residual"][n][rep] - resid) <= 1e-12
+            assert report.raw["clt_norm"][n][rep] == clt
+
+
+def test_perturbation_experiment_builds_no_covariance_field():
+    # n < G^2 takes the Gram route: the 1681 x 1681 covariance field alone
+    # would be 21.6 MiB
+    cfg = ExperimentConfig(experiment="perturbation", n_ladder=(500,), replications=2,
+                           grid_size=41)
+    report, peak = traced_peak_mib(lambda: eigen_perturbation_experiment(cfg))
+    assert report.failures == []
+    assert peak <= 25.0
 
 
 def test_eigen_perturbation_small_ladder():

@@ -215,6 +215,17 @@ def test_libm_bit_matching_only_in_the_conditional_inverse():
     assert callers == {"conditional_v_given_u"}
 
 
+def test_blas_threads_limited_only_by_the_stages_that_call_blas():
+    # each stage that calls BLAS carries @limited_threads(1) itself, so no
+    # caller manages BLAS threads around it
+    callers = set().union(
+        *(callers_of(p.read_text(), "limited_threads") for p in PACKAGE_DIR.glob("*.py"))
+    )
+    assert callers == {
+        "covariance_field", "eigendecompose", "ensemble_eigensystem", "scores", "eval_alpha",
+    }
+
+
 def test_no_generator_built_in_the_package():
     # every draw comes from the bulk substream words, so no code builds a
     # numpy bit generator or Generator

@@ -33,6 +33,7 @@ from oracles import (
     quad_frank_tau,
     scalar_v_given_u,
     textbook_frank_v_given_u,
+    true_gamma_field,
 )
 
 # both at tau 0.9: the maps must hold at high dependence too
@@ -670,7 +671,7 @@ def test_kl_model_validation():
 
 def test_true_gamma_field_spectral_form():
     m = kl_model()
-    field = m.true_gamma_field()
+    field = true_gamma_field(m)
     assert np.allclose(field, field.T)
     f1 = m.phi(1).flat()
     # quadrature action of the kernel on phi_1 returns lambda_1 phi_1
