@@ -207,7 +207,8 @@ def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> Eige
     evals, vecs = leading_eigh(matrix, min(count, matrix.shape[0]))
     if not snapshots:
         return _eigensystem(grid, evals, vecs / np.sqrt(delta), total, _TRUNCATE_BELOW)
-    phis = centered.T @ vecs
+    # (count, n) @ (n, G^2) reads the trajectories row by row, unlike C^T u
+    phis = (vecs.T @ centered).T
     norms = np.sqrt(delta * np.einsum("ij,ij->j", phis, phis))
     live = norms > 0.0
     phis[:, live] /= norms[live]

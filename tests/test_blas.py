@@ -1,10 +1,13 @@
-"""The one-thread BLAS rule of the eigen, score and score-regression stages.
+"""The one-thread BLAS rule of the eigen, score and score-regression stages,
+and the route of the leading eigenpairs.
 
 ``fpca.covariance_field``, ``eigendecompose``, ``ensemble_eigensystem``,
 ``scores`` and ``regression.eval_alpha`` each run under
 ``_blas.limited_threads(1)``, and no other code manages BLAS threads
 (``tests/test_package.py``), so the fit and every harness experiment give
-the same bits at any BLAS thread count.
+the same bits at any BLAS thread count. ``_blas.leading_eigh`` picks Lanczos
+or ``dsyevr`` from the matrix order and the count alone, and returns the
+``dsyevr`` bits whenever Lanczos does not converge.
 """
 
 import json
@@ -17,6 +20,7 @@ from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
 from condcopula.fpca import covariance_field, eigendecompose
 from condcopula.harness import ExperimentConfig, build_kl_model, eigen_perturbation_experiment
 from condcopula.simulate import ConditionalModel, TauLink, sample_conditional, synthetic_kl_sample
+from test_fpca import lanczos_spy
 
 CONTROLS = _blas._controls()
 needs_openblas = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS in this process")
@@ -104,3 +108,49 @@ def test_outputs_are_the_same_at_one_and_two_threads():
         )
 
     assert at_threads(2, outputs) == at_threads(1, outputs)
+
+
+# (N, count) pairs around the crossover, at the benchmark's solves (count 16
+# at N = 200, 400, 441 and 800) and at full spectra, with the route each takes
+ROUTES = {
+    (81, 5): False, (101, 1): False, (102, 1): True, (191, 16): False, (192, 16): True,
+    (200, 16): True, (400, 16): True, (441, 16): True, (800, 16): True,
+    (300, 84): False, (400, 400): False,
+}
+
+
+def spectra(N):
+    """Two positive definite matrices of order N with decaying spectra, and zero."""
+    out = []
+    for seed in (1, 2):
+        b = np.random.default_rng(seed).standard_normal((N, N)) / np.arange(1, N + 1)
+        out.append(b @ b.T)
+    return out + [np.zeros((N, N))]
+
+
+def dense_eigh(a, count, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(_blas, "_CROSSOVER", np.inf)
+        return _blas.leading_eigh(a.copy(), count)
+
+
+@pytest.mark.parametrize("N, count", sorted(ROUTES))
+def test_the_route_depends_only_on_the_shape_and_convergence(N, count, monkeypatch):
+    calls = lanczos_spy(monkeypatch)
+    for a in spectra(N):
+        before = len(calls)
+        w, v = _blas.leading_eigh(a.copy(), count)
+        assert len(calls) - before == ROUTES[N, count]
+        if not (ROUTES[N, count] and calls[-1][2]):
+            dw, dv = dense_eigh(a, count, monkeypatch)
+            assert np.array_equal(w, dw) and np.array_equal(v, dv)
+    # the zero matrix collapses at the first step
+    assert not ROUTES[N, count] or calls[-1] == (N, count, False)
+
+
+def test_an_unconverged_run_returns_the_dense_bits(monkeypatch):
+    a = spectra(400)[0]
+    monkeypatch.setattr(_blas, "_RITZ_TOL", -1.0)  # no Ritz bound is negative
+    w, v = _blas.leading_eigh(a.copy(), 16)
+    dw, dv = dense_eigh(a, 16, monkeypatch)
+    assert np.array_equal(w, dw) and np.array_equal(v, dv)

@@ -50,13 +50,14 @@ def dummy_eigensystem(eigenvalues):
 
 
 def mean_surface(surfaces):
-    return GridFunction(grid=GRID, values=surfaces.mean(axis=0))
+    return GridFunction(grid=make_grid(surfaces.shape[1]), values=surfaces.mean(axis=0))
 
 
 def trajectory_surfaces(fit):
     """The (n, G, G) stack ``fit_pipeline`` decomposed; a fit does not keep it."""
     k = KernelSpec(fit.config.kernel_family, fit.bandwidths["h"])
-    return weighted_copula_surfaces(fit.sample.x, fit.sample, k, GRID, fit.pseudo)
+    grid = make_grid(fit.config.grid_size)
+    return weighted_copula_surfaces(fit.sample.x, fit.sample, k, grid, fit.pseudo)
 
 
 def kl_model(grid=None, lam=(0.4, 0.2, 0.05)):
@@ -242,37 +243,106 @@ def assert_leading_system(got, want, count):
     rel_gap = gaps.min(axis=1)[:m] / lam[0]
     separated = (rel_gap > 1e-6) & (lam[:m] > 0.0)
     diff = got.phi_flat() - want.phi_flat()[:m]
-    dist = np.sqrt(GRID.cell_weight * np.sum(diff * diff, axis=1))
+    dist = np.sqrt(got.grid.cell_weight * np.sum(diff * diff, axis=1))
     assert np.all(dist[separated] <= 1e-14 / rel_gap[separated])
     return separated
 
 
-def clayton_ensemble(n, center):
+def clayton_ensemble(n, center, grid_size=9):
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed=31)
-    fit = fit_pipeline(s, PipelineConfig(grid_size=9))
+    fit = fit_pipeline(s, PipelineConfig(grid_size=grid_size))
     surfaces = trajectory_surfaces(fit)
     mean = fit.center if center == "partial" else mean_surface(surfaces)
     return surfaces, mean
 
 
-# the pipeline centres at the partial copula; the ensemble mean, around
-# which the score columns are exactly mean-zero, exercises the other case
+def lanczos_spy(monkeypatch):
+    """Record, per call of ``_blas._lanczos``, (N, count, whether it converged)."""
+    calls = []
+    real = _blas._lanczos
+
+    def spy(a, count):
+        found = real(a, count)
+        calls.append((a.shape[0], count, found is not None))
+        return found
+
+    monkeypatch.setattr(_blas, "_lanczos", spy)
+    return calls
+
+
+# n below, at and above G^2 = 81, where every leading solve is dense; then
+# below and above G^2 = 225, where counts 1, 5 and 16 take the Lanczos route.
+# The pipeline centres at the partial copula; the ensemble mean, around which
+# the score columns are exactly mean-zero, exercises the other case
+GRID_OF_N = {40: 9, 81: 9, 120: 9, 200: 15, 300: 15}
+
+
 @pytest.mark.parametrize("center", ["partial", "ensemble"])
-@pytest.mark.parametrize("n", [40, 81, 120])  # below, at and above G^2 = 81
-def test_ensemble_eigensystem_matches_covariance_route(n, center):
-    surfaces, mean = clayton_ensemble(n, center)
+@pytest.mark.parametrize("n", sorted(GRID_OF_N))
+def test_ensemble_eigensystem_matches_covariance_route(n, center, monkeypatch):
+    grid = make_grid(GRID_OF_N[n])
+    surfaces, mean = clayton_ensemble(n, center, grid.G)
     field = covariance_field(surfaces, mean)
-    want = eigendecompose(GRID, field)
+    want = eigendecompose(grid, field)
     centered = centered_trajectories(surfaces, mean)
-    m = min(n, GRID.G**2)
-    trace = GRID.cell_weight * np.trace(field)
-    for count in (1, 5, m - 1, m, m + 3):
-        got = ensemble_eigensystem(centered, GRID, count)
+    m = min(n, grid.G**2)
+    trace = grid.cell_weight * np.trace(field)
+    krylov = grid.G == 15
+    counts = (1, 5, 16) if krylov else (1, 5, m - 1, m, m + 3)
+    calls = lanczos_spy(monkeypatch)
+    for count in counts:
+        got = ensemble_eigensystem(centered, grid, count)
         assert got.m == min(count, m)
         assert got.total == pytest.approx(trace, rel=1e-12)
         separated = assert_leading_system(got, want, count)
         assert separated.sum() >= got.m // 2
+    assert calls == ([(m, count, True) for count in counts] if krylov else [])
+
+
+def test_clustered_leading_pair_is_resolved(monkeypatch):
+    # lambda_2 = lambda_1 (1 - 1e-10): each of the pair's eigenvectors is
+    # fixed only to about eps / 1e-10, but the eigenvalues and the pair's
+    # span are fixed to rounding, as lambda_3 is 0.75 lambda_1 away
+    N = 400
+    basis, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((N, N)))
+    lam = 1.0 / np.arange(1, N + 1) ** 2
+    lam[1] = lam[0] * (1.0 - 1e-10)
+    a = (basis * lam) @ basis.T
+    a = 0.5 * (a + a.T)
+    pair = basis[:, :2] @ basis[:, :2].T
+    calls = lanczos_spy(monkeypatch)
+    for count in (1, 2, 5, 16):
+        w, v = _blas.leading_eigh(a.copy(), count)
+        assert calls[-1] == (N, count, True)
+        assert np.all(np.abs(w[::-1] - lam[:count]) <= 1e-12 * lam[0])
+        assert np.max(np.abs(v.T @ v - np.eye(count))) <= 1e-13
+        top = v[:, -min(count, 2):]
+        # the pair's leading vectors lie in its span, and span it when both are asked for
+        assert np.linalg.norm(top - pair @ top) <= 1e-14
+        if count >= 2:
+            assert np.linalg.norm(top @ top.T - pair, 2) <= 1e-14
+        for k in range(2, count):
+            assert abs(abs(basis[:, k] @ v[:, -1 - k]) - 1.0) <= 1e-13
+
+
+def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
+    # 300 trajectories, each one of 6 surfaces: the 300 x 300 Gram matrix has
+    # rank at most 6, so the Krylov space is invariant after about 7 steps,
+    # far short of the 16 eigenpairs asked for, and beta collapses
+    grid = make_grid(21)
+    surfaces, _ = clayton_ensemble(300, "partial", grid.G)
+    stack = surfaces[np.arange(300) % 6]
+    centered = centered_trajectories(stack, mean_surface(surfaces))
+    calls = lanczos_spy(monkeypatch)
+    got = ensemble_eigensystem(centered, grid, 16)
+    assert calls == [(300, 16, False)]
+    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # dsyevr alone
+    want = ensemble_eigensystem(centered, grid, 16)
+    assert len(calls) == 1
+    assert np.count_nonzero(want.eigenvalues) <= 6
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenfunctions, want.eigenfunctions)
 
 
 @pytest.mark.parametrize("n", [40, 120])
