@@ -41,10 +41,11 @@ faster at N = 400-2601, with eigenvalues within 2.3e-15 * lambda_1 of
 
 The dense route calls the 64-bit-integer LAPACKE entry of the
 scipy-openblas library that numpy bundles, which is already mapped into the
-process. Only where that library is absent does it fall back to
-``scipy.linalg.eigh``, whose import costs about 0.08 s and 6 MiB of resident
-memory; it maps no new BLAS and starts no thread, as ``scipy.special``
-(which ``simulate`` imports) has mapped scipy's.
+process. Only where that library is absent does it fall back to numpy's
+full ``eigh`` and keep the last ``count`` pairs. It imports nothing: the
+package needs numpy alone, and a BLAS mapped after ``_controls`` has listed
+the loaded libraries would run threads that ``limited_threads`` cannot
+reach.
 """
 
 from __future__ import annotations
@@ -202,12 +203,8 @@ def leading_eigh(a: np.ndarray, count: int) -> tuple:
             return found
     dsyevr = _dsyevr()
     if dsyevr is None:
-        from scipy.linalg import eigh
-
-        return eigh(
-            a, subset_by_index=(N - count, N - 1), driver="evr",
-            overwrite_a=True, check_finite=False,
-        )
+        w, v = np.linalg.eigh(a)
+        return w[N - count:], v[:, N - count:]
     found = np.zeros(1, dtype=np.int64)
     w = np.empty(N)
     # column-major N x count: row j is the j-th eigenvector

@@ -13,15 +13,25 @@ parallel-safe. Every sampler computes the substream words of all its
 observations in one array pass and turns each word into one draw: a
 uniform as numpy's ``random()`` does, or a standard normal as ``ndtri`` of
 an open-interval uniform.
+
+The runtime needs numpy alone: three special functions are numpy ports
+that give scipy's bits for every argument the samplers and maps pass.
+``_ndtri`` is Moshier's Cephes ``ndtri`` (the normal quantile), ``_spence``
+the branch of Cephes ``spence`` (the dilogarithm) that Frank's tau reads,
+and ``_wrightomega`` the real Wright omega of Lawrence, Corless & Jeffrey
+(2012, ACM TOMS Alg. 917) as scipy computes it. Each does its products and
+quotients in the order of the C source, and takes every log, exp and pow
+from libm (``_libm``), where numpy's SIMD versions can differ in the last
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy import special
 
 from .conditional import Sample
 from .grid import Grid2D, GridFunction, from_callable
@@ -100,20 +110,147 @@ def _standard_normal(words: np.ndarray) -> np.ndarray:
     That uniform is exact and lies in [2^-53, 1 - 2^-53], so the normal is
     finite; a 53-bit form would round the top word to 1.0.
     """
-    return special.ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
+    return _ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """``fn`` applied element by element over the broadcast ``args``.
+def _libm(fn, x, *consts) -> np.ndarray:
+    """``fn(v, *consts)`` for each element v of ``x``, with ``fn`` from ``math``.
 
     numpy's SIMD ``log``, ``exp`` and ``expm1`` can differ from libm in the
-    last bit; the Clayton inverse takes them from ``math`` through here, so
-    its samples have the bits of Python's float arithmetic.
+    last bit; the Clayton inverse and the special-function ports take them
+    from ``math`` through here, so their values have the bits of C code
+    that calls libm.
     """
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    flat = (a.ravel().tolist() for a in args)
-    out = np.fromiter(map(fn, *flat), dtype=float, count=args[0].size)
-    return out.reshape(args[0].shape)
+    x = np.asarray(x, dtype=float)
+    values = map(fn, x.ravel().tolist(), *map(repeat, consts))
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
+
+
+# Cephes ndtri (Moshier 1989), numerators and monic denominators from the
+# leading coefficient. np.polyval runs Horner's rule from 0 and Cephes's
+# polevl from the leading coefficient; 0 x + c and 1 x + c round as c and
+# x + c do, so np.polyval gives the bits of polevl, and of p1evl with the
+# leading 1 written out. On the centre, |y - 1/2| <= 1/2 - e^-2, the rational
+# (m + m m^2 P0(m^2)/Q0(m^2)) sqrt(2 pi) of m = y - 1/2; in the tails, for the smaller y of y and 1 - y
+# and x = sqrt(-2 log y), x - log(x)/x - z P(z)/Q(z) of z = 1/x, with P1/Q1
+# for x < 8 (y > e^-32) and P2/Q2 beyond
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at each y in (0, 1), bit for bit Cephes ``ndtri``.
+
+    Each branch runs over the elements that take it; the tails' logs come
+    from libm.
+    """
+    upper = y > 1.0 - _EXP_M2
+    near = np.where(upper, 1.0 - y, y)
+    centre = near > _EXP_M2
+    out = np.empty_like(near)
+    mid = near[centre] - 0.5
+    mid2 = mid * mid
+    ratio = mid2 * np.polyval(_NDTRI_P0, mid2) / np.polyval(_NDTRI_Q0, mid2)
+    out[centre] = (mid + mid * ratio) * _SQRT_2PI
+    tail = ~centre
+    root = np.sqrt(-2.0 * _libm(math.log, near[tail]))
+    z = 1.0 / root
+    ratio = np.empty_like(z)
+    for region, p, q in ((root < 8.0, _NDTRI_P1, _NDTRI_Q1), (root >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        zr = z[region]
+        ratio[region] = zr * np.polyval(p, zr) / np.polyval(q, zr)
+    x = root - _libm(math.log, root) / root - ratio
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+# Cephes spence (Moshier 1989): Li2(1 - x) = -w A(w)/B(w) with w = x - 1,
+# for x in [0.5, 1.5]; each from the leading coefficient, for np.polyval
+_SPENCE_A = (
+    4.65128586073990045278e-5, 7.31589045238094711071e-3, 1.33847639578309018650e-1,
+    8.79691311754530315341e-1, 2.71149851196553469920e0, 4.25697156008121755724e0,
+    3.29771340985225106936e0, 1.00000000000000000126e0,
+)
+_SPENCE_B = (
+    6.90990488912553276999e-4, 2.54043763932544379113e-2, 2.82974860602568089943e-1,
+    1.41172597751831069617e0, 3.63800533345137075418e0, 5.03278880143316990390e0,
+    3.54771340985225106936e0, 9.99999999999999998740e-1,
+)
+
+
+def _spence(x: np.ndarray) -> np.ndarray:
+    """Cephes ``spence`` at each x in [0.5, 1.5], bit for bit: Li2(1 - x), +0.0 at x = 1.
+
+    That interval is the one branch of ``spence`` without a log; Frank's
+    tau reads it at 1 - e^-t, t in {1} and [1.5, 745].
+    """
+    w = x - 1.0
+    return np.where(x == 1.0, 0.0, -w * np.polyval(_SPENCE_A, w) / np.polyval(_SPENCE_B, w))
+
+
+def _fsc_step(x: np.ndarray, w: np.ndarray) -> tuple:
+    """One Fritsch-Shafer-Crowley step towards w + log w = x: (new w, residual, w + 1)."""
+    r = x - w - _libm(math.log, w)
+    wp1 = w + 1.0
+    q = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (q - r) / (q - 2.0 * r)), r, wp1
+
+
+def _wrightomega(x: np.ndarray) -> np.ndarray:
+    """Wright omega at each real x, bit for bit scipy's ``wrightomega``.
+
+    The real algorithm of Lawrence, Corless & Jeffrey (2012, ACM TOMS Alg.
+    917): e^x below -50 and x above 1e20; else an initial guess (e^x below
+    -2, e^(2(x-1)/3) below 1, x - log x + log x / x from 1), one
+    Fritsch-Shafer-Crowley step and a second where the condition estimate
+    |(2w^2 - 8w - 1) r^4| >= 72 eps |w + 1|^6 asks for it.
+    """
+    out = x.copy()
+    low = x < -50.0
+    out[low] = _libm(math.exp, x[low])
+    solve = ~low & (x <= 1e20)
+    xs = x[solve]
+    w = np.empty_like(xs)
+    small = xs < 1.0
+    w[small] = _libm(math.exp, np.where(xs < -2.0, xs, 2.0 * (xs - 1.0) / 3.0)[small])
+    big = ~small
+    log_x = _libm(math.log, xs[big])
+    w[big] = xs[big] - log_x + log_x / xs[big]
+    w, r, wp1 = _fsc_step(xs, w)
+    lhs = np.abs((2.0 * w * w - 8.0 * w - 1.0) * _libm(math.pow, np.abs(r), 4.0))
+    again = lhs >= np.finfo(float).eps * 72.0 * _libm(math.pow, np.abs(wp1), 6.0)
+    w[again] = _fsc_step(xs[again], w[again])[0]
+    out[solve] = w
+    return out
 
 
 # smallest admitted Clayton theta: at or above it -theta/(1+theta) log p is
@@ -238,7 +375,7 @@ def conditional_v_given_u(family: str, theta, u, p):
         on = t != 1.0
         t, lu, q = t[on], -np.log(u[on]), p[on]
         c = lu + (t - 1.0) * np.log(lu) - np.log(q)
-        w = (t - 1.0) * special.wrightomega(c / (t - 1.0) - np.log(t - 1.0))
+        w = (t - 1.0) * _wrightomega(c / (t - 1.0) - np.log(t - 1.0))
         lv = w * np.maximum(-np.expm1(t * np.log(lu / w)), 0.0) ** (1.0 / t)
         v[on] = np.exp(-lv)
     return v if v.ndim else float(v)
@@ -271,7 +408,7 @@ def _frank_tau_and_slope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = np.where(small, 1.0, t)
     with np.errstate(over="ignore"):
         debye = math.pi**2 / 6 + big * np.log1p(-np.exp(-big))
-        debye -= special.spence(-np.expm1(-big))
+        debye -= _spence(-np.expm1(-big))
         tau_big = 1.0 - 4.0 / big + 4.0 * debye / (big * big)
         slope_big = (4.0 - 8.0 * debye / big) / (big * big) + 4.0 / (big * np.expm1(big))
     return np.where(small, tau, tau_big), np.where(small, slope, slope_big)
@@ -489,7 +626,7 @@ def sample_conditional(
     v = conditional_v_given_u(m.family, theta, e1, p)
     e2 = np.clip(v, 1e-12, 1.0 - 1e-12)
     return (
-        Sample(y1=xs + special.ndtri(e1), y2=-xs + special.ndtri(e2), x=xs),
+        Sample(y1=xs + _ndtri(e1), y2=-xs + _ndtri(e2), x=xs),
         TruthRecord(eps1=e1, eps2=e2, theta=theta),
     )
 

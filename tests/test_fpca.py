@@ -346,7 +346,7 @@ def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [40, 120])
-def test_leading_solve_without_the_mapped_lapack_uses_scipy(n, monkeypatch):
+def test_leading_solve_without_the_mapped_lapack_uses_numpy(n, monkeypatch):
     surfaces, mean = clayton_ensemble(n, "partial")
     centered = centered_trajectories(surfaces, mean)
     mapped = ensemble_eigensystem(centered, GRID, 16)

@@ -208,11 +208,13 @@ def test_dense_pseudo_rows_only_certify_near_ties():
 
 def test_libm_bit_matching_only_in_the_conditional_inverse():
     # element-wise libm calls keep the Clayton inverse on the bits of its
-    # scalar reference; no other map needs them
+    # scalar reference, and the ndtri and Wright omega ports on scipy's
+    # bits where numpy's AVX-512 log and exp differ from glibc's in the last
+    # bit; no other map needs them
     callers = set().union(
         *(callers_of(p.read_text(), "_libm") for p in PACKAGE_DIR.glob("*.py"))
     )
-    assert callers == {"conditional_v_given_u"}
+    assert callers == {"conditional_v_given_u", "_ndtri", "_fsc_step", "_wrightomega"}
 
 
 def test_blas_threads_limited_only_by_the_stages_that_call_blas():
@@ -316,31 +318,50 @@ def test_every_setting_has_a_caller():
     assert accepted == read
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats alone takes most of a second, at every start-up
-    code = "import sys, condcopula; print('scipy.stats' in sys.modules)"
+def loaded_after(code: str, package: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter loads ``package`` or a submodule."""
+    probe = (
+        f"{code}\n"
+        "import sys\n"
+        f"print(any(m == {package!r} or m.startswith({package!r} + '.') for m in sys.modules))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats alone takes most of a second, at every start-up,
+    # and the package imports no part of scipy at all
+    assert not loaded_after("import condcopula", "scipy.stats")
+    assert not loaded_after("import condcopula", "scipy")
 
 
 def test_fit_leaves_scipy_linalg_unloaded():
-    # the leading eigenpairs come from the LAPACK numpy already maps; scipy's
-    # own OpenBLAS is mapped by then (scipy.special), but importing
-    # scipy.linalg would still cost start-up time and resident memory
+    # the leading eigenpairs come from the LAPACK numpy already maps;
+    # importing scipy.linalg would cost start-up time and resident memory and
+    # map a second OpenBLAS, whose threads limited_threads would not reach;
+    # no sampler, fit or estimate loads any part of scipy
     code = (
-        "import sys\n"
         "from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline\n"
         "from condcopula.simulate import ConditionalModel, TauLink, sample_conditional\n"
         "model = ConditionalModel(family='clayton', link=TauLink(form='sine', a=0.4, b=0.25))\n"
         "s, _ = sample_conditional(model, 100, 3)\n"
         "evaluate_fit(fit_pipeline(s, PipelineConfig(grid_size=9)), 0.5)\n"
-        "print('scipy.linalg' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert not loaded_after(code, "scipy.linalg")
+    # sampling every family under both covariate laws, a fit and an estimate
+    every_sampler = (
+        "from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline\n"
+        "from condcopula.simulate import ConditionalModel, TauLink, sample_conditional\n"
+        "links = {'independence': 'constant:0', 'clayton': 'sine:0.4,0.25',\n"
+        "         'frank': 'sine:0.4,0.25', 'fgm': 'sine:0,0.2', 'gumbel': 'sine:0.4,0.25'}\n"
+        "for law in ('uniform', 'normal'):\n"
+        "    for family, link in links.items():\n"
+        "        model = ConditionalModel(family=family, link=TauLink.parse(link), covariate=law)\n"
+        "        s, _ = sample_conditional(model, 100, 3)\n"
+        "evaluate_fit(fit_pipeline(s, PipelineConfig(grid_size=9)), 0.5)\n"
     )
-    assert out.stdout.strip() == "False"
+    assert not loaded_after(every_sampler, "scipy")

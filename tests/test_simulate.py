@@ -307,6 +307,125 @@ def test_normals_from_the_extreme_words_are_finite_and_opposite():
     assert x[0] < 0 and x[0] == -x[1]
 
 
+def assert_same_bits(got, want):
+    """Equal as int64 words, so -0.0 and +0.0 differ and NaNs must match."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def neighbours(values, ulps: int = 3) -> np.ndarray:
+    """Each value and the floats up to ``ulps`` steps either side of it."""
+    out = []
+    for v in np.atleast_1d(np.asarray(values, dtype=float)):
+        lo = hi = v
+        out.append(v)
+        for _ in range(ulps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def ndtri_inputs() -> dict:
+    """Inputs to the ndtri port, one entry per branch or sampler form."""
+    rng = np.random.default_rng(20120917)
+    words = rng.integers(0, 2**64, 100000, dtype=np.uint64, endpoint=False)
+    corners = [2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12, 0.5]
+    tail = np.exp(-rng.uniform(2.0, 32.0, 50000))
+    far = np.exp(-rng.uniform(32.0, 744.0, 50000))
+    cuts = neighbours(
+        [*corners, math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+         0.13533528323661269189, 1.0 - 0.13533528323661269189],
+    )
+    return {
+        "centre": rng.uniform(math.exp(-2.0), 1.0 - math.exp(-2.0), 50000),
+        "tail below 8": np.concatenate([tail, 1.0 - tail]),
+        "tail beyond 8": np.concatenate([far, [5e-324, 1e-300, 2.0**-1074 * 3]]),
+        "53-bit uniform, clipped": np.clip(
+            (words >> np.uint64(11)).astype(float) * 2.0**-53, 1e-12, 1.0 - 1e-12
+        ),
+        "open 52-bit uniform": ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52,
+        "cuts and corners": cuts[(0.0 < cuts) & (cuts < 1.0)],
+    }
+
+
+@pytest.mark.parametrize("branch", sorted(ndtri_inputs()))
+def test_ndtri_port_has_scipys_bits(branch):
+    y = ndtri_inputs()[branch]
+    assert_same_bits(simulate._ndtri(y), special.ndtri(y))
+    # and in the shape of the K score rows of the synthetic sampler
+    rows = np.resize(y, (4, 250))
+    assert_same_bits(simulate._ndtri(rows), special.ndtri(rows))
+
+
+def test_spence_port_has_scipys_bits_on_franks_arguments():
+    # Frank's tau reads spence at 1 - e^-t for t = 1 (below the series cut)
+    # and t in [1.5, 745]; from t of about 37.4 on the argument is 1.0
+    rng = np.random.default_rng(1)
+    t = np.concatenate([
+        [1.0, 1.5, 37.0, 38.0, 745.0],
+        np.linspace(1.5, 745.0, 20001),
+        np.exp(rng.uniform(math.log(1.5), math.log(745.0), 50000)),
+        neighbours([1.5, 36.7, 37.4]),
+    ])
+    x = -np.expm1(-t)
+    assert np.any(x == 1.0) and np.any(x < 1.0)
+    assert_same_bits(simulate._spence(x), special.spence(x))
+    assert_same_bits(simulate._spence(np.array(x[0])), special.spence(x[0]))
+
+
+WRIGHTOMEGA_REGIONS = {
+    "below -50": (-745.0, -50.0),
+    "[-50, -2)": (-50.0, -2.0),
+    "[-2, 1)": (-2.0, 1.0),
+    "[1, 1e20]": (1.0, 1e20),
+    "above 1e20": (1e20, 1e300),
+}
+
+
+@pytest.mark.parametrize("region", sorted(WRIGHTOMEGA_REGIONS))
+def test_wrightomega_port_has_scipys_bits(region, monkeypatch):
+    lo, hi = WRIGHTOMEGA_REGIONS[region]
+    rng = np.random.default_rng(917)
+    if lo > 0 and hi / lo > 1e6:
+        x = np.exp(rng.uniform(math.log(lo), math.log(hi), 40000))
+    else:
+        x = rng.uniform(lo, hi, 40000)
+    x = np.concatenate([x, neighbours([lo, hi])])
+    x = x[(lo <= x) & (x <= hi)]
+    steps = []
+    fsc_step = simulate._fsc_step
+
+    def counted(xs, w):
+        steps.append(xs.size)
+        return fsc_step(xs, w)
+
+    monkeypatch.setattr(simulate, "_fsc_step", counted)
+    assert_same_bits(simulate._wrightomega(x), special.wrightomega(x))
+    if region in ("below -50", "above 1e20"):
+        # both ends skip the iteration for all but their edge values
+        assert steps[0] <= 7
+    else:
+        # the second step is taken for some values and not for others
+        assert 0 < steps[1] < steps[0]
+
+
+def test_wrightomega_port_on_the_gumbel_inverse_arguments():
+    # the Gumbel inverse reads omega at c/(t - 1) - log(t - 1), which grows
+    # as t falls to 1
+    rng = np.random.default_rng(5)
+    t = 1.0 + np.concatenate(
+        [np.exp(-rng.uniform(0.0, 36.0, 20000)), rng.uniform(0.0, 49.0, 20000)]
+    )
+    t = t[t > 1.0]
+    lu = -np.log(rng.uniform(1e-12, 1.0 - 1e-12, t.size))
+    p = rng.uniform(1e-12, 1.0 - 1e-12, t.size)
+    c = lu + (t - 1.0) * np.log(lu) - np.log(p)
+    x = c / (t - 1.0) - np.log(t - 1.0)
+    assert x.min() < -2.0 and x.max() > 1e15
+    assert_same_bits(simulate._wrightomega(x), special.wrightomega(x))
+
+
 def test_normal_covariate_is_standard_normal():
     model = ConditionalModel(
         family="independence", link=TauLink(form="constant", a=0.0), covariate="normal"
