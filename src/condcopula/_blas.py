@@ -1,4 +1,4 @@
-"""Thread count and leading eigenpairs through the OpenBLAS loaded in this process.
+"""Thread count of the OpenBLAS loaded in this process, and leading eigenpairs.
 
 After every multithreaded call OpenBLAS keeps its worker threads spinning
 for a while (about 0.2 s of CPU per call on a 2-core box) before they sleep.
@@ -24,28 +24,26 @@ most ``_RITZ_TOL`` times the largest Ritz value. The start vector is the
 Weyl sequence frac(i * 0.618...) - 0.5: it has no structure that the fit's
 eigenvectors share, where an all-ones vector is orthogonal to every
 eigenfunction of zero integral. The other shapes, and any run whose beta
-collapses to rounding at some step or whose budget runs out, go to LAPACK's
-``dsyevr`` with an index range: the tridiagonal reduction, then bisection
-and inverse iteration for the chosen eigenpairs alone (MRRR when all are
-chosen). A collapse means the start vector lies in an invariant subspace of
-fewer eigenvectors than the run needs, as with a rank-deficient stack; the
-dense route then returns its own bits. One start vector sees, in exact
+collapses to rounding at some step or whose budget runs out, take numpy's
+full ``eigh`` and keep its last ``count`` pairs. A collapse means the start
+vector lies in an invariant subspace of fewer eigenvectors than the run
+needs, as with a rank-deficient stack. One start vector sees, in exact
 arithmetic, a single direction of an exactly repeated eigenvalue's
 eigenspace, and only rounding brings in another; continuous data does not
 produce a repeated eigenvalue among the leading ones, and a repeated zero
-breaks down to ``dsyevr``. For the 16
-leading eigenpairs of the fit's matrices, on one thread, the Lanczos route
-took 36-48 steps; it was level with ``dsyevr`` at N = 200 and 2-11 times
-faster at N = 400-2601, with eigenvalues within 2.3e-15 * lambda_1 of
-``dsyevr``'s.
+breaks down to ``eigh``. For the 16 leading eigenpairs of the benchmark's
+matrices (N = 200, 400, 441 and 800, seeds 1 and 58213), the Lanczos route
+took 36-52 steps. On one thread it took 1.6-12 ms on the fit's matrices of
+those orders, where ``eigh`` took 3.0-91 ms. Both routes leave ``a`` as it
+was.
 
-The dense route calls the 64-bit-integer LAPACKE entry of the
-scipy-openblas library that numpy bundles, which is already mapped into the
-process. Only where that library is absent does it fall back to numpy's
-full ``eigh`` and keep the last ``count`` pairs. It imports nothing: the
-package needs numpy alone, and a BLAS mapped after ``_controls`` has listed
-the loaded libraries would run threads that ``limited_threads`` cannot
-reach.
+The full ``eigh`` solves for every eigenpair, so a dense solve of a few
+pairs at large N costs about twice what an index-range solve would: at
+N = 2601 and count 16 on a random spectrum, 3.4 s against 1.5 s. Only a
+Lanczos breakdown (a rank below about the count) or a count above
+N / 6 - 16 (a large fixed K) reaches that shape. The module imports no
+package but numpy: a BLAS mapped after ``_controls`` has listed the loaded
+libraries would run threads that ``limited_threads`` cannot reach.
 """
 
 from __future__ import annotations
@@ -62,11 +60,8 @@ __all__ = ["leading_eigh", "limited_threads"]
 # (prefix, suffix) of the thread-count symbols: the scipy-openblas wheels
 # that numpy and scipy bundle, then a system OpenBLAS
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
-# LAPACKE_dsyevr of numpy's scipy-openblas wheel, with 64-bit integers
-_DSYEVR = "scipy_LAPACKE_dsyevr64_"
-_COL_MAJOR = 102
 # Lanczos: a step budget of 3 * count + 48, taken only where N is at least
-# twice it; on one thread the two routes tie at N of 1.6-2 budgets (count 1-24)
+# twice it, where it tied an index-range dense solve on one thread (count 1-24)
 _STEP_FACTOR = 3
 _STEP_SLACK = 48
 _CROSSOVER = 2
@@ -111,27 +106,6 @@ def _controls() -> tuple:
     return tuple(controls)
 
 
-@lru_cache(maxsize=1)
-def _dsyevr():
-    """The mapped ``LAPACKE_dsyevr`` with 64-bit integers, or None."""
-    for lib in _libraries():
-        fn = getattr(lib, _DSYEVR, None)
-        if fn is None:
-            continue
-        i64 = ctypes.c_int64
-        doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-        ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        fn.argtypes = [
-            ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobz, range, uplo
-            i64, doubles, i64,  # n, a, lda
-            ctypes.c_double, ctypes.c_double, i64, i64, ctypes.c_double,  # vl, vu, il, iu, abstol
-            ints, doubles, doubles, i64, ints,  # m, w, z, ldz, isuppz
-        ]
-        fn.restype = i64
-        return fn
-    return None
-
-
 def _budget(count: int) -> int:
     """Lanczos steps allowed for the ``count`` largest eigenpairs."""
     return _STEP_FACTOR * count + _STEP_SLACK
@@ -141,7 +115,7 @@ def _lanczos(a: np.ndarray, count: int):
     """The ``count`` largest eigenpairs of symmetric ``a`` by Lanczos, or None.
 
     None when beta collapses or the step budget runs out first; ``a`` is
-    only read, so the dense route can take it as it was.
+    only read.
     """
     N = a.shape[0]
     steps = _budget(count)
@@ -179,47 +153,30 @@ def leading_eigh(a: np.ndarray, count: int) -> tuple:
     """The ``count`` largest eigenvalues of symmetric ``a`` and their eigenvectors.
 
     Returns (eigenvalues ascending, eigenvectors as the columns of an
-    (N, count) array). ``a`` must be a C-contiguous float64 N x N matrix
-    equal to its transpose, and ``count`` in 1..N. Where N is at least
+    (N, count) array). ``a`` must be a float64 N x N matrix equal to its
+    transpose, and ``count`` in 1..N; it is only read. Where N is at least
     ``_CROSSOVER`` times the step budget ``_budget(count)``, Lanczos
-    (``_lanczos``) reads the whole matrix and leaves it as it was. When its
-    beta collapses to ``_COLLAPSE`` times the largest |alpha| or below, or
-    its budget runs out before every requested Ritz bound is at most
-    ``_RITZ_TOL`` times the largest Ritz value, and at every other shape,
-    ``dsyevr`` reads one triangle and overwrites ``a``. The route thus
+    (``_lanczos``) reads the whole matrix. When its beta collapses to
+    ``_COLLAPSE`` times the largest |alpha| or below, or its budget runs out
+    before every requested Ritz bound is at most ``_RITZ_TOL`` times the
+    largest Ritz value, and at every other shape, ``np.linalg.eigh`` reads
+    one triangle and its last ``count`` pairs are returned. The route thus
     depends on (N, count) and convergence alone. One start vector sees a
     single direction of an exactly repeated eigenvalue's eigenspace in exact
     arithmetic; continuous data does not produce one among the leading
-    eigenvalues, and a rank-deficient matrix breaks down to ``dsyevr``.
+    eigenvalues, and a rank-deficient matrix breaks down to ``eigh``.
     """
     N = a.shape[0]
-    if a.shape != (N, N) or a.dtype != np.float64 or not a.flags.c_contiguous:
-        raise ValueError("leading_eigh needs a C-contiguous float64 square matrix")
+    if a.shape != (N, N) or a.dtype != np.float64:
+        raise ValueError("leading_eigh needs a float64 square matrix")
     if not 1 <= count <= N:
         raise ValueError(f"count={count} out of range 1..{N}")
     if N >= _CROSSOVER * _budget(count):
         found = _lanczos(a, count)
         if found is not None:
             return found
-    dsyevr = _dsyevr()
-    if dsyevr is None:
-        w, v = np.linalg.eigh(a)
-        return w[N - count:], v[:, N - count:]
-    found = np.zeros(1, dtype=np.int64)
-    w = np.empty(N)
-    # column-major N x count: row j is the j-th eigenvector
-    z = np.empty((count, N))
-    isuppz = np.empty(2 * count, dtype=np.int64)
-    # a symmetric C-order array is its own column-major form
-    info = dsyevr(
-        _COL_MAJOR, b"V", b"I", b"L", N, a, N,
-        0.0, 0.0, N - count + 1, N, 0.0, found, w, z, N, isuppz,
-    )
-    if info != 0 or found[0] != count:
-        raise np.linalg.LinAlgError(
-            f"dsyevr failed: info={info}, {found[0]} of {count} eigenpairs"
-        )
-    return w[:count], z.T
+    w, v = np.linalg.eigh(a)
+    return w[N - count:], v[:, N - count:]
 
 
 @contextmanager

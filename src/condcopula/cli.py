@@ -106,8 +106,8 @@ def _bandwidth(text: str, label: str):
         val = float(text)
     except ValueError:
         raise ValueError(f"{label} must be a number or 'auto'") from None
-    if val <= 0:
-        raise ValueError(f"{label} must be positive")
+    if not 0 < val < float("inf"):  # also a NaN
+        raise ValueError(f"{label} must be finite and positive, got {text}")
     return val
 
 

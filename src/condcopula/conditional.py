@@ -109,8 +109,8 @@ class KernelSpec:
                 f"choose one of {KERNEL_FAMILIES}"
             )
         object.__setattr__(self, "family", fam)
-        if not (self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:  # also a NaN
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 
 
 def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
@@ -201,7 +201,8 @@ class PseudoSample:
         e2 = np.array(self.eps2, dtype=float)
         if e1.shape != e2.shape or e1.ndim != 1:
             raise ValueError("eps1, eps2 must be 1-d arrays of equal length")
-        if np.any(e1 < 0) or np.any(e1 > 1) or np.any(e2 < 0) or np.any(e2 > 1):
+        # a NaN fails both comparisons, so it is rejected too
+        if not (np.all((e1 >= 0) & (e1 <= 1)) and np.all((e2 >= 0) & (e2 <= 1))):
             raise ValueError("pseudo-observations must lie in [0, 1]")
         e1.setflags(write=False)
         e2.setflags(write=False)

@@ -84,8 +84,8 @@ class PipelineConfig:
             raise ValueError(f"K must be a non-negative integer or None, got {K!r}")
         for name in ("h", "g1", "g2", "h_alpha"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"bandwidth {name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"bandwidth {name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

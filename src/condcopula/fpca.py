@@ -193,7 +193,8 @@ def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> Eige
     covariance operator, and C^T u, rescaled to unit quadrature norm, is the
     eigenfunction of eigenvector u. A direction with C^T u = 0 gets
     eigenvalue 0 and a zero eigenfunction. Only the leading eigenpairs are
-    solved for (``_blas.leading_eigh``). The system holds
+    kept (``_blas.leading_eigh``: Lanczos where the matrix order is large
+    against the count, numpy's full ``eigh`` elsewhere). The system holds
     min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
     """
     n = centered.shape[0]

@@ -6,8 +6,9 @@ and the route of the leading eigenpairs.
 ``_blas.limited_threads(1)``, and no other code manages BLAS threads
 (``tests/test_package.py``), so the fit and every harness experiment give
 the same bits at any BLAS thread count. ``_blas.leading_eigh`` picks Lanczos
-or ``dsyevr`` from the matrix order and the count alone, and returns the
-``dsyevr`` bits whenever Lanczos does not converge.
+or numpy's full ``eigh`` from the matrix order and the count alone, returns
+the ``eigh`` bits whenever Lanczos does not converge, and on no route writes
+to the matrix it is given.
 """
 
 import json
@@ -146,6 +147,34 @@ def test_the_route_depends_only_on_the_shape_and_convergence(N, count, monkeypat
             assert np.array_equal(w, dw) and np.array_equal(v, dv)
     # the zero matrix collapses at the first step
     assert not ROUTES[N, count] or calls[-1] == (N, count, False)
+
+
+def rank_six(N):
+    b = np.random.default_rng(4).standard_normal((N, 6))
+    return b @ b.T
+
+
+# (matrix, count, Ritz tolerance, the Lanczos run expected: None or (N, count, converged))
+UNTOUCHED = {
+    "dense 81x81, 5 pairs": (lambda: spectra(81)[0], 5, _blas._RITZ_TOL, None),
+    "dense 191x191, 16 pairs": (lambda: spectra(191)[0], 16, _blas._RITZ_TOL, None),
+    "dense 400x400, all pairs": (lambda: spectra(400)[0], 400, _blas._RITZ_TOL, None),
+    "lanczos 400x400, 16 pairs": (lambda: spectra(400)[0], 16, _blas._RITZ_TOL, (400, 16, True)),
+    "breakdown": (lambda: rank_six(400), 16, _blas._RITZ_TOL, (400, 16, False)),
+    "unconverged": (lambda: spectra(400)[0], 16, -1.0, (400, 16, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTOUCHED))
+def test_the_matrix_is_left_as_it_was_on_every_route(case, monkeypatch):
+    make, count, tol, run = UNTOUCHED[case]
+    monkeypatch.setattr(_blas, "_RITZ_TOL", tol)
+    calls = lanczos_spy(monkeypatch)
+    a = make()
+    before = a.copy()
+    _blas.leading_eigh(a, count)
+    assert calls == ([] if run is None else [run])
+    assert np.array_equal(a, before)
 
 
 def test_an_unconverged_run_returns_the_dense_bits(monkeypatch):

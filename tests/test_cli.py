@@ -130,6 +130,23 @@ def test_no_subcommand_exits_one(capsys):
     assert run([]) == 1
 
 
+def test_non_finite_bandwidth_is_validation_error(tmp_path, capsys):
+    # an infinite g1 or g2 made every pseudo-observation NaN, and an infinite
+    # h or h_alpha ended in a degenerate-weights failure
+    data = simulate(tmp_path, n=300)
+    for flag in ("--h", "--g1", "--g2", "--h-alpha"):
+        for value in ("inf", "nan"):
+            out = tmp_path / f"{flag[2:]}{value}.json"
+            code = run(["estimate", "--in", str(data), "--x", "0.5", flag, value,
+                        "--out", str(out)])
+            assert code == 1
+            assert f"{flag} must be finite and positive, got {value}" in capsys.readouterr().err
+            assert not out.exists()
+    code = run(["fpca", "--in", str(data), "--h", "inf", "--out", str(tmp_path / "f.json")])
+    assert code == 1
+    assert "--h must be finite and positive, got inf" in capsys.readouterr().err
+
+
 def test_invalid_bandwidth_text(tmp_path, capsys):
     data = simulate(tmp_path)
     code = run(["estimate", "--in", str(data), "--x", "0.5",

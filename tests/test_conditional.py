@@ -90,8 +90,9 @@ def test_unknown_kernel_family_rejected():
 
 
 def test_nonpositive_bandwidth_rejected():
-    with pytest.raises(ValueError, match="bandwidth"):
-        KernelSpec(bandwidth=0.0)
+    for bandwidth in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            KernelSpec(bandwidth=bandwidth)
 
 
 # --------------------------------------------------- conditional CDF/quantile
@@ -222,6 +223,15 @@ def test_pseudo_margins_nearly_uniform_on_simulated_model():
 
 
 # --------------------------------------------------------- empirical copula
+
+
+@pytest.mark.parametrize("margin", ["eps1", "eps2"])
+def test_pseudo_observations_outside_the_unit_interval_rejected(margin):
+    for bad in (np.nan, -1e-300, 1.0 + 2**-52):
+        values = {"eps1": np.array([0.2, 0.6]), "eps2": np.array([0.1, 0.8])}
+        values[margin][1] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            PseudoSample(**values)
 
 
 def test_empirical_copula_corners():

@@ -242,7 +242,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "bad",
     [{"K": -1}, {"K": 1.5}, {"h": -0.1}, {"g1": 0.0}, {"g2": -2.0},
-     {"h_alpha": 0.0}, {"h": float("nan")}],
+     {"h_alpha": 0.0}, {"h": float("nan")}, {"h": np.inf}, {"g1": np.inf},
+     {"g2": np.inf}, {"h_alpha": np.inf}],
 )
 def test_bad_config_rejected_before_any_stage_runs(bad, monkeypatch):
     def fail(*args, **kwargs):

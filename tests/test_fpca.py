@@ -337,7 +337,7 @@ def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
     calls = lanczos_spy(monkeypatch)
     got = ensemble_eigensystem(centered, grid, 16)
     assert calls == [(300, 16, False)]
-    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # dsyevr alone
+    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # the dense route alone
     want = ensemble_eigensystem(centered, grid, 16)
     assert len(calls) == 1
     assert np.count_nonzero(want.eigenvalues) <= 6
@@ -345,15 +345,21 @@ def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
     assert np.array_equal(got.eigenfunctions, want.eigenfunctions)
 
 
-@pytest.mark.parametrize("n", [40, 120])
-def test_leading_solve_without_the_mapped_lapack_uses_numpy(n, monkeypatch):
-    surfaces, mean = clayton_ensemble(n, "partial")
-    centered = centered_trajectories(surfaces, mean)
-    mapped = ensemble_eigensystem(centered, GRID, 16)
-    monkeypatch.setattr(_blas, "_dsyevr", lambda: None)
-    fallback = ensemble_eigensystem(centered, GRID, 16)
-    assert fallback.total == mapped.total
-    assert_leading_system(fallback, mapped, 16)
+def test_dense_route_is_the_last_pairs_of_numpy_eigh(monkeypatch):
+    # N = 191 is one below the Lanczos crossover for 16 pairs; at N = 400 a
+    # matrix of rank 6 breaks the run down; a transposed view is accepted
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((191, 191)) / np.arange(1, 192)
+    low = rng.standard_normal((400, 6))
+    cases = {"by shape": b @ b.T, "after a breakdown": low @ low.T}
+    cases["transposed view"] = cases["by shape"].T
+    calls = lanczos_spy(monkeypatch)
+    for name, a in cases.items():
+        w, v = _blas.leading_eigh(a, 16)
+        want_w, want_v = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w[-16:]), name
+        assert np.array_equal(v, want_v[:, -16:]), name
+    assert calls == [(400, 16, False)]
 
 
 def test_cvp_past_the_leading_components_reads_the_whole_spectrum():

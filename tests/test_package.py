@@ -228,6 +228,13 @@ def test_blas_threads_limited_only_by_the_stages_that_call_blas():
     }
 
 
+def test_blas_symbols_looked_up_only_for_the_thread_count():
+    # the only symbols read from the mapped OpenBLAS are its thread-count
+    # functions; every eigenproblem goes through numpy
+    source = (PACKAGE_DIR / "_blas.py").read_text()
+    assert callers_of(source, "getattr") == {"_controls"}
+
+
 def test_no_generator_built_in_the_package():
     # every draw comes from the bulk substream words, so no code builds a
     # numpy bit generator or Generator

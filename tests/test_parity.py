@@ -37,7 +37,13 @@ them before, and the ``consistency`` (its n = 200 step) and both
 ``estimate`` digests also of the Lanczos route of ``_blas.leading_eigh``,
 where ``dsyevr`` solved those shapes before: their floats moved by at most
 3.9e-16 (the estimate grids by 1.1e-16, the estimate's reported eigengap by
-6.7e-16), with the same K, failures and checks.
+6.7e-16), with the same K, failures and checks. The ``consistency``,
+``consistency-failures``, ``benchmark`` and ``perturbation`` digests are of
+the dense route of ``leading_eigh`` as the last pairs of numpy's full
+``eigh``, where a partial LAPACK solve gave them before: the first three
+moved by at most 1.1e-16 and the perturbation residuals by 4.1e-15 (its
+largest unit-sphere identity gap went from 2.9e-16 to 5.0e-16), with the
+same K, failures and checks.
 """
 
 import hashlib
@@ -63,14 +69,14 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "55020441bb67d02a503b64438c6ea9243f549ee0726d8209563f0eff5d4755a7",
+        "3a10bb75f7d16de49be0bc4bf1cef36f114b4bce14a4f1d427092aca0faff7d0",
     ),
     "consistency-failures": (
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=10, seed=11, eval_points=(0.5,), grid_size=11,
              estimator={"h_alpha": 0.004}),
-        "c9eb3023194e8630d709e641e1a21098d55bc8da87dc0d44192df7b0ecb67602",
+        "76f4562e2783234322c17132df840a8323a3c8e8397a1aee88a15a0d4b8e3bcb",
     ),
     "bridge": (
         bridge_covariance_experiment,
@@ -84,7 +90,7 @@ EXPERIMENTS = {
         eigen_perturbation_experiment,
         dict(experiment="perturbation", n_ladder=(100, 200), replications=4,
              seed=4, grid_size=9),
-        "8100bc418233203686fe8c84df50d36c86a4b8dad004b50bec61daef9bc68dd3",
+        "e5f79e4b43c959bde8c6a018b081394275fc8518c3cc992f075a036524655cef",
     ),
     "uniformity": (
         uniformity_and_gap_experiment,
@@ -97,7 +103,7 @@ EXPERIMENTS = {
         benchmark_vs_baseline,
         dict(experiment="benchmark", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=9, eval_points=(0.5,), grid_size=11),
-        "72682bc3d10afde11f2232a5525e7aa58a4d8b704efbdcfd3f275d1b11332f35",
+        "6e710948dc8142a22d4de993aa48fd51454209d54ef431e8a06add423dce5336",
     ),
 }
 
