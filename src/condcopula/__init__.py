@@ -6,7 +6,6 @@ from .conditional import (
     KernelSpec,
     PseudoSample,
     Sample,
-    nw_weights,
     pseudo_observations,
 )
 from .errors import DegenerateSpectrumError, DegenerateWeightsError

@@ -17,11 +17,12 @@ from pathlib import Path
 from .conditional import KERNEL_FAMILIES, read_sample_csv, write_sample_csv
 from .errors import DegenerateWeightsError
 from .estimator import PipelineConfig, fit_pipeline, evaluate_fit
-from .grid import GridFunction, l2_norm, make_grid, sup_distance
+from .grid import make_grid
 from .harness import (
     ExperimentConfig,
     benchmark_vs_baseline,
     build_conditional_model,
+    grid_errors,
     uniformity_and_gap_experiment,
 )
 from .simulate import COVARIATE_LAWS, sample_conditional, true_conditional_copula
@@ -162,12 +163,7 @@ def _cmd_estimate(args) -> int:
         spec = {k: meta[k] for k in ("family", "link", "covariate") if k in meta}
         model = build_conditional_model(spec)
         true_surf = true_conditional_copula(model, args.x, make_grid(args.grid))
-        sup = sup_distance(est.surface, true_surf)
-        l2 = l2_norm(
-            GridFunction(
-                grid=true_surf.grid, values=est.surface.values - true_surf.values
-            )
-        )
+        sup, l2 = grid_errors(est.surface.values, true_surf)
         print(f"error vs truth: sup={sup:.6f} l2={l2:.6f}")
     print(f"wrote {out} and {csv_path} (K={est.K})")
     return 0

@@ -1,6 +1,7 @@
 """Kernel-weighted conditional distribution machinery.
 
-Nadaraya-Watson weights, conditional probability transforms of the raw
+Nadaraya-Watson weights (``window_weights``, the one routine of the surfaces
+and the score regression), conditional probability transforms of the raw
 sample (pseudo-observations) and their ranks, the lattice ECDF ``joint_ecdf``,
 and one copula-lattice kernel, ``_copula_lattices``: with unit masses it is
 ``rank_copula``, the partial copula the harness also checks; with kernel
@@ -23,7 +24,7 @@ __all__ = [
     "Sample",
     "KernelSpec",
     "PseudoSample",
-    "nw_weights",
+    "window_weights",
     "pseudo_observations",
     "rank_copula",
     "joint_ecdf",
@@ -59,15 +60,21 @@ class Sample:
         for name, arr in (("y1", y1), ("y2", y2), ("x", x)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite value in {name}")
-        for arr in (y1, y2, x):
             arr.setflags(write=False)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "y2", y2)
-        object.__setattr__(self, "x", x)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.y1.size
+
+    @cached_property
+    def x_order(self) -> tuple:
+        """The read-only stable argsort of x (ties keep sample order) and x in that order."""
+        order = np.argsort(self.x, kind="stable")
+        xs = self.x[order]
+        order.setflags(write=False)
+        xs.setflags(write=False)
+        return order, xs
 
     def margin(self, j: int) -> np.ndarray:
         if j == 1:
@@ -125,59 +132,35 @@ def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def _degenerate_at(x: float) -> DegenerateWeightsError:
-    return DegenerateWeightsError(
-        f"degenerate weights (all kernel values are zero) at x={x:g}; "
-        "enlarge the bandwidth"
-    )
-
-
 def _row_totals(kv: np.ndarray) -> np.ndarray:
     """Sequential, left-to-right sums of kernel values along the last axis.
 
     Every NW weight outside the pseudo-observation ranks divides by this
-    total; an empty window totals 0. Adding an exact zero leaves a
-    sequential sum unchanged, so the total over a kernel window in sample
-    order is the float of the total over all n columns, whichever block of
-    evaluation points the window was gathered for. A pairwise sum groups its
-    terms by position, so its float would depend on the zeros and neighbours
-    around the window (Higham 2002, section 4.2).
+    total (``window_weights``); an empty window totals 0. Adding an exact
+    zero leaves a sequential sum unchanged, so the total over a kernel window
+    in sample order is the float of the total over all n columns, whichever
+    block of evaluation points the window was gathered for. A pairwise sum
+    groups its terms by position, so its float would depend on the zeros and
+    neighbours around the window (Higham 2002, section 4.2).
     """
     if kv.shape[-1] == 0:
         return np.zeros(kv.shape[:-1])
     return np.cumsum(kv, axis=-1)[..., -1]
 
 
-def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
-    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h).
-
-    The total is summed in sample order (``_row_totals``), so these are the
-    floats of the window-local weights of ``weighted_copula_surfaces``.
-    Raises ``DegenerateWeightsError`` when every kernel value at x is zero.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size < 1:
-        raise ValueError("need at least one covariate value")
-    kv = kernel_values(k.family, (x - xs) / k.bandwidth)
-    total = _row_totals(kv)
-    if total <= 0.0:
-        raise _degenerate_at(x)
-    return kv / total
-
-
-def _kernel_blocks(x_eval, xs, k: KernelSpec):
-    """Kernel values at ``x_eval`` over the sample ``xs``, block by block.
+def _kernel_blocks(x_eval, s: Sample, k: KernelSpec):
+    """Kernel values at ``x_eval`` over the sample ``s``, block by block.
 
     Yields ``(points, union, kv)`` for each block of up to ``_BLOCK`` (32)
     evaluation points in stable x order. ``union`` holds, in sample order,
-    every member of the points' kernel windows: the observations with a
-    nonzero kernel value there. The support is padded by more than the
-    rounding of (x - X_i) / h, and the Gaussian window is the whole sample.
-    ``kv`` holds the kernel values over ``union``.
+    every member of the points' kernel windows, found in ``s.x_order``: the
+    observations with a nonzero kernel value there. The support is padded by
+    more than the rounding of (x - X_i) / h, and the Gaussian window is the
+    whole sample. ``kv`` holds the kernel values over ``union``.
     """
-    x_order = np.argsort(xs, kind="stable")
-    x_sorted = xs[x_order]
-    scale = max(np.abs(x_sorted).max(), np.abs(x_eval).max(initial=0.0)) + k.bandwidth
+    x_order, x_sorted = s.x_order
+    # the largest |X_i| is at an end of the sorted sample
+    scale = max(-x_sorted[0], x_sorted[-1], np.abs(x_eval).max(initial=0.0)) + k.bandwidth
     reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
     lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
@@ -185,8 +168,33 @@ def _kernel_blocks(x_eval, xs, k: KernelSpec):
     for start in range(0, x_eval.size, _BLOCK):
         points = eval_order[start : start + _BLOCK]
         union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
-        kv = kernel_values(k.family, (x_eval[points, None] - xs[None, union]) / k.bandwidth)
+        kv = kernel_values(k.family, (x_eval[points, None] - s.x[None, union]) / k.bandwidth)
         yield points, union, kv
+
+
+def window_weights(x_eval, s: Sample, k: KernelSpec):
+    """Nadaraya-Watson weights at ``x_eval`` over the sample ``s``, block by block.
+
+    Yields ``(points, union, w)`` for each block of ``_kernel_blocks``, where
+    row b of ``w`` is K((x - X_i)/h) / sum_j K((x - X_j)/h) at ``points[b]``
+    over the ``union`` members, each total a ``_row_totals`` sum: the floats
+    of the weights over all n observations. A block with a point whose kernel
+    values all vanish is skipped, and after the last block the first such
+    point in input order is named in a ``DegenerateWeightsError``.
+    """
+    x_eval = np.asarray(x_eval, dtype=float)
+    degenerate = []
+    for points, union, kv in _kernel_blocks(x_eval, s, k):
+        totals = _row_totals(kv)
+        if np.any(totals <= 0.0):
+            degenerate.append(points[totals <= 0.0].min())
+            continue
+        yield points, union, kv / totals[:, None]
+    if degenerate:
+        raise DegenerateWeightsError(
+            f"degenerate weights (all kernel values are zero) at "
+            f"x={x_eval[min(degenerate)]:g}; enlarge the bandwidth"
+        )
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,7 @@ def pseudo_observations(s: Sample, k1: KernelSpec, k2: KernelSpec) -> PseudoSamp
     eps = {1: np.empty(s.n), 2: np.empty(s.n)}
     groups = [(k1, (1, 2))] if k2 == k1 else [(k1, (1,)), (k2, (2,))]
     for k, margins in groups:
-        for rows, union, kv in _kernel_blocks(s.x, s.x, k):
+        for rows, union, kv in _kernel_blocks(s.x, s, k):
             totals = kv.sum(axis=1)
             for j in margins:
                 y = s.margin(j)
@@ -299,7 +307,7 @@ def _dense_pseudo_rows(s: Sample, k: KernelSpec, j: int, rows: np.ndarray) -> np
     """
     y = s.margin(j)
     out = np.empty(rows.size)
-    for points, union, kv in _kernel_blocks(s.x[rows], s.x, k):
+    for points, union, kv in _kernel_blocks(s.x[rows], s, k):
         full = np.zeros((points.size, s.n))
         full[:, union] = kv
         ind = y[None, :] <= y[rows[points], None]
@@ -389,32 +397,21 @@ def weighted_copula_surfaces(
     inverses of its own weighted margins. Returns an array of shape
     (len(xs_eval), G, G).
 
-    The points go in blocks of ``_BLOCK`` (32) from ``_kernel_blocks``, each
-    with the union U of their windows. Each weight divides by the sequential
-    total of its point's kernel values (``_row_totals``, as in
-    ``nw_weights``), and one ``_copula_lattices`` call per block turns the
-    weights and the members' ``pseudo.ranks`` into the block's lattices with
-    the thresholds ``levels - 1e-12``; the finished stack is clipped to
-    [0, 1] in place. A member outside a point's window has weight 0.0: it
-    adds an exact zero to every sum and is never the last member counted at
-    a level, since every grid level is above 0. So every surface is
-    bit-identical to evaluating all n observations with ``nw_weights``. A
-    block that holds a point whose weights all vanish is skipped; after the
-    last block the first such point in input order is named in a
-    ``DegenerateWeightsError``.
+    The points go in blocks of ``_BLOCK`` (32) from ``window_weights``,
+    each with the union U of their windows, and one ``_copula_lattices`` call
+    per block turns the weights and the members' ``pseudo.ranks`` into the
+    block's lattices with the thresholds ``levels - 1e-12``; the finished
+    stack is clipped to [0, 1] in place. A member outside a point's window
+    has weight 0.0: it adds an exact zero to every sum and is never the last
+    member counted at a level, since every grid level is above 0. So every
+    surface is bit-identical to evaluating all n observations with the same
+    weights. A point whose weights all vanish raises the
+    ``DegenerateWeightsError`` of ``window_weights``.
     """
-    xs_eval = np.asarray(xs_eval, dtype=float)
     thresholds = grid.nodes - 1e-12
-    out = np.empty((xs_eval.size, grid.G, grid.G))
-    degenerate = []
-    for block, union, kv in _kernel_blocks(xs_eval, s.x, k):
-        totals = _row_totals(kv)
-        if np.any(totals <= 0.0):
-            degenerate.append(block[totals <= 0.0].min())
-            continue
-        out[block] = _copula_lattices(pseudo.ranks[:, union], kv / totals[:, None], thresholds)
-    if degenerate:
-        raise _degenerate_at(xs_eval[min(degenerate)])
+    out = np.empty((len(xs_eval), grid.G, grid.G))
+    for block, union, w in window_weights(xs_eval, s, k):
+        out[block] = _copula_lattices(pseudo.ranks[:, union], w, thresholds)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -1,10 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer-setting check.
 
 Validation problems (bad arguments, malformed files) raise plain
 ``ValueError``; numerical failures that a caller can fix by changing a
 parameter (bandwidth, grid, model) raise ``DegenerateWeightsError`` so the
 CLI can map it to a distinct exit code.
 """
+
+import numbers
+
+
+def require_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; a bool, a non-integer or one below ``low`` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 class DegenerateWeightsError(RuntimeError):

@@ -5,16 +5,20 @@ per-observation trajectory surfaces, covariance eigendecomposition around the
 partial copula, component selection, kernel score regression, and the
 truncated reconstruction partial + sum_k alpha_k(x) phi_k, optionally clamped
 into the Frechet-Hoeffding envelope.
+
+The score regression ``eval_alpha`` weighs by ``conditional.window_weights``
+with its own bandwidth, the rule of thumb or ``--h-alpha``; there is no
+cross-validated selector (ROADMAP item 4 plans a leave-window-out one).
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import limited_threads
 from .conditional import (
     KernelSpec,
     PseudoSample,
@@ -23,7 +27,9 @@ from .conditional import (
     weighted_copula_surfaces,
     pseudo_observations,
     rule_of_thumb_bandwidth,
+    window_weights,
 )
+from .errors import DegenerateWeightsError, require_integer
 from .fpca import (
     EigenSystem,
     # perfbench/run.py wraps these two where this module looks them up
@@ -39,17 +45,19 @@ from .grid import (
     make_grid,
     write_grid_function_csv,
 )
-from .regression import eval_alpha
 
 __all__ = [
     "PipelineConfig",
     "FpcaFit",
     "ConditionalCopulaEstimate",
     "fit_pipeline",
+    "eval_alpha",
     "estimate_conditional_copula",
     "frechet_project",
 ]
 
+# the bandwidths of a config, in the order the diagnostics list them
+_BANDWIDTHS = ("h", "g1", "g2", "h_alpha")
 # leading components solved for under an automatic K; the CVP picks K = 1
 # to 8 on typical fits, and a threshold these miss gets the whole spectrum
 _LEADING = 16
@@ -75,14 +83,12 @@ class PipelineConfig:
     project: bool = True
 
     def __post_init__(self):
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
+        require_integer("grid_size", self.grid_size, 1)
         if self.K is None and not (0.0 < self.cvp_threshold <= 1.0):
             raise ValueError("automatic K needs a CVP threshold in (0, 1]")
-        K = self.K
-        if K is not None and not (isinstance(K, numbers.Integral) and K >= 0):
-            raise ValueError(f"K must be a non-negative integer or None, got {K!r}")
-        for name in ("h", "g1", "g2", "h_alpha"):
+        if self.K is not None:
+            require_integer("K", self.K, 0)
+        for name in _BANDWIDTHS:
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"bandwidth {name} must be finite and positive, got {value!r}")
@@ -145,12 +151,7 @@ class ConditionalCopulaEstimate:
 
 def _resolve_bandwidths(s: Sample, cfg: PipelineConfig) -> dict:
     rot = rule_of_thumb_bandwidth(s.x)
-    return {
-        "h": cfg.h if cfg.h is not None else rot,
-        "g1": cfg.g1 if cfg.g1 is not None else rot,
-        "g2": cfg.g2 if cfg.g2 is not None else rot,
-        "h_alpha": cfg.h_alpha if cfg.h_alpha is not None else rot,
-    }
+    return {name: rot if getattr(cfg, name) is None else getattr(cfg, name) for name in _BANDWIDTHS}
 
 
 def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
@@ -198,6 +199,21 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     )
 
 
+@limited_threads(1)
+def eval_alpha(x: float, s: Sample, scores: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """NW regression estimate of each score's conditional mean at x, a length-K array.
+
+    ``scores`` is (n, K), one row per observation of ``s``, else ``ValueError``.
+    The window weights at x go into a zero row of length n: the product then
+    has the bits of the dense weights, which a window-only product lacks. One
+    BLAS thread gives the same bits at any thread count.
+    """
+    [(_, union, w)] = window_weights([x], s, kernel)
+    row = np.zeros(s.n)
+    row[union] = w[0]
+    return row @ scores
+
+
 def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
     """Truncated reconstruction center + sum_k alpha_k(x) phi_k at x."""
     if not np.isfinite(x):
@@ -208,7 +224,10 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
         values = fit.center.values.copy()
     else:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
-        alpha = eval_alpha(x, fit.sample.x, fit.scores, h_alpha)
+        try:  # the only stage that can leave x without kernel mass
+            alpha = eval_alpha(x, fit.sample, fit.scores, h_alpha)
+        except DegenerateWeightsError as exc:
+            raise DegenerateWeightsError(f"{exc} h_alpha (--h-alpha)") from None
         values = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import require_integer
+
 __all__ = [
     "Grid2D",
     "GridFunction",
@@ -78,8 +80,9 @@ class GridFunction:
 def make_grid(G: int) -> Grid2D:
     """Build the G-node-per-axis midpoint grid.
 
-    Raises ``ValueError`` for G < 1 ("empty grid").
+    Raises ``ValueError`` for G < 1 ("empty grid") or a G not an integer.
     """
+    G = require_integer("G", G)
     if G < 1:
         raise ValueError("empty grid: G must be >= 1")
     return Grid2D(G=G)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .conditional import KernelSpec, PseudoSample, joint_ecdf, rank_copula, weighted_copula_surfaces
-from .errors import DegenerateWeightsError
+from .errors import DegenerateWeightsError, require_integer
 from .estimator import (
     PipelineConfig,
     estimate_conditional_copula,
@@ -64,10 +64,12 @@ def rep_seed(base: int, step: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Serializable experiment description; every sample size is at least 1.
+    """Serializable experiment description.
 
-    An experiment refuses, naming it, each setting it does not read: see
-    ``_READS``; the bridge experiment also reads exactly one sample size.
+    The sample sizes (each at least 1), replications, seed and grid size are
+    integers, never bools. An experiment refuses, naming it, each setting it
+    does not read: see ``_READS``; the bridge experiment also reads exactly
+    one sample size.
     """
 
     experiment: str
@@ -81,9 +83,9 @@ class ExperimentConfig:
     grid_size: int = 21
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        ladder = tuple(int(n) for n in self.n_ladder)
+        for name, low in (("replications", 1), ("seed", None), ("grid_size", 1)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), low))
+        ladder = tuple(require_integer("n-ladder sample size", n) for n in self.n_ladder)
         if not ladder:
             raise ValueError("n-ladder must hold at least one sample size")
         if min(ladder) < 1:
@@ -519,7 +521,7 @@ def uniformity_and_gap_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_ladder(cfg, ("ks", "gap", "exact_ecdf_gap"), one_rep, judge)
 
 
-def _grid_errors(values: np.ndarray, truth: GridFunction) -> tuple:
+def grid_errors(values: np.ndarray, truth: GridFunction) -> tuple:
     """Sup and L2 distances of a surface from the truth."""
     diff = GridFunction(grid=truth.grid, values=values - truth.values)
     return float(np.max(np.abs(diff.values))), l2_norm(diff)
@@ -541,8 +543,11 @@ def benchmark_vs_baseline(cfg: ExperimentConfig) -> ExperimentReport:
         fit = fit_pipeline(sample, est_cfg)
         est = evaluate_fit(fit, x_eval)
         k = KernelSpec(family=est_cfg.kernel_family, bandwidth=fit.bandwidths["h"])
-        base = weighted_copula_surfaces([x_eval], sample, k, fit.center.grid, fit.pseudo)[0]
-        return (*_grid_errors(est.surface.values, true_surf), *_grid_errors(base, true_surf))
+        try:  # its failure names its bandwidth
+            base = weighted_copula_surfaces([x_eval], sample, k, fit.center.grid, fit.pseudo)[0]
+        except DegenerateWeightsError as exc:
+            raise DegenerateWeightsError(f"{exc} h") from None
+        return (*grid_errors(est.surface.values, true_surf), *grid_errors(base, true_surf))
 
     def judge(raw):
         table = {

@@ -5,7 +5,9 @@ orders or lattice accumulation, so a test can compare it with the grid and
 lattice kernels in ``condcopula.conditional``. ``dense_pseudo_observations``
 and ``dense_weighted_copula_surfaces`` are the n x n, one-point-at-a-time
 forms of the blocked window-local stages. The surfaces must match theirs bit
-for bit: both take each weight's total as a sequential sum (``nw_weights``).
+for bit: both take each weight's total as a sequential sum (``nw_weights``,
+the dense form of ``conditional.window_weights`` over all n observations,
+which the score regression must also match bit for bit).
 The pseudo-observations must match the stable ranks of theirs, whose rows
 ``dense_weight_matrix`` normalises by pairwise sums.
 ``read_grid_function_csv`` reads back what
@@ -42,9 +44,8 @@ from condcopula.conditional import (
     PseudoSample,
     Sample,
     kernel_values,
-    nw_weights,
 )
-from condcopula.errors import DegenerateSpectrumError
+from condcopula.errors import DegenerateSpectrumError, DegenerateWeightsError
 from condcopula.fpca import EigenSystem, covariance_field, eigendecompose
 from condcopula.grid import Grid2D
 from condcopula.grid import GridFunction, l2_norm, make_grid
@@ -156,6 +157,22 @@ def read_grid_function_csv(path) -> GridFunction:
             raise ValueError(f"line {idx + 2}: expected 3 fields, got {len(parts)}")
         values[idx // G, idx % G] = float(parts[2])
     return GridFunction(grid=grid, values=values)
+
+
+def nw_weights(x: float, xs: np.ndarray, k: KernelSpec) -> np.ndarray:
+    """Nadaraya-Watson weights w_i = K((x - X_i)/h) / sum_j K((x - X_j)/h), all n of them.
+
+    The total is the sequential, left-to-right sum in sample order. A point
+    whose kernel values all vanish raises the ``DegenerateWeightsError`` that
+    ``conditional.window_weights`` raises there.
+    """
+    kv = kernel_values(k.family, (x - np.asarray(xs, dtype=float)) / k.bandwidth)
+    total = np.cumsum(kv)[-1]
+    if total <= 0.0:
+        raise DegenerateWeightsError(
+            f"degenerate weights (all kernel values are zero) at x={x:g}; enlarge the bandwidth"
+        )
+    return kv / total
 
 
 def dense_weight_matrix(xs: np.ndarray, k: KernelSpec) -> np.ndarray:

@@ -2,7 +2,7 @@
 and the route of the leading eigenpairs.
 
 ``fpca.covariance_field``, ``eigendecompose``, ``ensemble_eigensystem``,
-``scores`` and ``regression.eval_alpha`` each run under
+``scores`` and ``estimator.eval_alpha`` each run under
 ``_blas.limited_threads(1)``, and no other code manages BLAS threads
 (``tests/test_package.py``), so the fit and every harness experiment give
 the same bits at any BLAS thread count. ``_blas.leading_eigh`` picks Lanczos

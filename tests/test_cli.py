@@ -161,7 +161,8 @@ def test_degenerate_weights_exit_two(tmp_path, capsys):
                 "--h-alpha", "0.05", "--out", str(tmp_path / "e.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "bandwidth" in err  # the message names the parameter to change
+    # the message names the parameter to change
+    assert "enlarge the bandwidth h_alpha (--h-alpha)" in err
 
 
 def test_fpca_outputs(tmp_path, capsys):

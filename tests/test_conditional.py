@@ -16,11 +16,11 @@ from condcopula.conditional import (
     joint_ecdf,
     kernel_values,
     weighted_copula_surfaces,
-    nw_weights,
     pseudo_observations,
     rank_copula,
     read_sample_csv,
     rule_of_thumb_bandwidth,
+    window_weights,
     write_sample_csv,
 )
 from condcopula.errors import DegenerateWeightsError
@@ -32,6 +32,7 @@ from oracles import (
     dense_pseudo_observations,
     dense_weighted_copula_surfaces,
     empirical_copula,
+    nw_weights,
     rank_1based,
     traced_peak_mib,
     weighted_copula,
@@ -57,31 +58,48 @@ def toy_sample():
 # ---------------------------------------------------------------- weights
 
 
+def covariates(xs) -> Sample:
+    """A sample of the covariate values ``xs``, with zero responses."""
+    xs = np.asarray(xs, dtype=float)
+    return Sample(y1=np.zeros(xs.size), y2=np.zeros(xs.size), x=xs)
+
+
+def window_rows(x_eval, s: Sample, k: KernelSpec) -> np.ndarray:
+    """``window_weights`` at ``x_eval`` set into zero rows of length n, in input order."""
+    rows = np.zeros((len(x_eval), s.n))
+    for points, union, w in window_weights(x_eval, s, k):
+        rows[np.ix_(points, union)] = w
+    return rows
+
+
 def test_equal_covariates_give_uniform_weights():
-    xs = np.full(5, 0.3)
-    w = nw_weights(0.3, xs, KernelSpec(bandwidth=0.5))
+    w = window_rows([0.3], covariates(np.full(5, 0.3)), KernelSpec(bandwidth=0.5))
     assert np.allclose(w, 0.2)
 
 
 def test_single_point_in_window_takes_all_mass():
-    xs = np.array([0.5, 5.0, -7.0])
-    w = nw_weights(0.5, xs, KernelSpec(bandwidth=0.2))
-    assert np.allclose(w, [1.0, 0.0, 0.0])
+    w = window_rows([0.5], covariates([0.5, 5.0, -7.0]), KernelSpec(bandwidth=0.2))
+    assert np.allclose(w, [[1.0, 0.0, 0.0]])
 
 
 def test_out_of_window_everywhere_is_degenerate():
-    xs = np.array([5.0, 6.0])
+    s = covariates([5.0, 6.0])
     with pytest.raises(DegenerateWeightsError, match="at x=0;.*bandwidth"):
-        nw_weights(0.0, xs, KernelSpec(bandwidth=0.5))
+        list(window_weights([0.0], s, KernelSpec(bandwidth=0.5)))
 
 
 def test_weights_sum_to_one():
+    # in blocks of x order, at unsorted and repeated points, with every
+    # family; each row is the dense one bit for bit
     rng = np.random.default_rng(0)
-    xs = rng.random(40)
+    s = covariates(rng.random(40))
+    x_eval = rng.permutation(np.concatenate([np.linspace(0.0, 1.0, 30), s.x[:10]] * 2))
     for fam in ("epanechnikov", "gaussian", "uniform"):
-        w = nw_weights(0.4, xs, KernelSpec(family=fam, bandwidth=0.2))
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        k = KernelSpec(family=fam, bandwidth=0.2)
+        w = window_rows(x_eval, s, k)
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(w >= 0)
+        assert np.array_equal(w, [nw_weights(x, s.x, k) for x in x_eval])
 
 
 def test_unknown_kernel_family_rejected():
@@ -199,8 +217,9 @@ def test_isolated_row_degenerates_only_without_its_own_weight():
     # pseudo-observations keep it, the weights over the other observations
     # vanish
     assert pseudo_observations(s, k, k).eps1[2] == 1.0
+    others = Sample(y1=s.y1[:2], y2=s.y2[:2], x=s.x[:2])
     with pytest.raises(DegenerateWeightsError, match="at x=9;"):
-        nw_weights(s.x[2], s.x[:2], k)
+        list(window_weights([s.x[2]], others, k))
 
 
 def test_pseudo_needs_two_records():
@@ -291,6 +310,34 @@ def test_ranks_are_stable_read_only_and_computed_once():
     assert p.ranks is ranks
     with pytest.raises(ValueError, match="read-only"):
         ranks[0, 0] = 1
+
+
+def test_covariate_order_is_stable_read_only_and_computed_once(monkeypatch):
+    # one decimal ties the covariate; the kernel stages read the order the
+    # sample computed once, and sort no sample of their own
+    rng = np.random.default_rng(4)
+    s = Sample(y1=rng.normal(size=60), y2=rng.normal(size=60), x=np.round(rng.random(60), 1))
+    assert np.unique(s.x).size < 60
+    order, xs = s.x_order
+    assert np.array_equal(order, np.argsort(s.x, kind="stable"))
+    assert np.array_equal(xs, np.sort(s.x))
+    # ties keep sample order
+    assert all(np.all(np.diff(order[xs == v]) > 0) for v in np.unique(xs))
+    assert s.x_order[0] is order and s.x_order[1] is xs
+    for arr in (order, xs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # a fresh sample sorts its covariate once, however many weight passes read it
+    fresh = Sample(y1=s.y1, y2=s.y2, x=s.x)
+    sorted_samples = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: sorted_samples.append(a is fresh.x)
+                        or argsort(a, **kw))
+    for x_eval in (fresh.x.copy(), np.linspace(0.0, 1.0, 50), fresh.x[::-1].copy()):
+        assert np.array_equal(window_rows(x_eval, fresh, KernelSpec(bandwidth=0.2)),
+                              window_rows(x_eval, s, KernelSpec(bandwidth=0.2)))
+    assert sorted_samples.count(True) == 1
+    assert np.array_equal(fresh.x_order[0], order)
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (23, 2), (60, 3)])

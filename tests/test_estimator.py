@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from condcopula import estimator
-from condcopula.conditional import KernelSpec, PseudoSample
+from condcopula.conditional import KernelSpec, PseudoSample, Sample
 from condcopula.errors import DegenerateWeightsError
 from condcopula.estimator import (
     PipelineConfig,
     estimate_conditional_copula,
+    eval_alpha,
     evaluate_fit,
     fit_pipeline,
     frechet_project,
@@ -22,7 +23,6 @@ from condcopula.grid import (
     make_grid,
     sup_distance,
 )
-from condcopula.regression import eval_alpha
 from condcopula.simulate import (
     ConditionalModel,
     SyntheticKLModel,
@@ -87,7 +87,7 @@ def test_reconstruction_is_partial_plus_score_expansion():
     fit = fit_pipeline(s, cfg)
     if fit.K > 0:
         h_alpha = KernelSpec(cfg.kernel_family, fit.bandwidths["h_alpha"])
-        alpha = eval_alpha(0.5, s.x, fit.scores, h_alpha)
+        alpha = eval_alpha(0.5, s, fit.scores, h_alpha)
         manual = fit.center.values + np.einsum(
             "k,kab->ab", alpha, fit.eigen.eigenfunctions[: fit.K]
         )
@@ -165,7 +165,7 @@ def test_oracle_rank_one_model_median_error():
         xs, surfaces, _ = synthetic_kl_sample(model, 1000, seed=900 + rep)
         es = eigendecompose(grid, covariance_field(surfaces, model.mean))
         xi = scores(centered_trajectories(surfaces, model.mean), es, K=1)
-        alpha = eval_alpha(0.5, xs, xi, KernelSpec(bandwidth=0.1))
+        alpha = eval_alpha(0.5, Sample(y1=xs, y2=xs, x=xs), xi, KernelSpec(bandwidth=0.1))
         est = GridFunction(
             grid=grid,
             values=model.mean.values + alpha[0] * es.eigenfunctions[0],
@@ -184,7 +184,8 @@ def test_degenerate_weights_at_far_x():
     _, s = clayton_sample(n=100, seed=4)
     cfg = PipelineConfig(h_alpha=0.05)
     fit = fit_pipeline(s, cfg)
-    with pytest.raises(DegenerateWeightsError, match="at x=50; enlarge the bandwidth"):
+    with pytest.raises(DegenerateWeightsError,
+                       match=r"at x=50; enlarge the bandwidth h_alpha \(--h-alpha\)$"):
         evaluate_fit(fit, 50.0)
 
 
@@ -241,7 +242,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"K": -1}, {"K": 1.5}, {"h": -0.1}, {"g1": 0.0}, {"g2": -2.0},
+    [{"K": -1}, {"K": 1.5}, {"K": True}, {"grid_size": 7.5}, {"grid_size": True},
+     {"h": -0.1}, {"g1": 0.0}, {"g2": -2.0},
      {"h_alpha": 0.0}, {"h": float("nan")}, {"h": np.inf}, {"g1": np.inf},
      {"g2": np.inf}, {"h_alpha": np.inf}],
 )

@@ -46,6 +46,13 @@ def test_make_grid_empty_rejected():
         make_grid(0)
 
 
+@pytest.mark.parametrize("G", [2.5, 3.0, True, "3"])
+def test_make_grid_needs_an_integer(G):
+    # make_grid(2.5) gave the nodes [0.2, 0.6, 1.0], the last on the border
+    with pytest.raises(ValueError, match=f"G must be an integer, got {G!r}"):
+        make_grid(G)
+
+
 def test_inner_product_of_ones_is_one():
     g = make_grid(7)
     assert inner_product(constant(g, 1.0), constant(g, 1.0)) == pytest.approx(1.0)

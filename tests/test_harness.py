@@ -55,6 +55,34 @@ def test_sample_size_below_one_rejected():
         ExperimentConfig(experiment="x", n_ladder=(0, 5))
 
 
+@pytest.mark.parametrize("bad, message", [
+    # a truncated ladder ran n = 200 and 400, and a fractional seed ran as
+    # seed 1 while the report recorded 1.7
+    ({"n_ladder": (200.9, 400.2)}, "n-ladder sample size must be an integer, got 200.9"),
+    ({"n_ladder": (True, 5)}, "n-ladder sample size must be an integer, got True"),
+    ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+    ({"seed": False}, "seed must be an integer, got False"),
+    # a fractional replication count failed mid-run in range()
+    ({"replications": 1.5}, "replications must be an integer, got 1.5"),
+    ({"replications": 0}, "replications must be >= 1, got 0"),
+    ({"grid_size": 7.5}, "grid_size must be an integer, got 7.5"),
+    ({"grid_size": True}, "grid_size must be an integer, got True"),
+])
+def test_integer_settings_must_be_integers(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_consistency_cfg(**bad)
+
+
+def test_integer_settings_keep_their_bytes():
+    # numpy integers are integers; they are recorded as the ints they are
+    cfg = small_consistency_cfg(n_ladder=np.array([100, 200]), seed=np.int64(11),
+                                replications=np.int32(3), grid_size=np.int64(15))
+    plain = small_consistency_cfg()
+    assert cfg.to_dict() == plain.to_dict() and cfg.digest() == plain.digest()
+    assert all(type(v) is int for v in (*cfg.n_ladder, cfg.seed, cfg.replications,
+                                        cfg.grid_size))
+
+
 # each setting below used to be ignored, or to fail with an error that does
 # not name it; every experiment now refuses what it does not read
 SMALL = dict(n_ladder=(50,), replications=1, grid_size=9)
@@ -135,10 +163,24 @@ def test_failed_replications_fail_the_verdict():
                                 grid_size=11)
     report = consistency_experiment(cfg)
     assert len(report.failures) == 8
-    assert all("degenerate weights" in f["error"] for f in report.failures)
+    # only the score regression degenerates, and its failure names h_alpha
+    assert all(f["error"].startswith("degenerate weights") for f in report.failures)
+    assert all(f["error"].endswith("enlarge the bandwidth h_alpha (--h-alpha)")
+               for f in report.failures)
     assert report.checks["no failed replications"] is False
     assert report.passed is False
     assert "failed replications: 8" in report.to_text()
+
+
+def test_failed_baseline_names_its_bandwidth():
+    # a tiny h leaves the baseline's evaluation point without kernel mass,
+    # while every trajectory window keeps its own point
+    cfg = small_consistency_cfg(experiment="benchmark", estimator={"h": 0.002},
+                                replications=4, grid_size=9)
+    report = benchmark_vs_baseline(cfg)
+    assert report.failures
+    assert all(re.fullmatch(r"degenerate weights \(all kernel values are zero\) at x=0\.5; "
+                            r"enlarge the bandwidth h", f["error"]) for f in report.failures)
 
 
 def test_non_numerical_error_in_a_replication_propagates(monkeypatch):

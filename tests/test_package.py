@@ -172,19 +172,21 @@ def test_callers_of_detected():
 
 
 def test_kernel_evaluated_only_by_the_weight_routines():
-    # kernel values come from one window-block routine, or at one point
+    # kernel values come from one window-block routine; no stage evaluates
+    # the kernel over all n observations at a point
     callers = set().union(
         *(callers_of(p.read_text(), "kernel_values") for p in PACKAGE_DIR.glob("*.py"))
     )
-    assert callers == {"nw_weights", "_kernel_blocks"}
+    assert callers == {"_kernel_blocks"}
 
 
 def test_weights_normalised_only_by_the_row_total_helper():
-    # one definition of a kernel weight's total: the point weights and the
-    # window-local surfaces divide by it; only the pseudo-observation stage,
-    # whose dense rows certify its ranks, keeps pairwise row sums
+    # one definition of a kernel weight's total: the window-weight routine
+    # of the surfaces and the score regression divides by it; only the
+    # pseudo-observation stage, whose dense rows certify its ranks, keeps
+    # pairwise row sums
     source = (PACKAGE_DIR / "conditional.py").read_text()
-    assert callers_of(source, "_row_totals") == {"nw_weights", "weighted_copula_surfaces"}
+    assert callers_of(source, "_row_totals") == {"window_weights"}
     assert callers_of(source, "sum") == {"pseudo_observations", "_dense_pseudo_rows"}
 
 
