@@ -41,6 +41,10 @@ _KERNEL_REACH = {"epanechnikov": 1.0, "gaussian": np.inf, "uniform": 1.0}
 KERNEL_FAMILIES = tuple(_KERNEL_REACH)
 # evaluation points per window-local block, in every kernel-weighted stage
 _BLOCK = 32
+# window width (members) from which lattice indices are cut per level, not
+# searched per member (``_level_cuts``); the two routes tied at m = 450-650
+# for 32 lattices at G = 21 and 51, on one thread
+_CUT_FROM = 512
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,22 @@ class KernelSpec:
 def kernel_values(family: str, z: np.ndarray) -> np.ndarray:
     """Evaluate the (unnormalized-scale-free) kernel at standardized z."""
     z = np.asarray(z, dtype=float)
+    # one array, updated in place in the operation order of the closed forms
+    # 0.75 * (1 - z * z) on |z| <= 1 and exp(-0.5 * z * z) / sqrt(2 pi):
+    # z * z >= 1 exactly where |z| >= 1, and 1 - z * z is then <= 0; fmax,
+    # unlike maximum, also sends a NaN to the 0.0 outside the support
     if family == "epanechnikov":
-        return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
+        t = z * z
+        np.subtract(1.0, t, out=t)
+        np.fmax(t, 0.0, out=t)
+        t *= 0.75
+        return t
     if family == "gaussian":
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        t = -0.5 * z
+        t *= z
+        np.exp(t, out=t)
+        t /= np.sqrt(2.0 * np.pi)
+        return t
     if family == "uniform":
         return np.where(np.abs(z) <= 1.0, 0.5, 0.0)
     raise ValueError(f"unknown kernel family {family!r}")
@@ -156,7 +172,8 @@ def _kernel_blocks(x_eval, s: Sample, k: KernelSpec):
     every member of the points' kernel windows, found in ``s.x_order``: the
     observations with a nonzero kernel value there. The support is padded by
     more than the rounding of (x - X_i) / h, and the Gaussian window is the
-    whole sample. ``kv`` holds the kernel values over ``union``.
+    whole sample. ``kv`` holds the kernel values over ``union``. Points that
+    are the sample's own covariate (``x_eval is s.x``) take its cached order.
     """
     x_order, x_sorted = s.x_order
     # the largest |X_i| is at an end of the sorted sample
@@ -164,12 +181,13 @@ def _kernel_blocks(x_eval, s: Sample, k: KernelSpec):
     reach = k.bandwidth * _KERNEL_REACH[k.family] * (1.0 + 1e-9) + 8 * np.spacing(scale)
     lo = np.searchsorted(x_sorted, x_eval - reach, side="left")
     hi = np.searchsorted(x_sorted, x_eval + reach, side="right")
-    eval_order = np.argsort(x_eval, kind="stable")
+    eval_order = x_order if x_eval is s.x else np.argsort(x_eval, kind="stable")
     for start in range(0, x_eval.size, _BLOCK):
         points = eval_order[start : start + _BLOCK]
         union = np.sort(x_order[lo[points[0]] : hi[points[-1]]])
-        kv = kernel_values(k.family, (x_eval[points, None] - s.x[None, union]) / k.bandwidth)
-        yield points, union, kv
+        z = x_eval[points, None] - s.x[None, union]
+        z /= k.bandwidth
+        yield points, union, kernel_values(k.family, z)
 
 
 def window_weights(x_eval, s: Sample, k: KernelSpec):
@@ -189,7 +207,8 @@ def window_weights(x_eval, s: Sample, k: KernelSpec):
         if np.any(totals <= 0.0):
             degenerate.append(points[totals <= 0.0].min())
             continue
-        yield points, union, kv / totals[:, None]
+        kv /= totals[:, None]
+        yield points, union, kv
     if degenerate:
         raise DegenerateWeightsError(
             f"degenerate weights (all kernel values are zero) at "
@@ -320,16 +339,48 @@ def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
 
     Row b of the (B, m) arrays ``a_idx``, ``b_idx`` and ``mass`` gives each
     pair's first lattice index on each margin and the pair's mass; index L
-    means it never counts. Returns shape (B, L, L), a view of the cells.
+    means it never counts. The cells are binned with the batch inside, as
+    (L + 1, B, L + 1), so the prefix over the first lattice axis is L - 1
+    adds of contiguous (B, L + 1) slices, each the step of a sequential
+    ``np.cumsum``; one ``np.cumsum`` along the last axis follows. Returns
+    shape (B, L, L), a view of the cells.
     """
     B = mass.shape[0]
-    cell = a_idx * (L + 1)  # then in place, without further (B, m) temporaries
+    stride = B * (L + 1)
+    cell = a_idx * stride  # then in place, without further (B, m) temporaries
     cell += b_idx
-    cell += np.arange(B)[:, None] * (L + 1) ** 2
-    cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=B * (L + 1) ** 2)
-    cdf = cells.reshape(B, L + 1, L + 1)[:, :L, :L]
-    np.cumsum(cdf, axis=1, out=cdf)
-    return np.cumsum(cdf, axis=2, out=cdf)
+    cell += np.arange(0, stride, L + 1)[:, None]
+    cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=(L + 1) * stride)
+    cells = cells.reshape(L + 1, B, L + 1)
+    for a in range(1, L):
+        cells[a] += cells[a - 1]
+    cdf = cells[:L, :, :L]
+    np.cumsum(cdf, axis=2, out=cdf)
+    return cdf.transpose(1, 0, 2)
+
+
+def _level_cuts(below: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Each sorted member's first lattice index, by searching the levels in each row.
+
+    ``below`` is (B, m), nondecreasing along each row, and a member's index
+    is the number of ``thresholds`` at or below its mass, as
+    ``np.searchsorted(thresholds, below, side="right")`` gives it member by
+    member. Cut l of a row is the number of members whose mass is below
+    level l. As the masses never decrease along the row, a member reaches
+    level l iff its position is at or past cut l, so its index is the
+    number of cuts at or before its position: one ``np.repeat`` of 0..L by
+    the gaps between cuts. That is B L searches of log m steps and B m
+    writes, against B m searches of log L steps member by member.
+    """
+    B, m = below.shape
+    L = thresholds.size
+    cuts = np.empty((B, L + 2), dtype=np.int64)
+    cuts[:, 0] = 0
+    cuts[:, -1] = m
+    for row, cut in zip(below, cuts):
+        cut[1:-1] = row.searchsorted(thresholds)  # side="left"; the method skips a wrapper
+    levels = np.broadcast_to(np.arange(L + 1), (B, L + 1))
+    return np.repeat(levels.ravel(), np.diff(cuts, axis=1).ravel()).reshape(B, m)
 
 
 def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -343,7 +394,10 @@ def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.
     counts at level l iff the mass ranked strictly before it is below
     ``thresholds[l]``. As that mass never decreases in rank order, a
     positive level counts the pairs up to the first whose cumulative mass
-    reaches it, or every pair if none does. Returns shape (B, L, L).
+    reaches it, or every pair if none does. Windows of ``_CUT_FROM`` pairs
+    or more find these lattice indices by ``_level_cuts``, narrower ones by
+    searching each pair's mass in the thresholds; the integers are the same,
+    so the route depends on m alone. Returns shape (B, L, L).
     """
     B, m = mass.shape
     # mass ranked strictly before each sorted position; column 0 stays 0
@@ -354,7 +408,11 @@ def _copula_lattices(positions, mass: np.ndarray, thresholds: np.ndarray) -> np.
         rank = np.empty(m, dtype=np.int64)
         rank[order] = np.arange(m)
         np.cumsum(np.take(mass, order[:-1], axis=1), axis=1, out=below[:, 1:])
-        idx.append(np.take(np.searchsorted(thresholds, below, side="right"), rank, axis=1))
+        if m < _CUT_FROM:
+            counted = np.searchsorted(thresholds, below, side="right")
+        else:
+            counted = _level_cuts(below, thresholds)
+        idx.append(np.take(counted, rank, axis=1))
     return _lattice_cdf(*idx, thresholds.size, mass)
 
 
@@ -400,8 +458,8 @@ def weighted_copula_surfaces(
     The points go in blocks of ``_BLOCK`` (32) from ``window_weights``,
     each with the union U of their windows, and one ``_copula_lattices`` call
     per block turns the weights and the members' ``pseudo.ranks`` into the
-    block's lattices with the thresholds ``levels - 1e-12``; the finished
-    stack is clipped to [0, 1] in place. A member outside a point's window
+    block's lattices with the thresholds ``levels - 1e-12``, clipped to
+    [0, 1] in place before they are stored. A member outside a point's window
     has weight 0.0: it adds an exact zero to every sum and is never the last
     member counted at a level, since every grid level is above 0. So every
     surface is bit-identical to evaluating all n observations with the same
@@ -411,8 +469,10 @@ def weighted_copula_surfaces(
     thresholds = grid.nodes - 1e-12
     out = np.empty((len(xs_eval), grid.G, grid.G))
     for block, union, w in window_weights(xs_eval, s, k):
-        out[block] = _copula_lattices(pseudo.ranks[:, union], w, thresholds)
-    return np.clip(out, 0.0, 1.0, out=out)
+        lattices = _copula_lattices(pseudo.ranks[:, union], w, thresholds)
+        out[block] = np.clip(lattices, 0.0, 1.0, out=lattices)
+        del lattices  # so the next block's cells are not allocated beside these
+    return out
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:

@@ -31,6 +31,7 @@ from .conditional import (
 )
 from .errors import DegenerateWeightsError, require_integer
 from .fpca import (
+    REPORTED,
     EigenSystem,
     # perfbench/run.py wraps these two where this module looks them up
     covariance_field,  # noqa: F401
@@ -41,7 +42,6 @@ from .fpca import (
 )
 from .grid import (
     GridFunction,
-    from_callable,
     make_grid,
     write_grid_function_csv,
 )
@@ -58,7 +58,7 @@ __all__ = [
 
 # the bandwidths of a config, in the order the diagnostics list them
 _BANDWIDTHS = ("h", "g1", "g2", "h_alpha")
-# leading components solved for under an automatic K; the CVP picks K = 1
+# the most leading components an automatic K solves for; the CVP picks K = 1
 # to 8 on typical fits, and a threshold these miss gets the whole spectrum
 _LEADING = 16
 
@@ -177,10 +177,11 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     if cfg.K is not None:
         # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
         # beyond the positive eigenvalues is clamped to their count
-        eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, 5))
+        eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, REPORTED))
         K = min(cfg.K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
     else:
-        eigen = ensemble_eigensystem(centered, grid, _LEADING)
+        # the solve may stop at the components K and the diagnostics read
+        eigen = ensemble_eigensystem(centered, grid, _LEADING, cfg.cvp_threshold)
         K = select_K(eigen, cfg.cvp_threshold)
         if K == eigen.m < m:
             # the threshold, or lambda_{K+1}, lies past the leading components
@@ -237,7 +238,7 @@ def evaluate_fit(fit: FpcaFit, x: float) -> ConditionalCopulaEstimate:
     lam = fit.eigen.eigenvalues
     diagnostics = {
         "bandwidths": dict(fit.bandwidths),
-        "eigenvalues": [float(v) for v in lam[: max(fit.K, 5)]],
+        "eigenvalues": [float(v) for v in lam[: max(fit.K, REPORTED)]],
         "cvp_attained": fit.cvp_attained(),
         "eigengap": fit.eigengap(),
         "degenerate_spectrum": fit.K == 0,
@@ -264,6 +265,5 @@ def estimate_conditional_copula(
 
 def frechet_project(f: GridFunction) -> GridFunction:
     """Clamp node values into [max(u+v-1, 0), min(u, v)] (idempotent)."""
-    lower = from_callable(f.grid, lambda u, v: np.maximum(u + v - 1.0, 0.0)).values
-    upper = from_callable(f.grid, np.minimum).values
+    lower, upper = f.grid.frechet_bounds
     return GridFunction(grid=f.grid, values=np.clip(f.values, lower, upper))

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
+# leading eigenvalues that every estimate reports, lambda_1..lambda_5
+REPORTED = 5
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,9 @@ def eigendecompose(
 
 
 @limited_threads(1)
-def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> EigenSystem:
+def ensemble_eigensystem(
+    centered: np.ndarray, grid: Grid2D, count: int, threshold: float | None = None
+) -> EigenSystem:
     """The leading ``count`` components of the ensemble covariance operator.
 
     ``centered`` is ``centered_trajectories(surfaces, center)`` for surfaces
@@ -196,6 +200,15 @@ def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> Eige
     kept (``_blas.leading_eigh``: Lanczos where the matrix order is large
     against the count, numpy's full ``eigh`` elsewhere). The system holds
     min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
+
+    With a CVP ``threshold``, Lanczos stops as soon as the components that
+    ``select_K`` and the diagnostics read have converged: those through the
+    threshold's crossing plus one, and at least ``REPORTED``, counted on the
+    current Ritz values, clipped as here, and the exact trace. The system
+    then holds those alone. Ritz values interlace from below, so their
+    crossing is never before the true one, and ``select_K`` of the result
+    reads the same values and gives the same K. The dense route still
+    returns min(count, n, G^2) components.
     """
     n = centered.shape[0]
     delta = grid.cell_weight
@@ -205,7 +218,12 @@ def ensemble_eigensystem(centered: np.ndarray, grid: Grid2D, count: int) -> Eige
     else:
         matrix = delta * (centered.T @ centered / n)
     total = float(np.trace(matrix))
-    evals, vecs = leading_eigh(matrix, min(count, matrix.shape[0]))
+    enough = None
+    if threshold is not None:
+        def enough(theta):
+            clipped = np.where(theta < _TRUNCATE_BELOW, 0.0, theta)
+            return max(_cvp_count(clipped, total, threshold) + 1, REPORTED)
+    evals, vecs = leading_eigh(matrix, min(count, matrix.shape[0]), enough)
     if not snapshots:
         return _eigensystem(grid, evals, vecs / np.sqrt(delta), total, _TRUNCATE_BELOW)
     # (count, n) @ (n, G^2) reads the trajectories row by row, unlike C^T u
@@ -238,13 +256,17 @@ def select_K(es: EigenSystem, threshold: float = 0.9) -> int:
     spectrum returns 0 (degenerate; callers fall back to the mean surface
     alone).
     """
-    lam = es.eigenvalues
+    if np.any(es.eigenvalues > 0.0) and not (0.0 < threshold <= 1.0):
+        raise ValueError("CVP threshold must be in (0, 1]")
+    return _cvp_count(es.eigenvalues, es.total, threshold)
+
+
+def _cvp_count(lam: np.ndarray, total: float, threshold: float) -> int:
+    """``select_K`` of nonincreasing eigenvalues ``lam`` with total variance ``total``."""
     positive = lam[lam > 0.0]
     if positive.size == 0:
         return 0
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError("CVP threshold must be in (0, 1]")
-    frac = np.cumsum(positive) / es.total
+    frac = np.cumsum(positive) / total
     return int(min(np.searchsorted(frac, threshold - 1e-12) + 1, positive.size))
 
 

@@ -43,6 +43,15 @@ class Grid2D:
         nodes.setflags(write=False)
         return nodes
 
+    @cached_property
+    def frechet_bounds(self) -> tuple:
+        """The read-only Frechet-Hoeffding bounds max(u + v - 1, 0) and min(u, v) at the nodes."""
+        U, V = np.meshgrid(self.nodes, self.nodes, indexing="ij")
+        bounds = (np.maximum(U + V - 1.0, 0.0), np.minimum(U, V))
+        for bound in bounds:
+            bound.setflags(write=False)
+        return bounds
+
     @property
     def cell_weight(self) -> float:
         return 1.0 / self.G**2

@@ -418,6 +418,35 @@ def test_lattice_kernel_at_levels_equal_to_prefix_masses(positions, mass):
     assert np.array_equal(_copula_lattices(positions, mass, thresholds), want)
 
 
+# -------------------------------------------------------------- kernels
+
+
+def closed_form_kernel(family, z):
+    """The kernels as closed forms over fresh temporaries."""
+    if family == "epanechnikov":
+        return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
+    if family == "gaussian":
+        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return np.where(np.abs(z) <= 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("family", ["epanechnikov", "gaussian", "uniform"])
+def test_kernel_values_keep_the_closed_form_bits(family):
+    # z * z rounds to exactly 1 only at |z| = 1; its neighbours square to the
+    # doubles next to 1, on either side of the support's edge
+    above = np.nextafter(1.0, 2.0)
+    edge = [1.0, above, np.nextafter(1.0, 0.0), np.nextafter(above, 2.0)]
+    special = [0.0, -0.0, 1e-300, 0.5, 8.5, 40.0, np.inf]
+    z = np.array(edge + special)
+    z = np.concatenate([z, -z, np.random.default_rng(13).uniform(-3.0, 3.0, 2000)])
+    block = z[:2016].reshape(32, 63)  # a block of 32 points, as the windows pass it
+    for values in (z, block):
+        got = kernel_values(family, values)
+        want = closed_form_kernel(family, values)
+        assert got.shape == values.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # -------------------------------------------------------------- trajectories
 
 
@@ -860,14 +889,97 @@ def test_surfaces_of_equal_covariates_bit_identical_across_blocks(n, seed, famil
 
 
 def test_lattice_cdf_matches_add_at():
-    # one row of unit masses, as the harness ECDF passes, and one of weights
+    # one row of unit masses, as the partial copula and the harness ECDF
+    # pass, and one of weights, as a block of surfaces passes; also the one
+    # row alone, and the fine lattice of the benchmark
     rng = np.random.default_rng(10)
-    L = 9
-    a, b = rng.integers(0, L + 1, size=(2, 2, 500))
-    mass = np.stack([np.ones(500), rng.random(500)])
-    lattices = _lattice_cdf(a, b, L, mass)
-    for row in range(2):
-        assert np.array_equal(lattices[row], add_at_lattice_cdf(a[row], b[row], L, mass[row]))
+    for rows, L in ((2, 9), (1, 9), (2, 51), (1, 51)):
+        a, b = rng.integers(0, L + 1, size=(2, rows, 500))
+        mass = np.stack([np.ones(500), rng.random(500)])[:rows]
+        lattices = _lattice_cdf(a, b, L, mass)
+        assert lattices.shape == (rows, L, L)
+        for row in range(rows):
+            assert np.array_equal(lattices[row], add_at_lattice_cdf(a[row], b[row], L, mass[row]))
+
+
+def searched_indices(below, thresholds):
+    """The per-member route of ``_copula_lattices``: each member's mass searched in the levels."""
+    return np.searchsorted(thresholds, below, side="right")
+
+
+@st.composite
+def cut_cases(draw):
+    """Cumulative masses of B rows and L increasing levels, some equal to a cumulative mass.
+
+    Masses are multiples of 1/4, many of them zero, so rows hold runs of
+    equal cumulative masses and exact sums; the levels are multiples of 1/4
+    too, from below the first mass to past the total.
+    """
+    L = draw(st.sampled_from([1, 2, 21, 51]))
+    m = draw(st.one_of(st.integers(1, 40),
+                       st.integers(conditional._CUT_FROM - 2, conditional._CUT_FROM + 40)))
+    B = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mass = rng.integers(0, 4, size=(B, m)) * rng.integers(0, 2, size=(B, m)) / 4
+    below = np.zeros((B, m))
+    np.cumsum(mass[:, :-1], axis=1, out=below[:, 1:])
+    levels = draw(st.lists(st.integers(-1, max(3 * m + 1, L)), min_size=L, max_size=L, unique=True))
+    return below, np.sort(levels) / 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut_cases())
+def test_level_cuts_give_the_searched_indices(case):
+    below, thresholds = case
+    want = searched_indices(below, thresholds)
+    assert np.array_equal(conditional._level_cuts(below, thresholds), want)
+
+
+def test_level_cuts_at_levels_equal_to_prefix_masses():
+    # a level equal to a cumulative mass is reached by that member, not the
+    # one before it; zero masses make runs of equal prefixes
+    below = np.array([[0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0],
+                      [0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]])
+    thresholds = np.array([-1e-12, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
+    want = searched_indices(below, thresholds)
+    assert want.tolist() == [[2, 2, 3, 3, 3, 4, 6], [2, 4, 4, 4, 4, 4, 4]]
+    assert np.array_equal(conditional._level_cuts(below, thresholds), want)
+
+
+# (window width m, lattice size G) around the crossover, at the benchmark's
+# windows (mc-ladder about 50-93, fit-large-n about 366, fit-fine-grid 800)
+# and at n = 2 x 10^4 Epanechnikov (about 1650), with the route each takes
+LATTICE_ROUTES = {
+    (1, 21): False, (50, 21): False, (93, 21): False, (366, 21): False,
+    (conditional._CUT_FROM - 1, 51): False, (conditional._CUT_FROM, 1): True,
+    (conditional._CUT_FROM, 51): True, (800, 51): True, (1650, 21): True,
+}
+
+
+@pytest.mark.parametrize("m, G", sorted(LATTICE_ROUTES))
+def test_the_lattice_route_depends_only_on_the_window_width(m, G, monkeypatch):
+    calls = []
+    real = conditional._level_cuts
+
+    def spy(below, thresholds):
+        calls.append(below.shape)
+        return real(below, thresholds)
+
+    monkeypatch.setattr(conditional, "_level_cuts", spy)
+    rng = np.random.default_rng(m)
+    thresholds = make_grid(G).nodes - 1e-12
+    positions = (rng.permutation(m), rng.permutation(m))
+    for rows in (1, 32):
+        mass = rng.random((rows, m))
+        mass /= mass.sum(axis=1, keepdims=True)
+        calls.clear()
+        got = _copula_lattices(positions, mass, thresholds)
+        assert calls == ([(rows, m)] * 2 if LATTICE_ROUTES[m, G] else [])
+        monkeypatch.setattr(conditional, "_CUT_FROM", m + 1)  # the per-member route
+        assert np.array_equal(got, _copula_lattices(positions, mass, thresholds))
+        monkeypatch.undo()
+        monkeypatch.setattr(conditional, "_level_cuts", spy)
 
 
 @pytest.mark.parametrize("family", ["epanechnikov", "gaussian"])

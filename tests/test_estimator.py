@@ -118,7 +118,7 @@ def test_fit_peak_is_one_stack_plus_the_eigen_matrix(n, G, family):
     # the fit centres the (n, G, G) trajectory stack in place; with a centred
     # copy beside it the first two peaks were 31.9 and 20.3 MiB against bounds
     # of about 23.8 and 14.6 MiB. The surfaces cumulate each block's lattices
-    # in place and clip the finished stack in place, so their temporaries,
+    # in place and clip each block's lattices in place, so their temporaries,
     # which set the last two peaks, come to about 34 G^2 floats; with a copy
     # per step they came to 130 G^2 floats and those peaks were 25.8 and
     # 57.7 MiB against bounds of 19.8 and 43.8 MiB

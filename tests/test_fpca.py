@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from condcopula import _blas
-from condcopula.conditional import KernelSpec, weighted_copula_surfaces
+from condcopula.conditional import KernelSpec, rule_of_thumb_bandwidth, weighted_copula_surfaces
 from condcopula.errors import DegenerateSpectrumError
-from condcopula.estimator import PipelineConfig, fit_pipeline
+from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
 from condcopula.fpca import (
     EigenSystem,
     centered_trajectories,
@@ -262,8 +262,8 @@ def lanczos_spy(monkeypatch):
     calls = []
     real = _blas._lanczos
 
-    def spy(a, count):
-        found = real(a, count)
+    def spy(a, count, *rest):
+        found = real(a, count, *rest)
         calls.append((a.shape[0], count, found is not None))
         return found
 
@@ -360,6 +360,50 @@ def test_dense_route_is_the_last_pairs_of_numpy_eigh(monkeypatch):
         assert np.array_equal(w, want_w[-16:]), name
         assert np.array_equal(v, want_v[:, -16:]), name
     assert calls == [(400, 16, False)]
+
+
+# K -> (n, G, sample seed, kernel, multiple of the rule-of-thumb h) of a fit
+# whose CVP at 0.9 picks that K. Every eigen matrix has order min(n, G^2) of
+# 200 to 240, at least 192, so the automatic-K solve of 16 pairs takes the
+# Lanczos route
+STOPPED_FITS = {
+    1: (200, 15, 2, "epanechnikov", 4.0),
+    2: (200, 15, 1, "epanechnikov", 4.0),
+    3: (200, 15, 2, "epanechnikov", 2.0),
+    4: (200, 15, 1, "epanechnikov", 2.0),
+    5: (200, 15, 1, "gaussian", 1.0),
+    6: (200, 15, 1, "epanechnikov", 1.5),
+    7: (240, 15, 2, "epanechnikov", 1.0),
+    8: (300, 15, 1, "epanechnikov", 1.0),
+    9: (200, 15, 2, "epanechnikov", 1.0),
+}
+
+
+@pytest.mark.parametrize("K", sorted(STOPPED_FITS))
+def test_stopped_lanczos_reads_what_a_dense_solve_gives(K, monkeypatch):
+    # under an automatic K the solve stops at the components the fit reads:
+    # those through the CVP crossing plus one, and at least lambda_1..lambda_5
+    n, G, seed, family, mult = STOPPED_FITS[K]
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, n, seed)
+    cfg = PipelineConfig(grid_size=G, kernel_family=family,
+                         h=mult * rule_of_thumb_bandwidth(s.x))
+    calls = lanczos_spy(monkeypatch)
+    fit = fit_pipeline(s, cfg)
+    assert calls == [(min(n, G**2), 16, True)]
+    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # numpy's eigh alone
+    dense = fit_pipeline(s, cfg)
+    assert len(calls) == 1 and dense.eigen.m == 16
+    assert fit.K == dense.K == K
+    assert fit.eigen.m == max(K + 1, 5)
+    read = list(range(5)) + [K]
+    lam, want = fit.eigen.eigenvalues[read], dense.eigen.eigenvalues[read]
+    assert np.all(np.abs(lam - want) <= 1e-13 * want)
+    assert fit.eigen.total == dense.eigen.total
+    est, dense_est = evaluate_fit(fit, 0.5), evaluate_fit(dense, 0.5)
+    gap, dense_gap = est.diagnostics["eigengap"], dense_est.diagnostics["eigengap"]
+    assert gap == pytest.approx(dense_gap, rel=1e-12)
+    assert np.max(np.abs(est.surface.values - dense_est.surface.values)) <= 1e-13
 
 
 def test_cvp_past_the_leading_components_reads_the_whole_spectrum():

@@ -41,6 +41,18 @@ def test_grid_is_its_node_count():
     assert g.nodes is g.nodes and not g.nodes.flags.writeable
 
 
+@pytest.mark.parametrize("G", [1, 2, 21, 51])
+def test_frechet_bounds_are_computed_once_per_grid(G):
+    # the projection of every estimate reads these; they are the bits of the
+    # closed forms sampled at the nodes
+    g = make_grid(G)
+    lower, upper = g.frechet_bounds
+    assert np.array_equal(lower, from_callable(g, lambda u, v: np.maximum(u + v - 1.0, 0.0)).values)
+    assert np.array_equal(upper, from_callable(g, np.minimum).values)
+    assert g.frechet_bounds is g.frechet_bounds
+    assert not lower.flags.writeable and not upper.flags.writeable
+
+
 def test_make_grid_empty_rejected():
     with pytest.raises(ValueError, match="empty grid"):
         make_grid(0)

@@ -47,7 +47,14 @@ same K, failures and checks. The ``consistency-failures`` digest is of
 failure messages that name the score-regression bandwidth, ending "enlarge
 the bandwidth h_alpha (--h-alpha)" where "enlarge the bandwidth" ended them
 before: its metrics, raw values, seeds, config and failed (n, rep) pairs
-are unchanged.
+are unchanged. The ``consistency`` digest (its n = 200 step) and both
+``estimate`` digests are of a Lanczos run that, under an automatic K, stops
+once the components the fit reads have converged (those through the CVP
+crossing plus one, and at least five), where it ran until all 16 requested
+pairs had: 4 of the consistency report's 20 values moved, by at most
+5.0e-16; the estimate grids moved by at most 1.4e-16, their eigenvalues by
+at most 5.0e-16 of lambda_1 and the reported eigengap by 7.1e-15, with the
+same K (9), failures and checks.
 """
 
 import hashlib
@@ -73,7 +80,7 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "3a10bb75f7d16de49be0bc4bf1cef36f114b4bce14a4f1d427092aca0faff7d0",
+        "ade1f11dcbb46f1cfc68ccdae9b4113559d7f78b0c17ab3848282ad014048ba8",
     ),
     "consistency-failures": (
         consistency_experiment,
@@ -128,8 +135,8 @@ def test_experiment_outputs_pinned(name):
 
 
 @pytest.mark.parametrize("flags, digest", [
-    ([], "d3ca9b88e15b28bbc9c4bdde2b567a6576151da83e0e294a17db652b7e61381a"),
-    (["--no-project"], "a69f248fe900be7fe62055d098e18134f1c2cebccc3af81fc4645e175edf700c"),
+    ([], "ce7e5e29f980283bbc6e3fb5dc721609fdbeec40a7c5fea9a9cfd85cc76e0d13"),
+    (["--no-project"], "415e5e6b4e937d1549070efb423444542f6bb5e02648fbffbf72fa09931ea434"),
 ], ids=["projected", "no-project"])
 def test_estimate_grid_csv_pinned(tmp_path, flags, digest):
     data = tmp_path / "s.csv"
