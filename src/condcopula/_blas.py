@@ -40,8 +40,19 @@ produce a repeated eigenvalue among the leading ones, and a repeated zero
 breaks down to ``eigh``. For the 16 leading eigenpairs of the benchmark's
 matrices (N = 200, 400, 441 and 800, seeds 1 and 58213), the Lanczos route
 took 36-52 steps. On one thread it took 1.6-12 ms on the fit's matrices of
-those orders, where ``eigh`` took 3.0-91 ms. Both routes leave ``a`` as it
-was.
+those orders, where ``eigh`` took 3.0-91 ms.
+
+The matrix may also be given unformed, as an object that applies it to a
+vector and forms it on request (``leading_eigh``). Lanczos then reads it
+through its products alone, and it is formed only for the dense route. A
+caller whose matrix is a scaled product of a stack with itself passes it
+unformed where ``matrix_free`` holds: N at least ``_MATRIX_FREE`` times the
+step budget (768 for 16 pairs). Each product then streams the stack twice.
+On the fit's Gram matrices over 2601 columns, one thread, that tied with
+forming the matrix at N = 800 (28 against 27-30 ms), won from N = 1200 on
+(45 against 64 ms) and lost at N = 600 (21 against 16-18 ms;
+``scripts/eigen_route_sweep.py``). No route writes to ``a``, nor to the
+stack behind an unformed one.
 
 The full ``eigh`` solves for every eigenpair, so a dense solve of a few
 pairs at large N costs about twice what an index-range solve would: at
@@ -61,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["leading_eigh", "limited_threads"]
+__all__ = ["leading_eigh", "limited_threads", "matrix_free"]
 
 # (prefix, suffix) of the thread-count symbols: the scipy-openblas wheels
 # that numpy and scipy bundle, then a system OpenBLAS
@@ -71,6 +82,9 @@ _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_
 _STEP_FACTOR = 3
 _STEP_SLACK = 48
 _CROSSOVER = 2
+# an unformed matrix is solved unformed from 8 step budgets on (768 for 16
+# pairs): the routes tied at N = 800 and the formed one won at N = 600
+_MATRIX_FREE = 8
 _CHECK_EVERY = 4  # steps between Ritz-bound checks, each an eigh of the tridiagonal
 _RITZ_TOL = 2.0**-50  # Ritz bound / largest Ritz value, about 4 eps
 _COLLAPSE = 2.0**-40  # beta / largest |alpha| at which the Krylov space is invariant
@@ -117,13 +131,20 @@ def _budget(count: int) -> int:
     return _STEP_FACTOR * count + _STEP_SLACK
 
 
-def _lanczos(a: np.ndarray, count: int, enough=None):
+def matrix_free(N: int, count: int) -> bool:
+    """Whether the ``count`` largest eigenpairs of an order-N matrix that is a
+    product of a stack with itself are found without forming the matrix."""
+    return N >= _MATRIX_FREE * _budget(count)
+
+
+def _lanczos(a, count: int, enough=None):
     """The ``count`` largest eigenpairs of symmetric ``a`` by Lanczos, or None.
 
     With ``enough``, the pairs returned are the leading ``min(count,
     enough(theta))`` at the first check where those converge, ``theta``
     being that check's Ritz values in descending order. None when beta
-    collapses or the step budget runs out first; ``a`` is only read.
+    collapses or the step budget runs out first. ``a`` is a matrix, or an
+    unformed one, and is only read through ``a @ v``.
     """
     N = a.shape[0]
     steps = _budget(count)
@@ -161,22 +182,25 @@ def _lanczos(a: np.ndarray, count: int, enough=None):
     return None
 
 
-def leading_eigh(a: np.ndarray, count: int, enough=None) -> tuple:
+def leading_eigh(a, count: int, enough=None) -> tuple:
     """The ``count`` largest eigenvalues of symmetric ``a`` and their eigenvectors.
 
     Returns (eigenvalues ascending, eigenvectors as the columns of an
-    (N, count) array). ``a`` must be a float64 N x N matrix equal to its
-    transpose, and ``count`` in 1..N; it is only read. Where N is at least
+    (N, count) array). ``a`` is a float64 N x N matrix equal to its
+    transpose, or the same matrix unformed: an object with ``shape`` (N, N),
+    ``a @ v`` its product with a length-N vector and ``a.form()`` the matrix.
+    ``count`` is in 1..N, and ``a`` is only read. Where N is at least
     ``_CROSSOVER`` times the step budget ``_budget(count)``, Lanczos
-    (``_lanczos``) reads the whole matrix. When its beta collapses to
-    ``_COLLAPSE`` times the largest |alpha| or below, or its budget runs out
-    before every requested Ritz bound is at most ``_RITZ_TOL`` times the
+    (``_lanczos``) reads ``a`` through its products. When its beta collapses
+    to ``_COLLAPSE`` times the largest |alpha| or below, or its budget runs
+    out before every requested Ritz bound is at most ``_RITZ_TOL`` times the
     largest Ritz value, and at every other shape, ``np.linalg.eigh`` reads
-    one triangle and its last ``count`` pairs are returned. The route thus
-    depends on (N, count) and convergence alone. One start vector sees a
-    single direction of an exactly repeated eigenvalue's eigenspace in exact
-    arithmetic; continuous data does not produce one among the leading
-    eigenvalues, and a rank-deficient matrix breaks down to ``eigh``.
+    one triangle of the matrix, formed first if ``a`` is unformed, and its
+    last ``count`` pairs are returned. The route thus depends on (N, count)
+    and convergence alone. One start vector sees a single direction of an
+    exactly repeated eigenvalue's eigenspace in exact arithmetic; continuous
+    data does not produce one among the leading eigenvalues, and a
+    rank-deficient matrix breaks down to ``eigh``.
 
     ``enough``, if given, maps Ritz values in descending order to the number
     of leading pairs the caller reads. Lanczos then stops at the first check
@@ -184,7 +208,8 @@ def leading_eigh(a: np.ndarray, count: int, enough=None) -> tuple:
     returns them alone; the dense route still returns ``count`` pairs.
     """
     N = a.shape[0]
-    if a.shape != (N, N) or a.dtype != np.float64:
+    formed = isinstance(a, np.ndarray)
+    if a.shape != (N, N) or (formed and a.dtype != np.float64):
         raise ValueError("leading_eigh needs a float64 square matrix")
     if not 1 <= count <= N:
         raise ValueError(f"count={count} out of range 1..{N}")
@@ -192,7 +217,7 @@ def leading_eigh(a: np.ndarray, count: int, enough=None) -> tuple:
         found = _lanczos(a, count, enough)
         if found is not None:
             return found
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(a if formed else a.form())
     return w[N - count:], v[:, N - count:]
 
 

@@ -11,7 +11,10 @@ variance its components explain is known also when it holds only the leading
 ones. The fit path solves for those alone (``ensemble_eigensystem``), and when
 the ensemble has fewer trajectories than grid nodes it takes them from the
 smaller n x n Gram matrix of the centered trajectories (the method of
-snapshots, Sirovich 1987). Every function here that calls BLAS runs it on
+snapshots, Sirovich 1987). Where that matrix is large against the count
+(``_blas.matrix_free``), it is not formed: Lanczos applies it through the
+centered trajectories, and the total variance is their squared Frobenius
+norm times cell_weight / n. Every function here that calls BLAS runs it on
 one thread (``_blas.limited_threads``), so its result has the same bits at
 any BLAS thread count and no caller manages threads. Also houses the exact
 unit-sphere identity used by the verification harness.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import leading_eigh, limited_threads
+from ._blas import leading_eigh, limited_threads, matrix_free
 from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
@@ -179,6 +182,42 @@ def eigendecompose(
     )
 
 
+@dataclass(frozen=True)
+class _EigenMatrix:
+    """The matrix whose leading eigenpairs give the ensemble's, unformed.
+
+    For (n, d) centered trajectories C with n < d it is the n x n Gram
+    matrix (cell_weight / n) C C^T, else the d x d matrix cell_weight
+    C^T C / n. ``m @ v`` streams C twice and writes no (N, N) array;
+    ``form()`` builds the matrix, with the bits the fit has always
+    decomposed on each route.
+    """
+
+    centered: np.ndarray
+    delta: float
+
+    @property
+    def gram(self) -> bool:
+        return self.centered.shape[0] < self.centered.shape[1]
+
+    @property
+    def shape(self) -> tuple:
+        N = min(self.centered.shape)
+        return (N, N)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        c = self.centered
+        w = c @ (v @ c) if self.gram else (c @ v) @ c
+        w *= self.delta / c.shape[0]
+        return w
+
+    def form(self) -> np.ndarray:
+        c = self.centered
+        if self.gram:
+            return self.delta / c.shape[0] * (c @ c.T)
+        return self.delta * (c.T @ c / c.shape[0])
+
+
 @limited_threads(1)
 def ensemble_eigensystem(
     centered: np.ndarray, grid: Grid2D, count: int, threshold: float | None = None
@@ -201,6 +240,15 @@ def ensemble_eigensystem(
     against the count, numpy's full ``eigh`` elsewhere). The system holds
     min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
 
+    Where the order N = min(n, G^2) is large against the count
+    (``_blas.matrix_free``: N >= 768 for 16 components), the matrix is not
+    formed. Lanczos applies it as v -> (cell_weight / n) C (C^T v), or
+    (cell_weight / n) C^T (C v) on the covariance route, and ``total`` is
+    (cell_weight / n) ||C||_F^2 itself. Only a Lanczos breakdown or an
+    exhausted step budget forms the matrix, for the dense ``eigh``. Below
+    that order the matrix is formed and ``total`` is its trace. ``centered``
+    is only read.
+
     With a CVP ``threshold``, Lanczos stops as soon as the components that
     ``select_K`` and the diagnostics read have converged: those through the
     threshold's crossing plus one, and at least ``REPORTED``, counted on the
@@ -213,17 +261,19 @@ def ensemble_eigensystem(
     n = centered.shape[0]
     delta = grid.cell_weight
     snapshots = n < grid.G ** 2
-    if snapshots:
-        matrix = delta / n * (centered @ centered.T)
+    matrix = _EigenMatrix(centered, delta)
+    count = min(count, matrix.shape[0])
+    if matrix_free(matrix.shape[0], count):
+        total = delta / n * float(np.vdot(centered, centered))
     else:
-        matrix = delta * (centered.T @ centered / n)
-    total = float(np.trace(matrix))
+        matrix = matrix.form()
+        total = float(np.trace(matrix))
     enough = None
     if threshold is not None:
         def enough(theta):
             clipped = np.where(theta < _TRUNCATE_BELOW, 0.0, theta)
             return max(_cvp_count(clipped, total, threshold) + 1, REPORTED)
-    evals, vecs = leading_eigh(matrix, min(count, matrix.shape[0]), enough)
+    evals, vecs = leading_eigh(matrix, count, enough)
     if not snapshots:
         return _eigensystem(grid, evals, vecs / np.sqrt(delta), total, _TRUNCATE_BELOW)
     # (count, n) @ (n, G^2) reads the trajectories row by row, unlike C^T u

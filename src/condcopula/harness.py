@@ -120,8 +120,12 @@ class ExperimentReport:
     raw: dict = field(default_factory=dict)
 
     def to_json(self, path=None) -> str:
-        # runtime is deliberately left out: a seeded report must be
-        # byte-identical across runs
+        """The report as strict JSON: a NaN or infinite value is written as null.
+
+        ``metrics`` itself keeps NaN, e.g. the median of a ladder step whose
+        every replication failed. Runtime is deliberately left out: a seeded
+        report must be byte-identical across runs.
+        """
         payload = {
             "experiment": self.experiment,
             "version": self.version,
@@ -133,7 +137,7 @@ class ExperimentReport:
             "passed": self.passed,
             "failures": self.failures,
         }
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        text = json.dumps(_json_safe(payload), indent=2, default=float, allow_nan=False) + "\n"
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -230,9 +234,21 @@ def _refuse_unread(cfg: ExperimentConfig, experiment: str) -> None:
 
 
 def _median(vals) -> float:
-    """Median of the finite values; failed replications hold NaN."""
+    """Median of the finite values, NaN if there are none; failed replications hold NaN."""
     vals = np.asarray(vals, dtype=float)
-    return float(np.median(vals[np.isfinite(vals)]))
+    finite = vals[np.isfinite(vals)]
+    return float(np.median(finite)) if finite.size else float("nan")
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _decreasing(vals) -> bool:

@@ -8,7 +8,9 @@ and the route of the leading eigenpairs.
 the same bits at any BLAS thread count. ``_blas.leading_eigh`` picks Lanczos
 or numpy's full ``eigh`` from the matrix order and the count alone, returns
 the ``eigh`` bits whenever Lanczos does not converge, and on no route writes
-to the matrix it is given.
+to the matrix it is given. Given the matrix unformed, it takes the same
+route with the same bits, forms it only for ``eigh``, and never writes to
+the stack behind it.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 
 from condcopula import _blas
 from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
-from condcopula.fpca import covariance_field, eigendecompose
+from condcopula.fpca import _EigenMatrix, covariance_field, eigendecompose
 from condcopula.harness import ExperimentConfig, build_kl_model, eigen_perturbation_experiment
 from condcopula.simulate import ConditionalModel, TauLink, sample_conditional, synthetic_kl_sample
 from test_fpca import lanczos_spy
@@ -95,29 +97,57 @@ def test_outputs_are_the_same_at_one_and_two_threads():
     # G^2 = 441: the first step takes the Gram route, the second the covariance route
     perturbation = ExperimentConfig(experiment="perturbation", n_ladder=(200, 500),
                                     replications=3, seed=5, grid_size=21)
+    # the benchmark's fine-grid fit, whose 800 x 800 Gram matrix is never formed
+    clayton = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    fine, _ = sample_conditional(clayton, 800, 1)
+    fine_cfg = PipelineConfig(grid_size=51, kernel_family="gaussian")
 
     def outputs():
         field = covariance_field(surfaces, model.mean)
         es = eigendecompose(model.grid, field)
         reports = [fn(ExperimentConfig(**kw)) for fn, kw, _ in EXPERIMENTS.values()]
         reports.append(eigen_perturbation_experiment(perturbation))
+        fit = fit_pipeline(fine, fine_cfg)
         return (
             field.tobytes(),
             es.eigenvalues.tobytes(),
             es.eigenfunctions.tobytes(),
             [report_bytes(r) for r in reports],
+            fit.K,
+            fit.eigen.eigenvalues.tobytes(),
+            fit.eigen.eigenfunctions.tobytes(),
+            fit.scores.tobytes(),
+            evaluate_fit(fit, 0.4).surface.values.tobytes(),
         )
 
     assert at_threads(2, outputs) == at_threads(1, outputs)
 
 
 # (N, count) pairs around the crossover, at the benchmark's solves (count 16
-# at N = 200, 400, 441 and 800) and at full spectra, with the route each takes
+# at N = 200, 400, 441 and 800), on both sides of the order from which the
+# fit leaves its matrix unformed (768 for 16 pairs) and at full spectra, with
+# the route each takes
 ROUTES = {
     (81, 5): False, (101, 1): False, (102, 1): True, (191, 16): False, (192, 16): True,
-    (200, 16): True, (400, 16): True, (441, 16): True, (800, 16): True,
-    (300, 84): False, (400, 400): False,
+    (200, 16): True, (400, 16): True, (441, 16): True, (767, 16): True, (768, 16): True,
+    (800, 16): True, (300, 84): False, (400, 400): False,
 }
+
+
+class Unformed:
+    """A matrix seen only as ``leading_eigh`` sees an unformed one; counts its formations."""
+
+    def __init__(self, a):
+        self._a = a
+        self.shape = a.shape
+        self.formed = 0
+
+    def __matmul__(self, v):
+        return self._a @ v
+
+    def form(self):
+        self.formed += 1
+        return self._a.copy()
 
 
 def spectra(N):
@@ -149,9 +179,41 @@ def test_the_route_depends_only_on_the_shape_and_convergence(N, count, monkeypat
     assert not ROUTES[N, count] or calls[-1] == (N, count, False)
 
 
+@pytest.mark.parametrize("N, count", sorted(ROUTES))
+def test_an_unformed_matrix_takes_the_same_route_with_the_same_bits(N, count, monkeypatch):
+    calls = lanczos_spy(monkeypatch)
+    for a in spectra(N):
+        w, v = _blas.leading_eigh(a.copy(), count)
+        unformed = Unformed(a)
+        uw, uv = _blas.leading_eigh(unformed, count)
+        assert np.array_equal(w, uw) and np.array_equal(v, uv)
+        if ROUTES[N, count]:
+            assert calls[-1] == calls[-2]
+        else:
+            assert calls == []
+        # formed for the dense route alone
+        converged = ROUTES[N, count] and calls[-1][2]
+        assert unformed.formed == (0 if converged else 1)
+    # of these shapes, only 16 pairs from N = 768 on are solved unformed by the fit
+    assert _blas.matrix_free(N, count) == (N >= 768 and count == 16)
+
+
 def rank_six(N):
     b = np.random.default_rng(4).standard_normal((N, 6))
     return b @ b.T
+
+
+def stack(n, d, rank=None):
+    """(n, d) centred trajectories, as the fit holds them, behind its unformed
+    eigen matrix: the Gram matrix for n < d, else the covariance. Column j
+    is scaled by 1/j, so the spectrum decays; ``rank`` columns, if given,
+    span every row."""
+    rng = np.random.default_rng(n + d)
+    if rank is None:
+        c = rng.standard_normal((n, d)) / np.arange(1, d + 1)
+    else:
+        c = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    return _EigenMatrix(c - c.mean(axis=0), 1.0 / d)
 
 
 # (matrix, count, Ritz tolerance, the Lanczos run expected: None or (N, count, converged))
@@ -162,6 +224,12 @@ UNTOUCHED = {
     "lanczos 400x400, 16 pairs": (lambda: spectra(400)[0], 16, _blas._RITZ_TOL, (400, 16, True)),
     "breakdown": (lambda: rank_six(400), 16, _blas._RITZ_TOL, (400, 16, False)),
     "unconverged": (lambda: spectra(400)[0], 16, -1.0, (400, 16, False)),
+    "matrix-free gram 800x800, 16 pairs":
+        (lambda: stack(800, 841), 16, _blas._RITZ_TOL, (800, 16, True)),
+    "matrix-free covariance 784x784, 16 pairs":
+        (lambda: stack(900, 784), 16, _blas._RITZ_TOL, (784, 16, True)),
+    "matrix-free breakdown": (lambda: stack(800, 841, rank=6), 16, _blas._RITZ_TOL, (800, 16, False)),
+    "matrix-free unconverged": (lambda: stack(800, 841), 16, -1.0, (800, 16, False)),
 }
 
 
@@ -171,10 +239,23 @@ def test_the_matrix_is_left_as_it_was_on_every_route(case, monkeypatch):
     monkeypatch.setattr(_blas, "_RITZ_TOL", tol)
     calls = lanczos_spy(monkeypatch)
     a = make()
-    before = a.copy()
+    held = a if isinstance(a, np.ndarray) else a.centered
+    before = held.copy()
     _blas.leading_eigh(a, count)
     assert calls == ([] if run is None else [run])
-    assert np.array_equal(a, before)
+    assert np.array_equal(held, before)
+
+
+@pytest.mark.parametrize("case", ["matrix-free breakdown", "matrix-free unconverged"])
+def test_an_unformed_matrix_falls_back_to_the_dense_bits_of_its_formed_matrix(case, monkeypatch):
+    make, count, tol, run = UNTOUCHED[case]
+    monkeypatch.setattr(_blas, "_RITZ_TOL", tol)
+    calls = lanczos_spy(monkeypatch)
+    a = make()
+    w, v = _blas.leading_eigh(a, count)
+    assert calls == [run]
+    want_w, want_v = np.linalg.eigh(a.form())
+    assert np.array_equal(w, want_w[-count:]) and np.array_equal(v, want_v[:, -count:])
 
 
 def test_an_unconverged_run_returns_the_dense_bits(monkeypatch):

@@ -12,6 +12,7 @@ from condcopula.conditional import (
     Sample,
     _copula_lattices,
     _lattice_cdf,
+    _row_totals,
     empirical_copula_grid,
     joint_ecdf,
     kernel_values,
@@ -900,6 +901,20 @@ def test_lattice_cdf_matches_add_at():
         assert lattices.shape == (rows, L, L)
         for row in range(rows):
             assert np.array_equal(lattices[row], add_at_lattice_cdf(a[row], b[row], L, mass[row]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 800, 4000])
+@pytest.mark.parametrize("B", [1, 2, 32])
+def test_row_totals_are_sequential_sums(B, m):
+    # the bits of a left-to-right sum along each row, exact zeros included,
+    # over magnitudes where a pairwise grouping would round differently
+    rng = np.random.default_rng(B * 10007 + m)
+    kv = rng.random((B, m)) * 10.0 ** rng.integers(-12, 3, size=(B, m))
+    kv[rng.random((B, m)) < 0.4] = 0.0
+    totals = _row_totals(kv)
+    assert totals.shape == (B,)
+    assert np.array_equal(totals, np.cumsum(kv, axis=-1)[..., -1])
+    assert np.array_equal(_row_totals(np.zeros((B, 0))), np.zeros(B))
 
 
 def searched_indices(below, thresholds):

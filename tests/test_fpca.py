@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from condcopula import _blas
+from condcopula import _blas, fpca
 from condcopula.conditional import KernelSpec, rule_of_thumb_bandwidth, weighted_copula_surfaces
 from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
@@ -360,6 +361,45 @@ def test_dense_route_is_the_last_pairs_of_numpy_eigh(monkeypatch):
         assert np.array_equal(w, want_w[-16:]), name
         assert np.array_equal(v, want_v[:, -16:]), name
     assert calls == [(400, 16, False)]
+
+
+# (n, G) -> whether the 16-pair solve leaves its eigen matrix unformed: the
+# Gram route at N = 767 and 768, the covariance route at N = 729 and 784
+MATRIX_FREE_SHAPES = {(767, 29): False, (768, 29): True, (800, 27): False, (800, 28): True}
+
+
+@pytest.mark.parametrize("n, G", sorted(MATRIX_FREE_SHAPES))
+def test_the_eigen_matrix_is_formed_only_below_the_matrix_free_order(n, G, monkeypatch):
+    grid = make_grid(G)
+    surfaces, mean = clayton_ensemble(n, "partial", G)
+    centered = centered_trajectories(surfaces, mean)
+    before = centered.copy()
+    forms = []
+    form = fpca._EigenMatrix.form
+    monkeypatch.setattr(fpca._EigenMatrix, "form", lambda m: forms.append(m.shape) or form(m))
+    got = ensemble_eigensystem(centered, grid, 16)
+    N = min(n, G * G)
+    assert forms == ([] if MATRIX_FREE_SHAPES[n, G] else [(N, N)])
+    assert np.array_equal(centered, before)
+    monkeypatch.setattr(_blas, "_MATRIX_FREE", np.inf)  # formed at every order
+    want = ensemble_eigensystem(centered, grid, 16)
+    assert got.total == pytest.approx(want.total, rel=1e-13)
+    assert assert_leading_system(got, want, 16).sum() >= 8
+
+
+@pytest.mark.parametrize("n, G", [(n, G) for (n, G), free in MATRIX_FREE_SHAPES.items() if free])
+def test_an_unformed_solve_allocates_less_than_its_matrix(n, G):
+    grid = make_grid(G)
+    surfaces, mean = clayton_ensemble(n, "partial", G)
+    centered = centered_trajectories(surfaces, mean)
+    N = min(n, G * G)
+    tracemalloc.start()
+    try:
+        ensemble_eigensystem(centered, grid, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8
 
 
 # K -> (n, G, sample seed, kernel, multiple of the rule-of-thumb h) of a fit

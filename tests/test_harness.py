@@ -418,6 +418,28 @@ def test_report_json_round_trip(tmp_path):
     assert "runtime_s" not in payload
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_step_whose_every_replication_fails_reports_null(tmp_path):
+    # h_alpha = 1e-5 leaves every evaluation point without score weights
+    report = consistency_experiment(small_consistency_cfg(estimator={"h_alpha": 1e-5}))
+    assert len(report.failures) == 2 * 3
+    medians = report.metrics["median_sup_error"]
+    assert all(np.isnan(medians[str(n)]) for n in (100, 200))
+    path = tmp_path / "report.json"
+    report.to_json(path)
+    payload = strict_json(path.read_text())
+    assert payload["metrics"]["median_sup_error"] == {"100": None, "200": None}
+    assert payload["passed"] is False
+    assert payload["checks"]["no failed replications"] is False
+
+
 def test_build_kl_model_defaults():
     model = build_kl_model(grid_size=9)
     assert model.eigenvalues == (0.4, 0.2, 0.05)
