@@ -6,11 +6,14 @@ kernel, rule-of-thumb bandwidths) up to its centred (n, G^2) trajectories,
 then times the fit's own eigen call, ``fpca.ensemble_eigensystem`` for 16
 components under the CVP threshold 0.9, on one BLAS thread, best of
 ``--repeats``. The call runs twice per shape: with the matrix of order
-N = min(n, G^2) formed (``_blas._MATRIX_FREE`` set to infinity) and with
-Lanczos applying it unformed (``_MATRIX_FREE`` set to 0). Whole fits
-(``FITS``) follow, timed and traced by ``tracemalloc`` on each route. The
-output is one JSON object with the rows of ``BENCH_matrix_free_eigen.json``;
-the crossover between the routes sets ``_blas._MATRIX_FREE``.
+N = min(n, G^2) formed and with Lanczos applying it unformed, whatever
+``_blas.matrix_free`` says. The same two routes then time the fixed-count
+calls of ``COUNTS``, without a threshold, and the 16-component call under
+the higher thresholds of ``THRESHOLDS``, whose larger K leaves more pairs
+to converge before Lanczos stops. Whole fits (``FITS``) follow,
+timed and traced by ``tracemalloc`` on each route. The output is one JSON
+object with the rows of ``BENCH_matrix_free_eigen.json``; the crossovers
+between the routes set ``_blas._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
 
 Usage: PYTHONPATH=src python3 scripts/eigen_route_sweep.py [--repeats 3] [--out PATH]
 """
@@ -33,7 +36,7 @@ from condcopula.conditional import (
     weighted_copula_surfaces,
 )
 from condcopula.estimator import PipelineConfig, fit_pipeline
-from condcopula.fpca import ensemble_eigensystem
+from condcopula.fpca import REPORTED, ensemble_eigensystem, select_K
 from condcopula.grid import make_grid
 from condcopula.simulate import ConditionalModel, TauLink, sample_conditional
 
@@ -48,7 +51,16 @@ SWEEP = ((200, 51), (600, 51), (800, 51), (1200, 51), (2000, 51),
 # covariance route at n = 4000
 FITS = ((800, 51, "gaussian"), (2000, 51, "epanechnikov"), (2000, 51, "gaussian"),
         (4000, 51, "epanechnikov"))
-ROUTES = {"formed": math.inf, "matrix_free": 0}
+# (count, n, G): the fixed-count calls, without a threshold, of the
+# perturbation experiment (1 component) and of fixed-K fits (max(K + 1, 5)
+# components: 5, 16 and 32 for K <= 4, K = 15 and K = 31), on both sides of
+# the order at which the routes cross for 16 components under the CVP stop
+COUNTS = tuple((count, n, G) for count in (1, 5, 16, 32)
+               for n, G in ((400, 51), (600, 51), (800, 51), (1200, 51), (2000, 51), (3000, 21)))
+# (n, threshold) at G = 51: the CVP stop of the fit's call at K of 1 to 16
+THRESHOLDS = tuple((n, cvp) for n in (800, 1200, 2000) for cvp in (0.9, 0.99, 0.999))
+# (_MATRIX_FREE, _MATRIX_FREE_PAIRS) that send every solve down each route
+ROUTES = {"formed": (math.inf, 0), "matrix_free": (0, math.inf)}
 
 
 def centered_stack(n: int, G: int) -> np.ndarray:
@@ -75,12 +87,12 @@ def best_of(repeats: int, fn) -> tuple:
 
 
 def on_route(route: str, fn):
-    saved = _blas._MATRIX_FREE
-    _blas._MATRIX_FREE = ROUTES[route]
+    saved = _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS
+    _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS = ROUTES[route]
     try:
         return fn()
     finally:
-        _blas._MATRIX_FREE = saved
+        _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS = saved
 
 
 def sweep_row(n: int, G: int, repeats: int) -> dict:
@@ -88,7 +100,7 @@ def sweep_row(n: int, G: int, repeats: int) -> dict:
     centered = centered_stack(n, G)
     row = {"n": n, "G": G, "N": min(n, G * G),
            "route": "gram" if n < G * G else "covariance",
-           "default_matrix_free": _blas.matrix_free(min(n, G * G), COUNT)}
+           "default_matrix_free": _blas.matrix_free(min(n, G * G), min(COUNT, REPORTED))}
     eigen = {}
     for route in ROUTES:
         seconds, es = on_route(route, lambda: best_of(
@@ -101,6 +113,32 @@ def sweep_row(n: int, G: int, repeats: int) -> dict:
     row["max_lambda_gap_over_lambda1"] = float(
         np.max(np.abs(formed.eigenvalues[:m] - free.eigenvalues[:m])) / formed.eigenvalues[0])
     row["total_rel_gap"] = abs(formed.total - free.total) / formed.total
+    return row
+
+
+def count_row(count: int, n: int, G: int, repeats: int) -> dict:
+    grid = make_grid(G)
+    centered = centered_stack(n, G)
+    N = min(n, G * G)
+    row = {"count": count, "n": n, "G": G, "N": N,
+           "default_matrix_free": _blas.matrix_free(N, count)}
+    for route in ROUTES:
+        seconds, _ = on_route(route, lambda: best_of(
+            repeats, lambda: ensemble_eigensystem(centered, grid, count)))
+        row[f"{route}_ms"] = round(1e3 * seconds, 2)
+    return row
+
+
+def threshold_row(n: int, cvp: float, repeats: int) -> dict:
+    G = 51
+    grid = make_grid(G)
+    centered = centered_stack(n, G)
+    row = {"n": n, "G": G, "cvp": cvp}
+    for route in ROUTES:
+        seconds, es = on_route(route, lambda: best_of(
+            repeats, lambda: ensemble_eigensystem(centered, grid, COUNT, cvp)))
+        row[f"{route}_ms"] = round(1e3 * seconds, 2)
+        row[f"{route}_K_and_pairs"] = [select_K(es, cvp), es.m]
     return row
 
 
@@ -126,15 +164,19 @@ def main() -> None:
     args = ap.parse_args()
     with _blas.limited_threads(1):
         sweep = [sweep_row(n, G, args.repeats) for n, G in SWEEP]
+        counts = [count_row(count, n, G, args.repeats) for count, n, G in COUNTS]
+        thresholds = [threshold_row(n, cvp, args.repeats) for n, cvp in THRESHOLDS]
         fits = [fit_row(n, G, kernel, args.repeats) for n, G, kernel in FITS]
     result = {
         "what": "scripts/eigen_route_sweep.py: ensemble_eigensystem(centered, grid, "
                 f"{COUNT}, {CVP}) on one BLAS thread, best of {args.repeats}, with the "
                 "matrix formed and unformed; then whole fits on each route",
         "machine": {"python": platform.python_version(), "numpy": np.__version__},
-        "matrix_free_from": {"_MATRIX_FREE": _blas._MATRIX_FREE,
-                             "N_at_16_components": _blas._MATRIX_FREE * _blas._budget(COUNT)},
+        "matrix_free_where": {"N_at_least": _blas._MATRIX_FREE,
+                              "pairs_at_most": _blas._MATRIX_FREE_PAIRS},
         "sweep": sweep,
+        "counts": counts,
+        "thresholds": thresholds,
         "fits": fits,
     }
     text = json.dumps(result, indent=1)

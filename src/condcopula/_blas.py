@@ -46,13 +46,17 @@ The matrix may also be given unformed, as an object that applies it to a
 vector and forms it on request (``leading_eigh``). Lanczos then reads it
 through its products alone, and it is formed only for the dense route. A
 caller whose matrix is a scaled product of a stack with itself passes it
-unformed where ``matrix_free`` holds: N at least ``_MATRIX_FREE`` times the
-step budget (768 for 16 pairs). Each product then streams the stack twice.
-On the fit's Gram matrices over 2601 columns, one thread, that tied with
-forming the matrix at N = 800 (28 against 27-30 ms), won from N = 1200 on
-(45 against 64 ms) and lost at N = 600 (21 against 16-18 ms;
-``scripts/eigen_route_sweep.py``). No route writes to ``a``, nor to the
-stack behind an unformed one.
+unformed where ``matrix_free`` holds: N at least ``_MATRIX_FREE`` = 768, and
+at most ``_MATRIX_FREE_PAIRS`` = 5 pairs to converge. Each product then
+streams the stack twice, so the unformed route pays per step where the
+formed one pays once, and its cost follows the pairs that must converge.
+On the fit's Gram matrices over 2601 columns, one thread
+(``scripts/eigen_route_sweep.py``), 5 pairs tied with forming the matrix at
+N = 800 (29.8 against 30.2 ms), won from N = 1200 on (42 against 58 ms)
+and lost at N = 600 (22.6 against 18.3 ms); 1 pair won from N = 600 on.
+16 pairs lost up to N = 1200 (72 against 40 ms at N = 800) and won at
+N = 2000, and 32 pairs lost at every order up to 2000. No route writes to
+``a``, nor to the stack behind an unformed one.
 
 The full ``eigh`` solves for every eigenpair, so a dense solve of a few
 pairs at large N costs about twice what an index-range solve would: at
@@ -82,9 +86,11 @@ _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_
 _STEP_FACTOR = 3
 _STEP_SLACK = 48
 _CROSSOVER = 2
-# an unformed matrix is solved unformed from 8 step budgets on (768 for 16
-# pairs): the routes tied at N = 800 and the formed one won at N = 600
-_MATRIX_FREE = 8
+# an unformed matrix is solved unformed from order 768 on when at most 5
+# pairs must converge: for 5 pairs the routes tied at N = 800 and the formed
+# one won at N = 600; for 16 pairs the formed one won up to N = 1200
+_MATRIX_FREE = 768
+_MATRIX_FREE_PAIRS = 5
 _CHECK_EVERY = 4  # steps between Ritz-bound checks, each an eigh of the tridiagonal
 _RITZ_TOL = 2.0**-50  # Ritz bound / largest Ritz value, about 4 eps
 _COLLAPSE = 2.0**-40  # beta / largest |alpha| at which the Krylov space is invariant
@@ -131,10 +137,11 @@ def _budget(count: int) -> int:
     return _STEP_FACTOR * count + _STEP_SLACK
 
 
-def matrix_free(N: int, count: int) -> bool:
-    """Whether the ``count`` largest eigenpairs of an order-N matrix that is a
-    product of a stack with itself are found without forming the matrix."""
-    return N >= _MATRIX_FREE * _budget(count)
+def matrix_free(N: int, pairs: int) -> bool:
+    """Whether the largest eigenpairs of an order-N matrix that is a product
+    of a stack with itself are found without forming the matrix, when the
+    solve stops once ``pairs`` of them have converged."""
+    return N >= _MATRIX_FREE and pairs <= _MATRIX_FREE_PAIRS
 
 
 def _lanczos(a, count: int, enough=None):

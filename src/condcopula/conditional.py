@@ -158,17 +158,9 @@ def _row_totals(kv: np.ndarray) -> np.ndarray:
     block of evaluation points the window was gathered for. A pairwise sum
     groups its terms by position, so its float would depend on the zeros and
     neighbours around the window (Higham 2002, section 4.2).
-
-    A block of two or more rows is summed over axis 0 of its C-contiguous
-    (m, B) transpose: numpy sums pairwise only along the fast axis, here the
-    B rows, so each column adds its m terms in order and gets the bits of
-    ``np.cumsum(kv, axis=-1)[..., -1]`` (32 x 800: 31 against 73 us). A single
-    row, whose transpose is one contiguous run, keeps the ``np.cumsum``.
     """
     if kv.shape[-1] == 0:
         return np.zeros(kv.shape[:-1])
-    if kv.ndim == 2 and kv.shape[0] >= 2:
-        return np.ascontiguousarray(kv.T).sum(axis=0)
     return np.cumsum(kv, axis=-1)[..., -1]
 
 
@@ -350,9 +342,8 @@ def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
     means it never counts. The cells are binned with the batch inside, as
     (L + 1, B, L + 1), so the prefix over the first lattice axis is L - 1
     adds of contiguous (B, L + 1) slices, each the step of a sequential
-    ``np.cumsum``, or for one row that ``np.cumsum`` itself; one
-    ``np.cumsum`` along the last axis follows. Returns shape (B, L, L), a
-    view of the cells.
+    ``np.cumsum``; one ``np.cumsum`` along the last axis follows. Returns
+    shape (B, L, L), a view of the cells.
     """
     B = mass.shape[0]
     stride = B * (L + 1)
@@ -361,11 +352,8 @@ def _lattice_cdf(a_idx, b_idx, L: int, mass) -> np.ndarray:
     cell += np.arange(0, stride, L + 1)[:, None]
     cells = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=(L + 1) * stride)
     cells = cells.reshape(L + 1, B, L + 1)
-    if B == 1:  # one call, where L - 1 slice adds of L + 1 cells cost more
-        np.cumsum(cells[:L], axis=0, out=cells[:L])
-    else:
-        for a in range(1, L):
-            cells[a] += cells[a - 1]
+    for a in range(1, L):
+        cells[a] += cells[a - 1]
     cdf = cells[:L, :, :L]
     np.cumsum(cdf, axis=2, out=cdf)
     return cdf.transpose(1, 0, 2)

@@ -11,8 +11,8 @@ variance its components explain is known also when it holds only the leading
 ones. The fit path solves for those alone (``ensemble_eigensystem``), and when
 the ensemble has fewer trajectories than grid nodes it takes them from the
 smaller n x n Gram matrix of the centered trajectories (the method of
-snapshots, Sirovich 1987). Where that matrix is large against the count
-(``_blas.matrix_free``), it is not formed: Lanczos applies it through the
+snapshots, Sirovich 1987). Where that matrix is large and the solve needs few
+converged pairs (``_blas.matrix_free``), it is not formed: Lanczos applies it through the
 centered trajectories, and the total variance is their squared Frobenius
 norm times cell_weight / n. Every function here that calls BLAS runs it on
 one thread (``_blas.limited_threads``), so its result has the same bits at
@@ -240,13 +240,14 @@ def ensemble_eigensystem(
     against the count, numpy's full ``eigh`` elsewhere). The system holds
     min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
 
-    Where the order N = min(n, G^2) is large against the count
-    (``_blas.matrix_free``: N >= 768 for 16 components), the matrix is not
-    formed. Lanczos applies it as v -> (cell_weight / n) C (C^T v), or
-    (cell_weight / n) C^T (C v) on the covariance route, and ``total`` is
+    Where the order N = min(n, G^2) is large and at most 5 pairs must
+    converge (``_blas.matrix_free``: N >= 768, and a count of at most 5 or a
+    CVP ``threshold``, whose solve may stop at ``REPORTED`` = 5), the matrix
+    is not formed. Lanczos applies it as v -> (cell_weight / n) C (C^T v),
+    or (cell_weight / n) C^T (C v) on the covariance route, and ``total`` is
     (cell_weight / n) ||C||_F^2 itself. Only a Lanczos breakdown or an
-    exhausted step budget forms the matrix, for the dense ``eigh``. Below
-    that order the matrix is formed and ``total`` is its trace. ``centered``
+    exhausted step budget forms the matrix, for the dense ``eigh``.
+    Elsewhere the matrix is formed and ``total`` is its trace. ``centered``
     is only read.
 
     With a CVP ``threshold``, Lanczos stops as soon as the components that
@@ -260,10 +261,10 @@ def ensemble_eigensystem(
     """
     n = centered.shape[0]
     delta = grid.cell_weight
-    snapshots = n < grid.G ** 2
     matrix = _EigenMatrix(centered, delta)
+    snapshots = matrix.gram
     count = min(count, matrix.shape[0])
-    if matrix_free(matrix.shape[0], count):
+    if matrix_free(matrix.shape[0], count if threshold is None else min(count, REPORTED)):
         total = delta / n * float(np.vdot(centered, centered))
     else:
         matrix = matrix.form()

@@ -363,7 +363,7 @@ def test_dense_route_is_the_last_pairs_of_numpy_eigh(monkeypatch):
     assert calls == [(400, 16, False)]
 
 
-# (n, G) -> whether the 16-pair solve leaves its eigen matrix unformed: the
+# (n, G) -> whether the 5-pair solve leaves its eigen matrix unformed: the
 # Gram route at N = 767 and 768, the covariance route at N = 729 and 784
 MATRIX_FREE_SHAPES = {(767, 29): False, (768, 29): True, (800, 27): False, (800, 28): True}
 
@@ -377,14 +377,34 @@ def test_the_eigen_matrix_is_formed_only_below_the_matrix_free_order(n, G, monke
     forms = []
     form = fpca._EigenMatrix.form
     monkeypatch.setattr(fpca._EigenMatrix, "form", lambda m: forms.append(m.shape) or form(m))
-    got = ensemble_eigensystem(centered, grid, 16)
+    got = ensemble_eigensystem(centered, grid, 5)
     N = min(n, G * G)
     assert forms == ([] if MATRIX_FREE_SHAPES[n, G] else [(N, N)])
     assert np.array_equal(centered, before)
     monkeypatch.setattr(_blas, "_MATRIX_FREE", np.inf)  # formed at every order
-    want = ensemble_eigensystem(centered, grid, 16)
+    want = ensemble_eigensystem(centered, grid, 5)
     assert got.total == pytest.approx(want.total, rel=1e-13)
-    assert assert_leading_system(got, want, 16).sum() >= 8
+    assert assert_leading_system(got, want, 5).sum() == 5
+
+
+# (count, CVP threshold) -> whether the solve at N = 768 leaves its matrix
+# unformed: a fixed count of at most 5, or the fit's automatic-K call, which
+# may stop at 5 pairs; 16 fixed pairs lost unformed up to N = 1200
+PAIR_ROUTES = {(1, None): True, (5, None): True, (6, None): False, (16, None): False,
+               (16, 0.9): True}
+
+
+@pytest.mark.parametrize("count, threshold", sorted(PAIR_ROUTES, key=str))
+def test_the_eigen_matrix_is_formed_where_more_than_5_pairs_must_converge(
+        count, threshold, monkeypatch):
+    grid = make_grid(29)
+    surfaces, mean = clayton_ensemble(768, "partial", 29)
+    centered = centered_trajectories(surfaces, mean)
+    forms = []
+    form = fpca._EigenMatrix.form
+    monkeypatch.setattr(fpca._EigenMatrix, "form", lambda m: forms.append(m.shape) or form(m))
+    ensemble_eigensystem(centered, grid, count, threshold)
+    assert forms == ([] if PAIR_ROUTES[count, threshold] else [(768, 768)])
 
 
 @pytest.mark.parametrize("n, G", [(n, G) for (n, G), free in MATRIX_FREE_SHAPES.items() if free])
@@ -395,7 +415,7 @@ def test_an_unformed_solve_allocates_less_than_its_matrix(n, G):
     N = min(n, G * G)
     tracemalloc.start()
     try:
-        ensemble_eigensystem(centered, grid, 16)
+        ensemble_eigensystem(centered, grid, 16, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -184,12 +184,10 @@ def test_weights_normalised_only_by_the_row_total_helper():
     # one definition of a kernel weight's total: the window-weight routine
     # of the surfaces and the score regression divides by it; only the
     # pseudo-observation stage, whose dense rows certify its ranks, keeps
-    # pairwise row sums. The helper's own sum runs down the columns of a
-    # transposed block, one sequential sum per row
-    # (``test_conditional.py::test_row_totals_are_sequential_sums``)
+    # pairwise row sums
     source = (PACKAGE_DIR / "conditional.py").read_text()
     assert callers_of(source, "_row_totals") == {"window_weights"}
-    assert callers_of(source, "sum") == {"pseudo_observations", "_dense_pseudo_rows", "_row_totals"}
+    assert callers_of(source, "sum") == {"pseudo_observations", "_dense_pseudo_rows"}
 
 
 def test_lattices_accumulated_only_by_the_lattice_routines():
