@@ -11,9 +11,12 @@ N = min(n, G^2) formed and with Lanczos applying it unformed, whatever
 calls of ``COUNTS``, without a threshold, and the 16-component call under
 the higher thresholds of ``THRESHOLDS``, whose larger K leaves more pairs
 to converge before Lanczos stops. Whole fits (``FITS``) follow,
-timed and traced by ``tracemalloc`` on each route. The output is one JSON
-object with the rows of ``BENCH_matrix_free_eigen.json``; the crossovers
-between the routes set ``_blas._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
+timed and traced by ``tracemalloc`` on each route. Beside each time, one
+more untimed call records the matrix-vector products of each Lanczos run
+it made (an empty list where the dense route solved it). The output is one
+JSON object with the rows of ``BENCH_matrix_free_eigen.json`` and
+``BENCH_lanczos_stop.json``; the crossovers between the routes set
+``_blas._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
 
 Usage: PYTHONPATH=src python3 scripts/eigen_route_sweep.py [--repeats 3] [--out PATH]
 """
@@ -86,6 +89,34 @@ def best_of(repeats: int, fn) -> tuple:
     return best, out
 
 
+def lanczos_products(fn) -> list:
+    """The matrix-vector products of each Lanczos run that ``fn()`` makes."""
+    runs = []
+    real = _blas._lanczos
+
+    def counted(a, count, enough=None):
+        products = 0
+
+        class Counted:  # the matrix as Lanczos reads it, through its products
+            shape = a.shape
+
+            def __matmul__(self, v):
+                nonlocal products
+                products += 1
+                return a @ v
+
+        found = real(Counted(), count, enough)
+        runs.append(products)
+        return found
+
+    _blas._lanczos = counted
+    try:
+        fn()
+    finally:
+        _blas._lanczos = real
+    return runs
+
+
 def on_route(route: str, fn):
     saved = _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS
     _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS = ROUTES[route]
@@ -102,10 +133,14 @@ def sweep_row(n: int, G: int, repeats: int) -> dict:
            "route": "gram" if n < G * G else "covariance",
            "default_matrix_free": _blas.matrix_free(min(n, G * G), min(COUNT, REPORTED))}
     eigen = {}
+
+    def call():
+        return ensemble_eigensystem(centered, grid, COUNT, CVP)
+
     for route in ROUTES:
-        seconds, es = on_route(route, lambda: best_of(
-            repeats, lambda: ensemble_eigensystem(centered, grid, COUNT, CVP)))
+        seconds, es = on_route(route, lambda: best_of(repeats, call))
         row[f"{route}_ms"] = round(1e3 * seconds, 2)
+        row[f"{route}_products"] = on_route(route, lambda: lanczos_products(call))
         eigen[route] = es
     formed, free = eigen["formed"], eigen["matrix_free"]
     m = min(formed.m, free.m)
@@ -122,10 +157,14 @@ def count_row(count: int, n: int, G: int, repeats: int) -> dict:
     N = min(n, G * G)
     row = {"count": count, "n": n, "G": G, "N": N,
            "default_matrix_free": _blas.matrix_free(N, count)}
+
+    def call():
+        return ensemble_eigensystem(centered, grid, count)
+
     for route in ROUTES:
-        seconds, _ = on_route(route, lambda: best_of(
-            repeats, lambda: ensemble_eigensystem(centered, grid, count)))
+        seconds, _ = on_route(route, lambda: best_of(repeats, call))
         row[f"{route}_ms"] = round(1e3 * seconds, 2)
+        row[f"{route}_products"] = on_route(route, lambda: lanczos_products(call))
     return row
 
 
@@ -134,10 +173,14 @@ def threshold_row(n: int, cvp: float, repeats: int) -> dict:
     grid = make_grid(G)
     centered = centered_stack(n, G)
     row = {"n": n, "G": G, "cvp": cvp}
+
+    def call():
+        return ensemble_eigensystem(centered, grid, COUNT, cvp)
+
     for route in ROUTES:
-        seconds, es = on_route(route, lambda: best_of(
-            repeats, lambda: ensemble_eigensystem(centered, grid, COUNT, cvp)))
+        seconds, es = on_route(route, lambda: best_of(repeats, call))
         row[f"{route}_ms"] = round(1e3 * seconds, 2)
+        row[f"{route}_products"] = on_route(route, lambda: lanczos_products(call))
         row[f"{route}_K_and_pairs"] = [select_K(es, cvp), es.m]
     return row
 
@@ -153,7 +196,9 @@ def fit_row(n: int, G: int, kernel: str, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         row[route] = {"fit_s": round(seconds, 4), "traced_peak_mib": round(peak / 2**20, 1),
-                      "K": fit.K}
+                      "K": fit.K,
+                      "products": on_route(route, lambda: lanczos_products(
+                          lambda: fit_pipeline(s, cfg)))}
     return row
 
 

@@ -23,10 +23,25 @@ stops once every requested Ritz pair's residual bound beta * |s_m| is at
 most ``_RITZ_TOL`` times the largest Ritz value. A caller that reads fewer
 pairs than it may need (the fit under an automatic K reads those through
 the CVP crossing plus one) passes ``enough``, which counts them on the
-current Ritz values; the run then stops as soon as that many leading pairs
-meet the bound, and returns those. On the fit's Gram matrices of order
-800 (n = 800, G = 51, three samples) that run took 4.9-5.4 ms on one
-thread, where 16 pairs took 11.2-13.4 ms. The start vector is the
+current Ritz values, and counts too the leading pairs whose eigenvectors
+it reads (the fit's K). The pairs past those are read for their
+eigenvalues alone, and pass on the Kato-Temple bound of the eigenvalue's
+error (Parlett, ch. 10-11): rho^2 / (gamma - rho), for a residual bound rho
+below the distance gamma to the nearest other Ritz value, at most
+``_RITZ_TOL`` times their own Ritz value (``_converged``). That bound falls
+as the square of the residual, so an eigenvalue converges in fewer steps
+than its eigenvector. The run stops as soon as that many leading pairs
+pass, and returns those. The bounds are checked by an eigh of the
+tridiagonal matrix, at steps timed by their own decay (``_steps_ahead``):
+after a failed check, the next comes at the last whole step before the
+slowest bound would pass if it kept falling at the rate it fell since the
+previous check, 1 to ``_CHECK_EVERY`` steps on. The steps and checks read
+the alphas and betas alone, so a matrix and the same matrix unformed stop at
+the same step with the same bits. On the fit's Gram matrices of order 800
+(n = 800, G = 51, Gaussian kernel, K of 1 or 2), unformed, the run took
+14-18 products where converging every returned eigenvector took 20 (17
+samples), and on one thread 19.5-24.9 ms where it took 28.5-31.6 ms (the
+benchmark's 7 samples). The start vector is the
 Weyl sequence frac(i * 0.618...) - 0.5: it has no structure that the fit's
 eigenvectors share, where an all-ones vector is orthogonal to every
 eigenfunction of zero integral. The other shapes, and any run whose beta
@@ -70,6 +85,7 @@ libraries would run threads that ``limited_threads`` cannot reach.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -91,7 +107,7 @@ _CROSSOVER = 2
 # one won at N = 600; for 16 pairs the formed one won up to N = 1200
 _MATRIX_FREE = 768
 _MATRIX_FREE_PAIRS = 5
-_CHECK_EVERY = 4  # steps between Ritz-bound checks, each an eigh of the tridiagonal
+_CHECK_EVERY = 4  # most steps between Ritz-bound checks, each an eigh of the tridiagonal
 _RITZ_TOL = 2.0**-50  # Ritz bound / largest Ritz value, about 4 eps
 _COLLAPSE = 2.0**-40  # beta / largest |alpha| at which the Krylov space is invariant
 _WEYL = 0.6180339887498949  # frac(i * (sqrt(5) - 1) / 2) is the start vector
@@ -144,14 +160,72 @@ def matrix_free(N: int, pairs: int) -> bool:
     return N >= _MATRIX_FREE and pairs <= _MATRIX_FREE_PAIRS
 
 
+def _converged(theta: np.ndarray, rho: np.ndarray, want: int, vectors: int) -> tuple:
+    """Which of the ``want`` leading Ritz pairs have converged, and how far each is off.
+
+    ``theta`` holds every Ritz value in ascending order and ``rho`` each
+    pair's residual bound beta |s_m|, in the same order. The leading
+    ``vectors`` pairs pass when rho <= ``_RITZ_TOL`` * theta_1, the largest
+    Ritz value. The next pairs, up to ``want``, are read for their
+    eigenvalue alone. With gamma the distance from theta_i to the nearest
+    other Ritz value, the eigenvalue's error is at most rho^2 / (gamma - rho)
+    when rho < gamma (Kato-Temple), and at most rho in any case, so such a
+    pair passes when rho^2 <= ``_RITZ_TOL`` * theta_i * (gamma - rho), or on
+    the vector bound. Returns (passed, ratio), leading pair first: the pass
+    is the direct comparison, and ``ratio``, each pair's bound over its
+    tolerance, times the next check.
+    """
+    theta, rho = theta[::-1], rho[::-1]
+    top = _RITZ_TOL * theta[0]
+    k = min(want, theta.size)
+    passed = rho[:k] <= top
+    gaps = (theta[:-1] - theta[1:]).tolist() + [math.inf]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = rho[:k] / top
+        for i in range(vectors, k):
+            room = min(gaps[i - 1] if i else math.inf, gaps[i]) - rho[i]
+            if room > 0.0:
+                passed[i] |= rho[i] ** 2 <= _RITZ_TOL * theta[i] * room
+                ratio[i] = min(ratio[i], rho[i] ** 2 / room / (_RITZ_TOL * theta[i]))
+    return passed, ratio
+
+
+def _steps_ahead(ratio: np.ndarray, passed: np.ndarray, before: np.ndarray, since: int) -> int:
+    """Steps to the next check, 1 to ``_CHECK_EVERY``.
+
+    Each failing pair's ratio (``_converged``) is carried forward at the
+    rate it fell over the ``since`` steps from the previous check, whose
+    ratios are ``before``, to the step where it reaches 1; the next check is
+    the last whole step before the slowest one gets there, as the bounds fall
+    faster the further Lanczos runs. A pair without a previous ratio, or
+    whose ratio did not fall, asks for ``_CHECK_EVERY``.
+    """
+    slowest = 1.0
+    for i in np.flatnonzero(~passed).tolist():
+        ok = i < before.size and before[i] > ratio[i] > 0.0
+        fall = math.log(before[i] / ratio[i]) if ok else 0.0  # over ``since`` steps
+        if not fall > 0.0:
+            return _CHECK_EVERY
+        slowest = max(slowest, since * math.log(ratio[i]) / fall)
+    return min(int(slowest), _CHECK_EVERY)
+
+
 def _lanczos(a, count: int, enough=None):
     """The ``count`` largest eigenpairs of symmetric ``a`` by Lanczos, or None.
 
-    With ``enough``, the pairs returned are the leading ``min(count,
-    enough(theta))`` at the first check where those converge, ``theta``
-    being that check's Ritz values in descending order. None when beta
-    collapses or the step budget runs out first. ``a`` is a matrix, or an
-    unformed one, and is only read through ``a @ v``.
+    Without ``enough`` every returned pair's eigenvector meets the Ritz
+    bound (``_converged``). With it, ``enough(theta)`` gives (values,
+    vectors) on a check's Ritz values ``theta`` in descending order: the
+    pairs returned are the leading ``want = min(count, values)`` at the
+    first check where they converge, and only the leading ``vectors`` of
+    them need their eigenvector; the others converge as far as their
+    eigenvalue needs. Checks start at step 2 * count, or at step 2 with
+    ``enough``, whose counts are known only from the Ritz values; after a
+    failed check the next is timed by ``_steps_ahead``, and never before
+    step 2 * want or after the last step. None when beta collapses or the
+    step budget runs out first. ``a`` is a matrix, or an unformed one, and
+    is only read through ``a @ v``; the steps and checks depend on the
+    alphas and betas alone.
     """
     N = a.shape[0]
     steps = _budget(count)
@@ -161,6 +235,10 @@ def _lanczos(a, count: int, enough=None):
     alpha = np.zeros(steps)
     beta = np.zeros(steps)
     scale = 0.0
+    # no measured run converged in fewer than 2 * count steps; with
+    # ``enough`` the count is known only from the Ritz values
+    check = 2 * count if enough is None else 2
+    last, before = 0, np.empty(0)  # the previous check's step and ratios
     for j in range(steps):
         w = a @ basis[j]
         done = basis[: j + 1]
@@ -174,17 +252,17 @@ def _lanczos(a, count: int, enough=None):
         if not beta[j] > _COLLAPSE * scale:  # also a NaN
             return None
         m = j + 1
-        # no measured run converged in fewer than 2 * count steps; with
-        # ``enough`` the count is known only from the Ritz values
-        if (m >= 2 * count or enough is not None) and (m % _CHECK_EVERY == 0 or m == steps):
+        if m >= check or m == steps:
             t = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
             theta, s = np.linalg.eigh(t)
-            want = count if enough is None else min(count, enough(theta[::-1]))
-            if m >= 2 * want and np.all(
-                beta[j] * np.abs(s[-1, m - want:]) <= _RITZ_TOL * theta[-1]
-            ):
+            want, vectors = (count, count) if enough is None else enough(theta[::-1])
+            want = min(count, want)
+            passed, ratio = _converged(theta, beta[j] * np.abs(s[-1]), want, vectors)
+            if m >= 2 * want and np.all(passed):
                 # (want, N) in C order, so the eigenvectors are its columns
                 return theta[m - want:], (s[:, m - want:].T @ basis[:m]).T
+            check = max(m + _steps_ahead(ratio, passed, before, m - last), 2 * want)
+            last, before = m, ratio
         basis[j + 1] = w / beta[j]
     return None
 
@@ -209,10 +287,14 @@ def leading_eigh(a, count: int, enough=None) -> tuple:
     data does not produce one among the leading eigenvalues, and a
     rank-deficient matrix breaks down to ``eigh``.
 
-    ``enough``, if given, maps Ritz values in descending order to the number
-    of leading pairs the caller reads. Lanczos then stops at the first check
-    where that many pairs, at most ``count``, meet the Ritz bound, and
-    returns them alone; the dense route still returns ``count`` pairs.
+    ``enough``, if given, maps Ritz values in descending order to two
+    counts: the leading pairs whose eigenvalues the caller reads, and the
+    leading pairs whose eigenvectors it reads. Lanczos then stops at the
+    first check where the first count of pairs, at most ``count``, have
+    converged: those of the second count to the Ritz bound, the others only
+    as far as their eigenvalues need (``_converged``), and returns them
+    alone; the dense route still returns ``count`` pairs. Without
+    ``enough`` every returned eigenvector meets the Ritz bound.
     """
     N = a.shape[0]
     formed = isinstance(a, np.ndarray)

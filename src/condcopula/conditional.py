@@ -47,7 +47,7 @@ _BLOCK = 32
 _CUT_FROM = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Observed triples (y1, y2, x), one record per index, in read-only copies."""
 
@@ -216,7 +216,7 @@ def window_weights(x_eval, s: Sample, k: KernelSpec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoSample:
     """Conditional probability transforms (eps1_i, eps2_i), in read-only copies."""
 
@@ -458,21 +458,21 @@ def weighted_copula_surfaces(
     The points go in blocks of ``_BLOCK`` (32) from ``window_weights``,
     each with the union U of their windows, and one ``_copula_lattices`` call
     per block turns the weights and the members' ``pseudo.ranks`` into the
-    block's lattices with the thresholds ``levels - 1e-12``, clipped to
-    [0, 1] in place before they are stored. A member outside a point's window
-    has weight 0.0: it adds an exact zero to every sum and is never the last
-    member counted at a level, since every grid level is above 0. So every
-    surface is bit-identical to evaluating all n observations with the same
-    weights. A point whose weights all vanish raises the
+    block's lattices with the thresholds ``levels - 1e-12``, stored in the
+    stack as they come; the finished stack is clipped to [0, 1] in place
+    once. A member outside a point's window has weight 0.0: it adds an
+    exact zero to every sum and is never the last member counted at a
+    level, since every grid level is above 0. So every surface is
+    bit-identical to evaluating all n observations with the same weights.
+    A point whose weights all vanish raises the
     ``DegenerateWeightsError`` of ``window_weights``.
     """
     thresholds = grid.nodes - 1e-12
     out = np.empty((len(xs_eval), grid.G, grid.G))
     for block, union, w in window_weights(xs_eval, s, k):
-        lattices = _copula_lattices(pseudo.ranks[:, union], w, thresholds)
-        out[block] = np.clip(lattices, 0.0, 1.0, out=lattices)
-        del lattices  # so the next block's cells are not allocated beside these
-    return out
+        # stored at once, so the block's cells die before the next block's
+        out[block] = _copula_lattices(pseudo.ranks[:, union], w, thresholds)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:

@@ -94,7 +94,7 @@ class PipelineConfig:
                 raise ValueError(f"bandwidth {name} must be finite and positive, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpcaFit:
     """Sample-level fit, shared by estimates at different x. The spectrum,
     the scores and the reconstruction are all centred at the partial copula
@@ -124,7 +124,7 @@ class FpcaFit:
         return float(lam[self.K - 1] / lam[self.K])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalCopulaEstimate:
     """Estimated conditional copula surface at one covariate value."""
 

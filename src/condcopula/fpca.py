@@ -46,12 +46,15 @@ _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
 REPORTED = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Ordered eigenvalues and quadrature-orthonormal eigenfunctions.
 
     The system may hold only the leading components of a spectrum; ``total``
     is the sum of the whole spectrum, the trace of the decomposed matrix.
+    In a fit under an automatic K, the eigenfunctions past the K-th have
+    converged only as far as their eigenvalues need (``ensemble_eigensystem``);
+    nothing in the package reads them.
     """
 
     grid: Grid2D
@@ -182,7 +185,7 @@ def eigendecompose(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _EigenMatrix:
     """The matrix whose leading eigenpairs give the ensemble's, unformed.
 
@@ -251,13 +254,17 @@ def ensemble_eigensystem(
     is only read.
 
     With a CVP ``threshold``, Lanczos stops as soon as the components that
-    ``select_K`` and the diagnostics read have converged: those through the
-    threshold's crossing plus one, and at least ``REPORTED``, counted on the
-    current Ritz values, clipped as here, and the exact trace. The system
-    then holds those alone. Ritz values interlace from below, so their
-    crossing is never before the true one, and ``select_K`` of the result
-    reads the same values and gives the same K. The dense route still
-    returns min(count, n, G^2) components.
+    ``select_K`` and the diagnostics read have converged as far as they are
+    read: those through the threshold's crossing plus one, and at least
+    ``REPORTED``, counted on the current Ritz values, clipped as here, and
+    the exact trace. The eigenfunctions of the first K of them, K counted
+    the same way, converge to the Ritz bound; the later components are
+    read for their eigenvalues alone, which converge in fewer steps than
+    their eigenfunctions (``_blas._converged``). The system then holds those
+    components alone. Ritz values interlace from below, so their crossing
+    is never before the true one, and ``select_K`` of the result reads the
+    same values and gives the same K. The dense route still returns
+    min(count, n, G^2) components.
     """
     n = centered.shape[0]
     delta = grid.cell_weight
@@ -273,7 +280,8 @@ def ensemble_eigensystem(
     if threshold is not None:
         def enough(theta):
             clipped = np.where(theta < _TRUNCATE_BELOW, 0.0, theta)
-            return max(_cvp_count(clipped, total, threshold) + 1, REPORTED)
+            K = _cvp_count(clipped, total, threshold)
+            return max(K + 1, REPORTED), K
     evals, vecs = leading_eigh(matrix, count, enough)
     if not snapshots:
         return _eigensystem(grid, evals, vecs / np.sqrt(delta), total, _TRUNCATE_BELOW)

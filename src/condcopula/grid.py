@@ -57,7 +57,7 @@ class Grid2D:
         return 1.0 / self.G**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real-valued function sampled at the nodes of a :class:`Grid2D`.
 

@@ -583,7 +583,7 @@ class ConditionalModel:
         return CopulaModel(family=self.family, theta=theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthRecord:
     """Hidden simulation truth: exact transforms and per-obs parameters."""
 
@@ -652,7 +652,7 @@ def cosine_tensor(grid: Grid2D, p: int, q: int) -> GridFunction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticKLModel:
     """Mean surface plus prescribed eigenpairs with Gaussian scores.
 

@@ -422,28 +422,33 @@ def test_an_unformed_solve_allocates_less_than_its_matrix(n, G):
     assert peak < N * N * 8
 
 
-# K -> (n, G, sample seed, kernel, multiple of the rule-of-thumb h) of a fit
-# whose CVP at 0.9 picks that K. Every eigen matrix has order min(n, G^2) of
-# 200 to 240, at least 192, so the automatic-K solve of 16 pairs takes the
-# Lanczos route
+# case -> (K, n, G, sample seed, kernel, multiple of the rule-of-thumb h) of
+# a fit whose CVP at 0.9 picks that K. Every eigen matrix has order
+# min(n, G^2) of at least 192, so the automatic-K solve of 16 pairs takes the
+# Lanczos route. The cases named by K have orders 200 to 300. The fine-grid
+# case is the benchmark's fine-grid shape, solved unformed, whose spectrum
+# falls steeply: lambda_5 / lambda_1 < 0.01, so lambda_2..lambda_5, read for
+# their values alone, are held to 1e-13 of themselves, not of lambda_1
 STOPPED_FITS = {
-    1: (200, 15, 2, "epanechnikov", 4.0),
-    2: (200, 15, 1, "epanechnikov", 4.0),
-    3: (200, 15, 2, "epanechnikov", 2.0),
-    4: (200, 15, 1, "epanechnikov", 2.0),
-    5: (200, 15, 1, "gaussian", 1.0),
-    6: (200, 15, 1, "epanechnikov", 1.5),
-    7: (240, 15, 2, "epanechnikov", 1.0),
-    8: (300, 15, 1, "epanechnikov", 1.0),
-    9: (200, 15, 2, "epanechnikov", 1.0),
+    "1": (1, 200, 15, 2, "epanechnikov", 4.0),
+    "2": (2, 200, 15, 1, "epanechnikov", 4.0),
+    "3": (3, 200, 15, 2, "epanechnikov", 2.0),
+    "4": (4, 200, 15, 1, "epanechnikov", 2.0),
+    "5": (5, 200, 15, 1, "gaussian", 1.0),
+    "6": (6, 200, 15, 1, "epanechnikov", 1.5),
+    "7": (7, 240, 15, 2, "epanechnikov", 1.0),
+    "8": (8, 300, 15, 1, "epanechnikov", 1.0),
+    "9": (9, 200, 15, 2, "epanechnikov", 1.0),
+    "fine-grid": (1, 800, 51, 2, "gaussian", 1.0),
 }
 
 
-@pytest.mark.parametrize("K", sorted(STOPPED_FITS))
-def test_stopped_lanczos_reads_what_a_dense_solve_gives(K, monkeypatch):
+@pytest.mark.parametrize("case", sorted(STOPPED_FITS))
+def test_stopped_lanczos_reads_what_a_dense_solve_gives(case, monkeypatch):
     # under an automatic K the solve stops at the components the fit reads:
-    # those through the CVP crossing plus one, and at least lambda_1..lambda_5
-    n, G, seed, family, mult = STOPPED_FITS[K]
+    # those through the CVP crossing plus one, and at least lambda_1..lambda_5;
+    # only phi_1..phi_K are read, and the others only for their eigenvalues
+    K, n, G, seed, family, mult = STOPPED_FITS[case]
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, n, seed)
     cfg = PipelineConfig(grid_size=G, kernel_family=family,
@@ -459,11 +464,33 @@ def test_stopped_lanczos_reads_what_a_dense_solve_gives(K, monkeypatch):
     read = list(range(5)) + [K]
     lam, want = fit.eigen.eigenvalues[read], dense.eigen.eigenvalues[read]
     assert np.all(np.abs(lam - want) <= 1e-13 * want)
+    assert case != "fine-grid" or want[4] < 0.01 * want[0]
     assert fit.eigen.total == dense.eigen.total
     est, dense_est = evaluate_fit(fit, 0.5), evaluate_fit(dense, 0.5)
     gap, dense_gap = est.diagnostics["eigengap"], dense_est.diagnostics["eigengap"]
     assert gap == pytest.approx(dense_gap, rel=1e-12)
     assert np.max(np.abs(est.surface.values - dense_est.surface.values)) <= 1e-13
+
+
+# the first three samples of the benchmark's fine-grid pool at seed 1
+FINE_GRID_SEEDS = [int(s) for s in np.random.SeedSequence(1).generate_state(3)]
+
+
+@pytest.mark.parametrize("seed", FINE_GRID_SEEDS)
+def test_a_fine_grid_fit_stops_once_what_it_reads_has_converged(seed, monkeypatch):
+    # n = 800, G = 51, Gaussian kernel: K is 1 or 2, so lambda_{K+1}..lambda_5
+    # need their eigenvalues alone, which converge in fewer steps than their
+    # eigenvectors; the solve took 20 products when every pair's eigenvector
+    # had to converge, and takes at most 16
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, 800, seed)
+    products = []
+    matmul = fpca._EigenMatrix.__matmul__
+    monkeypatch.setattr(fpca._EigenMatrix, "__matmul__",
+                        lambda m, v: products.append(v.size) or matmul(m, v))
+    fit = fit_pipeline(s, PipelineConfig(grid_size=51, kernel_family="gaussian"))
+    assert fit.K in (1, 2) and fit.eigen.m == 5
+    assert 0 < len(products) <= 16
 
 
 def test_cvp_past_the_leading_components_reads_the_whole_spectrum():

@@ -6,9 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import condcopula
+from condcopula.conditional import PseudoSample, Sample
+from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
+from condcopula.fpca import EigenSystem, _EigenMatrix
+from condcopula.grid import GridFunction, make_grid
+from condcopula.harness import build_kl_model
+from condcopula.simulate import ConditionalModel, TauLink, TruthRecord, sample_conditional
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(condcopula.__path__))
 PACKAGE_DIR = Path(condcopula.__file__).resolve().parent
@@ -374,3 +381,39 @@ def test_fit_leaves_scipy_linalg_unloaded():
         "evaluate_fit(fit_pipeline(s, PipelineConfig(grid_size=9)), 0.5)\n"
     )
     assert not loaded_after(every_sampler, "scipy")
+
+
+def small_fit():
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, 40, 3)
+    return fit_pipeline(s, PipelineConfig(grid_size=5))
+
+
+def array_records():
+    """A maker of each frozen record that holds arrays: two calls give
+    records of equal content in distinct arrays."""
+    grid = make_grid(3)
+    pair = (0.25, 0.5)
+    return {
+        "Sample": lambda: Sample(y1=pair, y2=pair, x=pair),
+        "PseudoSample": lambda: PseudoSample(eps1=pair, eps2=pair),
+        "FpcaFit": small_fit,
+        "ConditionalCopulaEstimate": lambda: evaluate_fit(small_fit(), 0.5),
+        "EigenSystem": lambda: EigenSystem(grid, np.array(pair), np.zeros((2, 3, 3)),
+                                           np.ones(2), 1.0),
+        "_EigenMatrix": lambda: _EigenMatrix(np.ones((2, 9)), grid.cell_weight),
+        "GridFunction": lambda: GridFunction(grid, np.full((3, 3), 0.5)),
+        "TruthRecord": lambda: TruthRecord(np.array(pair), np.array(pair), np.array(pair)),
+        "SyntheticKLModel": lambda: build_kl_model(3),
+    }
+
+
+@pytest.mark.parametrize("record", sorted(array_records()))
+def test_a_record_of_arrays_compares_and_hashes_as_itself(record):
+    # a generated __eq__ would compare the arrays, whose truth value is
+    # ambiguous, and a generated __hash__ would hash them, which fails; such
+    # a record is equal only to itself
+    make = array_records()[record]
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
