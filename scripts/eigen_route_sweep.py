@@ -7,7 +7,7 @@ then times the fit's own eigen call, ``fpca.ensemble_eigensystem`` for 16
 components under the CVP threshold 0.9, on one BLAS thread, best of
 ``--repeats``. The call runs twice per shape: with the matrix of order
 N = min(n, G^2) formed and with Lanczos applying it unformed, whatever
-``_blas.matrix_free`` says. The same two routes then time the fixed-count
+``fpca._matrix_free`` says. The same two routes then time the fixed-count
 calls of ``COUNTS``, without a threshold, and the 16-component call under
 the higher thresholds of ``THRESHOLDS``, whose larger K leaves more pairs
 to converge before Lanczos stops. Whole fits (``FITS``) follow,
@@ -16,7 +16,7 @@ more untimed call records the matrix-vector products of each Lanczos run
 it made (an empty list where the dense route solved it). The output is one
 JSON object with the rows of ``BENCH_matrix_free_eigen.json`` and
 ``BENCH_lanczos_stop.json``; the crossovers between the routes set
-``_blas._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
+``fpca._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
 
 Usage: PYTHONPATH=src python3 scripts/eigen_route_sweep.py [--repeats 3] [--out PATH]
 """
@@ -30,7 +30,7 @@ import tracemalloc
 
 import numpy as np
 
-from condcopula import _blas
+from condcopula import _blas, fpca
 from condcopula.conditional import (
     KernelSpec,
     empirical_copula_grid,
@@ -94,7 +94,7 @@ def lanczos_products(fn) -> list:
     runs = []
     real = _blas._lanczos
 
-    def counted(a, count, enough=None):
+    def counted(a, count, enough):
         products = 0
 
         class Counted:  # the matrix as Lanczos reads it, through its products
@@ -118,12 +118,12 @@ def lanczos_products(fn) -> list:
 
 
 def on_route(route: str, fn):
-    saved = _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS
-    _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS = ROUTES[route]
+    saved = fpca._MATRIX_FREE, fpca._MATRIX_FREE_PAIRS
+    fpca._MATRIX_FREE, fpca._MATRIX_FREE_PAIRS = ROUTES[route]
     try:
         return fn()
     finally:
-        _blas._MATRIX_FREE, _blas._MATRIX_FREE_PAIRS = saved
+        fpca._MATRIX_FREE, fpca._MATRIX_FREE_PAIRS = saved
 
 
 def sweep_row(n: int, G: int, repeats: int) -> dict:
@@ -131,7 +131,7 @@ def sweep_row(n: int, G: int, repeats: int) -> dict:
     centered = centered_stack(n, G)
     row = {"n": n, "G": G, "N": min(n, G * G),
            "route": "gram" if n < G * G else "covariance",
-           "default_matrix_free": _blas.matrix_free(min(n, G * G), min(COUNT, REPORTED))}
+           "default_matrix_free": fpca._matrix_free(min(n, G * G), min(COUNT, REPORTED))}
     eigen = {}
 
     def call():
@@ -156,7 +156,7 @@ def count_row(count: int, n: int, G: int, repeats: int) -> dict:
     centered = centered_stack(n, G)
     N = min(n, G * G)
     row = {"count": count, "n": n, "G": G, "N": N,
-           "default_matrix_free": _blas.matrix_free(N, count)}
+           "default_matrix_free": fpca._matrix_free(N, count)}
 
     def call():
         return ensemble_eigensystem(centered, grid, count)
@@ -217,8 +217,8 @@ def main() -> None:
                 f"{COUNT}, {CVP}) on one BLAS thread, best of {args.repeats}, with the "
                 "matrix formed and unformed; then whole fits on each route",
         "machine": {"python": platform.python_version(), "numpy": np.__version__},
-        "matrix_free_where": {"N_at_least": _blas._MATRIX_FREE,
-                              "pairs_at_most": _blas._MATRIX_FREE_PAIRS},
+        "matrix_free_where": {"N_at_least": fpca._MATRIX_FREE,
+                              "pairs_at_most": fpca._MATRIX_FREE_PAIRS},
         "sweep": sweep,
         "counts": counts,
         "thresholds": thresholds,

@@ -12,12 +12,12 @@ ones. The fit path solves for those alone (``ensemble_eigensystem``), and when
 the ensemble has fewer trajectories than grid nodes it takes them from the
 smaller n x n Gram matrix of the centered trajectories (the method of
 snapshots, Sirovich 1987). Where that matrix is large and the solve needs few
-converged pairs (``_blas.matrix_free``), it is not formed: Lanczos applies it through the
-centered trajectories, and the total variance is their squared Frobenius
-norm times cell_weight / n. Every function here that calls BLAS runs it on
-one thread (``_blas.limited_threads``), so its result has the same bits at
-any BLAS thread count and no caller manages threads. Also houses the exact
-unit-sphere identity used by the verification harness.
+converged pairs (``_matrix_free``), it is not formed: Lanczos applies it
+through the centered trajectories, and the total variance is their squared
+Frobenius norm times cell_weight / n. Every function here that calls BLAS
+runs it on one thread (``_blas.limited_threads``), so its result has the
+same bits at any BLAS thread count and no caller manages threads. Also
+houses the exact unit-sphere identity used by the verification harness.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import leading_eigh, limited_threads, matrix_free
+from ._blas import leading_eigh, limited_threads
 from .grid import Grid2D, GridFunction, write_grid_function_csv
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 _TRUNCATE_BELOW = 1e-12  # eigenvalues below this are clipped to zero
 # leading eigenvalues that every estimate reports, lambda_1..lambda_5
 REPORTED = 5
+# an eigen matrix is solved unformed from order 768 on when at most 5 pairs
+# must converge (``_matrix_free``)
+_MATRIX_FREE = 768
+_MATRIX_FREE_PAIRS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +225,23 @@ class _EigenMatrix:
         return self.delta * (c.T @ c / c.shape[0])
 
 
+def _matrix_free(N: int, pairs: int) -> bool:
+    """Whether the order-N ``_EigenMatrix`` stays unformed for a solve that
+    stops once ``pairs`` of its leading eigenpairs have converged.
+
+    Each product then streams the stack twice, so the unformed route pays
+    per Lanczos step where the formed one pays once, and its cost follows
+    the pairs that must converge. On the fit's Gram matrices over 2601
+    columns, one thread (``scripts/eigen_route_sweep.py``), 5 pairs tied
+    with forming the matrix at N = 800 (29.8 against 30.2 ms), won from
+    N = 1200 on (42 against 58 ms) and lost at N = 600 (22.6 against
+    18.3 ms); 1 pair won from N = 600 on. 16 pairs lost up to N = 1200 (72
+    against 40 ms at N = 800) and won at N = 2000, and 32 pairs lost at
+    every order up to 2000.
+    """
+    return N >= _MATRIX_FREE and pairs <= _MATRIX_FREE_PAIRS
+
+
 @limited_threads(1)
 def ensemble_eigensystem(
     centered: np.ndarray, grid: Grid2D, count: int, threshold: float | None = None
@@ -240,11 +261,12 @@ def ensemble_eigensystem(
     eigenfunction of eigenvector u. A direction with C^T u = 0 gets
     eigenvalue 0 and a zero eigenfunction. Only the leading eigenpairs are
     kept (``_blas.leading_eigh``: Lanczos where the matrix order is large
-    against the count, numpy's full ``eigh`` elsewhere). The system holds
-    min(count, n, G^2) components; past min(n, G^2) every eigenvalue is zero.
+    against the count, numpy's full ``eigh`` elsewhere). Without a
+    threshold the system holds min(count, n, G^2) components; past
+    min(n, G^2) every eigenvalue is zero.
 
     Where the order N = min(n, G^2) is large and at most 5 pairs must
-    converge (``_blas.matrix_free``: N >= 768, and a count of at most 5 or a
+    converge (``_matrix_free``: N >= 768, and a count of at most 5 or a
     CVP ``threshold``, whose solve may stop at ``REPORTED`` = 5), the matrix
     is not formed. Lanczos applies it as v -> (cell_weight / n) C (C^T v),
     or (cell_weight / n) C^T (C v) on the covariance route, and ``total`` is
@@ -253,25 +275,25 @@ def ensemble_eigensystem(
     Elsewhere the matrix is formed and ``total`` is its trace. ``centered``
     is only read.
 
-    With a CVP ``threshold``, Lanczos stops as soon as the components that
-    ``select_K`` and the diagnostics read have converged as far as they are
-    read: those through the threshold's crossing plus one, and at least
-    ``REPORTED``, counted on the current Ritz values, clipped as here, and
-    the exact trace. The eigenfunctions of the first K of them, K counted
-    the same way, converge to the Ritz bound; the later components are
-    read for their eigenvalues alone, which converge in fewer steps than
-    their eigenfunctions (``_blas._converged``). The system then holds those
-    components alone. Ritz values interlace from below, so their crossing
-    is never before the true one, and ``select_K`` of the result reads the
-    same values and gives the same K. The dense route still returns
-    min(count, n, G^2) components.
+    With a CVP ``threshold``, the system holds only the components that
+    ``select_K`` and the diagnostics read: those through the threshold's
+    crossing plus one, and at least ``REPORTED``, at most ``count``, counted
+    on the eigenvalues clipped as here and the exact trace. Lanczos counts
+    them on its current Ritz values and stops as soon as they have
+    converged as far as they are read: the eigenfunctions of the first K,
+    K counted the same way, to the Ritz bound, and the later components for
+    their eigenvalues alone, which converge in fewer steps than their
+    eigenfunctions (``_blas._converged``). Ritz values interlace from below,
+    so their crossing is never before the true one, and ``select_K`` of the
+    result reads the same values and gives the same K. The dense route
+    counts them on its whole spectrum.
     """
     n = centered.shape[0]
     delta = grid.cell_weight
     matrix = _EigenMatrix(centered, delta)
     snapshots = matrix.gram
     count = min(count, matrix.shape[0])
-    if matrix_free(matrix.shape[0], count if threshold is None else min(count, REPORTED)):
+    if _matrix_free(matrix.shape[0], count if threshold is None else min(count, REPORTED)):
         total = delta / n * float(np.vdot(centered, centered))
     else:
         matrix = matrix.form()

@@ -194,9 +194,6 @@ def test_an_unformed_matrix_takes_the_same_route_with_the_same_bits(N, count, mo
         # formed for the dense route alone
         converged = ROUTES[N, count] and calls[-1][2]
         assert unformed.formed == (0 if converged else 1)
-    # of these shapes, only at most 5 pairs from N = 768 on are solved
-    # unformed by the fit
-    assert _blas.matrix_free(N, count) == (N >= 768 and count <= 5)
 
 
 def rank_six(N):
@@ -257,6 +254,20 @@ def test_an_unformed_matrix_falls_back_to_the_dense_bits_of_its_formed_matrix(ca
     assert calls == [run]
     want_w, want_v = np.linalg.eigh(a.form())
     assert np.array_equal(w, want_w[-count:]) and np.array_equal(v, want_v[:, -count:])
+
+
+@pytest.mark.parametrize("case", ["lanczos 400x400, 16 pairs", "matrix-free gram 800x800, 16 pairs",
+                                  "dense 191x191, 16 pairs", "breakdown",
+                                  "matrix-free breakdown"])
+def test_a_fixed_count_is_enough_counting_count_pairs(case):
+    # the default stop of a fixed count is an explicit (count, count), with
+    # the same bits on the formed, unformed and dense routes
+    make, count, _, _ = UNTOUCHED[case]
+    a = make()
+    w, v = _blas.leading_eigh(a, count)
+    ew, ev = _blas.leading_eigh(a, count, lambda theta: (count, count))
+    assert w.size == count
+    assert np.array_equal(w, ew) and np.array_equal(v, ev)
 
 
 def test_an_unconverged_run_returns_the_dense_bits(monkeypatch):

@@ -24,6 +24,7 @@ from condcopula.grid import (
     l2_norm,
     make_grid,
 )
+from condcopula.harness import ExperimentConfig, consistency_experiment
 from condcopula.simulate import (
     ConditionalModel,
     SyntheticKLModel,
@@ -381,7 +382,7 @@ def test_the_eigen_matrix_is_formed_only_below_the_matrix_free_order(n, G, monke
     N = min(n, G * G)
     assert forms == ([] if MATRIX_FREE_SHAPES[n, G] else [(N, N)])
     assert np.array_equal(centered, before)
-    monkeypatch.setattr(_blas, "_MATRIX_FREE", np.inf)  # formed at every order
+    monkeypatch.setattr(fpca, "_MATRIX_FREE", np.inf)  # formed at every order
     want = ensemble_eigensystem(centered, grid, 5)
     assert got.total == pytest.approx(want.total, rel=1e-13)
     assert assert_leading_system(got, want, 5).sum() == 5
@@ -458,7 +459,7 @@ def test_stopped_lanczos_reads_what_a_dense_solve_gives(case, monkeypatch):
     assert calls == [(min(n, G**2), 16, True)]
     monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # numpy's eigh alone
     dense = fit_pipeline(s, cfg)
-    assert len(calls) == 1 and dense.eigen.m == 16
+    assert len(calls) == 1 and dense.eigen.m == fit.eigen.m
     assert fit.K == dense.K == K
     assert fit.eigen.m == max(K + 1, 5)
     read = list(range(5)) + [K]
@@ -480,8 +481,7 @@ FINE_GRID_SEEDS = [int(s) for s in np.random.SeedSequence(1).generate_state(3)]
 def test_a_fine_grid_fit_stops_once_what_it_reads_has_converged(seed, monkeypatch):
     # n = 800, G = 51, Gaussian kernel: K is 1 or 2, so lambda_{K+1}..lambda_5
     # need their eigenvalues alone, which converge in fewer steps than their
-    # eigenvectors; the solve took 20 products when every pair's eigenvector
-    # had to converge, and takes at most 16
+    # eigenvectors, and the solve takes at most 16 products
     model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
     s, _ = sample_conditional(model, 800, seed)
     products = []
@@ -491,6 +491,59 @@ def test_a_fine_grid_fit_stops_once_what_it_reads_has_converged(seed, monkeypatc
     fit = fit_pipeline(s, PipelineConfig(grid_size=51, kernel_family="gaussian"))
     assert fit.K in (1, 2) and fit.eigen.m == 5
     assert 0 < len(products) <= 16
+
+
+# the first sample of each benchmark workload's seed-1 pool
+POOL_SEED = FINE_GRID_SEEDS[0]
+
+
+def pool_fit(n, G, family):
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, n, POOL_SEED)
+    fit_pipeline(s, PipelineConfig(grid_size=G, kernel_family=family, project=True))
+
+
+def pool_ladder(family, link):
+    consistency_experiment(ExperimentConfig(
+        experiment="consistency", model={"family": family, "link": link},
+        n_ladder=(200, 400), replications=1, seed=POOL_SEED))
+
+
+LADDER_RUNS = [(200, 16, True, True), (400, 16, True, True)]
+# workload -> (its op on that sample, each Lanczos run as (N, count, whether
+# formed, whether converged), each matrix formed as (N, whether Gram))
+WORKLOAD_ROUTES = {
+    "fit-large-n": (lambda: pool_fit(3000, 21, "epanechnikov"),
+                    [(441, 16, True, True)], [(441, False)]),
+    "fit-fine-grid": (lambda: pool_fit(800, 51, "gaussian"), [(800, 16, False, True)], []),
+    "mc-ladder frank": (lambda: pool_ladder("frank", "linear:0.2,0.3"),
+                        LADDER_RUNS, [(200, True), (400, True)]),
+    "mc-ladder gumbel": (lambda: pool_ladder("gumbel", "sine:0.4,0.25"),
+                         LADDER_RUNS, [(200, True), (400, True)]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ROUTES))
+def test_each_benchmark_workload_takes_its_measured_eigen_route(workload, monkeypatch):
+    # n = 3000, G = 21: formed covariance; n = 800, G = 51: unformed Gram;
+    # n = 200 and 400, G = 21: formed Gram; all by Lanczos under an
+    # automatic K, and none falls back to a dense eigh
+    op, want_runs, want_forms = WORKLOAD_ROUTES[workload]
+    runs, forms = [], []
+    lanczos = _blas._lanczos
+
+    def spy(a, count, enough):
+        found = lanczos(a, count, enough)
+        runs.append((a.shape[0], count, isinstance(a, np.ndarray), found is not None))
+        return found
+
+    monkeypatch.setattr(_blas, "_lanczos", spy)
+    form = fpca._EigenMatrix.form
+    monkeypatch.setattr(fpca._EigenMatrix, "form",
+                        lambda m: forms.append((m.shape[0], m.gram)) or form(m))
+    op()
+    assert runs == want_runs
+    assert forms == want_forms
 
 
 def test_cvp_past_the_leading_components_reads_the_whole_spectrum():
