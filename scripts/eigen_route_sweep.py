@@ -10,10 +10,13 @@ N = min(n, G^2) formed and with Lanczos applying it unformed, whatever
 ``fpca._matrix_free`` says. The same two routes then time the fixed-count
 calls of ``COUNTS``, without a threshold, and the 16-component call under
 the higher thresholds of ``THRESHOLDS``, whose larger K leaves more pairs
-to converge before Lanczos stops. Whole fits (``FITS``) follow,
-timed and traced by ``tracemalloc`` on each route. Beside each time, one
-more untimed call records the matrix-vector products of each Lanczos run
-it made (an empty list where the dense route solved it). The output is one
+to converge before Lanczos stops; where the crossing lies past the 16
+pairs (CVP 0.999 at every n here), Lanczos gives way to the dense solve.
+Whole fits (``FITS``) follow, timed and traced by ``tracemalloc`` on each
+route. Beside each time of a call under a threshold, and of a fit, stand K
+and the components the result holds (``EigenSystem.m``); beside every time,
+one more untimed call records the matrix-vector products of each Lanczos
+run it made (an empty list where the dense route solved it). The output is one
 JSON object with the rows of ``BENCH_matrix_free_eigen.json`` and
 ``BENCH_lanczos_stop.json``; the crossovers between the routes set
 ``fpca._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
@@ -141,10 +144,10 @@ def sweep_row(n: int, G: int, repeats: int) -> dict:
         seconds, es = on_route(route, lambda: best_of(repeats, call))
         row[f"{route}_ms"] = round(1e3 * seconds, 2)
         row[f"{route}_products"] = on_route(route, lambda: lanczos_products(call))
+        row[f"{route}_K_and_pairs"] = [select_K(es, CVP), es.m]
         eigen[route] = es
     formed, free = eigen["formed"], eigen["matrix_free"]
     m = min(formed.m, free.m)
-    row["components"] = [formed.m, free.m]
     row["max_lambda_gap_over_lambda1"] = float(
         np.max(np.abs(formed.eigenvalues[:m] - free.eigenvalues[:m])) / formed.eigenvalues[0])
     row["total_rel_gap"] = abs(formed.total - free.total) / formed.total
@@ -196,7 +199,7 @@ def fit_row(n: int, G: int, kernel: str, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         row[route] = {"fit_s": round(seconds, 4), "traced_peak_mib": round(peak / 2**20, 1),
-                      "K": fit.K,
+                      "K_and_pairs": [fit.K, fit.eigen.m],
                       "products": on_route(route, lambda: lanczos_products(
                           lambda: fit_pipeline(s, cfg)))}
     return row

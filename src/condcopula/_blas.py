@@ -11,58 +11,44 @@ process-wide, so while the block runs it also holds for BLAS calls made by
 other Python threads. Where no OpenBLAS is loaded (another BLAS, or a
 platform without ``/proc/self/maps``) it does nothing.
 
-``leading_eigh`` returns only the largest eigenpairs of a symmetric matrix,
-by one of two routes chosen from the matrix order N and the count alone.
-Where N is at least ``_CROSSOVER`` times the Lanczos step budget
-(``_STEP_FACTOR * count + _STEP_SLACK`` steps), it runs Lanczos from a
-fixed start vector with full reorthogonalisation (Lanczos 1950; Parlett,
-*The Symmetric Eigenvalue Problem*, ch. 13) on the matrix as given: one
-matrix-vector product and two Gram-Schmidt passes against the basis per
-step, in numpy alone, with a basis of budget + 1 vectors of length N. The
-caller's ``enough`` counts, on the current Ritz values, the leading pairs
-whose eigenvalues it reads and the leading pairs whose eigenvectors it
-reads; a fixed count reads ``count`` of each. A pair whose eigenvector is
-read passes once its residual bound beta * |s_m| is at most ``_RITZ_TOL``
-times the largest Ritz value. The pairs past those are read for their
-eigenvalues alone, and pass on the Kato-Temple bound of the eigenvalue's
-error (Parlett, ch. 10-11): rho^2 / (gamma - rho), for a residual bound rho
-below the distance gamma to the nearest other Ritz value, at most
-``_RITZ_TOL`` times their own Ritz value (``_converged``). That bound falls
-as the square of the residual, so an eigenvalue converges in fewer steps
-than its eigenvector. The run stops as soon as the counted leading pairs
-pass, and returns those. The bounds are checked by an eigh of the
-tridiagonal matrix, first at step 2 and then at steps timed by their own
-decay (``_steps_ahead``): after a failed check, the next comes at the last
-whole step before the slowest bound would pass if it kept falling at the
-rate it fell since the previous check, 1 to ``_CHECK_EVERY`` steps on. The
-steps and checks read the alphas and betas alone, so a matrix and the same
-matrix unformed stop at the same step with the same bits. The benchmark's
-fits, all under an automatic K, take 14-48 products per call on their
-seed-1 pools: 14-17 at N = 800 (n = 800, G = 51), 18-20 at N = 441
-(n = 3000, G = 21) and 19-48 at N = 200 and 400 (n = 200 and 400,
-G = 21). The start vector is the Weyl sequence frac(i * 0.618...) - 0.5:
-it has no structure that the fit's eigenvectors share, where an all-ones
-vector is orthogonal to every eigenfunction of zero integral. The other
-shapes, and any run whose beta collapses to rounding at some step or whose
-budget runs out, take numpy's full ``eigh`` and return the leading pairs
-that ``enough`` counts on its whole spectrum. A collapse means the start
-vector lies in an invariant subspace of fewer eigenvectors than the run
-needs, as with a rank-deficient stack. One start vector sees, in exact
-arithmetic, a single direction of an exactly repeated eigenvalue's
-eigenspace, and only rounding brings in another; continuous data does not
-produce a repeated eigenvalue among the leading ones, and a repeated zero
-breaks down to ``eigh``.
+``leading_eigh`` returns, in one call, the leading eigenpairs of a
+symmetric matrix that its caller reads. The caller's ``enough`` counts them
+on a descending set of eigenvalues: the leading pairs whose eigenvalues it
+reads and, among those, the leading pairs whose eigenvectors it reads; a
+fixed count reads ``count`` of each. Where N is at least ``_CROSSOVER``
+times the Lanczos step budget (``_STEP_FACTOR * count + _STEP_SLACK``
+steps), Lanczos with full reorthogonalisation runs from a fixed start
+vector (Lanczos 1950; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13)
+and counts on its current Ritz values. Its result stands only when its
+``count`` pairs hold every pair that ``enough`` counts. Everywhere else
+(other shapes, a beta that collapses to rounding, a budget that runs out,
+or a caller that reads past ``count``) numpy's full ``eigh`` returns the
+leading pairs that ``enough`` counts on its whole spectrum, up to all N.
+
+A Ritz pair whose eigenvector is read passes once its residual bound
+beta * |s_m| is at most ``_RITZ_TOL`` times the largest Ritz value. A pair
+read for its eigenvalue alone passes on the Kato-Temple bound of the
+eigenvalue's error (Parlett, ch. 10-11), rho^2 / (gamma - rho) for a
+residual bound rho below the distance gamma to the nearest other Ritz
+value, at most ``_RITZ_TOL`` times its own Ritz value; that bound falls as
+the square of the residual. The bounds are checked by an eigh of the
+tridiagonal matrix, at steps timed by their own decay (``_steps_ahead``),
+and the steps and checks read the alphas and betas alone, so a matrix and
+the same matrix unformed stop at the same step with the same bits. The
+start vector is the Weyl sequence frac(i * 0.618...) - 0.5, which shares no
+structure with the fit's eigenvectors (an all-ones vector is orthogonal to
+every eigenfunction of zero integral). A collapse means the start vector
+lies in an invariant subspace of fewer eigenvectors than the run needs, as
+with a rank-deficient stack; one start vector sees a single direction of
+an exactly repeated eigenvalue's eigenspace, which continuous data does not
+produce among the leading ones.
 
 The matrix may also be given unformed, as an object that applies it to a
-vector and forms it on request (``leading_eigh``). Lanczos then reads it
-through its products alone, and it is formed only for the dense route.
-No route writes to ``a``, nor to the stack behind an unformed one.
-
-The full ``eigh`` solves for every eigenpair, so a dense solve of a few
-pairs at large N costs about twice what an index-range solve would: at
-N = 2601 and count 16 on a random spectrum, 3.4 s against 1.5 s. Only a
-Lanczos breakdown (a rank below about the count) or a count above
-N / 6 - 16 (a large fixed K) reaches that shape. The module imports no
+vector and forms it on request; it is then formed only for the dense
+route. No route writes to ``a``, nor to the stack behind an unformed one.
+The full ``eigh`` solves for every eigenpair, about twice the cost of an
+index-range solve of a few pairs at large N (3.4 s against 1.5 s at
+N = 2601 and count 16 on a random spectrum). The module imports no
 package but numpy: a BLAS mapped after ``_controls`` has listed the loaded
 libraries would run threads that ``limited_threads`` cannot reach.
 """
@@ -187,15 +173,13 @@ def _lanczos(a, count: int, enough):
     """Leading eigenpairs of symmetric ``a`` by Lanczos, or None.
 
     ``enough(theta)`` gives (values, vectors) on a check's Ritz values
-    ``theta`` in descending order: the pairs returned are the leading
-    ``want = min(count, values)`` at the first check where they converge,
-    and only the leading ``vectors`` of them need their eigenvector; the
-    others converge as far as their eigenvalue needs (``_converged``). The
-    first check is at step 2; after a failed one the next is timed by
-    ``_steps_ahead``, and never before step 2 * want or after the last step.
-    None when beta collapses or the step budget runs out first. ``a`` is a
-    matrix, or an unformed one, and is only read through ``a @ v``; the
-    steps and checks depend on the alphas and betas alone.
+    ``theta`` in descending order. The run stops at the first check where
+    the leading ``want = min(count, values)`` pairs pass (``_converged``),
+    and returns them when ``values <= count``; the first check is at step
+    2, the next timed by ``_steps_ahead``, never before step 2 * want. None
+    when the caller reads past ``count`` pairs, when beta collapses, or
+    when the step budget runs out first. ``a`` is only read through
+    ``a @ v``.
     """
     N = a.shape[0]
     steps = _budget(count)
@@ -222,10 +206,12 @@ def _lanczos(a, count: int, enough):
         if m >= check or m == steps:
             t = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
             theta, s = np.linalg.eigh(t)
-            want, vectors = enough(theta[::-1])
-            want = min(count, want)
+            values, vectors = enough(theta[::-1])
+            want = min(count, values)
             passed, ratio = _converged(theta, beta[j] * np.abs(s[-1]), want, vectors)
             if m >= 2 * want and np.all(passed):
+                if values > count:  # the caller reads past the pairs this run holds
+                    return None
                 # (want, N) in C order, so the eigenvectors are its columns
                 return theta[m - want:], (s[:, m - want:].T @ basis[:m]).T
             check = max(m + _steps_ahead(ratio, passed, before, m - last), 2 * want)
@@ -235,25 +221,21 @@ def _lanczos(a, count: int, enough):
 
 
 def leading_eigh(a, count: int, enough=None) -> tuple:
-    """The largest eigenvalues of symmetric ``a`` and their eigenvectors.
+    """The leading eigenvalues of symmetric ``a`` that the caller reads, and their eigenvectors.
 
     Returns (eigenvalues ascending, eigenvectors as the columns of an
     (N, k) array). ``a`` is a float64 N x N matrix equal to its transpose,
     or the same matrix unformed: an object with ``shape`` (N, N), ``a @ v``
     its product with a length-N vector and ``a.form()`` the matrix.
-    ``count`` is in 1..N, and ``a`` is only read. ``enough`` maps
-    eigenvalues in descending order to (values, vectors): the leading pairs
-    whose eigenvalues the caller reads, and those whose eigenvectors it
-    reads; by default both are ``count``. Every route returns the leading
-    k = min(count, values) pairs, counted on the eigenvalues it ends with.
-    Where N is at least ``_CROSSOVER`` times the step budget
-    ``_budget(count)``, Lanczos (``_lanczos``) reads ``a`` through its
-    products and counts on its Ritz values. Where its beta collapses to
-    ``_COLLAPSE`` times the largest |alpha| or below, or its budget runs out
-    before the pairs converge, and at every other shape, ``np.linalg.eigh``
+    ``count``, in 1..N, sizes the Lanczos attempt, and ``a`` is only read.
+    ``enough`` maps eigenvalues in descending order to (values, vectors):
+    the leading pairs whose eigenvalues the caller reads, and those whose
+    eigenvectors it reads; by default both are ``count``. A Lanczos result
+    (``_lanczos``, where N >= ``_CROSSOVER * _budget(count)``) holds the
+    leading min(count, values) pairs counted on its Ritz values, and stands
+    only when that is all ``values`` of them. Otherwise ``np.linalg.eigh``
     reads one triangle of the matrix, formed first if ``a`` is unformed,
-    and counts on its whole spectrum. The route thus depends on (N, count)
-    and convergence alone.
+    and k = min(N, values) is counted on its whole spectrum.
     """
     N = a.shape[0]
     formed = isinstance(a, np.ndarray)
@@ -269,7 +251,7 @@ def leading_eigh(a, count: int, enough=None) -> tuple:
         if found is not None:
             return found
     w, v = np.linalg.eigh(a if formed else a.form())
-    k = min(count, enough(w[::-1])[0])
+    k = min(N, enough(w[::-1])[0])
     return w[N - k:], v[:, N - k:]
 
 

@@ -42,9 +42,10 @@ KERNEL_FAMILIES = tuple(_KERNEL_REACH)
 # evaluation points per window-local block, in every kernel-weighted stage
 _BLOCK = 32
 # window width (members) from which lattice indices are cut per level, not
-# searched per member (``_level_cuts``); the two routes tied at m = 450-650
-# for 32 lattices at G = 21 and 51, on one thread
-_CUT_FROM = 512
+# searched per member (``_level_cuts``); on blocks captured from fits at
+# G = 21 and 51, one thread, the two routes tied at m = 200-224 and the cuts
+# won every block from 225 on
+_CUT_FROM = 224
 
 
 @dataclass(frozen=True, eq=False)

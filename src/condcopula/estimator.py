@@ -58,8 +58,8 @@ __all__ = [
 
 # the bandwidths of a config, in the order the diagnostics list them
 _BANDWIDTHS = ("h", "g1", "g2", "h_alpha")
-# the most leading components an automatic K solves for; the CVP picks K = 1
-# to 8 on typical fits, and a threshold these miss gets the whole spectrum
+# the pairs an automatic K's Lanczos attempt holds; the CVP picks K = 1 to 8
+# on typical fits, and a crossing past them is counted on a dense solve
 _LEADING = 16
 
 
@@ -173,20 +173,15 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     # array, and nothing reads it uncentred
     centered = surfaces.reshape(s.n, -1)
     centered -= center.flat()
-    m = min(s.n, grid.G**2)  # the spectrum's length; the rest of it is zero
     if cfg.K is not None:
         # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
         # beyond the positive eigenvalues is clamped to their count
         eigen = ensemble_eigensystem(centered, grid, max(cfg.K + 1, REPORTED))
         K = min(cfg.K, int(np.count_nonzero(eigen.eigenvalues > 0.0)))
     else:
-        # the solve may stop at the components K and the diagnostics read
+        # the solve holds the components K and the diagnostics read
         eigen = ensemble_eigensystem(centered, grid, _LEADING, cfg.cvp_threshold)
         K = select_K(eigen, cfg.cvp_threshold)
-        if K == eigen.m < m:
-            # the threshold, or lambda_{K+1}, lies past the leading components
-            eigen = ensemble_eigensystem(centered, grid, m)
-            K = select_K(eigen, cfg.cvp_threshold)
     xi = scores(centered, eigen, K) if K > 0 else np.empty((s.n, 0))
     return FpcaFit(
         sample=s,

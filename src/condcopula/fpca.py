@@ -246,47 +246,35 @@ def _matrix_free(N: int, pairs: int) -> bool:
 def ensemble_eigensystem(
     centered: np.ndarray, grid: Grid2D, count: int, threshold: float | None = None
 ) -> EigenSystem:
-    """The leading ``count`` components of the ensemble covariance operator.
+    """The leading components of the ensemble covariance operator that a caller reads.
 
     ``centered`` is ``centered_trajectories(surfaces, center)`` for surfaces
-    on ``grid``. Up to rounding, the result is
-    ``eigendecompose(grid, covariance_field(surfaces, center)).head(count)``,
+    on ``grid``, and is only read. Up to rounding, the result is
+    ``eigendecompose(grid, covariance_field(surfaces, center)).head(k)``,
     with ``total`` the trace of the covariance operator,
     (cell_weight / n) ||C||_F^2 for the centered trajectories C. With n >= G^2
     trajectories the G^2 x G^2 matrix cell_weight * C^T C / n is decomposed,
-    exactly as ``eigendecompose`` forms it. With fewer, the covariance has
-    rank at most n, so the n x n Gram matrix (cell_weight / n) C C^T is
-    decomposed instead: its eigenvalues are the nonzero ones of the
-    covariance operator, and C^T u, rescaled to unit quadrature norm, is the
-    eigenfunction of eigenvector u. A direction with C^T u = 0 gets
-    eigenvalue 0 and a zero eigenfunction. Only the leading eigenpairs are
-    kept (``_blas.leading_eigh``: Lanczos where the matrix order is large
-    against the count, numpy's full ``eigh`` elsewhere). Without a
-    threshold the system holds min(count, n, G^2) components; past
-    min(n, G^2) every eigenvalue is zero.
+    exactly as ``eigendecompose`` forms it. With fewer, the n x n Gram matrix
+    (cell_weight / n) C C^T is, as the covariance has rank at most n: its
+    eigenvalues are the nonzero ones of the covariance operator, and C^T u,
+    rescaled to unit quadrature norm, is the eigenfunction of eigenvector u;
+    a direction with C^T u = 0 gets eigenvalue 0 and a zero eigenfunction.
+    The matrix, of order N = min(n, G^2), is applied unformed where
+    ``_matrix_free`` says so (N >= 768 and at most 5 pairs to converge: a
+    count of at most 5, or a ``threshold``, whose solve may stop at
+    ``REPORTED``), and ``total`` is then (cell_weight / n) ||C||_F^2 itself;
+    elsewhere it is formed and ``total`` is its trace.
 
-    Where the order N = min(n, G^2) is large and at most 5 pairs must
-    converge (``_matrix_free``: N >= 768, and a count of at most 5 or a
-    CVP ``threshold``, whose solve may stop at ``REPORTED`` = 5), the matrix
-    is not formed. Lanczos applies it as v -> (cell_weight / n) C (C^T v),
-    or (cell_weight / n) C^T (C v) on the covariance route, and ``total`` is
-    (cell_weight / n) ||C||_F^2 itself. Only a Lanczos breakdown or an
-    exhausted step budget forms the matrix, for the dense ``eigh``.
-    Elsewhere the matrix is formed and ``total`` is its trace. ``centered``
-    is only read.
-
-    With a CVP ``threshold``, the system holds only the components that
-    ``select_K`` and the diagnostics read: those through the threshold's
-    crossing plus one, and at least ``REPORTED``, at most ``count``, counted
-    on the eigenvalues clipped as here and the exact trace. Lanczos counts
-    them on its current Ritz values and stops as soon as they have
-    converged as far as they are read: the eigenfunctions of the first K,
-    K counted the same way, to the Ritz bound, and the later components for
-    their eigenvalues alone, which converge in fewer steps than their
-    eigenfunctions (``_blas._converged``). Ritz values interlace from below,
-    so their crossing is never before the true one, and ``select_K`` of the
-    result reads the same values and gives the same K. The dense route
-    counts them on its whole spectrum.
+    Without a threshold, k = min(count, N). With a CVP ``threshold``, k
+    counts the components that ``select_K`` and the diagnostics read: those
+    through the threshold's crossing plus one, and at least ``REPORTED``,
+    at most N, counted on eigenvalues clipped as here and the exact total.
+    ``count`` then sizes the Lanczos attempt (``_blas.leading_eigh``), which
+    counts on its current Ritz values and stops once phi_1..phi_K and the
+    eigenvalues past them have converged as far as they are read; where the
+    crossing lies past ``count`` pairs, the dense route counts on the whole
+    spectrum. Ritz values interlace from below, so their crossing is never
+    before the true one, and ``select_K`` of the result gives the same K.
     """
     n = centered.shape[0]
     delta = grid.cell_weight

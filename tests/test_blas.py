@@ -270,6 +270,20 @@ def test_a_fixed_count_is_enough_counting_count_pairs(case):
     assert np.array_equal(w, ew) and np.array_equal(v, ev)
 
 
+@pytest.mark.parametrize("case", ["lanczos 400x400, 16 pairs", "matrix-free gram 800x800, 16 pairs",
+                                  "dense 191x191, 16 pairs"])
+def test_pairs_read_past_the_count_come_from_one_dense_solve(case, monkeypatch):
+    # a caller that reads 40 pairs gets all 40 from the full eigh: a Lanczos
+    # run that holds 16 converges them and gives way
+    make, count, _, run = UNTOUCHED[case]
+    calls = lanczos_spy(monkeypatch)
+    a = make()
+    w, v = _blas.leading_eigh(a, count, lambda theta: (40, 40))
+    assert calls == ([] if run is None else [run[:2] + (False,)])
+    want_w, want_v = np.linalg.eigh(a if isinstance(a, np.ndarray) else a.form())
+    assert np.array_equal(w, want_w[-40:]) and np.array_equal(v, want_v[:, -40:])
+
+
 def test_an_unconverged_run_returns_the_dense_bits(monkeypatch):
     a = spectra(400)[0]
     monkeypatch.setattr(_blas, "_RITZ_TOL", -1.0)  # no Ritz bound is negative

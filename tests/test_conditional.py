@@ -963,12 +963,14 @@ def test_level_cuts_at_levels_equal_to_prefix_masses():
 
 
 # (window width m, lattice size G) around the crossover, at the benchmark's
-# windows (mc-ladder about 50-93, fit-large-n about 366, fit-fine-grid 800)
-# and at n = 2 x 10^4 Epanechnikov (about 1650), with the route each takes
+# windows (mc-ladder about 10-125, fit-large-n about 175-425, mostly 350-400,
+# fit-fine-grid 800), around the former crossover at 512 and at n = 2 x 10^4
+# Epanechnikov (about 1650), with the route each takes
 LATTICE_ROUTES = {
-    (1, 21): False, (50, 21): False, (93, 21): False, (366, 21): False,
+    (1, 21): False, (50, 21): False, (93, 21): False, (366, 21): True,
     (conditional._CUT_FROM - 1, 51): False, (conditional._CUT_FROM, 1): True,
-    (conditional._CUT_FROM, 51): True, (800, 51): True, (1650, 21): True,
+    (conditional._CUT_FROM, 51): True, (511, 51): True, (512, 1): True, (512, 51): True,
+    (800, 51): True, (1650, 21): True,
 }
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from condcopula import _blas, fpca
+from condcopula import _blas, estimator, fpca
 from condcopula.conditional import KernelSpec, rule_of_thumb_bandwidth, weighted_copula_surfaces
 from condcopula.errors import DegenerateSpectrumError
 from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
@@ -557,6 +557,43 @@ def test_cvp_past_the_leading_components_reads_the_whole_spectrum():
     assert fit.eigen.m == full.m == 40
     assert fit.K == select_K(full, 1.0) == np.count_nonzero(full.eigenvalues > 0.0)
     assert fit.K > 16
+
+
+# n -> (K at CVP 0.999, the Lanczos runs of the fit): at N = 150 the 16-pair
+# attempt is dense by shape; at N = 300 Lanczos converges its 16 pairs, finds
+# the crossing past them and gives way to the dense solve
+PAST_THE_ATTEMPT = {150: (76, []), 300: (89, [(300, 16, False)])}
+
+
+@pytest.mark.parametrize("n", sorted(PAST_THE_ATTEMPT))
+def test_a_crossing_past_the_lanczos_attempt_is_solved_once(n, monkeypatch):
+    K, runs = PAST_THE_ATTEMPT[n]
+    model = ConditionalModel(family="clayton", link=TauLink(form="sine", a=0.4, b=0.25))
+    s, _ = sample_conditional(model, n, 2)
+    cfg = PipelineConfig(grid_size=21, cvp_threshold=0.999)
+    solves, eighs = [], []
+    eigensystem, eigh = estimator.ensemble_eigensystem, np.linalg.eigh
+    monkeypatch.setattr(estimator, "ensemble_eigensystem",
+                        lambda *args: solves.append(args[2:]) or eigensystem(*args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    calls = lanczos_spy(monkeypatch)
+    fit = fit_pipeline(s, cfg)
+    monkeypatch.undo()
+    assert solves == [(16, 0.999)] and calls == runs
+    assert eighs.count((n, n)) == 1
+    assert fit.K == K and fit.eigen.m == K + 1
+    # the oracle: every component of the spectrum
+    centered = centered_trajectories(trajectory_surfaces(fit), fit.center)
+    full = ensemble_eigensystem(centered, fit.center.grid, n)
+    full_K = select_K(full, 0.999)
+    assert full_K == K and full.m == n
+    assert np.array_equal(fit.eigen.eigenvalues, full.eigenvalues[: K + 1])
+    assert fit.eigengap() == full.eigenvalues[K - 1] / full.eigenvalues[K]
+    oracle = dataclasses.replace(fit, eigen=full, scores=scores(centered, full, K))
+    assert abs(fit.cvp_attained() - oracle.cvp_attained()) <= 1e-14
+    for x in (0.1, 0.5, 0.9):
+        got, want = evaluate_fit(fit, x), evaluate_fit(oracle, x)
+        assert np.max(np.abs(got.surface.values - want.surface.values)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [4, 100])

@@ -3,64 +3,12 @@
 Each digest is the sha256 of outputs that no refactor may change: every
 experiment's metrics, raw values, seeds, failures and config, and the grid
 CSV of ``condcopula estimate``. A deliberate change of an output must
-update its digest here and say why.
+update its digest here, after a float-by-float comparison with the old
+outputs, and say in CHANGES.md which digest moved, by how much and why;
+CHANGES.md holds that history.
 
 The fits run their eigen and score stage on one BLAS thread at every size,
-so the digests are of those one-thread outputs on any machine. The
-``consistency``, ``consistency-failures``, ``benchmark`` and both ``estimate``
-digests are of the leading-eigenpair solve, which moved their floats from
-the full ``eigh`` by at most 2.2e-16, with the same K and failures. The
-``perturbation`` and ``clayton-normal-covariate`` digests are of normals
-drawn as ``ndtri`` of one substream word each, where numpy's ziggurat
-drew them before. The ``consistency``, ``consistency-failures``,
-``benchmark`` and ``uniformity`` digests are of the log-space Clayton CDF
-and inverse, which replaced a power form with relative errors up to 4e-13
-in the CDF and 6e-5 in the inverse; their floats moved by at most 1.1e-16, with
-the same K, failures and verdicts. The ``clayton-*`` and ``fgm`` sampler
-digests are of the same Clayton inverse and of the rationalised FGM root,
-which replaced a root that cancelled near b = 0: eps2 moved by at most
-3.1e-15 relative for Clayton and 1.5e-10 for FGM, toward a 40-digit
-reference. The ``consistency``, ``consistency-failures``, ``benchmark`` and
-both ``estimate`` digests are of NW weights whose totals are sequential
-sums (``conditional._row_totals``), where pairwise sums gave them before:
-their floats moved by at most 3.3e-16, with the same K and failures. The
-``perturbation`` digest is of the experiment on the fit's own eigen route
-(``ensemble_eigensystem``) with its first-order term from score cross
-moments on the model's exact eigenfunctions, where it decomposed the full
-covariance field and paired the field's error with ``eigh`` eigenfunctions
-of the true field before: its residuals moved by at most 5.1e-15 and its
-largest unit-sphere identity gap went from 5.0e-16 to 2.9e-16, with the
-same mean-CLT norms, checks and failures. The ``consistency``,
-``consistency-failures``, ``benchmark`` and both ``estimate`` digests are of
-the Gram route's eigenfunctions formed as (u^T C)^T, where C^T u formed
-them before, and the ``consistency`` (its n = 200 step) and both
-``estimate`` digests also of the Lanczos route of ``_blas.leading_eigh``,
-where ``dsyevr`` solved those shapes before: their floats moved by at most
-3.9e-16 (the estimate grids by 1.1e-16, the estimate's reported eigengap by
-6.7e-16), with the same K, failures and checks. The ``consistency``,
-``consistency-failures``, ``benchmark`` and ``perturbation`` digests are of
-the dense route of ``leading_eigh`` as the last pairs of numpy's full
-``eigh``, where a partial LAPACK solve gave them before: the first three
-moved by at most 1.1e-16 and the perturbation residuals by 4.1e-15 (its
-largest unit-sphere identity gap went from 2.9e-16 to 5.0e-16), with the
-same K, failures and checks. The ``consistency-failures`` digest is of
-failure messages that name the score-regression bandwidth, ending "enlarge
-the bandwidth h_alpha (--h-alpha)" where "enlarge the bandwidth" ended them
-before: its metrics, raw values, seeds, config and failed (n, rep) pairs
-are unchanged. The ``consistency`` digest (its n = 200 step) and both
-``estimate`` digests are of a Lanczos run that, under an automatic K, stops
-once the components the fit reads have converged (those through the CVP
-crossing plus one, and at least five), where it ran until all 16 requested
-pairs had: 4 of the consistency report's 20 values moved, by at most
-5.0e-16; the estimate grids moved by at most 1.4e-16, their eigenvalues by
-at most 5.0e-16 of lambda_1 and the reported eigengap by 7.1e-15, with the
-same K (9), failures and checks. The ``consistency`` digest (its n = 200
-step) is of a Lanczos run whose pairs past K converge only as far as their
-eigenvalues need, with checks timed by the decay of the Ritz bounds, where
-every pair's eigenvector converged and checks ran every 4 steps before: 4 of
-its 20 values moved, by at most 3.9e-16, with the same K, failures and
-checks, and the reported eigenvalues of its fits by at most 1.0e-14
-relative.
+so the digests are of those one-thread outputs on any machine.
 """
 
 import hashlib

@@ -40,3 +40,14 @@ def test_eigen_route_sweep_times_a_cvp_stop_on_both_routes(sweep):
         assert len(row[f"{route}_products"]) == 1 and row[f"{route}_products"][0] > 0
     K, pairs = row["formed_K_and_pairs"]
     assert row["matrix_free_K_and_pairs"] == [K, pairs] and pairs == max(K + 1, 5)
+
+
+def test_eigen_route_sweep_records_a_crossing_past_the_lanczos_attempt(sweep):
+    # CVP 0.999 at n = 200 crosses past the 16 pairs Lanczos holds: the run
+    # gives way to the dense solve, which holds K + 1 components
+    row = sweep.threshold_row(200, 0.999, repeats=1)
+    K, pairs = row["formed_K_and_pairs"]
+    assert K > sweep.COUNT and pairs == K + 1
+    assert row["matrix_free_K_and_pairs"] == [K, pairs]
+    for route in sweep.ROUTES:
+        assert row[f"{route}_ms"] > 0.0 and len(row[f"{route}_products"]) == 1
