@@ -16,10 +16,15 @@ Whole fits (``FITS``) follow, timed and traced by ``tracemalloc`` on each
 route. Beside each time of a call under a threshold, and of a fit, stand K
 and the components the result holds (``EigenSystem.m``); beside every time,
 one more untimed call records the matrix-vector products of each Lanczos
-run it made (an empty list where the dense route solved it). The output is one
-JSON object with the rows of ``BENCH_matrix_free_eigen.json`` and
-``BENCH_lanczos_stop.json``; the crossovers between the routes set
-``fpca._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``.
+run it made (an empty list where the dense route solved it). Last, below
+N = 192, the same calls (counts 1, 5 and 16, and the automatic-K call) run
+by Lanczos and by numpy's ``eigh`` on the Gram matrices of Clayton fits at
+G = 21 and seed 3 (``BUDGET``), around the step budget from which
+``_blas.leading_eigh`` takes Lanczos. The output is one JSON object with the
+rows of ``BENCH_matrix_free_eigen.json``, ``BENCH_lanczos_stop.json`` and
+``BENCH_lanczos_budget_route.json``; the crossovers between the routes set
+``fpca._MATRIX_FREE`` and ``_MATRIX_FREE_PAIRS``, and the budget rows show
+what ``_blas._budget`` gives each call.
 
 Usage: PYTHONPATH=src python3 scripts/eigen_route_sweep.py [--repeats 3] [--out PATH]
 """
@@ -67,13 +72,18 @@ COUNTS = tuple((count, n, G) for count in (1, 5, 16, 32)
 THRESHOLDS = tuple((n, cvp) for n in (800, 1200, 2000) for cvp in (0.9, 0.99, 0.999))
 # (_MATRIX_FREE, _MATRIX_FREE_PAIRS) that send every solve down each route
 ROUTES = {"formed": (math.inf, 0), "matrix_free": (0, math.inf)}
+# n at G = 21, so N = n on the Gram route, across the step budgets of counts
+# 1 (51), 5 (63) and 16 (96) and up to twice the budget of 16 pairs; each
+# (count, threshold) call: fixed counts, then the automatic-K call
+BUDGET = (51, 64, 80, 96, 100, 125, 160, 191)
+BUDGET_CALLS = ((1, None), (5, None), (16, None), (COUNT, CVP))
 
 
-def centered_stack(n: int, G: int) -> np.ndarray:
+def centered_stack(n: int, G: int, seed: int = 1, kernel: str = KERNEL) -> np.ndarray:
     """The (n, G^2) trajectories a fit decomposes, centred at the partial copula."""
-    s, _ = sample_conditional(MODEL, n, 1)
+    s, _ = sample_conditional(MODEL, n, seed)
     h = rule_of_thumb_bandwidth(s.x)
-    k = KernelSpec(family=KERNEL, bandwidth=h)
+    k = KernelSpec(family=kernel, bandwidth=h)
     grid = make_grid(G)
     pseudo = pseudo_observations(s, k, k)
     center = empirical_copula_grid(pseudo, grid)
@@ -188,6 +198,58 @@ def threshold_row(n: int, cvp: float, repeats: int) -> dict:
     return row
 
 
+def dense_only(fn):
+    """``fn()`` with every solve left to numpy's ``eigh``: no budget fits."""
+    budget = _blas._budget
+    _blas._budget = lambda count: math.inf
+    try:
+        return fn()
+    finally:
+        _blas._budget = budget
+
+
+def budget_row(n: int, count: int, cvp, repeats: int, G: int = 21) -> dict:
+    """One call at N = n by Lanczos, where its step budget fits, and by ``eigh``."""
+    grid = make_grid(G)
+    centered = centered_stack(n, G, seed=3, kernel="epanechnikov")
+    budget = _blas._budget(count)
+    # the route under the former boundary, twice the budget, and under the budget
+    row = {"n": n, "G": G, "N": n, "count": count, "cvp": cvp, "budget": budget,
+           "route_at_twice_budget": "lanczos" if n >= 2 * budget else "eigh",
+           "route": "lanczos" if n >= budget else "eigh"}
+
+    def call():
+        if cvp is None:
+            return ensemble_eigensystem(centered, grid, count)
+        return ensemble_eigensystem(centered, grid, count, cvp)
+
+    runs = {"lanczos": lambda fn: fn(), "eigh": dense_only}
+    if n < budget:
+        del runs["lanczos"]
+        row["lanczos_ms"] = row["lanczos_products"] = None
+    # the routes alternate, one call each per round, so that a slow stretch
+    # of the machine falls on both
+    best = dict.fromkeys(runs, math.inf)
+    for _ in range(repeats):
+        for route, run in runs.items():
+            t0 = time.perf_counter()
+            run(call)
+            best[route] = min(best[route], time.perf_counter() - t0)
+    solved = {}
+    for route, run in runs.items():
+        row[f"{route}_ms"] = round(1e3 * best[route], 3)
+        row[f"{route}_products"] = run(lambda: lanczos_products(call))
+        solved[route] = run(call)
+    K = {route: select_K(es, cvp) if cvp is not None else count for route, es in solved.items()}
+    row["K_and_pairs"] = {route: [K[route], es.m] for route, es in solved.items()}
+    if len(solved) == 2:
+        lanczos, dense = solved["lanczos"], solved["eigh"]
+        m = min(lanczos.m, dense.m)
+        row["max_lambda_gap_over_lambda1"] = float(
+            np.max(np.abs(lanczos.eigenvalues[:m] - dense.eigenvalues[:m])) / dense.eigenvalues[0])
+    return row
+
+
 def fit_row(n: int, G: int, kernel: str, repeats: int) -> dict:
     s, _ = sample_conditional(MODEL, n, 1)
     cfg = PipelineConfig(grid_size=G, kernel_family=kernel)
@@ -215,6 +277,8 @@ def main() -> None:
         counts = [count_row(count, n, G, args.repeats) for count, n, G in COUNTS]
         thresholds = [threshold_row(n, cvp, args.repeats) for n, cvp in THRESHOLDS]
         fits = [fit_row(n, G, kernel, args.repeats) for n, G, kernel in FITS]
+        budget = [budget_row(n, count, cvp, args.repeats)
+                  for n in BUDGET for count, cvp in BUDGET_CALLS]
     result = {
         "what": "scripts/eigen_route_sweep.py: ensemble_eigensystem(centered, grid, "
                 f"{COUNT}, {CVP}) on one BLAS thread, best of {args.repeats}, with the "
@@ -226,6 +290,7 @@ def main() -> None:
         "counts": counts,
         "thresholds": thresholds,
         "fits": fits,
+        "budget": budget,
     }
     text = json.dumps(result, indent=1)
     print(text)

@@ -15,15 +15,15 @@ platform without ``/proc/self/maps``) it does nothing.
 symmetric matrix that its caller reads. The caller's ``enough`` counts them
 on a descending set of eigenvalues: the leading pairs whose eigenvalues it
 reads and, among those, the leading pairs whose eigenvectors it reads; a
-fixed count reads ``count`` of each. Where N is at least ``_CROSSOVER``
-times the Lanczos step budget (``_STEP_FACTOR * count + _STEP_SLACK``
-steps), Lanczos with full reorthogonalisation runs from a fixed start
-vector (Lanczos 1950; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13)
-and counts on its current Ritz values. Its result stands only when its
-``count`` pairs hold every pair that ``enough`` counts. Everywhere else
-(other shapes, a beta that collapses to rounding, a budget that runs out,
-or a caller that reads past ``count``) numpy's full ``eigh`` returns the
-leading pairs that ``enough`` counts on its whole spectrum, up to all N.
+fixed count reads ``count`` of each. Wherever N is at least the Lanczos
+step budget (``_STEP_FACTOR * count + _STEP_SLACK`` steps), Lanczos with
+full reorthogonalisation runs from a fixed start vector (Lanczos 1950;
+Parlett, *The Symmetric Eigenvalue Problem*, ch. 13) and counts on its
+current Ritz values. Its result stands only when its ``count`` pairs hold
+every pair that ``enough`` counts. Everywhere else (N below the budget, a
+beta that collapses to rounding, a budget that runs out, or a caller that
+reads past ``count``) numpy's full ``eigh`` returns the leading pairs that
+``enough`` counts on its whole spectrum, up to all N.
 
 A Ritz pair whose eigenvector is read passes once its residual bound
 beta * |s_m| is at most ``_RITZ_TOL`` times the largest Ritz value. A pair
@@ -46,11 +46,9 @@ produce among the leading ones.
 The matrix may also be given unformed, as an object that applies it to a
 vector and forms it on request; it is then formed only for the dense
 route. No route writes to ``a``, nor to the stack behind an unformed one.
-The full ``eigh`` solves for every eigenpair, about twice the cost of an
-index-range solve of a few pairs at large N (3.4 s against 1.5 s at
-N = 2601 and count 16 on a random spectrum). The module imports no
-package but numpy: a BLAS mapped after ``_controls`` has listed the loaded
-libraries would run threads that ``limited_threads`` cannot reach.
+The module imports no package but numpy: a BLAS mapped after ``_controls``
+has listed the loaded libraries would run threads that ``limited_threads``
+cannot reach.
 """
 
 from __future__ import annotations
@@ -68,11 +66,11 @@ __all__ = ["leading_eigh", "limited_threads"]
 # (prefix, suffix) of the thread-count symbols: the scipy-openblas wheels
 # that numpy and scipy bundle, then a system OpenBLAS
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
-# Lanczos: a step budget of 3 * count + 48, taken only where N is at least
-# twice it, where it tied an index-range dense solve on one thread (count 1-24)
+# Lanczos: a step budget of 3 * count + 48, taken wherever N reaches it. On a
+# fit's Gram matrices it trails numpy's full eigh below about 1.5 budgets, by
+# 1.2 ms at most (16 pairs at N = 96), and ties or wins from there (2x at N = 191)
 _STEP_FACTOR = 3
 _STEP_SLACK = 48
-_CROSSOVER = 2
 _CHECK_EVERY = 4  # most steps between Ritz-bound checks, each an eigh of the tridiagonal
 _RITZ_TOL = 2.0**-50  # Ritz bound / largest Ritz value, about 4 eps
 _COLLAPSE = 2.0**-40  # beta / largest |alpha| at which the Krylov space is invariant
@@ -230,12 +228,12 @@ def leading_eigh(a, count: int, enough=None) -> tuple:
     ``count``, in 1..N, sizes the Lanczos attempt, and ``a`` is only read.
     ``enough`` maps eigenvalues in descending order to (values, vectors):
     the leading pairs whose eigenvalues the caller reads, and those whose
-    eigenvectors it reads; by default both are ``count``. A Lanczos result
-    (``_lanczos``, where N >= ``_CROSSOVER * _budget(count)``) holds the
-    leading min(count, values) pairs counted on its Ritz values, and stands
-    only when that is all ``values`` of them. Otherwise ``np.linalg.eigh``
-    reads one triangle of the matrix, formed first if ``a`` is unformed,
-    and k = min(N, values) is counted on its whole spectrum.
+    eigenvectors it reads; by default both are ``count``. Where N >=
+    ``_budget(count)``, a Lanczos result (``_lanczos``) holds the leading
+    min(count, values) pairs counted on its Ritz values, and stands only
+    when that is all ``values`` of them. Otherwise ``np.linalg.eigh`` reads
+    one triangle of the matrix, formed first if ``a`` is unformed, and
+    k = min(N, values) is counted on its whole spectrum.
     """
     N = a.shape[0]
     formed = isinstance(a, np.ndarray)
@@ -246,7 +244,7 @@ def leading_eigh(a, count: int, enough=None) -> tuple:
     if enough is None:
         def enough(theta):
             return count, count
-    if N >= _CROSSOVER * _budget(count):
+    if N >= _budget(count):
         found = _lanczos(a, count, enough)
         if found is not None:
             return found

@@ -402,9 +402,8 @@ def _frank_tau_and_slope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     small = t < 1.5
     t2 = t * t
-    polyval = np.polynomial.polynomial.polyval
-    tau = t * polyval(t2, _FRANK_SERIES)
-    slope = polyval(t2, np.arange(1, 2 * _FRANK_SERIES.size, 2) * _FRANK_SERIES)
+    tau = t * np.polyval(_FRANK_SERIES[::-1], t2)
+    slope = np.polyval((np.arange(1, 2 * _FRANK_SERIES.size, 2) * _FRANK_SERIES)[::-1], t2)
     big = np.where(small, 1.0, t)
     with np.errstate(over="ignore"):
         debye = math.pi**2 / 6 + big * np.log1p(-np.exp(-big))

@@ -23,6 +23,8 @@ one observation's substream, which the bulk substream words must match.
 ``decimal_clayton_v_given_u``, ``decimal_clayton_cdf``,
 ``decimal_fgm_v_given_u`` and ``decimal_frank_tau`` evaluate the maps by
 their definitions in 40-digit ``decimal`` arithmetic, as accuracy references.
+``polynomial_frank_series`` sums the Frank tau series and its slope with
+``numpy.polynomial``, which the package leaves unimported.
 ``traced_peak_mib`` measures the peak memory that ``tracemalloc`` traces
 through one call. ``true_gamma_field`` is the G^2 x G^2 covariance kernel of
 a synthetic Karhunen-Loeve model, ``tkn_projection`` the first-order
@@ -39,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
+from condcopula import simulate
 from condcopula.conditional import (
     KernelSpec,
     PseudoSample,
@@ -360,6 +363,14 @@ def decimal_frank_tau(theta: float) -> float:
             c = 4 * _BERNOULLI[2 * k] / ((2 * k + 1) * math.factorial(2 * k))
             total += Decimal(c.numerator) / Decimal(c.denominator) * t ** (2 * k - 1)
         return float(total)
+
+
+def polynomial_frank_series(t: np.ndarray) -> tuple:
+    """(tau, d tau / d t) of the Frank series at t by ``numpy.polynomial``'s Horner sum."""
+    coef = simulate._FRANK_SERIES
+    t2 = t * t
+    polyval = np.polynomial.polynomial.polyval
+    return t * polyval(t2, coef), polyval(t2, np.arange(1, 2 * coef.size, 2) * coef)
 
 
 def traced_peak_mib(fn):

@@ -23,7 +23,7 @@ from condcopula.estimator import PipelineConfig, evaluate_fit, fit_pipeline
 from condcopula.fpca import _EigenMatrix, covariance_field, eigendecompose
 from condcopula.harness import ExperimentConfig, build_kl_model, eigen_perturbation_experiment
 from condcopula.simulate import ConditionalModel, TauLink, sample_conditional, synthetic_kl_sample
-from test_fpca import lanczos_spy
+from test_fpca import dense_only, lanczos_spy
 
 CONTROLS = _blas._controls()
 needs_openblas = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS in this process")
@@ -123,14 +123,18 @@ def test_outputs_are_the_same_at_one_and_two_threads():
     assert at_threads(2, outputs) == at_threads(1, outputs)
 
 
-# (N, count) pairs around the crossover, at the benchmark's solves (count 16
-# at N = 200, 400, 441 and 800), on both sides of the order and the count at
-# which a fixed-count solve leaves its matrix unformed (N >= 768, count <= 5)
-# and at full spectra, with the route each takes
+# (N, count) pairs one below and at the Lanczos step budget 3 * count + 48
+# (51, 63, 96 and 300 for counts 1, 5, 16 and 84) and up to twice it, at the
+# benchmark's solves (count 16 at N = 200, 400, 441 and 800), on both sides
+# of the order and the count at which a fixed-count solve leaves its matrix
+# unformed (N >= 768, count <= 5) and at full spectra, with the route each takes
 ROUTES = {
-    (81, 5): False, (101, 1): False, (102, 1): True, (191, 16): False, (192, 16): True,
+    (50, 1): False, (51, 1): True, (101, 1): True, (102, 1): True,
+    (62, 5): False, (63, 5): True, (81, 5): True,
+    (95, 16): False, (96, 16): True, (191, 16): True, (192, 16): True,
     (200, 16): True, (400, 16): True, (441, 16): True, (767, 5): True, (768, 5): True,
-    (768, 6): True, (800, 1): True, (800, 16): True, (300, 84): False, (400, 400): False,
+    (768, 6): True, (800, 1): True, (800, 16): True, (299, 84): False, (300, 84): True,
+    (400, 400): False,
 }
 
 
@@ -161,7 +165,7 @@ def spectra(N):
 
 def dense_eigh(a, count, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(_blas, "_CROSSOVER", np.inf)
+        dense_only(m)
         return _blas.leading_eigh(a.copy(), count)
 
 
@@ -216,8 +220,8 @@ def stack(n, d, rank=None):
 
 # (matrix, count, Ritz tolerance, the Lanczos run expected: None or (N, count, converged))
 UNTOUCHED = {
-    "dense 81x81, 5 pairs": (lambda: spectra(81)[0], 5, _blas._RITZ_TOL, None),
-    "dense 191x191, 16 pairs": (lambda: spectra(191)[0], 16, _blas._RITZ_TOL, None),
+    "dense 62x62, 5 pairs": (lambda: spectra(62)[0], 5, _blas._RITZ_TOL, None),
+    "dense 95x95, 16 pairs": (lambda: spectra(95)[0], 16, _blas._RITZ_TOL, None),
     "dense 400x400, all pairs": (lambda: spectra(400)[0], 400, _blas._RITZ_TOL, None),
     "lanczos 400x400, 16 pairs": (lambda: spectra(400)[0], 16, _blas._RITZ_TOL, (400, 16, True)),
     "breakdown": (lambda: rank_six(400), 16, _blas._RITZ_TOL, (400, 16, False)),
@@ -257,7 +261,7 @@ def test_an_unformed_matrix_falls_back_to_the_dense_bits_of_its_formed_matrix(ca
 
 
 @pytest.mark.parametrize("case", ["lanczos 400x400, 16 pairs", "matrix-free gram 800x800, 16 pairs",
-                                  "dense 191x191, 16 pairs", "breakdown",
+                                  "dense 95x95, 16 pairs", "breakdown",
                                   "matrix-free breakdown"])
 def test_a_fixed_count_is_enough_counting_count_pairs(case):
     # the default stop of a fixed count is an explicit (count, count), with
@@ -271,7 +275,7 @@ def test_a_fixed_count_is_enough_counting_count_pairs(case):
 
 
 @pytest.mark.parametrize("case", ["lanczos 400x400, 16 pairs", "matrix-free gram 800x800, 16 pairs",
-                                  "dense 191x191, 16 pairs"])
+                                  "dense 95x95, 16 pairs"])
 def test_pairs_read_past_the_count_come_from_one_dense_solve(case, monkeypatch):
     # a caller that reads 40 pairs gets all 40 from the full eigh: a Lanczos
     # run that holds 16 converges them and gives way

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -273,11 +274,19 @@ def lanczos_spy(monkeypatch):
     return calls
 
 
-# n below, at and above G^2 = 81, where every leading solve is dense; then
-# below and above G^2 = 225, where counts 1, 5 and 16 take the Lanczos route.
-# The pipeline centres at the partial copula; the ensemble mean, around which
+def dense_only(monkeypatch):
+    """Leave every solve to numpy's ``eigh``: no Lanczos step budget fits."""
+    monkeypatch.setattr(_blas, "_budget", lambda count: math.inf)
+
+
+# n below, at and above G^2 = 81, where count 1 takes Lanczos from N = 51 and
+# count 5 from N = 63, their step budgets, and every larger count is dense;
+# then, at G = 15, count 16 one below and at its budget of 96, and below and
+# above G^2 = 225, where counts 1, 5 and 16 all take the Lanczos route. The
+# pipeline centres at the partial copula; the ensemble mean, around which
 # the score columns are exactly mean-zero, exercises the other case
-GRID_OF_N = {40: 9, 81: 9, 120: 9, 200: 15, 300: 15}
+GRID_OF_N = {40: 9, 50: 9, 51: 9, 62: 9, 63: 9, 81: 9, 120: 9,
+             95: 15, 96: 15, 200: 15, 300: 15}
 
 
 @pytest.mark.parametrize("center", ["partial", "ensemble"])
@@ -290,8 +299,7 @@ def test_ensemble_eigensystem_matches_covariance_route(n, center, monkeypatch):
     centered = centered_trajectories(surfaces, mean)
     m = min(n, grid.G**2)
     trace = grid.cell_weight * np.trace(field)
-    krylov = grid.G == 15
-    counts = (1, 5, 16) if krylov else (1, 5, m - 1, m, m + 3)
+    counts = (1, 5, 16) if grid.G == 15 else (1, 5, m - 1, m, m + 3)
     calls = lanczos_spy(monkeypatch)
     for count in counts:
         got = ensemble_eigensystem(centered, grid, count)
@@ -299,7 +307,7 @@ def test_ensemble_eigensystem_matches_covariance_route(n, center, monkeypatch):
         assert got.total == pytest.approx(trace, rel=1e-12)
         separated = assert_leading_system(got, want, count)
         assert separated.sum() >= got.m // 2
-    assert calls == ([(m, count, True) for count in counts] if krylov else [])
+    assert calls == [(m, count, True) for count in counts if m >= _blas._budget(count)]
 
 
 def test_clustered_leading_pair_is_resolved(monkeypatch):
@@ -339,7 +347,7 @@ def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
     calls = lanczos_spy(monkeypatch)
     got = ensemble_eigensystem(centered, grid, 16)
     assert calls == [(300, 16, False)]
-    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # the dense route alone
+    dense_only(monkeypatch)
     want = ensemble_eigensystem(centered, grid, 16)
     assert len(calls) == 1
     assert np.count_nonzero(want.eigenvalues) <= 6
@@ -348,10 +356,10 @@ def test_rank_deficient_stack_breaks_down_to_the_dense_bits(monkeypatch):
 
 
 def test_dense_route_is_the_last_pairs_of_numpy_eigh(monkeypatch):
-    # N = 191 is one below the Lanczos crossover for 16 pairs; at N = 400 a
+    # N = 95 is one below the Lanczos step budget for 16 pairs; at N = 400 a
     # matrix of rank 6 breaks the run down; a transposed view is accepted
     rng = np.random.default_rng(3)
-    b = rng.standard_normal((191, 191)) / np.arange(1, 192)
+    b = rng.standard_normal((95, 95)) / np.arange(1, 96)
     low = rng.standard_normal((400, 6))
     cases = {"by shape": b @ b.T, "after a breakdown": low @ low.T}
     cases["transposed view"] = cases["by shape"].T
@@ -425,8 +433,9 @@ def test_an_unformed_solve_allocates_less_than_its_matrix(n, G):
 
 # case -> (K, n, G, sample seed, kernel, multiple of the rule-of-thumb h) of
 # a fit whose CVP at 0.9 picks that K. Every eigen matrix has order
-# min(n, G^2) of at least 192, so the automatic-K solve of 16 pairs takes the
-# Lanczos route. The cases named by K have orders 200 to 300. The fine-grid
+# min(n, G^2) of at least 200, past the step budget of 96, so the
+# automatic-K solve of 16 pairs takes the Lanczos route. The cases named by
+# K have orders 200 to 300. The fine-grid
 # case is the benchmark's fine-grid shape, solved unformed, whose spectrum
 # falls steeply: lambda_5 / lambda_1 < 0.01, so lambda_2..lambda_5, read for
 # their values alone, are held to 1e-13 of themselves, not of lambda_1
@@ -457,7 +466,7 @@ def test_stopped_lanczos_reads_what_a_dense_solve_gives(case, monkeypatch):
     calls = lanczos_spy(monkeypatch)
     fit = fit_pipeline(s, cfg)
     assert calls == [(min(n, G**2), 16, True)]
-    monkeypatch.setattr(_blas, "_CROSSOVER", np.inf)  # numpy's eigh alone
+    dense_only(monkeypatch)
     dense = fit_pipeline(s, cfg)
     assert len(calls) == 1 and dense.eigen.m == fit.eigen.m
     assert fit.K == dense.K == K
@@ -559,10 +568,12 @@ def test_cvp_past_the_leading_components_reads_the_whole_spectrum():
     assert fit.K > 16
 
 
-# n -> (K at CVP 0.999, the Lanczos runs of the fit): at N = 150 the 16-pair
-# attempt is dense by shape; at N = 300 Lanczos converges its 16 pairs, finds
-# the crossing past them and gives way to the dense solve
-PAST_THE_ATTEMPT = {150: (76, []), 300: (89, [(300, 16, False)])}
+# n -> (K at CVP 0.999, the Lanczos runs of the fit): at N = 95, one below
+# the step budget, the 16-pair attempt is dense by shape; from N = 96 on
+# Lanczos converges its 16 pairs, finds the crossing past them and gives way
+# to the dense solve
+PAST_THE_ATTEMPT = {95: (63, []), 96: (62, [(96, 16, False)]),
+                    150: (76, [(150, 16, False)]), 300: (89, [(300, 16, False)])}
 
 
 @pytest.mark.parametrize("n", sorted(PAST_THE_ATTEMPT))

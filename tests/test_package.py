@@ -355,6 +355,11 @@ def test_import_leaves_scipy_stats_unloaded():
     assert not loaded_after("import condcopula", "scipy")
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Frank series and the Cephes ports all sum by np.polyval
+    assert not loaded_after("import condcopula", "numpy.polynomial")
+
+
 def test_fit_leaves_scipy_linalg_unloaded():
     # the leading eigenpairs come from the LAPACK numpy already maps;
     # importing scipy.linalg would cost start-up time and resident memory and

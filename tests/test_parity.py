@@ -34,14 +34,14 @@ EXPERIMENTS = {
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=11, eval_points=(0.5,), grid_size=15),
-        "330aec4922cd79876e6e0be219a6284282d8eb813b7a0300bfcffef2f9648713",
+        "0cd2c528c4be0a6058a5765321a9df8f33de7c85b4a9b5ae3fec1a3cad53292b",
     ),
     "consistency-failures": (
         consistency_experiment,
         dict(experiment="consistency", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=10, seed=11, eval_points=(0.5,), grid_size=11,
              estimator={"h_alpha": 0.004}),
-        "3b3c7b1b1c83c90b2bc52d4769413d5f1a1884683577fb46b9a7d80f257e1f15",
+        "4a65d9d2b4a45dd10b98edcf417f041d55139a8c6834ec554d46daeea6b423a6",
     ),
     "bridge": (
         bridge_covariance_experiment,
@@ -68,7 +68,7 @@ EXPERIMENTS = {
         benchmark_vs_baseline,
         dict(experiment="benchmark", model=CLAYTON_SINE, n_ladder=(100, 200),
              replications=3, seed=9, eval_points=(0.5,), grid_size=11),
-        "6e710948dc8142a22d4de993aa48fd51454209d54ef431e8a06add423dce5336",
+        "4c4777964c9d5a0bd605f92f40084c266a4f5e52fb35219eb4deab86bad76321",
     ),
 }
 

@@ -51,3 +51,16 @@ def test_eigen_route_sweep_records_a_crossing_past_the_lanczos_attempt(sweep):
     assert row["matrix_free_K_and_pairs"] == [K, pairs]
     for route in sweep.ROUTES:
         assert row[f"{route}_ms"] > 0.0 and len(row[f"{route}_products"]) == 1
+
+
+def test_eigen_route_sweep_times_both_routes_from_the_step_budget(sweep):
+    # N = 51 is the step budget of one pair: Lanczos runs beside eigh; five
+    # pairs need 63 steps, so only eigh is timed
+    row = sweep.budget_row(51, 1, None, repeats=1)
+    assert (row["budget"], row["route"], row["route_at_twice_budget"]) == (51, "lanczos", "eigh")
+    assert row["lanczos_ms"] > 0.0 and row["eigh_ms"] > 0.0
+    assert len(row["lanczos_products"]) == 1 and row["eigh_products"] == []
+    assert row["K_and_pairs"] == {"lanczos": [1, 1], "eigh": [1, 1]}
+    row = sweep.budget_row(51, 5, None, repeats=1)
+    assert row["route"] == "eigh" and row["lanczos_ms"] is None and row["eigh_ms"] > 0.0
+

@@ -30,6 +30,7 @@ from oracles import (
     gumbel_du,
     loop_sample_conditional,
     obs_rng,
+    polynomial_frank_series,
     quad_frank_tau,
     scalar_v_given_u,
     textbook_frank_v_given_u,
@@ -207,6 +208,16 @@ def test_frank_tau_matches_its_decimal_series_across_the_series_cuts():
     for theta, got in zip(thetas, tau):
         want = decimal_frank_tau(theta)
         assert abs(got - want) <= 2e-14 * want, theta
+
+
+def test_frank_series_has_the_bits_of_the_numpy_polynomial_sum():
+    # np.polyval runs the same Horner steps from the leading coefficient
+    t = np.concatenate([np.linspace(0.0, 1.5, 300001), [5e-324, 1e-300, 745.0]])
+    tau, slope = simulate._frank_tau_and_slope(t)
+    want_tau, want_slope = polynomial_frank_series(t)
+    small = t < 1.5
+    assert np.array_equal(tau[small], want_tau[small])
+    assert np.array_equal(slope[small], want_slope[small])
 
 
 def test_frank_tau_round_trip_down_to_tiny_tau():
