@@ -68,7 +68,8 @@ __all__ = ["leading_eigh", "limited_threads"]
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
 # Lanczos: a step budget of 3 * count + 48, taken wherever N reaches it. On a
 # fit's Gram matrices it trails numpy's full eigh below about 1.5 budgets, by
-# 1.2 ms at most (16 pairs at N = 96), and ties or wins from there (2x at N = 191)
+# 1.3 ms at most (16 pairs at N = 96), and ties or wins from 1.5-1.7 budgets
+# (1.8x as fast for the automatic-K call at N = 191)
 _STEP_FACTOR = 3
 _STEP_SLACK = 48
 _CHECK_EVERY = 4  # most steps between Ritz-bound checks, each an eigh of the tridiagonal

@@ -232,12 +232,16 @@ def _matrix_free(N: int, pairs: int) -> bool:
     Each product then streams the stack twice, so the unformed route pays
     per Lanczos step where the formed one pays once, and its cost follows
     the pairs that must converge. On the fit's Gram matrices over 2601
-    columns, one thread (``scripts/eigen_route_sweep.py``), 5 pairs tied
-    with forming the matrix at N = 800 (29.8 against 30.2 ms), won from
-    N = 1200 on (42 against 58 ms) and lost at N = 600 (22.6 against
-    18.3 ms); 1 pair won from N = 600 on. 16 pairs lost up to N = 1200 (72
-    against 40 ms at N = 800) and won at N = 2000, and 32 pairs lost at
-    every order up to 2000.
+    columns, one thread, the routes alternating call by call over three
+    runs (``scripts/eigen_route_sweep.py``), the automatic-K call, which
+    stops at 5 pairs, won against forming the matrix at N = 800 (27.7-28.0
+    against 31.9-41.9 ms) and from N = 1200 on (42-45 against 68-75 ms),
+    tied at N = 600 (18.7-20.0 against 18.6-22.6 ms) and lost at N = 400;
+    a fixed 5 pairs won from N = 800 on and 1 pair from N = 400 on. On
+    covariance matrices it won at every order from 729 to 2601 and lost at
+    441, so 768 may lie higher than it must on that route. 16 pairs lost up
+    to N = 1200 (72-74 against 41-51 ms at N = 800) and won at N = 2000,
+    and 32 pairs lost at every order up to 2000.
     """
     return N >= _MATRIX_FREE and pairs <= _MATRIX_FREE_PAIRS
 
