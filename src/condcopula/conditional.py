@@ -88,17 +88,21 @@ class Sample:
             return self.y2
         raise ValueError(f"margin index must be 1 or 2, got {j}")
 
-    def warn_on_ties(self) -> None:
-        """Flag ties within a margin: the estimate can then depend on row order.
+    def check_margins(self) -> None:
+        """Refuse a margin with fewer than two distinct values; flag ties within a margin.
 
-        Tied responses give tied or nearly tied pseudo-observations, whose
-        stable ranks follow sample order; with integer margins at n=1000,
-        permuting the rows moved the estimate by up to 4.8e-3 (ROADMAP
-        item 1).
+        A constant margin makes every pseudo-observation of that margin 1.0,
+        so the ranks, and the estimate, are the row order. Tied responses
+        give tied or nearly tied pseudo-observations, whose stable ranks
+        follow sample order; with integer margins at n=1000, permuting the
+        rows moved the estimate by up to 4.8e-3 (ROADMAP item 1).
         """
         for j in (1, 2):
             vals = self.margin(j)
-            if np.unique(vals).size < vals.size:
+            distinct = np.unique(vals).size
+            if distinct < 2:
+                raise ValueError(f"margin y{j} needs at least two distinct values, got {distinct}")
+            if distinct < vals.size:
                 warnings.warn(
                     f"ties in margin {j}; the estimate can depend on the order "
                     "of the rows",
@@ -477,14 +481,21 @@ def weighted_copula_surfaces(
 
 
 def rule_of_thumb_bandwidth(xs: np.ndarray) -> float:
-    """h = sd(X) * n^(-1/5); the default for all 'auto' bandwidths."""
+    """h = sd(X) * n^(-1/5); the default for all 'auto' bandwidths.
+
+    The sd is taken of X / 2^e, with 2^e just above the largest |X_i|, and
+    scaled back: dividing by a power of two is exact, so 2^k X gets 2^k h
+    wherever 2^k X and its differences stay normal, and no sum of squares
+    overflows or underflows. A constant X gets h = n^(-1/5); its sd would be
+    the rounding of its mean.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.size < 2:
         raise ValueError("bandwidth rule needs at least 2 covariate values")
-    sd = float(np.std(xs, ddof=1))
-    if sd == 0.0:
-        sd = 1.0
-    return sd * xs.size ** (-0.2)
+    if xs.min() == xs.max():
+        return xs.size ** (-0.2)
+    e = int(np.frexp(np.abs(xs).max())[1])
+    return float(np.ldexp(np.std(np.ldexp(xs, -e), ddof=1) * xs.size ** (-0.2), e))
 
 
 def write_sample_csv(s: Sample, path) -> None:

@@ -6,6 +6,16 @@ partial copula, component selection, kernel score regression, and the
 truncated reconstruction partial + sum_k alpha_k(x) phi_k, optionally clamped
 into the Frechet-Hoeffding envelope.
 
+``fit_pipeline`` computes the pseudo-observations and hands them to
+``fit_from_pseudo``, the entry point for refits on one set of them. Every
+stage after them runs in one staged fit, ``_fit_at_points``, which takes the
+trajectory surfaces at weighted points: point j stands for m_j rows of the
+sample, its centred surface is scaled by sqrt(m_j d / n) before the eigen
+solve of the d rows, and its scores are unscaled and given to each of its
+rows. ``fit_from_pseudo`` takes a surface at every X_i (the sample's own
+covariate array, all counts 1, the identity map), with the bits of the
+unweighted fit.
+
 The score regression ``eval_alpha`` weighs by ``conditional.window_weights``
 with its own bandwidth, the rule of thumb or ``--h-alpha``; there is no
 cross-validated selector (ROADMAP item 4 plans a leave-window-out one).
@@ -51,6 +61,7 @@ __all__ = [
     "FpcaFit",
     "ConditionalCopulaEstimate",
     "fit_pipeline",
+    "fit_from_pseudo",
     "eval_alpha",
     "estimate_conditional_copula",
     "frechet_project",
@@ -156,23 +167,39 @@ def _resolve_bandwidths(s: Sample, cfg: PipelineConfig) -> dict:
 
 def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
     """Run the sample-level stages once (everything that does not depend on
-    the evaluation point)."""
-    s.warn_on_ties()
+    the evaluation point): the pseudo-observations, then ``fit_from_pseudo``."""
+    s.check_margins()
+    bw = _resolve_bandwidths(s, cfg)
+    k1, k2 = (KernelSpec(cfg.kernel_family, bw[g]) for g in ("g1", "g2"))
+    return fit_from_pseudo(s, pseudo_observations(s, k1, k2), cfg)
+
+
+def fit_from_pseudo(s: Sample, pseudo: PseudoSample, cfg: PipelineConfig) -> FpcaFit:
+    """The stages after the pseudo-observations, with a trajectory at every X_i;
+    on a fit's own ``pseudo`` it gives the bits of ``fit_pipeline(s, cfg)``.
+    The fit reports the g1 and g2 of ``cfg``, not those ``pseudo`` came from."""
+    if pseudo.n != s.n:
+        raise ValueError(f"pseudo-sample has {pseudo.n} records, the sample {s.n}")
+    return _fit_at_points(s, pseudo, cfg, s.x, np.ones(s.n), np.arange(s.n))
+
+
+def _fit_at_points(s, pseudo, cfg, points, counts, row_of) -> FpcaFit:
+    """Point j stands for ``counts[j]`` rows, row i for point ``row_of[i]``.
+
+    Centred row j is scaled by sqrt(m_j d / n), so the eigen solve of the d
+    rows decomposes (delta / n) sum_j m_j c_j c_j^T; the scores are unscaled.
+    """
     grid = make_grid(cfg.grid_size)
     bw = _resolve_bandwidths(s, cfg)
-    fam = cfg.kernel_family
-    pseudo = pseudo_observations(
-        s,
-        KernelSpec(family=fam, bandwidth=bw["g1"]),
-        KernelSpec(family=fam, bandwidth=bw["g2"]),
-    )
     center = empirical_copula_grid(pseudo, grid)
-    traj_kernel = KernelSpec(family=fam, bandwidth=bw["h"])
-    surfaces = weighted_copula_surfaces(s.x, s, traj_kernel, grid, pseudo)
-    # a view of the stack, centred in place: the stack is the fit's largest
-    # array, and nothing reads it uncentred
-    centered = surfaces.reshape(s.n, -1)
+    traj_kernel = KernelSpec(family=cfg.kernel_family, bandwidth=bw["h"])
+    surfaces = weighted_copula_surfaces(points, s, traj_kernel, grid, pseudo)
+    # a view of the stack, centred and scaled in place: the stack is the
+    # fit's largest array, and nothing reads it uncentred
+    centered = surfaces.reshape(len(points), -1)
     centered -= center.flat()
+    factor = np.sqrt(counts * len(points) / s.n)[:, None]
+    centered *= factor
     if cfg.K is not None:
         # lambda_1..lambda_5 and lambda_{K+1} feed the diagnostics; a K
         # beyond the positive eigenvalues is clamped to their count
@@ -182,7 +209,7 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
         # the solve holds the components K and the diagnostics read
         eigen = ensemble_eigensystem(centered, grid, _LEADING, cfg.cvp_threshold)
         K = select_K(eigen, cfg.cvp_threshold)
-    xi = scores(centered, eigen, K) if K > 0 else np.empty((s.n, 0))
+    xi = scores(centered, eigen, K) / factor if K > 0 else np.empty((len(points), 0))
     return FpcaFit(
         sample=s,
         config=cfg,
@@ -190,7 +217,7 @@ def fit_pipeline(s: Sample, cfg: PipelineConfig) -> FpcaFit:
         center=center,
         eigen=eigen,
         K=K,
-        scores=xi,
+        scores=xi[row_of],
         bandwidths=bw,
     )
 

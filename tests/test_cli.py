@@ -99,6 +99,20 @@ def test_clayton_tau_below_its_floor_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_estimate_refuses_a_constant_margin(tmp_path, capsys):
+    data = np.loadtxt(simulate(tmp_path, n=100), delimiter=",", skiprows=1)
+    for constant in ((1,), (2,), (1, 2)):
+        rows = data.copy()
+        rows[:, [j - 1 for j in constant]] = 0.5
+        path = tmp_path / f"const{constant}.csv"
+        np.savetxt(path, rows, delimiter=",", header="y1,y2,x", comments="", fmt="%.17g")
+        out = tmp_path / f"const{constant}.json"
+        assert run(["estimate", "--in", str(path), "--x", "0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"margin y{constant[0]} needs at least two distinct values, got 1" in err
+        assert not out.exists()
+
+
 def test_estimate_missing_input_flag(tmp_path, capsys):
     code = run(["estimate", "--x", "0.5", "--out", str(tmp_path / "x.json")])
     assert code == 1

@@ -1038,11 +1038,24 @@ def test_rule_of_thumb_shrinks_with_n():
     assert rule_of_thumb_bandwidth(xs_big) < rule_of_thumb_bandwidth(xs_small)
 
 
+def test_rule_of_thumb_keeps_the_bits_of_the_plain_sd_on_unit_range_samples():
+    # dividing by a power of two is exact, so the scaled sd is the plain one
+    rng = np.random.default_rng(8)
+    for n in rng.integers(2, 3000, size=80).tolist():
+        xs = rng.random(n) * rng.choice([1e-3, 1.0, 1e3]) + rng.choice([-0.5, 0.0, 10.0])
+        assert rule_of_thumb_bandwidth(xs) == float(np.std(xs, ddof=1)) * n ** (-0.2)
+
+
+def test_rule_of_thumb_of_a_constant_is_n_to_the_minus_one_fifth():
+    for value in (0.0, 0.1, 3.5, -1e300, 5e-324):
+        assert rule_of_thumb_bandwidth(np.full(500, value)) == 500 ** (-0.2)
+
+
 def test_ties_warn():
     s = Sample(y1=np.array([1.0, 1.0, 2.0]), y2=np.array([1.0, 2.0, 3.0]),
                x=np.array([0.1, 0.2, 0.3]))
     with pytest.warns(UserWarning, match="ties in margin 1"):
-        s.warn_on_ties()
+        s.check_margins()
 
 
 def test_sample_rejects_non_finite():

@@ -10,9 +10,11 @@ from condcopula.conditional import KernelSpec, PseudoSample, Sample
 from condcopula.errors import DegenerateWeightsError
 from condcopula.estimator import (
     PipelineConfig,
+    _fit_at_points,
     estimate_conditional_copula,
     eval_alpha,
     evaluate_fit,
+    fit_from_pseudo,
     fit_pipeline,
     frechet_project,
 )
@@ -320,3 +322,75 @@ def test_fit_reads_the_pseudo_observations_only_through_their_ranks(monkeypatch)
     for x in np.linspace(0.05, 0.95, 19):
         assert np.array_equal(evaluate_fit(fit, x).surface.values,
                               evaluate_fit(base, x).surface.values)
+
+
+# (n, G): n < G^2 takes the Gram route, n >= G^2 the covariance route
+ROUTE_SHAPES = ((150, 15), (400, 15), (300, 21), (500, 9))
+
+
+@pytest.mark.parametrize("n, G", ROUTE_SHAPES)
+@pytest.mark.parametrize("family", ["epanechnikov", "gaussian", "uniform"])
+@pytest.mark.parametrize("K", [None, 3])
+def test_fit_from_pseudo_gives_the_bits_of_fit_pipeline(n, G, family, K):
+    _, s = clayton_sample(n=n, seed=n + G)
+    cfg = PipelineConfig(grid_size=G, kernel_family=family, K=K)
+    fit = fit_pipeline(s, cfg)
+    refit = fit_from_pseudo(s, fit.pseudo, cfg)
+    assert refit.K == fit.K
+    assert np.array_equal(refit.center.values, fit.center.values)
+    assert np.array_equal(refit.eigen.eigenvalues, fit.eigen.eigenvalues)
+    assert np.array_equal(refit.eigen.eigenfunctions, fit.eigen.eigenfunctions)
+    assert refit.eigen.total == fit.eigen.total
+    assert np.array_equal(refit.scores, fit.scores)
+    assert refit.scores.shape == (n, fit.K)
+
+
+def test_fit_from_pseudo_refuses_a_pseudo_sample_of_another_length():
+    _, s = clayton_sample(n=60, seed=1)
+    fit = fit_pipeline(s, PipelineConfig(grid_size=9))
+    _, other = clayton_sample(n=61, seed=1)
+    with pytest.raises(ValueError, match="pseudo-sample has 60 records, the sample 61"):
+        fit_from_pseudo(other, fit.pseudo, PipelineConfig(grid_size=9))
+
+
+@pytest.mark.parametrize("n, G", ROUTE_SHAPES)
+@pytest.mark.parametrize("decimals", [1, 2])
+@pytest.mark.parametrize("family", ["epanechnikov", "gaussian", "uniform"])
+@pytest.mark.parametrize("K", [None, 3])
+def test_weighted_points_give_the_repeated_row_fit_on_a_tied_covariate(n, G, decimals,
+                                                                      family, K):
+    # tied X_i have the same weights and so the same surface: one surface per
+    # distinct x, counted as often as it occurs, is the repeated-row ensemble
+    _, s = clayton_sample(n=n, seed=5)
+    tied = Sample(y1=s.y1, y2=s.y2, x=np.round(s.x, decimals))
+    cfg = PipelineConfig(grid_size=G, kernel_family=family, K=K, project=False)
+    fit = fit_pipeline(tied, cfg)
+    points, row_of, counts = np.unique(tied.x, return_inverse=True, return_counts=True)
+    assert points.size < n
+    staged = _fit_at_points(tied, fit.pseudo, cfg, points, counts, row_of)
+    assert staged.K == fit.K
+    assert staged.scores.shape == fit.scores.shape
+    for x in (0.1, 0.5, 0.9):
+        gap = evaluate_fit(staged, x).surface.values - evaluate_fit(fit, x).surface.values
+        assert np.max(np.abs(gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("constant", [(1,), (2,), (1, 2)])
+def test_a_constant_margin_is_refused_by_name(constant):
+    _, s = clayton_sample(n=80, seed=3)
+    y = {j: np.full(s.n, 0.25) if j in constant else s.margin(j) for j in (1, 2)}
+    with pytest.raises(ValueError, match=f"margin y{constant[0]} needs at least two"):
+        fit_pipeline(Sample(y1=y[1], y2=y[2], x=s.x), PipelineConfig(grid_size=9))
+
+
+def test_a_constant_covariate_gives_the_partial_copula():
+    # every window of a constant x is the whole sample with equal weights, so
+    # every trajectory is the partial copula and K = 0; the rule of thumb
+    # then takes h = n^(-1/5), as its sd would be the rounding of the mean
+    _, s = clayton_sample(n=120, seed=6)
+    for value in (0.0, 0.1, -3e300):
+        flat = Sample(y1=s.y1, y2=s.y2, x=np.full(s.n, value))
+        fit = fit_pipeline(flat, PipelineConfig(grid_size=9, project=False))
+        assert fit.bandwidths == dict.fromkeys(("h", "g1", "g2", "h_alpha"), 120 ** (-0.2))
+        assert fit.K == 0
+        assert np.array_equal(evaluate_fit(fit, value).surface.values, fit.center.values)

@@ -178,6 +178,43 @@ def test_callers_of_detected():
     assert callers_of(source, "k") == {"f", "g", "<module>"}
 
 
+def top_level_callers(source: str, name: str) -> set:
+    """Names of the top-level definitions that call ``name`` in their bodies,
+    nested scopes included; "<module>" for any other top-level statement."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(source).body
+        if callers_of(ast.unparse(node), name)
+    }
+
+
+def test_fit_stages_run_in_one_staged_fit():
+    # one owner for the stage order: the pseudo-observations come from
+    # fit_pipeline alone, and every stage after them runs in the staged fit,
+    # whose callers choose the trajectory points; the harness keeps the
+    # plug-in baseline at one point and the scores of its synthetic ensemble
+    found = {
+        (p.stem, top, name)
+        for p in PACKAGE_DIR.glob("*.py")
+        for name in ("pseudo_observations", "empirical_copula_grid",
+                     "weighted_copula_surfaces", "scores")
+        for top in top_level_callers(p.read_text(), name)
+    }
+    assert found == {
+        ("estimator", "fit_pipeline", "pseudo_observations"),
+        ("estimator", "_fit_at_points", "empirical_copula_grid"),
+        ("estimator", "_fit_at_points", "weighted_copula_surfaces"),
+        ("estimator", "_fit_at_points", "scores"),
+        ("harness", "benchmark_vs_baseline", "weighted_copula_surfaces"),
+        ("harness", "eigen_perturbation_experiment", "scores"),
+    }
+
+
+def test_top_level_callers_detected():
+    source = "def f():\n    def g():\n        k()\nclass C:\n    def m(self): k()\nk()\ndef h(): pass\n"
+    assert top_level_callers(source, "k") == {"f", "C", "<module>"}
+
+
 def test_kernel_evaluated_only_by_the_weight_routines():
     # kernel values come from one window-block routine; no stage evaluates
     # the kernel over all n observations at a point

@@ -11,7 +11,11 @@ the covariate, x -> 1 - x, gives the same estimate at 1 - x up to rounding,
 with the same K, as long as both fits rank their pseudo-observations alike.
 A compact kernel can give several observations the transform 1 up to
 rounding, and the stable tie rule then ranks them by how the window sums
-round, which the reflection changes (ROADMAP item 1's tie rule).
+round, which the reflection changes (ROADMAP item 1's tie rule). Nor does it
+depend on the covariate's units: x -> 2^k x is exact, and so is every step
+of the fit that reads x, the rule-of-thumb bandwidths included, wherever the
+scaled x and their differences stay normal; the estimate at 2^k x then keeps
+its bits.
 """
 
 import numpy as np
@@ -109,6 +113,30 @@ def test_reflecting_the_covariate_keeps_the_estimate(case):
     assume(np.array_equal(mirrored_fit.pseudo.ranks, fit.pseudo.ranks))
     assert mirrored.K == est.K
     assert np.max(np.abs(mirrored.surface.values - est.surface.values)) <= 1e-12
+
+
+def normal_scales(xs: np.ndarray) -> tuple:
+    """The k from which 2^k keeps every nonzero |x| and every nonzero gap
+    between sorted x at least 2^-1022, and up to which it keeps 4 max|x|
+    finite: each such k scales every step of a fit that reads x exactly."""
+    gaps = np.diff(np.sort(xs))
+    smallest = min(np.abs(xs[xs != 0.0]).min(), gaps[gaps > 0.0].min())
+    return -1021 - int(np.frexp(smallest)[1]), 1021 - int(np.frexp(np.abs(xs).max())[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases, st.data())
+def test_scaling_the_covariate_by_a_power_of_two_keeps_the_estimate_bits(case, data):
+    sample, _ = sample_conditional(case["model"], case["n"], case["seed"])
+    lo, hi = normal_scales(np.append(sample.x, case["x"]))
+    k = data.draw(st.integers(min_value=lo, max_value=hi), label="k")
+    fit, est = fit_at(sample, case)
+    scaled = Sample(y1=sample.y1, y2=sample.y2, x=np.ldexp(sample.x, k))
+    scaled_fit, scaled_est = fit_at(scaled, {**case, "x": np.ldexp(case["x"], k)})
+    assert scaled_fit.bandwidths == {b: np.ldexp(h, k) for b, h in fit.bandwidths.items()}
+    assert scaled_est.K == est.K
+    assert np.array_equal(scaled_fit.eigen.eigenvalues, fit.eigen.eigenvalues)
+    assert np.array_equal(scaled_est.surface.values, est.surface.values)
 
 
 @pytest.mark.xfail(
